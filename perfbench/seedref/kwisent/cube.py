@@ -1,0 +1,241 @@
+"""Dense harmonic analysis on the Boolean cube {0,1}^n.
+
+Functions are length-2^n float vectors indexed by bitmask.  All transforms
+use the expectation convention:
+
+    coeff(S)  = 2^-n * sum_x f(x) * (-1)^popcount(S & x)
+    (f * g)(x) = 2^-n * sum_y f(y) * g(y ^ x)
+    <f, g>     = 2^-n * sum_x f(x) * g(x)
+
+Under these conventions the convolution theorem is coefficient-wise exact,
+Plancherel reads <f, g> = sum_S coeff_f(S) * coeff_g(S), and the cube
+adjacency operator (sum over the n bit-flip neighbours) equals 2^n times
+convolution with the weight-one indicator.  That scale is pinned by a unit
+test; do not fold 2^n factors into the transforms.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .errors import DimensionError
+
+DEFAULT_DIMENSION_CAP = 26
+CAP_ENV_VAR = "KWISENT_MAX_N"
+
+
+def dimension_cap() -> int:
+    """Largest cube dimension for dense 2^n vectors (env override)."""
+    raw = os.environ.get(CAP_ENV_VAR)
+    if raw is None:
+        return DEFAULT_DIMENSION_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise DimensionError(f"invalid {CAP_ENV_VAR} value: {raw!r}") from None
+
+
+def check_dimension(n: int) -> None:
+    cap = dimension_cap()
+    if not 1 <= n <= cap:
+        raise DimensionError(f"dimension {n} outside supported range 1..{cap}")
+
+
+@lru_cache(maxsize=8)
+def subset_sizes(n: int) -> np.ndarray:
+    """popcount(x) for every mask x < 2^n, as a read-only uint8 array."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.uint8)
+    sizes.setflags(write=False)
+    return sizes
+
+
+def _frozen_vector(raw, n: int) -> np.ndarray:
+    vals = np.asarray(raw, dtype=np.float64)
+    if vals.shape != (1 << n,):
+        raise DimensionError(
+            f"expected vector of length 2^{n} = {1 << n}, got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite (no NaN or infinity)")
+    if vals is raw and vals.flags.writeable:
+        vals = vals.copy()
+    vals.setflags(write=False)
+    return vals
+
+
+@dataclass(frozen=True, eq=False)
+class CubeFunction:
+    """A real-valued function on {0,1}^n, stored densely by bitmask."""
+
+    n: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        check_dimension(self.n)
+        object.__setattr__(self, "values", _frozen_vector(self.values, self.n))
+
+    @property
+    def size(self) -> int:
+        return 1 << self.n
+
+
+@dataclass(frozen=True, eq=False)
+class Density(CubeFunction):
+    """Nonnegative cube function with mean 1 (2^n times a probability mass)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.values.min() < 0.0:
+            raise ValueError("density values must be nonnegative")
+        mean = float(self.values.mean())
+        if abs(mean - 1.0) > 1e-12:
+            raise ValueError(f"density mean must be 1 within 1e-12, got {mean!r}")
+
+    @classmethod
+    def normalized(cls, n: int, raw) -> "Density":
+        """Scale a nonnegative vector to mean 1 and wrap it."""
+        vals = np.asarray(raw, dtype=np.float64)
+        mean = vals.mean()
+        if not mean > 0.0:
+            raise ValueError("cannot normalize a vector with nonpositive mean")
+        return cls(n, vals / mean)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The full table of Walsh-Hadamard coefficients, indexed by subset mask."""
+
+    n: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        check_dimension(self.n)
+        object.__setattr__(self, "coeffs", _frozen_vector(self.coeffs, self.n))
+
+
+def _fwht_inplace(a: np.ndarray) -> None:
+    """Unnormalized in-place butterfly, O(n 2^n) arithmetic."""
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        view = a.reshape(-1, 2 * h)
+        left = view[:, :h].copy()
+        right = view[:, h:]
+        view[:, :h] = left + right
+        view[:, h:] = left - right
+        h *= 2
+
+
+def wht(f: CubeFunction) -> Spectrum:
+    """Forward transform; the 1/2^n factor is applied once at the end."""
+    a = f.values.copy()
+    _fwht_inplace(a)
+    a /= f.size
+    return Spectrum(f.n, a)
+
+
+def inverse_wht(s: Spectrum) -> CubeFunction:
+    """Reconstruct f(x) = sum_S coeff(S) * (-1)^popcount(S & x)."""
+    a = s.coeffs.copy()
+    _fwht_inplace(a)
+    return CubeFunction(s.n, a)
+
+
+def _same_dimension(f: CubeFunction, g: CubeFunction) -> None:
+    if f.n != g.n:
+        raise DimensionError(f"dimension mismatch: {f.n} vs {g.n}")
+
+
+def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
+    """(f * g)(x) = 2^-n sum_y f(y) g(y ^ x), via the spectral product."""
+    _same_dimension(f, g)
+    prod = wht(f).coeffs * wht(g).coeffs
+    out = prod.copy()
+    _fwht_inplace(out)
+    return CubeFunction(f.n, out)
+
+
+def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:
+    """Convolution by literal summation over the support of f.
+
+    O(|supp f| * 2^n); kept as the transform-free reference path.
+    """
+    _same_dimension(f, g)
+    out = np.zeros(f.size)
+    idx = np.arange(f.size)
+    fv, gv = f.values, g.values
+    for y in np.flatnonzero(fv):
+        out += fv[y] * gv[idx ^ y]
+    out /= f.size
+    return CubeFunction(f.n, out)
+
+
+def inner_product(f: CubeFunction, g: CubeFunction) -> float:
+    """<f, g> = 2^-n sum_x f(x) g(x)."""
+    _same_dimension(f, g)
+    return float(np.dot(f.values, g.values) / f.size)
+
+
+def adjacency_apply(f: CubeFunction) -> CubeFunction:
+    """(Af)(x) = sum_i f(x ^ e_i), the cube adjacency acting on f.
+
+    Equals 2^n * convolve(weight_one_indicator(n), f); this scale is pinned
+    by a normalization test.
+    """
+    idx = np.arange(f.size)
+    out = np.zeros(f.size)
+    for i in range(f.n):
+        out += f.values[idx ^ (1 << i)]
+    return CubeFunction(f.n, out)
+
+
+def level_profile(s: Spectrum) -> np.ndarray:
+    """Squared coefficient mass per level: entry j = sum_{|S|=j} coeff(S)^2."""
+    return np.bincount(
+        subset_sizes(s.n), weights=s.coeffs * s.coeffs, minlength=s.n + 1
+    )
+
+
+def level_max_abs(s: Spectrum) -> np.ndarray:
+    """Largest |coeff(S)| per level |S|; the independence-order scan input."""
+    out = np.zeros(s.n + 1)
+    np.maximum.at(out, subset_sizes(s.n), np.abs(s.coeffs))
+    return out
+
+
+def uniform_density(n: int) -> Density:
+    return Density(n, np.ones(1 << n))
+
+
+def point_mass_density(n: int, point: int = 0) -> Density:
+    """Density of the distribution concentrated on a single mask."""
+    check_dimension(n)
+    if not 0 <= point < (1 << n):
+        raise ValueError(f"point {point} outside cube of dimension {n}")
+    vals = np.zeros(1 << n)
+    vals[point] = float(1 << n)
+    return Density(n, vals)
+
+
+def weight_one_indicator(n: int) -> CubeFunction:
+    """0/1 indicator of the Hamming weight-1 shell (the adjacency kernel)."""
+    check_dimension(n)
+    vals = (subset_sizes(n) == 1).astype(np.float64)
+    return CubeFunction(n, vals)
+
+
+def adjacency_level_multipliers(n: int) -> np.ndarray:
+    """Adjacency eigenvalue per level: n - 2j on coefficients with |S| = j."""
+    return n - 2.0 * np.arange(n + 1)
+
+
+def log2_ball_volume(n: int, r: int) -> float:
+    """log2 of the number of masks with weight <= r (exact integer count)."""
+    if not 0 <= r <= n:
+        raise ValueError(f"radius {r} outside 0..{n}")
+    return math.log2(sum(math.comb(n, i) for i in range(r + 1)))

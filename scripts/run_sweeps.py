@@ -15,37 +15,20 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kwisent.balls import asymptotic_lambda, lambda_ball
-from kwisent.bounds import evaluate
-from kwisent.cli import _bound_row, _fmt
+from kwisent.balls import lambda_ball
+from kwisent.bounds import bound_row, evaluate
 from kwisent.codes import hamming_code, uniform_code_space
 from kwisent.kwise import Distribution
 from kwisent.smoothing import halfwise_chain, smoothing_chain
+from kwisent.table import render
 
 
 def spectra_csv(n: int) -> str:
-    lines = ["n,r,lambda,asymptotic_lambda,iterations,residual"]
-    for r in range(1, n):
-        spec = lambda_ball(n, r)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (n, r, spec.lam, asymptotic_lambda(n, r), spec.iterations, spec.residual)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return render([lambda_ball(n, r).as_dict() for r in range(1, n)], "csv")
 
 
 def bounds_csv(n: int, k_max: int) -> str:
-    keys = [
-        "n", "k", "radius", "lambda", "predicted_radius", "smoothed_bound",
-        "halfwise_bound", "binomial_bound", "asymptotic_display", "best_bound",
-    ]
-    lines = [",".join(keys)]
-    for k in range(1, k_max + 1):
-        row = _bound_row(n, k)
-        lines.append(",".join(_fmt(row[key]) for key in keys))
-    return "\n".join(lines) + "\n"
+    return render([bound_row(n, k) for k in range(1, k_max + 1)], "csv")
 
 
 def witness_report() -> str:
@@ -54,7 +37,7 @@ def witness_report() -> str:
         dist = Distribution.from_space(uniform_code_space(hamming_code(m)))
         n = dist.n
         blocks.append(f"=== Hamming witness, n={n} ===")
-        blocks.append(evaluate(dist).to_text())
+        blocks.append(render(evaluate(dist).as_dict(), "text"))
         blocks.append(halfwise_chain(dist).to_text())
         if n >= 7:
             blocks.append(smoothing_chain(dist, min(3, n // 2)).to_text())

@@ -15,7 +15,6 @@ from .balls import (
     asymptotic_lambda,
     lambda_ball,
     lambda_ball_dense_oracle,
-    lambda_comparison,
     min_radius,
     predicted_radius,
 )
@@ -24,6 +23,7 @@ from .bounds import (
     asymptotic_entropy_leading_term,
     binary_entropy,
     binomial_entropy_bound,
+    bound_row,
     evaluate,
     halfwise_entropy_bound,
     renyi2_entropy,
@@ -37,11 +37,8 @@ from .codes import (
     LinearCode,
     SampleSpace,
     check_column_independence,
-    dual_code,
-    hadamard_code,
     hamming_code,
     hamming_parity_check,
-    min_distance,
     parity_sampler_space,
     point_space,
     simplex_code,

@@ -86,6 +86,17 @@ class BallSpectrum:
             self._density = Density(self.n, vals / vals.mean())
         return self._density
 
+    def as_dict(self) -> dict:
+        """The spectra report row: the eigenvalue next to its leading term."""
+        return {
+            "n": self.n,
+            "r": self.r,
+            "lambda": self.lam,
+            "asymptotic_lambda": asymptotic_lambda(self.n, self.r),
+            "iterations": self.iterations,
+            "residual": self.residual,
+        }
+
 
 def _log_binomials(n: int, r: int) -> np.ndarray:
     lg = math.lgamma
@@ -206,8 +217,3 @@ def asymptotic_lambda(n: int, r: int) -> float:
     term is unquantified, so only the exact eigenvalue certifies anything.
     """
     return 2.0 * math.sqrt(r * (n - r))
-
-
-def lambda_comparison(n: int, r: int) -> tuple[float, float]:
-    """(computed eigenvalue, asymptotic leading term) for side-by-side reports."""
-    return lambda_ball(n, r).lam, asymptotic_lambda(n, r)

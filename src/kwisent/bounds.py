@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import lambda_ball, min_radius
+from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
 from .cube import Density
 from .kwise import Distribution, independence_order
@@ -32,6 +32,7 @@ __all__ = [
     "asymptotic_entropy_leading_term",
     "BoundReport",
     "evaluate",
+    "bound_row",
 ]
 
 
@@ -120,16 +121,6 @@ def asymptotic_entropy_leading_term(n: int, k: int) -> float:
     return n - n * binary_entropy(p)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Measured entropies of one distribution against every applicable bound."""
@@ -190,21 +181,6 @@ class BoundReport:
             "asymptotic_display": self.asymptotic_display,
         }
 
-    def to_text(self) -> str:
-        return "\n".join(f"{key}: {_fmt(value)}" for key, value in self.as_dict().items()) + "\n"
-
-    @staticmethod
-    def csv_header() -> str:
-        return (
-            "n,order,support,shannon,renyi2,halfwise_bound,halfwise_slack,"
-            "smoothed_bound,smoothed_slack,smoothed_k,smoothed_radius,"
-            "smoothed_lambda,binomial_bound,binomial_slack,asymptotic_display"
-        )
-
-    def to_csv_row(self) -> str:
-        d = self.as_dict()
-        return ",".join(_fmt(d[key]) for key in self.csv_header().split(","))
-
 
 def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
     """Measure both entropies and every bound applicable at the certified order.
@@ -243,3 +219,27 @@ def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
         binomial_bound=binomial_entropy_bound(n, order),
         asymptotic_display=display,
     )
+
+
+def bound_row(n: int, k: int) -> dict:
+    """Every bound for a (k-1)-wise independent distribution on n bits, with
+    the radius and eigenvalue behind the smoothing bound and the best one."""
+    smoothed = smoothed_entropy_bound(n, k) if 2 * k <= n else None
+    radius = lam = None
+    if smoothed is not None:
+        radius = min_radius(n, k)
+        lam = lambda_ball(n, radius).lam
+    halfwise = halfwise_entropy_bound(n) if k - 1 >= n // 2 else None
+    binomial = binomial_entropy_bound(n, k - 1)
+    return {
+        "n": n,
+        "k": k,
+        "radius": radius,
+        "lambda": lam,
+        "predicted_radius": predicted_radius(n, k) if k <= n else None,
+        "smoothed_bound": smoothed,
+        "halfwise_bound": halfwise,
+        "binomial_bound": binomial,
+        "asymptotic_display": asymptotic_entropy_leading_term(n, k) if 2 * k <= n else None,
+        "best_bound": max(b for b in (smoothed, halfwise, binomial) if b is not None),
+    }

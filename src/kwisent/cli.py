@@ -11,20 +11,13 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 
 import click
 
-from .balls import asymptotic_lambda, lambda_ball, min_radius, predicted_radius
-from .bounds import (
-    asymptotic_entropy_leading_term,
-    binomial_entropy_bound,
-    evaluate,
-    halfwise_entropy_bound,
-    smoothed_entropy_bound,
-)
+from . import kwise
+from .balls import lambda_ball
+from .bounds import bound_row, evaluate
 from .codes import (
     BinaryMatrix,
     SampleSpace,
@@ -35,27 +28,12 @@ from .codes import (
     uniform_code_space,
     uniform_space,
 )
-from .errors import (
-    DimensionError,
-    FormatError,
-    IndependenceError,
-    KwisentError,
-    ResourceLimitError,
-)
-from .kwise import Distribution, half_independence_order, marginal_order
+from .errors import IndependenceError, KwisentError
+from .kwise import Distribution, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
+from .table import render
 
 FORMAT_CHOICE = click.Choice(["text", "csv", "json"])
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 def _parse_range(text: str, what: str) -> list[int]:
@@ -86,9 +64,7 @@ def _load_distribution(path: str) -> Distribution:
         with open(path) as handle:
             space = SampleSpace.from_text(handle.read())
         return Distribution.from_space(space)
-    except FormatError as exc:
-        raise click.UsageError(f"{path}: {exc}")
-    except (DimensionError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and DimensionError included
         raise click.UsageError(f"{path}: {exc}")
 
 
@@ -140,9 +116,7 @@ def construct(kind, m, n, matrix_path, output):
                 matrix = BinaryMatrix.from_text(handle.read())
             space = parity_sampler_space(matrix)
             dimension = matrix.rank
-    except FormatError as exc:
-        raise click.UsageError(str(exc))
-    except (DimensionError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and DimensionError included
         raise click.UsageError(str(exc))
     _emit(space.to_text(), output)
     summary = f"n={space.n} support={space.support_size} dimension={dimension}"
@@ -167,22 +141,14 @@ def analyze(ctx, space_file, tol, fmt, output, marginal_limit):
     dist = _load_distribution(space_file)
     report = evaluate(dist, tol)
     oracle_order = None
-    work = sum(
-        math.comb(dist.n, j) * (1 << j) for j in range(1, min(report.order + 2, dist.n + 1))
-    )
-    if 0 < work <= marginal_limit:
+    # The levels marginal_order scans when it agrees with the spectral order;
+    # one of them above the oracle's own guard skips the oracle up front.
+    costs = [
+        math.comb(dist.n, j) << j for j in range(1, min(report.order + 2, dist.n + 1))
+    ]
+    if sum(costs) <= marginal_limit and max(costs) <= kwise.MARGINAL_WORK_GUARD:
         oracle_order = marginal_order(dist, tol)
-    payload = {"marginal_order": oracle_order, **report.as_dict()}
-    if fmt == "text":
-        text = "\n".join(f"{key}: {_fmt(val)}" for key, val in payload.items()) + "\n"
-    elif fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = (
-            "marginal_order," + report.csv_header() + "\n"
-            f"{_fmt(oracle_order)}," + report.to_csv_row() + "\n"
-        )
-    _emit(text, output)
+    _emit(render({"marginal_order": oracle_order, **report.as_dict()}, fmt), output)
     failed = any(slack < -tol for slack in report.certified_slacks().values())
     if oracle_order is not None and oracle_order != report.order:
         failed = True
@@ -220,11 +186,7 @@ def chain(ctx, space_file, k, halfwise, half_rounding, tol, fmt, output):
         ctx.exit(1)
     except (ValueError, KwisentError) as exc:
         raise click.UsageError(str(exc))
-    if fmt == "text":
-        text = report.to_text()
-    else:
-        text = report.csv_header() + "\n" + report.to_csv_row() + "\n"
-    _emit(text, output)
+    _emit(report.to_text() if fmt == "text" else render(report.as_dict(), fmt), output)
     if not report.passed:
         ctx.exit(1)
 
@@ -238,38 +200,7 @@ def bound(n, k, fmt, output):
     """Entropy lower bounds for a (k-1)-wise independent distribution on n bits."""
     if n < 1 or not 1 <= k <= n + 1:
         raise click.UsageError(f"need n >= 1 and 1 <= k <= n + 1, got n={n} k={k}")
-    row = _bound_row(n, k)
-    if fmt == "text":
-        text = "\n".join(f"{key}: {_fmt(val)}" for key, val in row.items()) + "\n"
-    elif fmt == "json":
-        text = json.dumps(row, indent=2, sort_keys=True) + "\n"
-    else:
-        keys = list(row)
-        text = ",".join(keys) + "\n" + ",".join(_fmt(row[key]) for key in keys) + "\n"
-    _emit(text, output)
-
-
-def _bound_row(n: int, k: int) -> dict:
-    smoothed = smoothed_entropy_bound(n, k) if 2 * k <= n else None
-    radius = lam = None
-    if smoothed is not None:
-        radius = min_radius(n, k)
-        lam = lambda_ball(n, radius).lam
-    halfwise = halfwise_entropy_bound(n) if k - 1 >= n // 2 else None
-    display = asymptotic_entropy_leading_term(n, k) if 2 * k <= n else None
-    bounds = [b for b in (smoothed, halfwise, binomial_entropy_bound(n, k - 1)) if b is not None]
-    return {
-        "n": n,
-        "k": k,
-        "radius": radius,
-        "lambda": lam,
-        "predicted_radius": predicted_radius(n, k) if k <= n else None,
-        "smoothed_bound": smoothed,
-        "halfwise_bound": halfwise,
-        "binomial_bound": binomial_entropy_bound(n, k - 1),
-        "asymptotic_display": display,
-        "best_bound": max(bounds),
-    }
+    _emit(render(bound_row(n, k), fmt), output)
 
 
 @main.command()
@@ -285,34 +216,7 @@ def spectra(n, r_range, tol, fmt, output):
     radii = _parse_range(r_range, "radius") if r_range else list(range(n + 1))
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
-    rows = []
-    for r in radii:
-        spec = lambda_ball(n, r, tol)
-        rows.append(
-            {
-                "n": n,
-                "r": r,
-                "lambda": spec.lam,
-                "asymptotic_lambda": asymptotic_lambda(n, r),
-                "iterations": spec.iterations,
-                "residual": spec.residual,
-            }
-        )
-    _emit(_tabulate(rows, fmt), output)
-
-
-def _tabulate(rows: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    keys = list(rows[0])
-    if fmt == "csv":
-        lines = [",".join(keys)]
-        lines += [",".join(_fmt(row[key]) for key in keys) for row in rows]
-        return "\n".join(lines) + "\n"
-    blocks = []
-    for row in rows:
-        blocks.append("\n".join(f"{key}: {_fmt(val)}" for key, val in row.items()))
-    return "\n\n".join(blocks) + "\n"
+    _emit(render([lambda_ball(n, r, tol).as_dict() for r in radii], fmt), output)
 
 
 @main.group()
@@ -331,16 +235,7 @@ def sweep_spectra(n, r_range, output):
     radii = _parse_range(r_range, "radius") if r_range else list(range(1, n))
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
-    lines = ["n,r,lambda,asymptotic_lambda,iterations,residual"]
-    for r in radii:
-        spec = lambda_ball(n, r)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (n, r, spec.lam, asymptotic_lambda(n, r), spec.iterations, spec.residual)
-            )
-        )
-    _emit("\n".join(lines) + "\n", output)
+    _emit(render([lambda_ball(n, r).as_dict() for r in radii], "csv"), output)
 
 
 @sweep.command("bounds")
@@ -354,23 +249,7 @@ def sweep_bounds(n, k_range, output):
     ks = _parse_range(k_range, "k")
     if ks[0] < 1 or ks[-1] > n + 1:
         raise click.UsageError(f"k range outside 1..{n + 1}")
-    keys = [
-        "n",
-        "k",
-        "radius",
-        "lambda",
-        "predicted_radius",
-        "smoothed_bound",
-        "halfwise_bound",
-        "binomial_bound",
-        "asymptotic_display",
-        "best_bound",
-    ]
-    lines = [",".join(keys)]
-    for k in ks:
-        row = _bound_row(n, k)
-        lines.append(",".join(_fmt(row[key]) for key in keys))
-    _emit("\n".join(lines) + "\n", output)
+    _emit(render([bound_row(n, k) for k in ks], "csv"), output)
 
 
 if __name__ == "__main__":

@@ -207,18 +207,6 @@ def simplex_code(m: int) -> LinearCode:
     return LinearCode(check.cols, check)
 
 
-# The constant-weight dual of the Hamming code goes by both names.
-hadamard_code = simplex_code
-
-
-def dual_code(code: LinearCode) -> LinearCode:
-    return code.dual()
-
-
-def min_distance(code: LinearCode) -> int:
-    return code.min_distance()
-
-
 def check_column_independence(matrix: BinaryMatrix, t: int) -> bool:
     """True iff every set of at most t columns is linearly independent.
 

@@ -57,18 +57,9 @@ from .kwise import (
     independence_order,
     marginal_check,
 )
+from .table import fmt
 
 CHAIN_TOL = 1e-8
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -97,8 +88,8 @@ class CheckLine:
         op = "==" if self.kind == "eq" else "<="
         verdict = "PASS" if self.passed else "FAIL"
         return (
-            f"{self.name}: {_fmt(self.lhs)} {op} {_fmt(self.rhs)} "
-            f"slack={_fmt(self.slack)} {verdict}"
+            f"{self.name}: {fmt(self.lhs)} {op} {fmt(self.rhs)} "
+            f"slack={fmt(self.slack)} {verdict}"
         )
 
 
@@ -121,7 +112,6 @@ class ChainReport:
     rayleigh_lower: float
     rayleigh_upper: float
     rayleigh_upper_unfolded: float | None
-    final_check: bool
     shannon_x: float
     shannon_y: float
     shannon_z: float
@@ -137,49 +127,48 @@ class ChainReport:
     def passed(self) -> bool:
         return all(line.passed for line in self.lines)
 
+    @property
+    def final_check(self) -> bool:
+        """The chain's closing second-moment inequality on its own."""
+        name = "second_moment_bound" if self.halfwise_mode else "combined_second_moment"
+        return next(line.passed for line in self.lines if line.name == name)
+
     def to_text(self) -> str:
         mode = "half-independence" if self.halfwise_mode else "smoothing"
         head = [
             f"chain: {mode} (n={self.n}, k={self.k}, r={self.r})",
-            f"lambda_r: {_fmt(self.lam)}",
-            f"second_moment: {_fmt(self.second_moment)}",
-            f"rayleigh: {_fmt(self.rayleigh)}",
-            f"shannon_x: {_fmt(self.shannon_x)}",
-            f"shannon_y: {_fmt(self.shannon_y)}",
-            f"shannon_z: {_fmt(self.shannon_z)}",
-            f"renyi2_z: {_fmt(self.renyi2_z)}",
-            f"entropy_bound: {_fmt(self.entropy_bound)}",
+            f"lambda_r: {fmt(self.lam)}",
+            f"second_moment: {fmt(self.second_moment)}",
+            f"rayleigh: {fmt(self.rayleigh)}",
+            f"shannon_x: {fmt(self.shannon_x)}",
+            f"shannon_y: {fmt(self.shannon_y)}",
+            f"shannon_z: {fmt(self.shannon_z)}",
+            f"renyi2_z: {fmt(self.renyi2_z)}",
+            f"entropy_bound: {fmt(self.entropy_bound)}",
         ]
         body = [line.to_text() for line in self.lines]
         verdict = "result: " + ("PASS" if self.passed else "FAIL")
         return "\n".join(head + body + [verdict]) + "\n"
 
-    @staticmethod
-    def csv_header() -> str:
-        return (
-            "n,k,r,lambda,second_moment,rayleigh,rayleigh_lower,rayleigh_upper,"
-            "shannon_x,shannon_y,shannon_z,renyi2_z,entropy_bound,final_check,passed"
-        )
-
-    def to_csv_row(self) -> str:
-        cells = [
-            self.n,
-            self.k,
-            self.r,
-            self.lam,
-            self.second_moment,
-            self.rayleigh,
-            self.rayleigh_lower,
-            self.rayleigh_upper,
-            self.shannon_x,
-            self.shannon_y,
-            self.shannon_z,
-            self.renyi2_z,
-            self.entropy_bound,
-            self.final_check,
-            self.passed,
-        ]
-        return ",".join(_fmt(c) for c in cells)
+    def as_dict(self) -> dict:
+        """The chain quantities as one report record (the chain CSV row)."""
+        return {
+            "n": self.n,
+            "k": self.k,
+            "r": self.r,
+            "lambda": self.lam,
+            "second_moment": self.second_moment,
+            "rayleigh": self.rayleigh,
+            "rayleigh_lower": self.rayleigh_lower,
+            "rayleigh_upper": self.rayleigh_upper,
+            "shannon_x": self.shannon_x,
+            "shannon_y": self.shannon_y,
+            "shannon_z": self.shannon_z,
+            "renyi2_z": self.renyi2_z,
+            "entropy_bound": self.entropy_bound,
+            "final_check": self.final_check,
+            "passed": self.passed,
+        }
 
 
 def certify_order(dist: Distribution, order: int, tol: float = DEFAULT_COEFF_TOL) -> None:
@@ -332,7 +321,6 @@ def _halfwise_body(x: Distribution, tol: float) -> ChainReport:
         rayleigh_lower=0.0,
         rayleigh_upper=upper,
         rayleigh_upper_unfolded=None,
-        final_check=second <= n + 1.0 + CHAIN_TOL,
         shannon_x=h_x,
         shannon_y=0.0,
         shannon_z=h_x,
@@ -425,7 +413,6 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
         rayleigh_lower=lower,
         rayleigh_upper=upper,
         rayleigh_upper_unfolded=upper_unfolded,
-        final_check=(lam - (n - 2 * k)) * second <= n + CHAIN_TOL,
         shannon_x=h_x,
         shannon_y=h_y,
         shannon_z=h_z,

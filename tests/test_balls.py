@@ -13,7 +13,6 @@ from kwisent.balls import (
     asymptotic_lambda,
     lambda_ball,
     lambda_ball_dense_oracle,
-    lambda_comparison,
     min_radius,
     predicted_radius,
 )
@@ -144,8 +143,9 @@ def test_predicted_radius_formula():
 
 
 def test_lambda_comparison_pairs():
-    lam, estimate = lambda_comparison(16, 8)
-    assert estimate == pytest.approx(16.0, abs=1e-12)
-    assert lam < 16.0
-    assert lambda_comparison(12, 0) == (0.0, 0.0)
+    row = lambda_ball(16, 8).as_dict()
+    assert row["asymptotic_lambda"] == pytest.approx(16.0, abs=1e-12)
+    assert row["lambda"] < 16.0
+    row = lambda_ball(12, 0).as_dict()
+    assert (row["lambda"], row["asymptotic_lambda"]) == (0.0, 0.0)
     assert asymptotic_lambda(20, 5) == pytest.approx(2 * math.sqrt(75), abs=1e-12)

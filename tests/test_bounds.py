@@ -24,6 +24,7 @@ from kwisent.bounds import (
 )
 from kwisent.codes import SampleSpace, uniform_space
 from kwisent.kwise import Distribution
+from kwisent.table import render
 
 
 def two_point_space(p):
@@ -162,8 +163,8 @@ def test_certified_bounds_never_exceed_entropy(corpus):
 
 def test_report_serialization_round_trip(hamming7):
     report = evaluate(hamming7)
-    text = report.to_text()
+    text = render(report.as_dict(), "text")
     assert "halfwise_bound: 4" in text
-    row = report.to_csv_row()
-    assert len(row.split(",")) == len(report.csv_header().split(","))
+    header, row = render(report.as_dict(), "csv").splitlines()
+    assert len(row.split(",")) == len(header.split(","))
     assert report.as_dict()["order"] == 3

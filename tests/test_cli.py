@@ -89,6 +89,17 @@ def test_analyze_formats(tmp_path, runner):
     assert as_csv[0].startswith("marginal_order,n,order,")
 
 
+def test_analyze_skips_marginal_oracle_above_its_guard(tmp_path, runner, monkeypatch):
+    # Hamming n=15 has order 7: its level-2 scan already costs 105 * 4 > 100.
+    monkeypatch.setattr("kwisent.kwise.MARGINAL_WORK_GUARD", 100)
+    path = write_space(tmp_path, runner, "hamming", "--m", "4")
+    result = invoke(
+        runner, "analyze", str(path), "--format", "json", "--marginal-limit", str(10**9)
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["marginal_order"] is None
+
+
 def test_analyze_rejects_bad_probability_sum(tmp_path, runner):
     path = tmp_path / "bad.txt"
     path.write_text("n=3\n000 0.5\n111 0.4\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import biased_product_space
-from kwisent.codes import dual_code, hamming_code, point_space, uniform_space
+from kwisent.codes import hamming_code, point_space, uniform_space
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.kwise import (
@@ -95,7 +95,7 @@ def test_code_independence_link(corpus):
             continue
         spectral = independence_order(dist)
         if name == "hamming3":
-            assert spectral == dual_code(hamming_code(2)).min_distance() - 1 == 1
+            assert spectral == hamming_code(2).dual().min_distance() - 1 == 1
         if name == "hamming7":
             assert spectral == 3
         if name == "hamming15":
@@ -115,7 +115,7 @@ def test_code_independence_link_random_codes():
             if code.dimension in (0, n):
                 continue
             dist = Distribution.from_space(uniform_code_space(code))
-            dual_distance = dual_code(code).min_distance()
+            dual_distance = code.dual().min_distance()
             assert independence_order(dist) == dual_distance - 1, (n, rows)
             checked += 1
     assert checked >= 15

@@ -21,6 +21,7 @@ from kwisent.smoothing import (
     smoothing_chain,
     verify_smoothing,
 )
+from kwisent.table import render
 
 
 def direct_smoothed_probability(x, d, mask):
@@ -223,4 +224,5 @@ def test_check_line_and_report_serialization(hamming7):
     text = report.to_text()
     assert "result: PASS" in text
     assert text.count("PASS") == len(report.lines) + 1
-    assert len(report.to_csv_row().split(",")) == len(report.csv_header().split(","))
+    header, row = render(report.as_dict(), "csv").splitlines()
+    assert len(row.split(",")) == len(header.split(","))

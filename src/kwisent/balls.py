@@ -13,6 +13,15 @@ parity), so the spectrum is symmetric about zero and plain iteration would
 oscillate between the +/- extreme eigenvectors; a +n shift makes the
 dominant eigenvalue unique while keeping the same eigenvector.
 
+The smoothing radius needs no eigenvalue at all.  Whether the top
+eigenvalue of the radius-r ball reaches an integer x is decided exactly by
+the leading principal minors p_0..p_{r+1} of xI - T: the off-diagonal
+squares (w + 1)(n - w) are integers, so the minors are integers from the
+three-term recurrence, and xI - T is positive definite, i.e. x lies above
+every eigenvalue, exactly when all of them are positive (Sturm sequence /
+LDL inertia; Golub & Van Loan, section 8.4).  min_radius runs that
+recurrence once in Python integers, with no tolerance.
+
 The dense oracle repeats the computation on the full 2^n space and exists
 to check the radial collapse, never to replace it.
 """
@@ -25,12 +34,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import Density, check_dimension, subset_sizes
-from .errors import DimensionError
+from .errors import DimensionError, ResourceLimitError
 
 DENSE_ORACLE_MAX_N = 14
 DEFAULT_RAYLEIGH_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-9
 MAX_POWER_ITERATIONS = 10**6
+RADIAL_MAX_N = 4096
+
+
+def check_radial_size(n: int) -> None:
+    """Refuse a radial computation above RADIAL_MAX_N (ResourceLimitError).
+
+    The cap keeps every bound and spectra row within a few seconds.  Measured
+    at n = 4096 on a 2-vCPU x86 host, CLI start-up included: the costliest
+    single bound (k = 2, r* = 2030) takes 3.2 s, almost all of it the power
+    iteration at r*; the costliest ball eigenvalue (r = n) takes 5.7 s.  Both
+    grow as n^2.  A sweep or a spectra table runs up to n + 1 such rows.
+    """
+    if n > RADIAL_MAX_N:
+        raise ResourceLimitError(
+            f"n={n} exceeds the radial work guard RADIAL_MAX_N={RADIAL_MAX_N}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +148,7 @@ def lambda_ball(
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0 <= r <= n:
         raise ValueError(f"radius {r} outside 0..{n}")
+    check_radial_size(n)
     operator = RadialOperator.build(n, r)
     off = operator.symmetrized_offdiagonal()
     dim = r + 1
@@ -188,21 +214,24 @@ def lambda_ball_dense_oracle(
 
 
 def min_radius(n: int, k: int) -> int:
-    """Smallest r with lambda(ball of radius r) >= n - 2k + 1.
+    """Smallest r with lambda(ball of radius r) >= x = n - 2k + 1, exactly.
 
-    Linear scan from 0; the eigenvalue is monotone in r because the balls
-    are nested, and r = n always satisfies the condition for k >= 1.
+    p_j = det(xI - T) on the radius-(j - 1) ball obeys p_0 = 1, p_1 = x,
+    p_{j+1} = x p_j - j (n - j + 1) p_{j-1}, all in Python integers.  The
+    balls are nested, so the first j with p_j <= 0 is the first radius
+    j - 1 whose xI - T is not positive definite, i.e. whose top eigenvalue
+    is >= x; a zero minor is an exact tie and counts as reached.  The loop
+    ends by j = n + 1, since the whole cube has eigenvalue n > x.
     """
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    threshold = n - 2 * k + 1
-    for r in range(n + 1):
-        lam = 0.0 if r == 0 else lambda_ball(n, r).lam
-        if lam >= threshold - 1e-9:
-            return r
-    raise RuntimeError(
-        f"no radius satisfies the eigenvalue condition at n={n}, k={k}"
-    )
+    check_radial_size(n)
+    x = n - 2 * k + 1
+    prev, p, j = 1, x, 1
+    while p > 0:
+        prev, p = p, x * p - j * (n - j + 1) * prev
+        j += 1
+    return j - 1
 
 
 def predicted_radius(n: int, k: int) -> float:

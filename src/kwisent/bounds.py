@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import lambda_ball, min_radius, predicted_radius
+from .balls import check_radial_size, lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
 from .cube import Density
 from .kwise import Distribution, independence_order
@@ -88,6 +88,20 @@ def binomial_entropy_bound(n: int, k: int) -> float:
     return math.log2(math.comb(n, k // 2))
 
 
+def _smoothing_radius(n: int, k: int) -> int | None:
+    """r* behind smoothed_entropy_bound, or None where that bound does not apply."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if 2 * k > n:
+        return None
+    r = min_radius(n, k)
+    return None if 2 * r > n else r
+
+
+def _entropy_at_radius(n: int, r: int) -> float:
+    return n - n * binary_entropy(r / n) - math.log2(n)
+
+
 def smoothed_entropy_bound(n: int, k: int) -> float | None:
     """n - n H(r*/n) - log2 n for a (k-1)-wise independent distribution.
 
@@ -98,14 +112,8 @@ def smoothed_entropy_bound(n: int, k: int) -> float | None:
     radius <= n/2 qualifies, the bound is not applicable and None is
     returned.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if 2 * k > n:
-        return None
-    r = min_radius(n, k)
-    if 2 * r > n:
-        return None
-    return n - n * binary_entropy(r / n) - math.log2(n)
+    r = _smoothing_radius(n, k)
+    return None if r is None else _entropy_at_radius(n, r)
 
 
 def asymptotic_entropy_leading_term(n: int, k: int) -> float:
@@ -199,11 +207,11 @@ def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
     smoothed = smoothed_k = smoothed_radius = smoothed_lam = None
     display = None
     if k_eff >= 1:
-        smoothed = smoothed_entropy_bound(n, k_eff)
+        smoothed_radius = _smoothing_radius(n, k_eff)
         display = asymptotic_entropy_leading_term(n, k_eff)
-        if smoothed is not None:
+        if smoothed_radius is not None:
+            smoothed = _entropy_at_radius(n, smoothed_radius)
             smoothed_k = k_eff
-            smoothed_radius = min_radius(n, k_eff)
             smoothed_lam = lambda_ball(n, smoothed_radius).lam
     return BoundReport(
         n=n,
@@ -223,11 +231,16 @@ def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
 
 def bound_row(n: int, k: int) -> dict:
     """Every bound for a (k-1)-wise independent distribution on n bits, with
-    the radius and eigenvalue behind the smoothing bound and the best one."""
-    smoothed = smoothed_entropy_bound(n, k) if 2 * k <= n else None
-    radius = lam = None
-    if smoothed is not None:
-        radius = min_radius(n, k)
+    the radius and eigenvalue behind the smoothing bound and the best one.
+
+    Refused above balls.RADIAL_MAX_N (ResourceLimitError), where the
+    radius search, the eigen-solve and the binomial all grow with n.
+    """
+    check_radial_size(n)
+    radius = _smoothing_radius(n, k)
+    smoothed = lam = None
+    if radius is not None:
+        smoothed = _entropy_at_radius(n, radius)
         lam = lambda_ball(n, radius).lam
     halfwise = halfwise_entropy_bound(n) if k - 1 >= n // 2 else None
     binomial = binomial_entropy_bound(n, k - 1)

@@ -5,8 +5,9 @@ bounds for a space file), bound (bound values for given n, k), spectra
 (ball eigenvalues), chain (proof-chain certification), sweep (batch CSV).
 
 Exit status: 0 on success / all checks passing, 1 on verification failure,
-2 on usage or parse errors.  All commands are deterministic: identical
-inputs produce byte-identical output.
+2 on usage or parse errors and on requests refused by a work guard, 3 on an
+unexpected internal error (one line on stderr, no traceback).  All commands
+are deterministic: identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .codes import (
     uniform_code_space,
     uniform_space,
 )
-from .errors import IndependenceError, KwisentError
+from .errors import IndependenceError, KwisentError, ResourceLimitError
 from .kwise import Distribution, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
 from .table import render
@@ -36,7 +37,7 @@ from .table import render
 FORMAT_CHOICE = click.Choice(["text", "csv", "json"])
 
 
-def _parse_range(text: str, what: str) -> list[int]:
+def _parse_range(text: str, what: str) -> range:
     """'A..B' (inclusive) or a single integer; empty ranges are usage errors."""
     try:
         if ".." in text:
@@ -48,7 +49,7 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise click.UsageError(f"bad {what} range {text!r}; expected 'A..B' or 'A'")
     if hi < lo:
         raise click.UsageError(f"empty {what} range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _emit(text: str, output: str) -> None:
@@ -68,7 +69,24 @@ def _load_distribution(path: str) -> Distribution:
         raise click.UsageError(f"{path}: {exc}")
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+class _Main(click.Group):
+    """Exit codes for library exceptions: 2 for a request a work guard
+    refused, 3 for anything unexpected, so neither reads as a failed check."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ResourceLimitError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            ctx.exit(2)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """k-wise independent sample spaces from binary linear codes, with
     numerically certified entropy lower bounds."""
@@ -213,7 +231,7 @@ def spectra(n, r_range, tol, fmt, output):
     """Exact ball eigenvalues next to the asymptotic leading term."""
     if n < 1:
         raise click.UsageError(f"need n >= 1, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else list(range(n + 1))
+    radii = _parse_range(r_range, "radius") if r_range else range(n + 1)
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render([lambda_ball(n, r, tol).as_dict() for r in radii], fmt), output)
@@ -232,7 +250,7 @@ def sweep_spectra(n, r_range, output):
     """Rows of (n, r, lambda, asymptotic_lambda, iterations, residual)."""
     if n < 2:
         raise click.UsageError(f"need n >= 2, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else list(range(1, n))
+    radii = _parse_range(r_range, "radius") if r_range else range(1, n)
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render([lambda_ball(n, r).as_dict() for r in radii], "csv"), output)

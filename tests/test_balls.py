@@ -17,7 +17,7 @@ from kwisent.balls import (
     predicted_radius,
 )
 from kwisent.cube import adjacency_apply, inner_product, subset_sizes
-from kwisent.errors import DimensionError
+from kwisent.errors import DimensionError, ResourceLimitError
 
 
 def tridiagonal_oracle(n, r):
@@ -121,11 +121,42 @@ def test_min_radius_examples():
     assert min_radius(16, 4) == 4  # threshold 9; oracle-checked below
 
 
+# Every k <= n/2 for n <= 64, plus the (n, k) pairs of the radial benchmark.
+ORACLE_PAIRS = [(n, k) for n in range(1, 65) for k in range(1, n // 2 + 1)] + [
+    *((48, k) for k in range(1, 25)),
+    *((96, k) for k in range(1, 46, 4)),
+    (192, 24),
+    (192, 72),
+]
+
+
 def test_min_radius_against_oracle_scan():
-    for n, k in ((16, 4), (12, 3), (15, 2)):
+    spectra = {}
+    for n, k in ORACLE_PAIRS:
+        if n not in spectra:
+            spectra[n] = [tridiagonal_oracle(n, r) for r in range(n + 1)]
         threshold = n - 2 * k + 1
-        expect = next(r for r in range(n + 1) if tridiagonal_oracle(n, r) >= threshold - 1e-9)
-        assert min_radius(n, k) == expect
+        expect = next(r for r, lam in enumerate(spectra[n]) if lam >= threshold - 1e-9)
+        assert min_radius(n, k) == expect, (n, k)
+
+
+def test_min_radius_never_solves_an_eigenproblem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("min_radius called lambda_ball")
+
+    monkeypatch.setattr("kwisent.balls.lambda_ball", refuse)
+    assert min_radius(16, 4) == 4
+    assert min_radius(192, 24) == 40
+
+
+def test_radial_work_guard(monkeypatch):
+    monkeypatch.setattr("kwisent.balls.RADIAL_MAX_N", 10)
+    assert min_radius(10, 2) == 4
+    assert lambda_ball(10, 3).lam == pytest.approx(tridiagonal_oracle(10, 3), abs=1e-10)
+    with pytest.raises(ResourceLimitError):
+        min_radius(11, 2)
+    with pytest.raises(ResourceLimitError):
+        lambda_ball(11, 3)
 
 
 def test_min_radius_validation():

@@ -193,6 +193,32 @@ def test_sweep_empty_range_is_usage_error(runner):
     assert invoke(runner, "sweep", "bounds", "--n", "10", "--k", "oops").exit_code == 2
 
 
+def test_radial_commands_refuse_n_above_the_guard(runner, monkeypatch):
+    monkeypatch.setattr("kwisent.balls.RADIAL_MAX_N", 10)
+    assert invoke(runner, "bound", "--n", "10", "--k", "5").exit_code == 0
+    for args in (
+        ("bound", "--n", "11", "--k", "5"),
+        ("bound", "--n", "11", "--k", "12"),
+        ("spectra", "--n", "11"),
+        ("sweep", "spectra", "--n", "11"),
+        ("sweep", "bounds", "--n", "11", "--k", "1..5"),
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert result.stderr == "Error: n=11 exceeds the radial work guard RADIAL_MAX_N=10\n"
+
+
+def test_unexpected_error_exits_3_not_1(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr("kwisent.cli.bound_row", broken)
+    result = invoke(runner, "bound", "--n", "7", "--k", "4")
+    assert result.exit_code == 3
+    assert result.stderr == "Error: internal error: RuntimeError: injected\n"
+
+
 def test_outputs_are_deterministic(tmp_path, runner):
     path = write_space(tmp_path, runner, "hamming", "--m", "3")
     first = invoke(runner, "analyze", str(path), "--format", "csv").output

@@ -34,28 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cube import Density, check_dimension, subset_sizes
-from .errors import DimensionError, ResourceLimitError
+from .errors import DimensionError
 
 DENSE_ORACLE_MAX_N = 14
 DEFAULT_RAYLEIGH_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-9
 MAX_POWER_ITERATIONS = 10**6
-RADIAL_MAX_N = 4096
-
-
-def check_radial_size(n: int) -> None:
-    """Refuse a radial computation above RADIAL_MAX_N (ResourceLimitError).
-
-    The cap keeps every bound and spectra row within a few seconds.  Measured
-    at n = 4096 on a 2-vCPU x86 host, CLI start-up included: the costliest
-    single bound (k = 2, r* = 2030) takes 3.2 s, almost all of it the power
-    iteration at r*; the costliest ball eigenvalue (r = n) takes 5.7 s.  Both
-    grow as n^2.  A sweep or a spectra table runs up to n + 1 such rows.
-    """
-    if n > RADIAL_MAX_N:
-        raise ResourceLimitError(
-            f"n={n} exceeds the radial work guard RADIAL_MAX_N={RADIAL_MAX_N}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +132,6 @@ def lambda_ball(
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0 <= r <= n:
         raise ValueError(f"radius {r} outside 0..{n}")
-    check_radial_size(n)
     operator = RadialOperator.build(n, r)
     off = operator.symmetrized_offdiagonal()
     dim = r + 1
@@ -225,7 +208,6 @@ def min_radius(n: int, k: int) -> int:
     """
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    check_radial_size(n)
     x = n - 2 * k + 1
     prev, p, j = 1, x, 1
     while p > 0:

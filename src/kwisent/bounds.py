@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import check_radial_size, lambda_ball, min_radius, predicted_radius
+from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
 from .cube import Density
 from .kwise import Distribution, independence_order
@@ -231,12 +231,7 @@ def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
 
 def bound_row(n: int, k: int) -> dict:
     """Every bound for a (k-1)-wise independent distribution on n bits, with
-    the radius and eigenvalue behind the smoothing bound and the best one.
-
-    Refused above balls.RADIAL_MAX_N (ResourceLimitError), where the
-    radius search, the eigen-solve and the binomial all grow with n.
-    """
-    check_radial_size(n)
+    the radius and eigenvalue behind the smoothing bound and the best one."""
     radius = _smoothing_radius(n, k)
     smoothed = lam = None
     if radius is not None:

@@ -13,6 +13,7 @@ are deterministic: identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
+import sys
 
 import click
 
@@ -37,7 +38,7 @@ from .table import render
 FORMAT_CHOICE = click.Choice(["text", "csv", "json"])
 
 
-def _parse_range(text: str, what: str) -> range:
+def _parse_range(text: str, what: str) -> list[int]:
     """'A..B' (inclusive) or a single integer; empty ranges are usage errors."""
     try:
         if ".." in text:
@@ -49,15 +50,20 @@ def _parse_range(text: str, what: str) -> range:
         raise click.UsageError(f"bad {what} range {text!r}; expected 'A..B' or 'A'")
     if hi < lo:
         raise click.UsageError(f"empty {what} range {text!r}")
-    return range(lo, hi + 1)
+    return list(range(lo, hi + 1))
 
 
 def _emit(text: str, output: str) -> None:
     if output == "-":
         click.echo(text, nl=False)
     else:
-        with open(output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise click.BadParameter(
+                f"cannot write {output}: {exc.strerror}", param_hint="'--output'"
+            )
 
 
 def _load_distribution(path: str) -> Distribution:
@@ -69,24 +75,7 @@ def _load_distribution(path: str) -> Distribution:
         raise click.UsageError(f"{path}: {exc}")
 
 
-class _Main(click.Group):
-    """Exit codes for library exceptions: 2 for a request a work guard
-    refused, 3 for anything unexpected, so neither reads as a failed check."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ResourceLimitError as exc:
-            click.echo(f"Error: {exc}", err=True)
-            ctx.exit(2)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception as exc:
-            click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
-            ctx.exit(3)
-
-
-@click.group(cls=_Main, context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(context_settings={"help_option_names": ["-h", "--help"]})
 def main():
     """k-wise independent sample spaces from binary linear codes, with
     numerically certified entropy lower bounds."""
@@ -231,7 +220,7 @@ def spectra(n, r_range, tol, fmt, output):
     """Exact ball eigenvalues next to the asymptotic leading term."""
     if n < 1:
         raise click.UsageError(f"need n >= 1, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else range(n + 1)
+    radii = _parse_range(r_range, "radius") if r_range else list(range(n + 1))
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render([lambda_ball(n, r, tol).as_dict() for r in radii], fmt), output)
@@ -250,7 +239,7 @@ def sweep_spectra(n, r_range, output):
     """Rows of (n, r, lambda, asymptotic_lambda, iterations, residual)."""
     if n < 2:
         raise click.UsageError(f"need n >= 2, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else range(1, n)
+    radii = _parse_range(r_range, "radius") if r_range else list(range(1, n))
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render([lambda_ball(n, r).as_dict() for r in radii], "csv"), output)
@@ -270,5 +259,20 @@ def sweep_bounds(n, k_range, output):
     _emit(render([bound_row(n, k) for k in ks], "csv"), output)
 
 
+def run(argv: list[str] | None = None) -> None:
+    """Process entry point: main() with exit 2 for a request a work guard
+    refused and exit 3 for an unexpected error, one stderr line each, so
+    neither reads as a failed check (exit 1).  Calling main directly, as
+    click's test runner does, lets such exceptions propagate."""
+    try:
+        main.main(args=argv)
+    except ResourceLimitError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(2)
+    except Exception as exc:
+        click.echo(f"Error: internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -17,7 +17,7 @@ from kwisent.balls import (
     predicted_radius,
 )
 from kwisent.cube import adjacency_apply, inner_product, subset_sizes
-from kwisent.errors import DimensionError, ResourceLimitError
+from kwisent.errors import DimensionError
 
 
 def tridiagonal_oracle(n, r):
@@ -147,16 +147,6 @@ def test_min_radius_never_solves_an_eigenproblem(monkeypatch):
     monkeypatch.setattr("kwisent.balls.lambda_ball", refuse)
     assert min_radius(16, 4) == 4
     assert min_radius(192, 24) == 40
-
-
-def test_radial_work_guard(monkeypatch):
-    monkeypatch.setattr("kwisent.balls.RADIAL_MAX_N", 10)
-    assert min_radius(10, 2) == 4
-    assert lambda_ball(10, 3).lam == pytest.approx(tridiagonal_oracle(10, 3), abs=1e-10)
-    with pytest.raises(ResourceLimitError):
-        min_radius(11, 2)
-    with pytest.raises(ResourceLimitError):
-        lambda_ball(11, 3)
 
 
 def test_min_radius_validation():

@@ -7,7 +7,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kwisent.cli import main
+from kwisent.cli import main, run
+from kwisent.errors import ResourceLimitError
 
 
 @pytest.fixture()
@@ -193,30 +194,40 @@ def test_sweep_empty_range_is_usage_error(runner):
     assert invoke(runner, "sweep", "bounds", "--n", "10", "--k", "oops").exit_code == 2
 
 
-def test_radial_commands_refuse_n_above_the_guard(runner, monkeypatch):
-    monkeypatch.setattr("kwisent.balls.RADIAL_MAX_N", 10)
-    assert invoke(runner, "bound", "--n", "10", "--k", "5").exit_code == 0
-    for args in (
-        ("bound", "--n", "11", "--k", "5"),
-        ("bound", "--n", "11", "--k", "12"),
-        ("spectra", "--n", "11"),
-        ("sweep", "spectra", "--n", "11"),
-        ("sweep", "bounds", "--n", "11", "--k", "1..5"),
-    ):
-        result = invoke(runner, *args)
-        assert result.exit_code == 2, args
-        assert result.stdout == ""
-        assert result.stderr == "Error: n=11 exceeds the radial work guard RADIAL_MAX_N=10\n"
+def run_exit(capsys, *args):
+    """Exit status and stderr of the process entry point run on args."""
+    with pytest.raises(SystemExit) as exit_info:
+        run(list(args))
+    return exit_info.value.code, capsys.readouterr().err
 
 
-def test_unexpected_error_exits_3_not_1(runner, monkeypatch):
+def test_entry_point_maps_unexpected_errors_to_exit_3(capsys, monkeypatch):
+    assert run_exit(capsys, "bound", "--n", "7", "--k", "4")[0] == 0
+
     def broken(*args, **kwargs):
         raise RuntimeError("injected")
 
     monkeypatch.setattr("kwisent.cli.bound_row", broken)
-    result = invoke(runner, "bound", "--n", "7", "--k", "4")
-    assert result.exit_code == 3
-    assert result.stderr == "Error: internal error: RuntimeError: injected\n"
+    assert run_exit(capsys, "bound", "--n", "7", "--k", "4") == (
+        3,
+        "Error: internal error: RuntimeError: injected\n",
+    )
+    assert run_exit(capsys, "bound", "--n", "7", "--k", "0")[0] == 2  # usage errors stay 2
+
+
+def test_entry_point_maps_guard_refusals_to_exit_2(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise ResourceLimitError("too big")
+
+    monkeypatch.setattr("kwisent.cli.bound_row", refused)
+    assert run_exit(capsys, "bound", "--n", "7", "--k", "4") == (2, "Error: too big\n")
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, runner):
+    target = tmp_path / "missing-dir" / "out.csv"
+    result = invoke(runner, "bound", "--n", "7", "--k", "4", "-o", str(target))
+    assert result.exit_code == 2
+    assert "cannot write" in result.stderr and result.exception.__class__ is SystemExit
 
 
 def test_outputs_are_deterministic(tmp_path, runner):

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Time the dense cube kernels and the sample-space reader, one call at a time.
+
+For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
+each n in 16, 20, 22 it reports the median wall time of repeated calls
+(time.perf_counter) and the peak memory one call allocates beyond its inputs
+(tracemalloc), also in units of one dense 2^n float vector.  The reader parses
+a random 2^16-point space file, the support of the n = 20 benchmark code.
+
+    python scripts/bench_kernels.py                  # print the table
+    python scripts/bench_kernels.py --quick          # n = 16 only, 3 runs
+    python scripts/bench_kernels.py --label change --output BENCH_kernels.json
+    python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
+
+--src imports kwisent from another checkout, to measure two versions with one
+script; --output merges the rows into a JSON file, replacing rows with the
+same label.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+SIZES = (16, 20, 22)
+SUPPORT = 1 << 16
+RUNS = 7
+
+
+def kernels(n: int, rng):
+    """(name, zero-argument call) pairs on random inputs of dimension n."""
+    import numpy as np
+
+    from kwisent.codes import SampleSpace
+    from kwisent.cube import CubeFunction, adjacency_apply, convolve, wht
+
+    f = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
+    g = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
+    points = rng.choice(1 << n, size=min(SUPPORT, 1 << n), replace=False)
+    weights = rng.uniform(0.5, 1.5, size=points.size)
+    text = SampleSpace(n, points.astype(np.int64), weights / weights.sum()).to_text()
+    return [
+        ("wht", lambda: wht(f)),
+        ("adjacency_apply", lambda: adjacency_apply(f)),
+        ("convolve", lambda: convolve(f, g)),
+        ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
+    ]
+
+
+def measure(call, runs: int) -> tuple[float, int]:
+    """Median seconds over runs calls, and the peak bytes of one traced call."""
+    call()  # warm-up: imports and numpy's first-use setup
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times), peak
+
+
+def rows(sizes, runs: int, label: str) -> list[dict]:
+    import numpy as np
+
+    out = []
+    for n in sizes:
+        rng = np.random.default_rng(n)
+        for name, call in kernels(n, rng):
+            seconds, peak = measure(call, runs)
+            out.append(
+                {
+                    "label": label,
+                    "kernel": name,
+                    "n": n,
+                    "runs": runs,
+                    "median_ms": round(seconds * 1e3, 2),
+                    "peak_mib": round(peak / 2**20, 2),
+                    "peak_vectors": round(peak / (8 << n), 3),
+                }
+            )
+    return out
+
+
+def host() -> dict:
+    import numpy as np
+
+    return {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--quick", action="store_true", help="n = 16 only, 3 runs")
+    parser.add_argument("--label", default="checkout", help="row label")
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent / "src",
+        help="directory that holds the kwisent package",
+    )
+    parser.add_argument("--output", type=Path, help="JSON file to merge the rows into")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+
+    sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
+    new = rows(sizes, runs, args.label)
+    for row in new:
+        print(
+            f"{row['kernel']:<22} n={row['n']:<3} {row['median_ms']:>10.2f} ms"
+            f" {row['peak_mib']:>8.2f} MiB ({row['peak_vectors']} vectors)"
+        )
+    if args.output:
+        record = {"rows": []}
+        if args.output.exists():
+            record = json.loads(args.output.read_text())
+        record.setdefault("hosts", {})[args.label] = host()
+        record["rows"] = [r for r in record["rows"] if r["label"] != args.label] + new
+        args.output.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

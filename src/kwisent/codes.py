@@ -16,6 +16,10 @@ import numpy as np
 from .errors import DimensionError, FormatError, ResourceLimitError
 
 MAX_CODE_LENGTH = 64
+MAX_SPACE_DIMENSION = 63
+# SampleSpace.from_text splits this many lines at a time, so only one block's
+# per-line token lists are alive at once
+READ_BLOCK_LINES = 1024
 ENUMERATION_GUARD = 10**7
 
 
@@ -242,8 +246,10 @@ class SampleSpace:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= 63:
-            raise DimensionError(f"sample space dimension must be 1..63, got {self.n}")
+        if not 1 <= self.n <= MAX_SPACE_DIMENSION:
+            raise DimensionError(
+                f"sample space dimension must be 1..{MAX_SPACE_DIMENSION}, got {self.n}"
+            )
         pts = np.asarray(self.points, dtype=np.int64)
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if pts.ndim != 1 or pts.shape != probs.shape or pts.size == 0:
@@ -286,37 +292,92 @@ class SampleSpace:
             n = int(header[2:])
         except ValueError:
             raise FormatError("expected header 'n=<int>'", line=1) from None
-        points, probs = [], []
-        seen = set()
-        for lineno, raw in enumerate(lines[1:], start=2):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise FormatError("expected '<bitstring> <probability>'", line=lineno)
-            bits, prob_text = parts
-            if len(bits) != n or set(bits) - {"0", "1"}:
-                raise FormatError(f"expected a bitstring of length {n}", line=lineno)
-            try:
-                prob = float(prob_text)
-            except ValueError:
-                raise FormatError(f"bad probability {prob_text!r}", line=lineno) from None
-            if prob < 0.0 or not math.isfinite(prob):
-                raise FormatError(f"bad probability {prob_text!r}", line=lineno)
-            point = int(bits, 2)
-            if point in seen:
-                raise FormatError(f"duplicate point {bits}", line=lineno)
-            seen.add(point)
-            points.append(point)
-            probs.append(prob)
-        if not points:
+        if not 1 <= n <= MAX_SPACE_DIMENSION:
+            raise DimensionError(
+                f"sample space dimension must be 1..{MAX_SPACE_DIMENSION}, got {n}"
+            )
+        linenos = [np.empty(0, dtype=np.intp)]
+        points = [np.empty(0, dtype=np.int64)]
+        probs = [np.empty(0)]
+        bad = None
+        for start in range(1, len(lines), READ_BLOCK_LINES):
+            block = lines[start : start + READ_BLOCK_LINES]
+            found, pts, prb, bad = _read_block(block, n, first_lineno=start + 1)
+            linenos.append(found)
+            points.append(pts)
+            probs.append(prb)
+            if bad is not None:
+                break
+        linenos, points, probs = map(np.concatenate, (linenos, points, probs))
+        repeat = _first_repeat(points)
+        if repeat < points.size:  # it precedes any bad line found
+            bad = int(linenos[repeat]), f"duplicate point {int(points[repeat]):0{n}b}"
+        if bad is not None:
+            raise FormatError(bad[1], line=bad[0])
+        if points.size == 0:
             raise FormatError("sample space has no points")
-        total = sum(probs)
+        total = sum(probs.tolist())  # left to right, as the points are listed
         if abs(total - 1.0) > 1e-9:
             raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
-        probs_arr = np.asarray(probs) / total
-        return cls(n, np.asarray(points, dtype=np.int64), probs_arr)
+        return cls(n, points, probs / total)
+
+
+def _read_block(lines: list[str], n: int, first_lineno: int):
+    """Read '<bitstring> <probability>' lines up to the first bad one.
+
+    Returns the line numbers, points and probabilities of the lines read
+    (blank lines are skipped), and (line number, message) of the first bad
+    line or None.  Each check runs over the lines that passed the checks
+    before it, so a bad line gets the message of the first check it fails, in
+    the order of a line-by-line reader; repeated points are left to the caller.
+    """
+    rows = list(map(str.split, lines))
+    tokens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    keep = np.flatnonzero(tokens)
+    rows = list(filter(None, rows))  # the nonblank lines, as indexed by keep
+    cut = _first(tokens[keep] != 2)
+    message = "expected '<bitstring> <probability>'"
+    bits = [parts[0] for parts in rows[:cut]]
+    prob_texts = [parts[1] for parts in rows[:cut]]
+    lengths = np.fromiter(map(len, bits), dtype=np.intp, count=cut)
+    digits = np.array(bits[: _first(lengths != n)], dtype=f"<U{n}").view(np.uint32)
+    digits = digits.reshape(-1, n)
+    digits -= ord("0")  # uint32 code points: only "0" and "1" end up below 2
+    good = _first((digits > 1).any(axis=1))
+    if good < cut:
+        cut, message = good, f"expected a bitstring of length {n}"
+    probs = np.fromiter(map(_float_or_nan, prob_texts[:cut]), np.float64, cut)
+    good = _first((probs < 0.0) | ~np.isfinite(probs))
+    if good < cut:
+        cut, message = good, f"bad probability {prob_texts[good]!r}"
+    points = np.zeros(cut, dtype=np.int64)
+    for column in digits[:cut].T:  # coordinate 1 is the most significant bit
+        points <<= 1
+        points += column
+    linenos = keep + first_lineno
+    bad = (int(linenos[cut]), message) if cut < keep.size else None
+    return linenos[:cut], points, probs[:cut], bad
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of mask, or its length if there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _first_repeat(values: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one, or len(values)."""
+    order = np.argsort(values, kind="stable")
+    later = order[1:][values[order[1:]] == values[order[:-1]]]
+    return int(later.min()) if later.size else values.size
+
+
+def _float_or_nan(text: str) -> float:
+    """float(text), or NaN (a bad probability) where float() refuses it."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def uniform_code_space(code: LinearCode) -> SampleSpace:

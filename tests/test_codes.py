@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kwisent import codes
 from kwisent.codes import (
     BinaryMatrix,
     LinearCode,
@@ -214,6 +220,148 @@ def test_sample_space_parse_errors_cite_lines():
     with pytest.raises(FormatError) as err:
         SampleSpace.from_text("n=3\n000 0.5\n111 0.4\n")
     assert "0.9" in str(err.value)
+
+
+def read_space_by_line(text):
+    """Line-by-line sample space reader: (n, points, probabilities) or the
+    (message, line) of the first FormatError; the reference for from_text."""
+    lines = text.splitlines()
+    n = int(lines[0].strip()[2:])
+    points, probs, seen = [], [], set()
+    for lineno, raw in enumerate(lines[1:], start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return "expected '<bitstring> <probability>'", lineno
+        bits, prob_text = parts
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            return f"expected a bitstring of length {n}", lineno
+        try:
+            prob = float(prob_text)
+        except ValueError:
+            return f"bad probability {prob_text!r}", lineno
+        if prob < 0.0 or not math.isfinite(prob):
+            return f"bad probability {prob_text!r}", lineno
+        if int(bits, 2) in seen:
+            return f"duplicate point {bits}", lineno
+        seen.add(int(bits, 2))
+        points.append(int(bits, 2))
+        probs.append(prob)
+    total = sum(probs)
+    if not points or abs(total - 1.0) > 1e-9:
+        return None
+    return n, np.asarray(points), np.asarray(probs) / total
+
+
+BAD_LINES = [
+    ("0a1 0.5", "expected a bitstring of length 3"),
+    ("01 0.5", "expected a bitstring of length 3"),
+    ("0001 0.5", "expected a bitstring of length 3"),
+    ("001 x", "bad probability 'x'"),
+    ("001 nan", "bad probability 'nan'"),
+    ("001 inf", "bad probability 'inf'"),
+    ("001 1e999", "bad probability '1e999'"),
+    ("001 -0.25", "bad probability '-0.25'"),
+    ("000 0.25", "duplicate point 000"),
+    ("001 0.25 0.25", "expected '<bitstring> <probability>'"),
+    ("001", "expected '<bitstring> <probability>'"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_LINES)
+def test_sample_space_parse_error_kinds_cite_their_line(line, message):
+    text = f"n=3\n000 0.5\n\n  \n{line}\n111 0.5\n01 x y\n"
+    with pytest.raises(FormatError) as err:
+        SampleSpace.from_text(text)
+    assert err.value.line == 5
+    assert str(err.value) == f"line 5: {message}"
+
+
+def test_sample_space_dimension_outside_range_is_refused():
+    for n in (0, 64):
+        with pytest.raises(DimensionError):
+            SampleSpace.from_text(f"n={n}\n{'0' * max(n, 1)} 1.0\n")
+
+
+def space_line(n, kind, point, draw):
+    bits = format(point, f"0{n}b")
+    if kind == "good":
+        return f"{bits} {draw(st.sampled_from(['0', '1', '0.5', '0.25', '1e-3']))}"
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  ", "\t"]))
+    if kind == "bits":
+        return draw(st.sampled_from([bits[1:], bits + "1", "2" + bits[1:]])) + " 0.5"
+    if kind == "prob":
+        return f"{bits} {draw(st.sampled_from(['x', 'nan', '-1', 'inf', '1e999']))}"
+    return f"{bits} 0.5 {draw(st.sampled_from(['0', 'x']))}"
+
+
+@st.composite
+def space_texts(draw):
+    n = draw(st.integers(1, 6))
+    kinds = st.sampled_from(["good"] * 6 + ["blank", "bits", "prob", "tokens"])
+    lines = [
+        space_line(n, draw(kinds), draw(st.integers(0, (1 << n) - 1)), draw)
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return f"n={n}\n" + "\n".join(lines) + "\n"
+
+
+@given(space_texts(), st.sampled_from([1, 2, 3, codes.READ_BLOCK_LINES]))
+def test_sample_space_reader_matches_line_by_line_reference(text, block):
+    # small blocks put blank, bad and repeated lines on both sides of a boundary
+    expected = read_space_by_line(text)
+    try:
+        with mock.patch.object(codes, "READ_BLOCK_LINES", block):
+            space = SampleSpace.from_text(text)
+    except FormatError as err:
+        if err.line is None:
+            assert expected is None
+        else:
+            message, line = expected
+            assert (str(err), err.line) == (f"line {line}: {message}", line)
+        return
+    n, points, probs = expected
+    order = np.argsort(points)
+    assert space.n == n
+    np.testing.assert_array_equal(space.points, points[order])
+    assert np.array_equal(space.probabilities.view(np.uint64), probs[order].view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.1] * 10, [0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [1e-3] * 999 + [1e-3 + 1e-12]]
+)
+def test_sample_space_normalizes_by_the_sum_in_line_order(probs):
+    n = 10
+    text = f"n={n}\n" + "".join(f"{i:0{n}b} {p!r}\n" for i, p in enumerate(probs))
+    _, points, expected = read_space_by_line(text)
+    space = SampleSpace.from_text(text)
+    np.testing.assert_array_equal(space.points, points)
+    assert np.array_equal(space.probabilities.view(np.uint64), expected.view(np.uint64))
+
+
+@st.composite
+def dyadic_spaces(draw):
+    """Spaces whose probabilities are multiples of 2^-20 summing to exactly 1."""
+    n = draw(st.integers(1, 63))
+    size = draw(st.integers(1, min(30, 1 << n)))
+    points = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
+    )
+    cuts = draw(st.lists(st.integers(0, 1 << 20), min_size=size - 1, max_size=size - 1))
+    counts = np.diff([0, *sorted(cuts), 1 << 20])
+    return SampleSpace(n, np.asarray(points, dtype=np.int64), counts / float(1 << 20))
+
+
+@given(dyadic_spaces())
+def test_sample_space_text_round_trip_property(space):
+    parsed = SampleSpace.from_text(space.to_text())
+    assert parsed.n == space.n
+    np.testing.assert_array_equal(parsed.points, space.points)
+    assert np.array_equal(
+        parsed.probabilities.view(np.uint64), space.probabilities.view(np.uint64)
+    )
 
 
 def test_sample_space_load_renormalizes_within_tolerance():

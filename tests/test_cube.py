@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,32 @@ def wht_direct(f):
     return coeffs
 
 
+def fwht_copy_reference(a):
+    """The textbook in-place butterfly: copy each stage's left halves."""
+    h = 1
+    while h < a.shape[0]:
+        view = a.reshape(-1, 2 * h)
+        left = view[:, :h].copy()
+        right = view[:, h:]
+        view[:, :h] = left + right
+        view[:, h:] = left - right
+        h *= 2
+
+
+def adjacency_gather_reference(f):
+    """sum_i f(x ^ e_i) by index gather, neighbours added in the order i = 0..n-1."""
+    idx = np.arange(f.size)
+    out = np.zeros(f.size)
+    for i in range(f.n):
+        out += f.values[idx ^ (1 << i)]
+    return out
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
 def convolve_loop(f, g):
     """Literal double sum, pure Python."""
     size = f.size
@@ -76,6 +104,45 @@ def test_wht_matches_direct_summation_oracle():
     for n in (2, 4, 6):
         f = random_function(n, rng)
         np.testing.assert_allclose(wht(f).coeffs, wht_direct(f), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_kernels_bit_identical_to_references(n):
+    rng = np.random.default_rng(1000 + n)
+    f = random_function(n, rng)
+    butterfly = f.values.copy()
+    fwht_copy_reference(butterfly)
+    assert_same_bits(inverse_wht(Spectrum(n, f.values)).values, butterfly)
+    assert_same_bits(wht(f).coeffs, butterfly / f.size)
+    assert_same_bits(adjacency_apply(f).values, adjacency_gather_reference(f))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 17])
+def test_convolve_bit_identical_to_reference_butterflies(n):
+    rng = np.random.default_rng(2000 + n)
+    f, g = random_function(n, rng), random_function(n, rng)
+    spectra = []
+    for h in (f, g):
+        a = h.values.copy()
+        fwht_copy_reference(a)
+        spectra.append(a / h.size)
+    expect = spectra[0] * spectra[1]
+    fwht_copy_reference(expect)
+    assert_same_bits(convolve(f, g).values, expect)
+
+
+def test_wht_allocates_two_dense_vectors():
+    f = random_function(18, np.random.default_rng(11))
+    # The result and one scratch vector; numpy's ufunc iteration buffers
+    # (np.getbufsize() doubles per operand) come on top and do not grow with n.
+    budget = 2 * f.values.nbytes + 4 * np.getbufsize() * 8
+    tracemalloc.start()
+    try:
+        wht(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_inverse_of_unit_spectra():
@@ -243,6 +310,19 @@ def test_dimension_cap_env_override(monkeypatch):
     assert dimension_cap() == 4
     with pytest.raises(DimensionError):
         uniform_density(5)
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "33", "1000"])
+def test_dimension_cap_env_override_range(monkeypatch, raw):
+    # subset_sizes builds uint32 masks, so no cap above 32 can work
+    monkeypatch.setenv("KWISENT_MAX_N", raw)
+    with pytest.raises(DimensionError, match="KWISENT_MAX_N"):
+        dimension_cap()
+    with pytest.raises(DimensionError, match="KWISENT_MAX_N"):
+        uniform_density(3)
+    for ok in ("1", "32"):
+        monkeypatch.setenv("KWISENT_MAX_N", ok)
+        assert dimension_cap() == int(ok)
 
 
 def test_values_are_immutable():

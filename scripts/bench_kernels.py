@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Time the dense cube kernels and the sample-space reader, one call at a time.
+"""Time the dense cube kernels, the sample-space reader and the marginal
+oracle, one call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
 each n in 16, 20, 22 it reports the median wall time of repeated calls
 (time.perf_counter) and the peak memory one call allocates beyond its inputs
 (tracemalloc), also in units of one dense 2^n float vector.  The reader parses
 a random 2^16-point space file, the support of the n = 20 benchmark code.
+The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
+points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
+marginal order 7).
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16 only, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16 and n = 14 oracle, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -20,6 +24,7 @@ same label.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -54,6 +59,22 @@ def kernels(n: int, rng):
     ]
 
 
+def oracle_kernels(quick: bool):
+    """(name, n, zero-argument call) rows for kwise.marginal_order."""
+    import numpy as np
+
+    from kwisent.codes import BinaryMatrix, LinearCode, hamming_code, uniform_code_space
+    from kwisent.kwise import Distribution, marginal_order
+
+    rng = np.random.default_rng(15)
+    dual_rows = tuple(int(r) for r in rng.integers(1, 1 << 14, size=3))
+    random14 = LinearCode(14, BinaryMatrix(dual_rows, 14)).dual()
+    codes = [random14] if quick else [random14, hamming_code(4)]
+    for code in codes:
+        dist = Distribution.from_space(uniform_code_space(code))
+        yield "marginal_order", code.n, lambda dist=dist: marginal_order(dist)
+
+
 def measure(call, runs: int) -> tuple[float, int]:
     """Median seconds over runs calls, and the peak bytes of one traced call."""
     call()  # warm-up: imports and numpy's first-use setup
@@ -71,25 +92,26 @@ def measure(call, runs: int) -> tuple[float, int]:
     return statistics.median(times), peak
 
 
-def rows(sizes, runs: int, label: str) -> list[dict]:
+def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     import numpy as np
 
+    dense = (
+        (name, n, call) for n in sizes for name, call in kernels(n, np.random.default_rng(n))
+    )
     out = []
-    for n in sizes:
-        rng = np.random.default_rng(n)
-        for name, call in kernels(n, rng):
-            seconds, peak = measure(call, runs)
-            out.append(
-                {
-                    "label": label,
-                    "kernel": name,
-                    "n": n,
-                    "runs": runs,
-                    "median_ms": round(seconds * 1e3, 2),
-                    "peak_mib": round(peak / 2**20, 2),
-                    "peak_vectors": round(peak / (8 << n), 3),
-                }
-            )
+    for name, n, call in itertools.chain(dense, oracle_kernels(quick)):
+        seconds, peak = measure(call, runs)
+        out.append(
+            {
+                "label": label,
+                "kernel": name,
+                "n": n,
+                "runs": runs,
+                "median_ms": round(seconds * 1e3, 2),
+                "peak_mib": round(peak / 2**20, 2),
+                "peak_vectors": round(peak / (8 << n), 3),
+            }
+        )
     return out
 
 
@@ -106,7 +128,9 @@ def host() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--quick", action="store_true", help="n = 16 only, 3 runs")
+    parser.add_argument(
+        "--quick", action="store_true", help="n = 16 and the n = 14 oracle row, 3 runs"
+    )
     parser.add_argument("--label", default="checkout", help="row label")
     parser.add_argument(
         "--src",
@@ -119,7 +143,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
-    new = rows(sizes, runs, args.label)
+    new = rows(sizes, runs, args.label, args.quick)
     for row in new:
         print(
             f"{row['kernel']:<22} n={row['n']:<3} {row['median_ms']:>10.2f} ms"

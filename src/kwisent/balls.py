@@ -40,6 +40,10 @@ DENSE_ORACLE_MAX_N = 14
 DEFAULT_RAYLEIGH_TOL = 1e-12
 DEFAULT_RESIDUAL_TOL = 1e-9
 MAX_POWER_ITERATIONS = 10**6
+# Cap on rows x n^2 for a table of ball eigenvalues.  One power iteration
+# costs about 0.2-0.35 us per n^2 at large n (lambda_ball(4096, 2048) takes
+# 3.1 s on a 2-vCPU x86 host), so a table at the cap runs for about a minute.
+SPECTRA_WORK_GUARD = 2 * 10**8
 
 
 @dataclass(frozen=True, eq=False)

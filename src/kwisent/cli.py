@@ -12,12 +12,11 @@ are deterministic: identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import math
 import sys
 
 import click
 
-from . import kwise
+from . import balls, kwise
 from .balls import lambda_ball
 from .bounds import bound_row, evaluate
 from .codes import (
@@ -38,7 +37,7 @@ from .table import render
 FORMAT_CHOICE = click.Choice(["text", "csv", "json"])
 
 
-def _parse_range(text: str, what: str) -> list[int]:
+def _parse_range(text: str, what: str) -> range:
     """'A..B' (inclusive) or a single integer; empty ranges are usage errors."""
     try:
         if ".." in text:
@@ -50,7 +49,7 @@ def _parse_range(text: str, what: str) -> list[int]:
         raise click.UsageError(f"bad {what} range {text!r}; expected 'A..B' or 'A'")
     if hi < lo:
         raise click.UsageError(f"empty {what} range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _emit(text: str, output: str) -> None:
@@ -150,9 +149,8 @@ def analyze(ctx, space_file, tol, fmt, output, marginal_limit):
     oracle_order = None
     # The levels marginal_order scans when it agrees with the spectral order;
     # one of them above the oracle's own guard skips the oracle up front.
-    costs = [
-        math.comb(dist.n, j) << j for j in range(1, min(report.order + 2, dist.n + 1))
-    ]
+    levels = range(1, min(report.order + 2, dist.n + 1))
+    costs = [kwise.level_cost(dist.n, j) for j in levels]
     if sum(costs) <= marginal_limit and max(costs) <= kwise.MARGINAL_WORK_GUARD:
         oracle_order = marginal_order(dist, tol)
     _emit(render({"marginal_order": oracle_order, **report.as_dict()}, fmt), output)
@@ -210,6 +208,15 @@ def bound(n, k, fmt, output):
     _emit(render(bound_row(n, k), fmt), output)
 
 
+def _ball_rows(n: int, radii: range, tol: float = balls.DEFAULT_RAYLEIGH_TOL):
+    """One lambda_ball row per radius, refused above the spectra work guard."""
+    if len(radii) * n * n > balls.SPECTRA_WORK_GUARD:
+        raise ResourceLimitError(
+            f"{len(radii)} ball eigenvalues at n={n} exceed the spectra work guard"
+        )
+    return [lambda_ball(n, r, tol).as_dict() for r in radii]
+
+
 @main.command()
 @click.option("--n", "n", type=int, required=True)
 @click.option("--r", "r_range", default=None, help="Radius or range 'A..B' (default 0..n).")
@@ -220,10 +227,10 @@ def spectra(n, r_range, tol, fmt, output):
     """Exact ball eigenvalues next to the asymptotic leading term."""
     if n < 1:
         raise click.UsageError(f"need n >= 1, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else list(range(n + 1))
+    radii = _parse_range(r_range, "radius") if r_range else range(n + 1)
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
-    _emit(render([lambda_ball(n, r, tol).as_dict() for r in radii], fmt), output)
+    _emit(render(_ball_rows(n, radii, tol), fmt), output)
 
 
 @main.group()
@@ -239,10 +246,10 @@ def sweep_spectra(n, r_range, output):
     """Rows of (n, r, lambda, asymptotic_lambda, iterations, residual)."""
     if n < 2:
         raise click.UsageError(f"need n >= 2, got n={n}")
-    radii = _parse_range(r_range, "radius") if r_range else list(range(1, n))
+    radii = _parse_range(r_range, "radius") if r_range else range(1, n)
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
-    _emit(render([lambda_ball(n, r).as_dict() for r in radii], "csv"), output)
+    _emit(render(_ball_rows(n, radii), "csv"), output)
 
 
 @sweep.command("bounds")

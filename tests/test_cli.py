@@ -7,6 +7,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from kwisent import balls
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
 
@@ -99,6 +100,16 @@ def test_analyze_skips_marginal_oracle_above_its_guard(tmp_path, runner, monkeyp
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["marginal_order"] is None
+
+
+def test_analyze_runs_the_oracle_on_hamming15_with_a_raised_limit(tmp_path, runner):
+    # levels 1..8 cost 2,913,386 in all: skipped at the default limit, run here
+    path = write_space(tmp_path, runner, "hamming", "--m", "4")
+    result = invoke(runner, "analyze", str(path), "--marginal-limit", "5000000")
+    assert result.exit_code == 0, result.output
+    assert "marginal_order: 7\n" in result.output and "order: 7\n" in result.output
+    default = invoke(runner, "analyze", str(path), "--format", "json")
+    assert json.loads(default.stdout)["marginal_order"] is None
 
 
 def test_analyze_rejects_bad_probability_sum(tmp_path, runner):
@@ -221,6 +232,31 @@ def test_entry_point_maps_guard_refusals_to_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr("kwisent.cli.bound_row", refused)
     assert run_exit(capsys, "bound", "--n", "7", "--k", "4") == (2, "Error: too big\n")
+
+
+def test_spectra_tables_above_the_work_guard_are_refused(capsys, monkeypatch):
+    monkeypatch.setattr("kwisent.balls.SPECTRA_WORK_GUARD", 10 * 10 * 10)
+    code, err = run_exit(capsys, "spectra", "--n", "10", "--r", "1..40")
+    assert code == 2 and "radius range outside" in err  # usage errors come first
+    assert run_exit(capsys, "sweep", "spectra", "--n", "10", "--r", "1..9")[0] == 0
+    for args in (("spectra", "--n", "10"), ("sweep", "spectra", "--n", "20", "--r", "1..3")):
+        code, err = run_exit(capsys, *args)
+        assert code == 2 and "exceed the spectra work guard" in err, (args, err)
+    assert run_exit(capsys, "spectra", "--n", "10", "--r", "0..9")[0] == 0  # at the cap
+
+
+def test_default_spectra_guard_refuses_huge_tables_before_any_work(capsys):
+    code, err = run_exit(capsys, "spectra", "--n", "100000000")
+    assert code == 2 and err == (
+        "Error: 100000001 ball eigenvalues at n=100000000 exceed the spectra work guard\n"
+    )
+    assert run_exit(capsys, "sweep", "spectra", "--n", "4096")[0] == 2
+
+
+def test_golden_and_benchmark_spectra_stay_far_below_the_guard():
+    # (n, rows) of the golden spectra requests and of the benchmark's sweeps
+    for n, rows in ((6, 3), (12, 13), (16, 15), (20, 19), (24, 23), (48, 47)):
+        assert 1000 * rows * n * n < balls.SPECTRA_WORK_GUARD
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, runner):

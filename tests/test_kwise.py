@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import biased_product_space
-from kwisent.codes import hamming_code, point_space, uniform_space
+from kwisent import kwise
+from kwisent.codes import SampleSpace, hamming_code, point_space, uniform_space
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.kwise import (
     Distribution,
+    MarginalReport,
     density_from_space,
     half_independence_order,
     independence_order,
@@ -149,3 +157,156 @@ def test_distribution_from_density_round_trip(hamming7):
     np.testing.assert_allclose(
         rebuilt.space.probabilities, hamming7.space.probabilities, atol=1e-15
     )
+
+
+# The per-subset scan the level-batched oracle replaced, kept whole as its
+# reference: one np.unique sort and one bincount per coordinate subset.
+
+
+def _subset_deviation_reference(space, mask, size):
+    patterns = space.points & mask
+    uniq, inverse = np.unique(patterns, return_inverse=True)
+    sums = np.bincount(inverse, weights=space.probabilities)
+    target = 2.0**-size
+    deviations = np.abs(sums - target)
+    best = int(np.argmax(deviations))
+    dev, pattern = float(deviations[best]), int(uniq[best])
+    if uniq.size < (1 << size) and target > dev:
+        return target, -1
+    return dev, pattern
+
+
+def _missing_pattern_reference(space, mask, bits):
+    present = set(int(p) for p in np.unique(space.points & mask))
+    for index in range(1 << len(bits)):
+        candidate = 0
+        for j, bit in enumerate(bits):
+            if (index >> j) & 1:
+                candidate |= 1 << bit
+        if candidate not in present:
+            return candidate
+    raise AssertionError("no pattern is missing")
+
+
+def marginal_check_by_subset_reference(dist, k):
+    n = dist.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be in 0..{n}, got {k}")
+    if k > 0 and math.comb(n, k) * (1 << k) > kwise.MARGINAL_WORK_GUARD:
+        raise ResourceLimitError(f"marginal check at n={n}, k={k} exceeds the work guard")
+    space = dist.space
+    worst = (0.0, (), ())
+    for size in range(1, k + 1):
+        for combo in combinations(range(n), size):
+            bits = tuple(n - 1 - c for c in combo)
+            mask = 0
+            for b in bits:
+                mask |= 1 << b
+            dev, pattern = _subset_deviation_reference(space, mask, size)
+            if dev > worst[0]:
+                if pattern < 0:
+                    pattern = _missing_pattern_reference(space, mask, bits)
+                coords = tuple(c + 1 for c in combo)
+                values = tuple((pattern >> b) & 1 for b in bits)
+                worst = (dev, coords, values)
+    return MarginalReport(n, k, worst[0], worst[1], worst[2])
+
+
+def marginal_order_by_subset_reference(dist, tol=kwise.DEFAULT_COEFF_TOL):
+    n = dist.n
+    space = dist.space
+    order = 0
+    for size in range(1, n + 1):
+        if math.comb(n, size) * (1 << size) > kwise.MARGINAL_WORK_GUARD:
+            raise ResourceLimitError(
+                f"marginal order scan at n={n}, size={size} exceeds the work guard"
+            )
+        level_ok = True
+        for combo in combinations(range(n), size):
+            mask = 0
+            for c in combo:
+                mask |= 1 << (n - 1 - c)
+            dev, _ = _subset_deviation_reference(space, mask, size)
+            if dev > tol:
+                level_ok = False
+                break
+        if not level_ok:
+            break
+        order = size
+    return order
+
+
+@st.composite
+def oracle_spaces(draw):
+    """Random supports, or spans of a few vectors (deep uniform levels), with
+    weights that may be unequal or zero; n <= 12."""
+    n = draw(st.integers(1, 12))
+    vectors = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        points = set(draw(st.lists(vectors, min_size=1, max_size=80)))
+    else:
+        points = {0}
+        for g in draw(st.lists(vectors, max_size=min(n, 8))):
+            points |= {p ^ g for p in points}
+    points = sorted(points)
+    weights = draw(
+        st.one_of(
+            st.just([1.0] * len(points)),
+            st.lists(
+                st.sampled_from([0.0, 0.5, 1.0, 3.0, 0.1]),
+                min_size=len(points),
+                max_size=len(points),
+            ),
+        )
+    )
+    weights = np.asarray(weights) if sum(weights) > 0 else np.ones(len(points))
+    space = SampleSpace(n, np.asarray(points, dtype=np.int64), weights / weights.sum())
+    return Distribution.from_space(space)
+
+
+def _outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except ResourceLimitError as exc:
+        return ("refused", str(exc))
+
+
+@given(
+    oracle_spaces(),
+    st.integers(0, 12),
+    st.sampled_from([1, 3, kwise.MARGINAL_BLOCK_ELEMENTS]),
+    st.sampled_from([kwise.MARGINAL_WORK_GUARD, 30, 300, 3000]),
+)
+def test_level_batched_oracle_matches_per_subset_reference(dist, k, block, guard):
+    k = min(k, dist.n)
+    with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block), mock.patch.object(
+        kwise, "MARGINAL_WORK_GUARD", guard
+    ):
+        order = _outcome(marginal_order, dist)
+        expected_order = _outcome(marginal_order_by_subset_reference, dist)
+        report = _outcome(marginal_check, dist, k)
+        expected = _outcome(marginal_check_by_subset_reference, dist, k)
+    assert order == expected_order
+    if isinstance(expected, tuple):  # the same guard refused at the same level
+        assert report == expected
+        return
+    assert report.max_deviation.hex() == expected.max_deviation.hex()
+    assert report.worst_coordinates == expected.worst_coordinates
+    assert report.worst_pattern == expected.worst_pattern
+    assert (report.n, report.k) == (expected.n, expected.k)
+
+
+def test_level_batched_oracle_on_hamming7_every_level(hamming7):
+    for block in (1, 3, kwise.MARGINAL_BLOCK_ELEMENTS):
+        with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block):
+            for k in range(8):
+                assert marginal_check(hamming7, k) == marginal_check_by_subset_reference(
+                    hamming7, k
+                )
+            assert marginal_order(hamming7) == 3
+
+
+def test_level_cost_is_the_guarded_work():
+    assert kwise.level_cost(15, 8) == math.comb(15, 8) << 8 == 1647360
+    assert kwise.level_cost(18, 9) > kwise.MARGINAL_WORK_GUARD
+    assert kwise.level_cost(5, 0) == 1

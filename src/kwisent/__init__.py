@@ -11,7 +11,6 @@ is evaluated at finite n with explicit slack.
 
 from .balls import (
     BallSpectrum,
-    RadialOperator,
     asymptotic_lambda,
     lambda_ball,
     lambda_ball_dense_oracle,

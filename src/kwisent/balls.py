@@ -35,42 +35,15 @@ import numpy as np
 
 from .cube import Density, check_dimension, subset_sizes
 from .errors import DimensionError
+from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, ORACLE_RAYLEIGH_STEP, RAYLEIGH_STEP
 
 DENSE_ORACLE_MAX_N = 14
-DEFAULT_RAYLEIGH_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-9
 MAX_POWER_ITERATIONS = 10**6
+DENSE_ORACLE_MAX_ITERATIONS = 200_000
 # Cap on rows x n^2 for a table of ball eigenvalues.  One power iteration
 # costs about 0.2-0.35 us per n^2 at large n (lambda_ball(4096, 2048) takes
 # 3.1 s on a 2-vCPU x86 host), so a table at the cap runs for about a minute.
 SPECTRA_WORK_GUARD = 2 * 10**8
-
-
-@dataclass(frozen=True, eq=False)
-class RadialOperator:
-    """Weight-collapsed ball adjacency: sub[w-1] = w, sup[w] = n - w."""
-
-    n: int
-    r: int
-    sub: np.ndarray
-    sup: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, r: int) -> "RadialOperator":
-        sub = np.arange(1, r + 1, dtype=np.float64)
-        sup = n - np.arange(0, r, dtype=np.float64)
-        return cls(n, r, sub, sup)
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.r + 1)
-        if self.r > 0:
-            out[1:] += self.sub * h[:-1]
-            out[:-1] += self.sup * h[1:]
-        return out
-
-    def symmetrized_offdiagonal(self) -> np.ndarray:
-        """sqrt(sub * sup) entrywise: sqrt((w + 1)(n - w)) for w = 0..r-1."""
-        return np.sqrt(self.sub * self.sup)
 
 
 @dataclass(eq=False)
@@ -118,61 +91,52 @@ def _log_binomials(n: int, r: int) -> np.ndarray:
     )
 
 
-def lambda_ball(
-    n: int,
-    r: int,
-    tol: float = DEFAULT_RAYLEIGH_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iterations: int = MAX_POWER_ITERATIONS,
-) -> BallSpectrum:
+def lambda_ball(n: int, r: int) -> BallSpectrum:
     """Top Rayleigh quotient over functions supported on the radius-r ball.
 
-    Shifted power iteration on the symmetrized radial operator; converges
-    when successive Rayleigh quotients differ by less than tol and the
-    eigen-residual is below residual_tol.  Hitting the iteration cap is not
-    an error: the residual field reports how far the run got.
+    Shifted power iteration on the symmetrized radial operator, whose
+    off-diagonal entries are sqrt((w + 1)(n - w)) for w = 0..r-1; converges
+    when successive Rayleigh quotients differ by less than RAYLEIGH_STEP and
+    the eigen-residual is at most EIGEN_RESIDUAL.  Hitting
+    MAX_POWER_ITERATIONS is not an error: the residual field reports how far
+    the run got.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     if not 0 <= r <= n:
         raise ValueError(f"radius {r} outside 0..{n}")
-    operator = RadialOperator.build(n, r)
-    off = operator.symmetrized_offdiagonal()
+    w = np.arange(r, dtype=np.float64)
+    off = np.sqrt((w + 1) * (n - w))  # exact integer products under the root
     dim = r + 1
     u = np.full(dim, 1.0 / math.sqrt(dim))
     shift = float(n)
     lam, resid, prev = 0.0, math.inf, math.inf
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_POWER_ITERATIONS + 1):
         su = np.zeros(dim)
         if r > 0:
             su[:-1] += off * u[1:]
             su[1:] += off * u[:-1]
         lam = float(u @ su)
         resid = float(np.linalg.norm(su - lam * u))
-        if abs(lam - prev) < tol and resid <= residual_tol:
+        if abs(lam - prev) < RAYLEIGH_STEP and resid <= EIGEN_RESIDUAL:
             break
         prev = lam
         v = su + shift * u
         u = v / np.linalg.norm(v)
     if u[int(np.argmax(np.abs(u)))] < 0:
         u = -u
-    log_profile = np.log(np.maximum(u, 1e-300)) - 0.5 * _log_binomials(n, r)
+    log_profile = np.log(np.maximum(u, LOG_FLOOR)) - 0.5 * _log_binomials(n, r)
     profile = np.exp(log_profile - log_profile.max())
     return BallSpectrum(n, r, lam, profile, iterations, resid)
 
 
-def lambda_ball_dense_oracle(
-    n: int,
-    r: int,
-    tol: float = 1e-13,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iterations: int = 200_000,
-) -> float:
+def lambda_ball_dense_oracle(n: int, r: int) -> float:
     """Same eigenvalue, computed on the full 2^n space (verification only).
 
     Each step applies the cube adjacency and zeroes everything outside the
-    ball, with the same +n shift as the radial path.
+    ball, with the same +n shift as the radial path; it stops on
+    ORACLE_RAYLEIGH_STEP and EIGEN_RESIDUAL.
     """
     if n > DENSE_ORACLE_MAX_N:
         raise DimensionError(f"dense oracle is capped at n={DENSE_ORACLE_MAX_N}")
@@ -185,14 +149,14 @@ def lambda_ball_dense_oracle(
     x = inside.astype(np.float64)
     x /= np.linalg.norm(x)
     lam, prev = 0.0, math.inf
-    for _ in range(max_iterations):
+    for _ in range(DENSE_ORACLE_MAX_ITERATIONS):
         ax = np.zeros(size)
         for i in range(n):
             ax += x[idx ^ (1 << i)]
         ax[~inside] = 0.0
         lam = float(x @ ax)
         resid = float(np.linalg.norm(ax - lam * x))
-        if abs(lam - prev) < tol and resid <= residual_tol:
+        if abs(lam - prev) < ORACLE_RAYLEIGH_STEP and resid <= EIGEN_RESIDUAL:
             break
         prev = lam
         v = ax + n * x

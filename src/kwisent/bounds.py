@@ -190,7 +190,7 @@ class BoundReport:
         }
 
 
-def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
+def evaluate(dist: Distribution) -> BoundReport:
     """Measure both entropies and every bound applicable at the certified order.
 
     The smoothing bound is evaluated at the strongest usable parameter
@@ -199,7 +199,7 @@ def evaluate(dist: Distribution, tol: float = 1e-9) -> BoundReport:
     every k below its order + 1.
     """
     n = dist.n
-    order = independence_order(dist, tol)
+    order = independence_order(dist)
     shannon = shannon_entropy(dist.space)
     renyi2 = renyi2_entropy(dist.space)
     halfwise = halfwise_entropy_bound(n) if order >= n // 2 else None

@@ -8,6 +8,9 @@ Exit status: 0 on success / all checks passing, 1 on verification failure,
 2 on usage or parse errors and on requests refused by a work guard, 3 on an
 unexpected internal error (one line on stderr, no traceback).  All commands
 are deterministic: identical inputs produce byte-identical output.
+
+No command takes a tolerance: every float tolerance is a named constant in
+kwisent.tolerances, with the error argument that makes it safe.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 
 import click
 
-from . import balls, kwise
+from . import balls
 from .balls import lambda_ball
 from .bounds import bound_row, evaluate
 from .codes import (
@@ -30,9 +33,10 @@ from .codes import (
     uniform_space,
 )
 from .errors import IndependenceError, KwisentError, ResourceLimitError
-from .kwise import Distribution, marginal_order
+from .kwise import MARGINAL_WORK_LIMIT, Distribution, marginal_affordable, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
 from .table import render
+from .tolerances import ENTROPY_SLACK
 
 FORMAT_CHOICE = click.Choice(["text", "csv", "json"])
 
@@ -131,30 +135,27 @@ def construct(kind, m, n, matrix_path, output):
 
 @main.command()
 @click.argument("space_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
 @click.option("--output", "-o", default="-")
 @click.option(
     "--marginal-limit",
     type=int,
-    default=10**6,
+    default=MARGINAL_WORK_LIMIT,
     show_default=True,
     help="Work cap for the brute-force marginal cross-check (0 disables it).",
 )
 @click.pass_context
-def analyze(ctx, space_file, tol, fmt, output, marginal_limit):
+def analyze(ctx, space_file, fmt, output, marginal_limit):
     """Independence order, entropies, and every applicable bound with slack."""
     dist = _load_distribution(space_file)
-    report = evaluate(dist, tol)
+    report = evaluate(dist)
     oracle_order = None
-    # The levels marginal_order scans when it agrees with the spectral order;
-    # one of them above the oracle's own guard skips the oracle up front.
-    levels = range(1, min(report.order + 2, dist.n + 1))
-    costs = [kwise.level_cost(dist.n, j) for j in levels]
-    if sum(costs) <= marginal_limit and max(costs) <= kwise.MARGINAL_WORK_GUARD:
-        oracle_order = marginal_order(dist, tol)
+    # marginal_order scans levels 1..order + 1 when it agrees with the
+    # spectral order; one of them above the oracle's own guard skips it.
+    if marginal_affordable(dist.n, min(report.order + 1, dist.n), marginal_limit):
+        oracle_order = marginal_order(dist)
     _emit(render({"marginal_order": oracle_order, **report.as_dict()}, fmt), output)
-    failed = any(slack < -tol for slack in report.certified_slacks().values())
+    failed = any(slack < -ENTROPY_SLACK for slack in report.certified_slacks().values())
     if oracle_order is not None and oracle_order != report.order:
         failed = True
     if failed:
@@ -172,20 +173,19 @@ def analyze(ctx, space_file, tol, fmt, output, marginal_limit):
     show_default=True,
     help="Reading of 'half of n' for odd n in --halfwise mode.",
 )
-@click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 @click.option("--output", "-o", default="-")
 @click.pass_context
-def chain(ctx, space_file, k, halfwise, half_rounding, tol, fmt, output):
+def chain(ctx, space_file, k, halfwise, half_rounding, fmt, output):
     """Certify a proof chain on a sample space, one inequality per line."""
     if (k is None) == (not halfwise):
         raise click.UsageError("provide exactly one of --k or --halfwise")
     dist = _load_distribution(space_file)
     try:
         if halfwise:
-            report = halfwise_chain(dist, tol, rounding=half_rounding)
+            report = halfwise_chain(dist, rounding=half_rounding)
         else:
-            report = smoothing_chain(dist, k, tol)
+            report = smoothing_chain(dist, k)
     except IndependenceError as exc:
         click.echo(f"precondition failed: {exc}", err=True)
         ctx.exit(1)
@@ -208,29 +208,28 @@ def bound(n, k, fmt, output):
     _emit(render(bound_row(n, k), fmt), output)
 
 
-def _ball_rows(n: int, radii: range, tol: float = balls.DEFAULT_RAYLEIGH_TOL):
+def _ball_rows(n: int, radii: range):
     """One lambda_ball row per radius, refused above the spectra work guard."""
     if len(radii) * n * n > balls.SPECTRA_WORK_GUARD:
         raise ResourceLimitError(
             f"{len(radii)} ball eigenvalues at n={n} exceed the spectra work guard"
         )
-    return [lambda_ball(n, r, tol).as_dict() for r in radii]
+    return [lambda_ball(n, r).as_dict() for r in radii]
 
 
 @main.command()
 @click.option("--n", "n", type=int, required=True)
 @click.option("--r", "r_range", default=None, help="Radius or range 'A..B' (default 0..n).")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
 @click.option("--output", "-o", default="-")
-def spectra(n, r_range, tol, fmt, output):
+def spectra(n, r_range, fmt, output):
     """Exact ball eigenvalues next to the asymptotic leading term."""
     if n < 1:
         raise click.UsageError(f"need n >= 1, got n={n}")
     radii = _parse_range(r_range, "radius") if r_range else range(n + 1)
     if radii[0] < 0 or radii[-1] > n:
         raise click.UsageError(f"radius range outside 0..{n}")
-    _emit(render(_ball_rows(n, radii, tol), fmt), output)
+    _emit(render(_ball_rows(n, radii), fmt), output)
 
 
 @main.group()

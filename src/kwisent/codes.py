@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, FormatError, ResourceLimitError
+from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_CODE_LENGTH = 64
 MAX_SPACE_DIMENSION = 63
@@ -263,8 +264,8 @@ class SampleSpace:
         if probs.min() < 0.0:
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
+        if abs(total - 1.0) > TOTAL_MASS:
+            raise ValueError(f"probabilities must sum to 1 within {TOTAL_MASS!r}, got {total!r}")
         pts.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -317,7 +318,8 @@ class SampleSpace:
         if points.size == 0:
             raise FormatError("sample space has no points")
         total = sum(probs.tolist())  # left to right, as the points are listed
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > FILE_TOTAL_MASS:
+            # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
             raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
         return cls(n, points, probs / total)
 

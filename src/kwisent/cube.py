@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
+from .tolerances import TOTAL_MASS
 
 DEFAULT_DIMENSION_CAP = 26
 CAP_ENV_VAR = "KWISENT_MAX_N"
@@ -100,8 +101,8 @@ class Density(CubeFunction):
         if self.values.min() < 0.0:
             raise ValueError("density values must be nonnegative")
         mean = float(self.values.mean())
-        if abs(mean - 1.0) > 1e-12:
-            raise ValueError(f"density mean must be 1 within 1e-12, got {mean!r}")
+        if abs(mean - 1.0) > TOTAL_MASS:
+            raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
 
     @classmethod
     def normalized(cls, n: int, raw) -> "Density":

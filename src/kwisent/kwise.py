@@ -20,9 +20,12 @@ import numpy as np
 from .codes import SampleSpace
 from .cube import Density, Spectrum, check_dimension, level_max_abs, wht
 from .errors import ResourceLimitError
+from .tolerances import COEFF_ZERO, MARGINAL_ZERO, PRUNE_RELATIVE, TOTAL_MASS
 
-DEFAULT_COEFF_TOL = 1e-9
 MARGINAL_WORK_GUARD = 10**7
+# Default total work for an optional run of the marginal oracle: the
+# default of `analyze --marginal-limit`, and verify_smoothing's limit.
+MARGINAL_WORK_LIMIT = 10**6
 MARGINAL_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -43,7 +46,7 @@ class Distribution:
     spectrum: Spectrum
 
     def __post_init__(self):
-        if abs(self.spectrum.coeffs[0] - 1.0) > 1e-12:
+        if abs(self.spectrum.coeffs[0] - 1.0) > TOTAL_MASS:
             raise ValueError("empty-set coefficient of a density must be 1")
 
     @property
@@ -56,10 +59,11 @@ class Distribution:
         return cls(space=space, density=density, spectrum=wht(density))
 
     @classmethod
-    def from_density(cls, density: Density, prune_tol: float = 1e-12) -> "Distribution":
-        """Build the support representation, dropping relative mass < prune_tol."""
+    def from_density(cls, density: Density) -> "Distribution":
+        """Build the support representation, dropping values at most
+        PRUNE_RELATIVE of the largest."""
         vals = density.values.copy()
-        vals[vals <= prune_tol * vals.max()] = 0.0
+        vals[vals <= PRUNE_RELATIVE * vals.max()] = 0.0
         vals /= vals.mean()
         clean = Density(density.n, vals)
         points = np.flatnonzero(vals).astype(np.int64)
@@ -68,21 +72,21 @@ class Distribution:
         return cls(space=space, density=clean, spectrum=wht(clean))
 
 
-def independence_order(dist: Distribution, tol: float = DEFAULT_COEFF_TOL) -> int:
-    """Largest k with |coeff(S)| <= tol for all 1 <= |S| <= k (n if all vanish)."""
+def independence_order(dist: Distribution) -> int:
+    """Largest k with |coeff(S)| <= COEFF_ZERO for all 1 <= |S| <= k (n if all vanish)."""
     per_level = level_max_abs(dist.spectrum)
     order = 0
     for level in range(1, dist.n + 1):
-        if per_level[level] > tol:
+        if per_level[level] > COEFF_ZERO:
             break
         order = level
     return order
 
 
-def is_kwise(dist: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> bool:
+def is_kwise(dist: Distribution, k: int) -> bool:
     if not 0 <= k <= dist.n:
         raise ValueError(f"k must be in 0..{dist.n}, got {k}")
-    return independence_order(dist, tol) >= k
+    return independence_order(dist) >= k
 
 
 def half_independence_order(n: int, rounding: str = "floor") -> int:
@@ -101,6 +105,13 @@ def half_independence_order(n: int, rounding: str = "floor") -> int:
 def level_cost(n: int, size: int) -> int:
     """Marginal oracle work at one level: C(n, size) subsets x 2^size patterns."""
     return math.comb(n, size) << size
+
+
+def marginal_affordable(n: int, k: int, limit: int) -> bool:
+    """Whether the marginal oracle over levels 1..k fits a work limit: the
+    level costs sum to at most limit and none is above MARGINAL_WORK_GUARD."""
+    costs = [level_cost(n, size) for size in range(1, k + 1)]
+    return sum(costs) <= limit and max(costs, default=0) <= MARGINAL_WORK_GUARD
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ def marginal_check(dist: Distribution, k: int) -> MarginalReport:
     return MarginalReport(n, k, worst, tuple(c + 1 for c in combo), values)
 
 
-def marginal_order(dist: Distribution, tol: float = DEFAULT_COEFF_TOL) -> int:
+def marginal_order(dist: Distribution) -> int:
     """Largest k passing the marginal oracle; scans level by level."""
     n, space = dist.n, dist.space
     columns = _bit_columns(space)
@@ -200,6 +211,6 @@ def marginal_order(dist: Distribution, tol: float = DEFAULT_COEFF_TOL) -> int:
                 f"marginal order scan at n={n}, size={size} exceeds the work guard"
             )
         blocks = _level_deviations(space, columns, size)
-        if any((devs > tol).any() for _, devs in blocks):
+        if any((devs > MARGINAL_ZERO).any() for _, devs in blocks):
             return size - 1
     return n

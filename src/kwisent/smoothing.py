@@ -51,15 +51,25 @@ from .cube import (
 )
 from .errors import DimensionError, IndependenceError
 from .kwise import (
-    DEFAULT_COEFF_TOL,
+    MARGINAL_WORK_LIMIT,
     Distribution,
     half_independence_order,
     independence_order,
+    marginal_affordable,
     marginal_check,
 )
 from .table import fmt
-
-CHAIN_TOL = 1e-8
+from .tolerances import (
+    ASSOCIATIVITY,
+    CHAIN_ENTROPY_SLACK,
+    COEFF_ZERO,
+    CONVOLUTION_POINTWISE,
+    EIGEN_DENSITY_RELATIVE,
+    EIGEN_RESIDUAL,
+    ENTROPY_SLACK,
+    MOMENT_SLACK,
+    RAYLEIGH_MATCH,
+)
 
 
 @dataclass(frozen=True)
@@ -111,14 +121,10 @@ class ChainReport:
     rayleigh: float
     rayleigh_lower: float
     rayleigh_upper: float
-    rayleigh_upper_unfolded: float | None
     shannon_x: float
     shannon_y: float
     shannon_z: float
     renyi2_z: float
-    shell_cap: float | None
-    ball_cap: float | None
-    binary_cap: float | None
     entropy_bound: float | None
     halfwise_mode: bool
     lines: tuple[CheckLine, ...]
@@ -171,11 +177,11 @@ class ChainReport:
         }
 
 
-def certify_order(dist: Distribution, order: int, tol: float = DEFAULT_COEFF_TOL) -> None:
+def certify_order(dist: Distribution, order: int) -> None:
     """Raise IndependenceError naming the first level whose coefficients leak."""
     per_level = level_max_abs(dist.spectrum)
     for level in range(1, order + 1):
-        if per_level[level] > tol:
+        if per_level[level] > COEFF_ZERO:
             raise IndependenceError(level, float(per_level[level]))
 
 
@@ -193,7 +199,7 @@ def smooth(x: Distribution, ball: BallSpectrum) -> Distribution:
 
 def _smoothed_density(f: Density, d: Density) -> Density:
     raw = convolve(f, d).values
-    if raw.min() < -1e-10:
+    if raw.min() < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
             f"convolution produced {raw.min()!r}; inputs are not valid densities"
         )
@@ -226,16 +232,16 @@ class SmoothingReport:
 def verify_smoothing(
     x: Distribution,
     ball: BallSpectrum,
-    tol: float = 1e-9,
-    pointwise_tol: float = 1e-10,
-    marginal_work_limit: int = 10**6,
+    tol: float = ENTROPY_SLACK,
+    pointwise_tol: float = CONVOLUTION_POINTWISE,
 ) -> SmoothingReport:
     """Check the three facts the smoothing step relies on.
 
     (a) the independence order does not drop (coefficients multiply, so
-    zeros stay zeros), confirmed by the marginal oracle when cheap enough;
-    (b) H(X) + H(Y) >= H(Z); (c) the spectral convolution agrees with the
-    literal double sum pointwise.
+    zeros stay zeros), confirmed by the marginal oracle, within tol, when
+    it fits MARGINAL_WORK_LIMIT; (b) H(X) + H(Y) >= H(Z) within tol; (c) the
+    spectral convolution agrees with the literal double sum pointwise,
+    within pointwise_tol.
     """
     z = smooth(x, ball)
     d = ball.density()
@@ -243,11 +249,9 @@ def verify_smoothing(
     order_after = independence_order(z)
     order_ok = order_after >= order_before
     marginal_dev = None
-    if order_before >= 1:
-        subsets = sum(math.comb(x.n, j) for j in range(1, order_before + 1))
-        if subsets * z.space.support_size <= marginal_work_limit:
-            marginal_dev = marginal_check(z, order_before).max_deviation
-            order_ok = order_ok and marginal_dev <= tol
+    if order_before >= 1 and marginal_affordable(x.n, order_before, MARGINAL_WORK_LIMIT):
+        marginal_dev = marginal_check(z, order_before).max_deviation
+        order_ok = order_ok and marginal_dev <= tol
     h_x = shannon_entropy(x.space)
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(z.density)
@@ -269,11 +273,7 @@ def verify_smoothing(
     )
 
 
-def halfwise_chain(
-    x: Distribution,
-    tol: float = DEFAULT_COEFF_TOL,
-    rounding: str = "floor",
-) -> ChainReport:
+def halfwise_chain(x: Distribution, rounding: str = "floor") -> ChainReport:
     """Certify the no-smoothing chain for an order-floor(n/2) input.
 
     The middle band of coefficients vanishes, every tail level carries an
@@ -282,12 +282,12 @@ def halfwise_chain(
     E[f^2] <= n + 1.
     """
     need = half_independence_order(x.n, rounding)
-    certify_order(x, need, tol)
-    report = _halfwise_body(x, tol)
+    certify_order(x, need)
+    report = _halfwise_body(x)
     return replace(report, k=need + 1)
 
 
-def _halfwise_body(x: Distribution, tol: float) -> ChainReport:
+def _halfwise_body(x: Distribution) -> ChainReport:
     n = x.n
     f = x.density
     profile = level_profile(x.spectrum)
@@ -302,14 +302,14 @@ def _halfwise_body(x: Distribution, tol: float) -> ChainReport:
     h2_x = n - math.log2(second)
     bound = halfwise_entropy_bound(n)
     lines = (
-        CheckLine("middle_band_vanishes", mid_max, tol, 0.0),
-        CheckLine("rayleigh_nonnegative", 0.0, ray, CHAIN_TOL),
-        CheckLine("rayleigh_spectral_match", ray, ray_spectral, 1e-7, kind="eq"),
-        CheckLine("rayleigh_tail_bound", ray, upper, CHAIN_TOL),
-        CheckLine("second_moment_bound", second, n + 1.0, CHAIN_TOL),
-        CheckLine("collision_entropy_bound", bound, h2_x, CHAIN_TOL),
-        CheckLine("shannon_above_collision", h2_x, h_x, 1e-9),
-        CheckLine("entropy_bound", bound, h_x, CHAIN_TOL),
+        CheckLine("middle_band_vanishes", mid_max, COEFF_ZERO, 0.0),
+        CheckLine("rayleigh_nonnegative", 0.0, ray, MOMENT_SLACK),
+        CheckLine("rayleigh_spectral_match", ray, ray_spectral, RAYLEIGH_MATCH, kind="eq"),
+        CheckLine("rayleigh_tail_bound", ray, upper, MOMENT_SLACK),
+        CheckLine("second_moment_bound", second, n + 1.0, MOMENT_SLACK),
+        CheckLine("collision_entropy_bound", bound, h2_x, CHAIN_ENTROPY_SLACK),
+        CheckLine("shannon_above_collision", h2_x, h_x, ENTROPY_SLACK),
+        CheckLine("entropy_bound", bound, h_x, CHAIN_ENTROPY_SLACK),
     )
     return ChainReport(
         n=n,
@@ -320,21 +320,17 @@ def _halfwise_body(x: Distribution, tol: float) -> ChainReport:
         rayleigh=ray,
         rayleigh_lower=0.0,
         rayleigh_upper=upper,
-        rayleigh_upper_unfolded=None,
         shannon_x=h_x,
         shannon_y=0.0,
         shannon_z=h_x,
         renyi2_z=h2_x,
-        shell_cap=None,
-        ball_cap=None,
-        binary_cap=None,
         entropy_bound=bound,
         halfwise_mode=True,
         lines=lines,
     )
 
 
-def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> ChainReport:
+def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     """Certify the smoothing chain for a (k-1)-wise independent input.
 
     Needs k <= n/2 for the folded spectral upper bound to hold; larger k is
@@ -344,9 +340,9 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
     n = x.n
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    certify_order(x, k - 1, tol)
+    certify_order(x, k - 1)
     if 2 * k > n:
-        return replace(_halfwise_body(x, tol), k=k)
+        return replace(_halfwise_body(x), k=k)
 
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
@@ -358,7 +354,6 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
     second = inner_product(g, g)
     ray = inner_product(adjacency_apply(g), g)
     upper = n + (n - 2 * k) * second
-    upper_unfolded = n + (n - 2 * k) * (second - 1.0)
     lower = lam * second
 
     kernel = weight_one_indicator(n)
@@ -368,7 +363,7 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
 
     ad = adjacency_apply(d)
     pointwise_margin = float(np.max(lam * d.values - ad.values))
-    pointwise_tol = CHAIN_TOL * max(1.0, lam * float(d.values.max()))
+    pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.values.max()))
 
     per_level_g = level_max_abs(spectrum_g)
     order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
@@ -377,31 +372,30 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(g)
     h2_z = n - math.log2(second)
-    shell_cap = math.log2(math.comb(n, r))
     ball_cap = log2_ball_volume(n, r)
     applicable = 2 * r <= n
     binary_cap = n * binary_entropy(r / n) if applicable else None
     bound = n - n * binary_entropy(r / n) - math.log2(n) if applicable else None
 
     lines = [
-        CheckLine("order_preserved", order_max, tol, 0.0),
-        CheckLine("eigenvalue_threshold", n - 2 * k + 1.0, lam, 1e-9),
+        CheckLine("order_preserved", order_max, COEFF_ZERO, 0.0),
+        CheckLine("eigenvalue_threshold", n - 2 * k + 1.0, lam, EIGEN_RESIDUAL),
         CheckLine("eigen_density_pointwise", pointwise_margin, 0.0, pointwise_tol),
-        CheckLine("convolution_associativity", assoc_left, assoc_right, 1e-10, kind="eq"),
-        CheckLine("rayleigh_lower_bound", lower, ray, CHAIN_TOL),
-        CheckLine("rayleigh_upper_bound", ray, upper, CHAIN_TOL),
+        CheckLine("convolution_associativity", assoc_left, assoc_right, ASSOCIATIVITY, kind="eq"),
+        CheckLine("rayleigh_lower_bound", lower, ray, MOMENT_SLACK),
+        CheckLine("rayleigh_upper_bound", ray, upper, MOMENT_SLACK),
         CheckLine(
-            "combined_second_moment", (lam - (n - 2 * k)) * second, float(n), CHAIN_TOL
+            "combined_second_moment", (lam - (n - 2 * k)) * second, float(n), MOMENT_SLACK
         ),
-        CheckLine("second_moment_vs_n", second, float(n), CHAIN_TOL),
-        CheckLine("smoothed_collision_entropy", n - math.log2(n), h2_z, CHAIN_TOL),
-        CheckLine("smoothed_shannon_above_collision", h2_z, h_z, 1e-9),
-        CheckLine("entropy_subadditivity", h_z, h_x + h_y, 1e-9),
-        CheckLine("perturbation_entropy_cap", h_y, ball_cap, 1e-9),
+        CheckLine("second_moment_vs_n", second, float(n), MOMENT_SLACK),
+        CheckLine("smoothed_collision_entropy", n - math.log2(n), h2_z, CHAIN_ENTROPY_SLACK),
+        CheckLine("smoothed_shannon_above_collision", h2_z, h_z, ENTROPY_SLACK),
+        CheckLine("entropy_subadditivity", h_z, h_x + h_y, ENTROPY_SLACK),
+        CheckLine("perturbation_entropy_cap", h_y, ball_cap, ENTROPY_SLACK),
     ]
     if applicable:
-        lines.append(CheckLine("ball_volume_vs_binary_cap", ball_cap, binary_cap, 1e-9))
-        lines.append(CheckLine("entropy_bound", bound, h_x, CHAIN_TOL))
+        lines.append(CheckLine("ball_volume_vs_binary_cap", ball_cap, binary_cap, ENTROPY_SLACK))
+        lines.append(CheckLine("entropy_bound", bound, h_x, CHAIN_ENTROPY_SLACK))
 
     return ChainReport(
         n=n,
@@ -412,14 +406,10 @@ def smoothing_chain(x: Distribution, k: int, tol: float = DEFAULT_COEFF_TOL) -> 
         rayleigh=ray,
         rayleigh_lower=lower,
         rayleigh_upper=upper,
-        rayleigh_upper_unfolded=upper_unfolded,
         shannon_x=h_x,
         shannon_y=h_y,
         shannon_z=h_z,
         renyi2_z=h2_z,
-        shell_cap=shell_cap,
-        ball_cap=ball_cap,
-        binary_cap=binary_cap,
         entropy_bound=bound,
         halfwise_mode=False,
         lines=tuple(lines),

@@ -9,7 +9,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from kwisent.balls import (
-    RadialOperator,
     asymptotic_lambda,
     lambda_ball,
     lambda_ball_dense_oracle,
@@ -80,15 +79,6 @@ def test_radial_profile_positive_and_residual_small():
         assert spec.radial_profile.max() == pytest.approx(1.0, abs=0.0)
         assert spec.residual <= 1e-9
         assert spec.iterations >= 1
-
-
-def test_radial_operator_action_is_weight_collapse():
-    op = RadialOperator.build(6, 3)
-    h = np.array([1.0, 2.0, 3.0, 4.0])
-    out = op.apply(h)
-    # (Th)(w) = w h(w-1) + (n-w) h(w+1), truncated at r
-    np.testing.assert_allclose(out, [12.0, 1 + 15.0, 4 + 16.0, 9.0])
-    np.testing.assert_allclose(op.symmetrized_offdiagonal() ** 2, [6.0, 10.0, 12.0])
 
 
 def test_lifted_density_is_eigenfunction(hamming7):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -178,6 +179,26 @@ def test_spectra_command(runner):
     header, row = out.splitlines()
     assert header == "n,r,lambda,asymptotic_lambda,iterations,residual"
     assert row.startswith("12,4,8.95910106")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # a tolerance of 10 would read every coefficient of a point mass as zero
+        ("analyze", "{point}", "--tol", "10"),
+        ("chain", "{point}", "--halfwise", "--tol", "10"),
+        # a tolerance of 0 would run the power iteration to its cap (about 17 s)
+        ("spectra", "--n", "12", "--r", "6", "--tol", "0"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_no_command_takes_a_tolerance(tmp_path, runner, args):
+    point = write_space(tmp_path, runner, "point", "--n", "8")
+    started = time.perf_counter()
+    result = invoke(runner, *(arg.format(point=point) for arg in args))
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2
+    assert "No such option '--tol'" in result.output
 
 
 def test_sweep_spectra_rows_and_monotonicity(runner):

@@ -16,6 +16,7 @@ from kwisent import kwise
 from kwisent.codes import SampleSpace, hamming_code, point_space, uniform_space
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
+from kwisent.tolerances import MARGINAL_ZERO
 from kwisent.kwise import (
     Distribution,
     MarginalReport,
@@ -212,7 +213,7 @@ def marginal_check_by_subset_reference(dist, k):
     return MarginalReport(n, k, worst[0], worst[1], worst[2])
 
 
-def marginal_order_by_subset_reference(dist, tol=kwise.DEFAULT_COEFF_TOL):
+def marginal_order_by_subset_reference(dist, tol=MARGINAL_ZERO):
     n = dist.n
     space = dist.space
     order = 0

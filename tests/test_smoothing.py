@@ -188,9 +188,10 @@ def test_smoothing_chain_internal_identities(hamming15):
     assert abs(lines["convolution_associativity"].slack) <= 1e-10
     assert lines["eigen_density_pointwise"].passed
     assert lines["eigenvalue_threshold"].lhs == 15 - 6 + 1
-    # the recorded unfolded bound is tighter than the folded one
-    assert report.rayleigh_upper_unfolded <= report.rayleigh_upper
-    assert report.rayleigh <= report.rayleigh_upper_unfolded + 1e-8
+    # the unfolded bound n + (n - 2k)(E[g^2] - 1) is tighter than the folded one
+    unfolded = report.n + (report.n - 2 * report.k) * (report.second_moment - 1.0)
+    assert unfolded <= report.rayleigh_upper
+    assert report.rayleigh <= unfolded + 1e-8
 
 
 def test_chain_entropy_relations_hold(corpus):

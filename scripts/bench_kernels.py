@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the dense cube kernels, the sample-space reader and the marginal
-oracle, one call at a time.
+"""Time the dense cube kernels, the sample-space reader, the marginal
+oracle, the ball eigenvalue and the radius search, one call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
 each n in 16, 20, 22 it reports the median wall time of repeated calls
@@ -9,10 +9,13 @@ each n in 16, 20, 22 it reports the median wall time of repeated calls
 a random 2^16-point space file, the support of the n = 20 benchmark code.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
-marginal order 7).
+marginal order 7).  The radial rows time balls.lambda_ball at (n, r) =
+(48, 24), (192, 40), (400, 200), the eigenvalue that bound and spectra
+print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
+r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16 and n = 14 oracle, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -60,7 +63,7 @@ def kernels(n: int, rng):
 
 
 def oracle_kernels(quick: bool):
-    """(name, n, zero-argument call) rows for kwise.marginal_order."""
+    """(name, n, parameter, zero-argument call) rows for kwise.marginal_order."""
     import numpy as np
 
     from kwisent.codes import BinaryMatrix, LinearCode, hamming_code, uniform_code_space
@@ -72,7 +75,22 @@ def oracle_kernels(quick: bool):
     codes = [random14] if quick else [random14, hamming_code(4)]
     for code in codes:
         dist = Distribution.from_space(uniform_code_space(code))
-        yield "marginal_order", code.n, lambda dist=dist: marginal_order(dist)
+        yield "marginal_order", code.n, {}, lambda dist=dist: marginal_order(dist)
+
+
+def radial_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for the ball eigenvalue
+    and the radius search."""
+    from kwisent.balls import lambda_ball, min_radius
+
+    solves = [(48, 24), (192, 40), (400, 200)]
+    searches = [(192, 24), (4096, 512)]
+    if quick:
+        solves, searches = solves[:1], searches[:1]
+    for n, r in solves:
+        yield "lambda_ball", n, {"r": r}, lambda n=n, r=r: lambda_ball(n, r)
+    for n, k in searches:
+        yield "min_radius", n, {"k": k}, lambda n=n, k=k: min_radius(n, k)
 
 
 def measure(call, runs: int) -> tuple[float, int]:
@@ -96,22 +114,21 @@ def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     import numpy as np
 
     dense = (
-        (name, n, call) for n in sizes for name, call in kernels(n, np.random.default_rng(n))
+        (name, n, {}, call)
+        for n in sizes
+        for name, call in kernels(n, np.random.default_rng(n))
     )
     out = []
-    for name, n, call in itertools.chain(dense, oracle_kernels(quick)):
+    for name, n, param, call in itertools.chain(
+        dense, oracle_kernels(quick), radial_kernels(quick)
+    ):
         seconds, peak = measure(call, runs)
-        out.append(
-            {
-                "label": label,
-                "kernel": name,
-                "n": n,
-                "runs": runs,
-                "median_ms": round(seconds * 1e3, 2),
-                "peak_mib": round(peak / 2**20, 2),
-                "peak_vectors": round(peak / (8 << n), 3),
-            }
-        )
+        row = {"label": label, "kernel": name, "n": n, **param, "runs": runs}
+        row["median_ms"] = round(seconds * 1e3, 2)
+        row["peak_mib"] = round(peak / 2**20, 2)
+        if not param:
+            row["peak_vectors"] = round(peak / (8 << n), 3)
+        out.append(row)
     return out
 
 
@@ -129,7 +146,7 @@ def host() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--quick", action="store_true", help="n = 16 and the n = 14 oracle row, 3 runs"
+        "--quick", action="store_true", help="n = 16 and one row of each other kernel, 3 runs"
     )
     parser.add_argument("--label", default="checkout", help="row label")
     parser.add_argument(
@@ -145,9 +162,11 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick)
     for row in new:
+        size = f"n={row['n']}" + "".join(f" {key}={row[key]}" for key in ("r", "k") if key in row)
+        vectors = f" ({row['peak_vectors']} vectors)" if "peak_vectors" in row else ""
         print(
-            f"{row['kernel']:<22} n={row['n']:<3} {row['median_ms']:>10.2f} ms"
-            f" {row['peak_mib']:>8.2f} MiB ({row['peak_vectors']} vectors)"
+            f"{row['kernel']:<22} {size:<12} {row['median_ms']:>10.2f} ms"
+            f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )
     if args.output:
         record = {"rows": []}

@@ -154,16 +154,18 @@ EIGEN_RESIDUAL = 1e-9
 """Eigen-residual ||T u - lam u|| (u a unit vector) at which a power
 iteration may stop, and the shortfall of lam allowed against n - 2k + 1.
 
-Used by balls.lambda_ball and balls.lambda_ball_dense_oracle (stopping
-rule) and by the check line eigenvalue_threshold.
+Used by the Perron-profile iteration behind balls.BallSpectrum.radial_profile
+and by balls.lambda_ball_dense_oracle (stopping rule), and by the check line
+eigenvalue_threshold.
 
 Bound: for a symmetric T and a unit u, some eigenvalue of T lies within
 ||T u - lam u|| of the Rayleigh quotient lam (Parlett, *The Symmetric
-Eigenvalue Problem*, Theorem 4.5.1).  So a converged run's lam is within
-1e-9 of an eigenvalue of T, and eigenvalue_threshold accepts a lam that
-much below the threshold.  The radius itself is decided exactly, in
-integers, by balls.min_radius.  A run that reaches MAX_POWER_ITERATIONS
-ends with a larger residual, which the spectra report prints.
+Eigenvalue Problem*, Theorem 4.5.1), so a converged iteration is within
+1e-9 of an eigenvalue.  The eigenvalue that eigenvalue_threshold reads comes
+from balls.lambda_ball's bisection instead, within about 2 r u relative of
+the exact one (balls module docstring): at most 2.3e-13 at the cube's
+dimension cap n = 32, so the 1e-9 slack covers it many times over.  The
+radius itself is decided exactly, in integers, by balls.min_radius.
 """
 
 EIGEN_DENSITY_RELATIVE = 1e-8
@@ -182,13 +184,14 @@ n = 20, k = 3).  The value 1e-8 is a threshold about 30 times above that.
 """
 
 RAYLEIGH_STEP = 1e-12
-"""Change of the Rayleigh quotient between two steps of lambda_ball's power
-iteration below which it may stop (once EIGEN_RESIDUAL also holds).
+"""Change of the Rayleigh quotient between two steps of the Perron-profile
+power iteration (balls.BallSpectrum.radial_profile) below which it may stop,
+once EIGEN_RESIDUAL also holds.
 
-A stopping rule, not an error bound; the bound on lam is EIGEN_RESIDUAL.
-The rule keeps the iteration going while lam still moves by more than
-1e-12, about 9,000 u.  It sets the `iterations` and `residual` columns of spectra
-and sweep spectra.
+A stopping rule, not an error bound; the bound on the vector is
+EIGEN_RESIDUAL.  The rule keeps the iteration going while the quotient
+still moves by more than 1e-12, about 9,000 u.  The printed eigenvalue does
+not depend on it: that comes from the bisection in balls.lambda_ball.
 """
 
 ORACLE_RAYLEIGH_STEP = 1e-13
@@ -201,7 +204,7 @@ RAYLEIGH_STEP, so the oracle settles at least as far as the path it checks.
 
 LOG_FLOOR = 1e-300
 """Floor under the entries of a computed Perron eigenvector before their
-logarithm (balls.lambda_ball, which builds the radial profile in logs).
+logarithm (balls.BallSpectrum.radial_profile, built in logs).
 
 Not an error bound.  The top eigenvector of the irreducible nonnegative
 radial operator is entrywise positive (Perron-Frobenius), so an entry at or

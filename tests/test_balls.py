@@ -1,4 +1,5 @@
-"""Ball eigenvalues: radial solver against closed forms and two oracles."""
+"""Ball eigenvalues: the bisection against closed forms, two oracles and the
+exact radius search; the Perron profile against its own eigen-residual."""
 
 from __future__ import annotations
 
@@ -6,15 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.linalg import eigh_tridiagonal
 
 from kwisent.balls import (
+    _above_spectrum,
     asymptotic_lambda,
     lambda_ball,
     lambda_ball_dense_oracle,
     min_radius,
     predicted_radius,
 )
+from kwisent.cli import main
 from kwisent.cube import adjacency_apply, inner_product, subset_sizes
 from kwisent.errors import DimensionError
 
@@ -45,10 +49,19 @@ def test_radius_two_closed_form(n):
     assert lambda_ball(n, 2).lam == pytest.approx(math.sqrt(3 * n - 2), abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [9, 16, 24])
+@pytest.mark.parametrize("n", [*range(1, 65), 96, 192, 400])
 def test_matches_tridiagonal_oracle(n):
-    for r in range(n + 1):
-        assert lambda_ball(n, r).lam == pytest.approx(tridiagonal_oracle(n, r), abs=1e-10)
+    # every radius up to n = 64, every 7th above; 2 r u relative is the
+    # bisection's error bound (balls module docstring)
+    for r in range(0, n + 1, 1 if n <= 64 else 7):
+        assert lambda_ball(n, r).lam == pytest.approx(tridiagonal_oracle(n, r), rel=1e-13, abs=0)
+
+
+def test_integer_eigenvalues_are_exact():
+    assert lambda_ball(12, 5).lam == 10.0
+    for n in range(1, 65):
+        assert lambda_ball(n, n).lam == n
+        assert lambda_ball(n, 0).lam == 0.0
 
 
 def test_matches_dense_oracle_spot_checks():
@@ -72,12 +85,29 @@ def test_monotone_in_radius_and_range():
         assert max(lams[:-1]) < n
 
 
+def test_lam_is_the_lower_end_of_the_final_bracket():
+    for n, r in ((12, 4), (48, 24), (400, 200)):
+        spec = lambda_ball(n, r)
+        squares = [float(j * (n - j + 1)) for j in range(1, r + 1)]
+        assert spec.residual == math.ulp(spec.lam)
+        assert not _above_spectrum(spec.lam, squares)
+        assert _above_spectrum(spec.lam + spec.residual, squares)
+
+
 def test_radial_profile_positive_and_residual_small():
     for n, r in ((9, 3), (14, 7), (24, 10)):
         spec = lambda_ball(n, r)
-        assert np.all(spec.radial_profile > 0)
-        assert spec.radial_profile.max() == pytest.approx(1.0, abs=0.0)
-        assert spec.residual <= 1e-9
+        h = spec.radial_profile
+        assert np.all(h > 0)
+        assert h.max() == pytest.approx(1.0, abs=0.0)
+        # eigen-residual of the profile in the symmetric form, unit vector
+        u = h * np.sqrt([math.comb(n, w) for w in range(r + 1)])
+        u /= np.linalg.norm(u)
+        off = np.sqrt(np.arange(1.0, r + 1) * (n - np.arange(0.0, r)))
+        tu = np.zeros(r + 1)
+        tu[:-1] += off * u[1:]
+        tu[1:] += off * u[:-1]
+        assert np.linalg.norm(tu - spec.lam * u) <= 1e-9
         assert spec.iterations >= 1
 
 
@@ -130,6 +160,15 @@ def test_min_radius_against_oracle_scan():
         assert min_radius(n, k) == expect, (n, k)
 
 
+def test_min_radius_is_the_first_radius_whose_bisection_reaches_the_threshold():
+    spectra = {}
+    for n, k in ORACLE_PAIRS:
+        if n not in spectra:
+            spectra[n] = [lambda_ball(n, r).lam for r in range(n + 1)]
+        threshold = n - 2 * k + 1
+        assert min_radius(n, k) == next(r for r, lam in enumerate(spectra[n]) if lam >= threshold)
+
+
 def test_min_radius_never_solves_an_eigenproblem(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("min_radius called lambda_ball")
@@ -160,3 +199,28 @@ def test_lambda_comparison_pairs():
     row = lambda_ball(12, 0).as_dict()
     assert (row["lambda"], row["asymptotic_lambda"]) == (0.0, 0.0)
     assert asymptotic_lambda(20, 5) == pytest.approx(2 * math.sqrt(75), abs=1e-12)
+
+
+def test_only_the_chain_runs_the_power_iteration(tmp_path, monkeypatch):
+    runner = CliRunner()
+    space = str(tmp_path / "hamming15.txt")
+    assert runner.invoke(main, ["construct", "hamming", "--m", "4", "-o", space]).exit_code == 0
+    commands = [
+        ["bound", "--n", "15", "--k", "4"],
+        ["sweep", "bounds", "--n", "15", "--k", "1..8"],
+        ["spectra", "--n", "15"],
+        ["sweep", "spectra", "--n", "15"],
+        ["analyze", space],
+    ]
+    expected = [runner.invoke(main, args).stdout for args in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration reached")
+
+    monkeypatch.setattr("kwisent.balls._perron_profile", refuse)
+    for args, out in zip(commands, expected):
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout) == (0, out), args
+    chain = runner.invoke(main, ["chain", space, "--k", "3"])
+    assert isinstance(chain.exception, AssertionError)
+    assert str(chain.exception) == "power iteration reached"

@@ -1,9 +1,10 @@
 """Byte-for-byte CLI output of every command and format on small inputs.
 
 Each file under tests/golden/ holds the line `exit <status>` followed by the
-exact stdout of one invocation.  The power-iteration diagnostics
-(`iterations`, `residual`) are dropped on both sides: they describe the
-eigen-solver rather than the result, and change whenever the solver does.
+exact stdout of one invocation.  The eigen-solver's diagnostics
+(`iterations`, `residual`: the bisection's step count and final bracket
+width) are dropped on both sides: they describe the solver rather than the
+result, and change whenever the solver does.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ def witness_report() -> str:
         dist = Distribution.from_space(uniform_code_space(hamming_code(m)))
         n = dist.n
         blocks.append(f"=== Hamming witness, n={n} ===")
-        blocks.append(render(evaluate(dist).as_dict(), "text"))
+        blocks.append(render(evaluate(dist), "text"))
         blocks.append(halfwise_chain(dist).to_text())
         if n >= 7:
             blocks.append(smoothing_chain(dist, min(3, n // 2)).to_text())

@@ -18,12 +18,13 @@ from .balls import (
     predicted_radius,
 )
 from .bounds import (
-    BoundReport,
     asymptotic_entropy_leading_term,
     binary_entropy,
     binomial_entropy_bound,
     bound_row,
+    certified_slacks,
     evaluate,
+    halfwise_applies,
     halfwise_entropy_bound,
     renyi2_entropy,
     renyi2_from_density,
@@ -72,7 +73,6 @@ from .kwise import (
     Distribution,
     MarginalReport,
     density_from_space,
-    half_independence_order,
     independence_order,
     is_kwise,
     marginal_check,

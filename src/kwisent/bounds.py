@@ -6,12 +6,16 @@ the smoothing bound n - n H(r/n) - log2 n with the radius computed from
 exact ball eigenvalues, and the binomial bound log2 C(n, floor(k/2)).
 The asymptotic leading term of the smoothing bound is exposed for display
 only and is never reported as certified.
+
+Which of the first two applies is one rule, halfwise_applies.  evaluate
+(one distribution, at its measured order) and bound_row (given n and k)
+build their records from the same two helpers, so both read every bound
+the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +34,10 @@ __all__ = [
     "binomial_entropy_bound",
     "smoothed_entropy_bound",
     "asymptotic_entropy_leading_term",
-    "BoundReport",
+    "halfwise_applies",
+    "entropy_at_radius",
     "evaluate",
+    "certified_slacks",
     "bound_row",
 ]
 
@@ -88,17 +94,29 @@ def binomial_entropy_bound(n: int, k: int) -> float:
     return math.log2(math.comb(n, k // 2))
 
 
+def halfwise_applies(n: int, k: int) -> bool:
+    """Whether a (k-1)-wise independent distribution on n bits falls under
+    the half-independence bound rather than the smoothing bound.
+
+    This is exactly 2k > n, that is k - 1 >= floor(n/2).  There the smoothing
+    chain's coefficient n - 2k is negative, and its spectral upper bound
+    <Ag, g> <= n + (n - 2k) E[g^2] no longer holds.
+    """
+    return 2 * k > n
+
+
 def _smoothing_radius(n: int, k: int) -> int | None:
     """r* behind smoothed_entropy_bound, or None where that bound does not apply."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    if 2 * k > n:
+    if halfwise_applies(n, k):
         return None
     r = min_radius(n, k)
     return None if 2 * r > n else r
 
 
-def _entropy_at_radius(n: int, r: int) -> float:
+def entropy_at_radius(n: int, r: int) -> float:
+    """n - n H(r/n) - log2 n: the smoothing bound's value at radius r."""
     return n - n * binary_entropy(r / n) - math.log2(n)
 
 
@@ -113,7 +131,7 @@ def smoothed_entropy_bound(n: int, k: int) -> float | None:
     returned.
     """
     r = _smoothing_radius(n, k)
-    return None if r is None else _entropy_at_radius(n, r)
+    return None if r is None else entropy_at_radius(n, r)
 
 
 def asymptotic_entropy_leading_term(n: int, k: int) -> float:
@@ -129,116 +147,72 @@ def asymptotic_entropy_leading_term(n: int, k: int) -> float:
     return n - n * binary_entropy(p)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Measured entropies of one distribution against every applicable bound."""
-
-    n: int
-    order: int
-    support_size: int
-    shannon: float
-    renyi2: float
-    halfwise_bound: float | None
-    smoothed_bound: float | None
-    smoothed_k: int | None
-    smoothed_radius: int | None
-    smoothed_lambda: float | None
-    binomial_bound: float
-    asymptotic_display: float | None
-
-    def _slack(self, bound: float | None) -> float | None:
-        return None if bound is None else self.shannon - bound
-
-    @property
-    def halfwise_slack(self) -> float | None:
-        return self._slack(self.halfwise_bound)
-
-    @property
-    def smoothed_slack(self) -> float | None:
-        return self._slack(self.smoothed_bound)
-
-    @property
-    def binomial_slack(self) -> float:
-        return self.shannon - self.binomial_bound
-
-    def certified_slacks(self) -> dict[str, float]:
-        """Slacks of the certified bounds only (the display term is excluded)."""
-        out = {"binomial": self.binomial_slack}
-        if self.halfwise_slack is not None:
-            out["halfwise"] = self.halfwise_slack
-        if self.smoothed_slack is not None:
-            out["smoothed"] = self.smoothed_slack
-        return out
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order,
-            "support": self.support_size,
-            "shannon": self.shannon,
-            "renyi2": self.renyi2,
-            "halfwise_bound": self.halfwise_bound,
-            "halfwise_slack": self.halfwise_slack,
-            "smoothed_bound": self.smoothed_bound,
-            "smoothed_slack": self.smoothed_slack,
-            "smoothed_k": self.smoothed_k,
-            "smoothed_radius": self.smoothed_radius,
-            "smoothed_lambda": self.smoothed_lambda,
-            "binomial_bound": self.binomial_bound,
-            "binomial_slack": self.binomial_slack,
-            "asymptotic_display": self.asymptotic_display,
-        }
+def _order_bounds(n: int, order: int) -> tuple[float | None, float]:
+    """The half-independence bound (None where it does not apply) and the
+    binomial bound for a distribution independent at the given order."""
+    halfwise = halfwise_entropy_bound(n) if halfwise_applies(n, order + 1) else None
+    return halfwise, binomial_entropy_bound(n, order)
 
 
-def evaluate(dist: Distribution) -> BoundReport:
+def _smoothing_terms(n: int, k: int) -> tuple[int | None, float | None, float | None]:
+    """r*, its ball eigenvalue and the smoothing bound at k, all None where
+    that bound does not apply."""
+    r = _smoothing_radius(n, k)
+    if r is None:
+        return None, None, None
+    return r, lambda_ball(n, r).lam, entropy_at_radius(n, r)
+
+
+def evaluate(dist: Distribution) -> dict:
     """Measure both entropies and every bound applicable at the certified order.
 
     The smoothing bound is evaluated at the strongest usable parameter
     k = min(order + 1, floor(n/2)); larger k means a smaller radius and a
     stronger bound, and the distribution stays (k-1)-wise independent for
-    every k below its order + 1.
+    every k below its order + 1.  Each slack is the Shannon entropy minus
+    its bound; asymptotic_display is the smoothing bound's leading term,
+    never certified.
     """
     n = dist.n
     order = independence_order(dist)
     shannon = shannon_entropy(dist.space)
-    renyi2 = renyi2_entropy(dist.space)
-    halfwise = halfwise_entropy_bound(n) if order >= n // 2 else None
-    k_eff = min(order + 1, n // 2)
-    smoothed = smoothed_k = smoothed_radius = smoothed_lam = None
-    display = None
-    if k_eff >= 1:
-        smoothed_radius = _smoothing_radius(n, k_eff)
-        display = asymptotic_entropy_leading_term(n, k_eff)
-        if smoothed_radius is not None:
-            smoothed = _entropy_at_radius(n, smoothed_radius)
-            smoothed_k = k_eff
-            smoothed_lam = lambda_ball(n, smoothed_radius).lam
-    return BoundReport(
-        n=n,
-        order=order,
-        support_size=dist.space.support_size,
-        shannon=shannon,
-        renyi2=renyi2,
-        halfwise_bound=halfwise,
-        smoothed_bound=smoothed,
-        smoothed_k=smoothed_k,
-        smoothed_radius=smoothed_radius,
-        smoothed_lambda=smoothed_lam,
-        binomial_bound=binomial_entropy_bound(n, order),
-        asymptotic_display=display,
-    )
+    halfwise, binomial = _order_bounds(n, order)
+    k = min(order + 1, n // 2)
+    radius = lam = smoothed = display = None
+    if k >= 1:
+        radius, lam, smoothed = _smoothing_terms(n, k)
+        display = asymptotic_entropy_leading_term(n, k)
+    return {
+        "n": n,
+        "order": order,
+        "support": dist.space.support_size,
+        "shannon": shannon,
+        "renyi2": renyi2_entropy(dist.space),
+        "halfwise_bound": halfwise,
+        "halfwise_slack": None if halfwise is None else shannon - halfwise,
+        "smoothed_bound": smoothed,
+        "smoothed_slack": None if smoothed is None else shannon - smoothed,
+        "smoothed_k": None if radius is None else k,
+        "smoothed_radius": radius,
+        "smoothed_lambda": lam,
+        "binomial_bound": binomial,
+        "binomial_slack": shannon - binomial,
+        "asymptotic_display": display,
+    }
+
+
+def certified_slacks(record: dict) -> dict[str, float]:
+    """Slacks of the certified bounds in an evaluate record (the display term
+    is excluded)."""
+    kinds = ("binomial", "halfwise", "smoothed")
+    return {kind: record[f"{kind}_slack"] for kind in kinds if record[f"{kind}_slack"] is not None}
 
 
 def bound_row(n: int, k: int) -> dict:
     """Every bound for a (k-1)-wise independent distribution on n bits, with
     the radius and eigenvalue behind the smoothing bound and the best one."""
-    radius = _smoothing_radius(n, k)
-    smoothed = lam = None
-    if radius is not None:
-        smoothed = _entropy_at_radius(n, radius)
-        lam = lambda_ball(n, radius).lam
-    halfwise = halfwise_entropy_bound(n) if k - 1 >= n // 2 else None
-    binomial = binomial_entropy_bound(n, k - 1)
+    radius, lam, smoothed = _smoothing_terms(n, k)
+    halfwise, binomial = _order_bounds(n, k - 1)
     return {
         "n": n,
         "k": k,
@@ -248,6 +222,6 @@ def bound_row(n: int, k: int) -> dict:
         "smoothed_bound": smoothed,
         "halfwise_bound": halfwise,
         "binomial_bound": binomial,
-        "asymptotic_display": asymptotic_entropy_leading_term(n, k) if 2 * k <= n else None,
+        "asymptotic_display": None if halfwise_applies(n, k) else asymptotic_entropy_leading_term(n, k),
         "best_bound": max(b for b in (smoothed, halfwise, binomial) if b is not None),
     }

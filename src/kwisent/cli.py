@@ -21,7 +21,7 @@ import click
 
 from . import balls
 from .balls import lambda_ball
-from .bounds import bound_row, evaluate
+from .bounds import bound_row, certified_slacks, evaluate
 from .codes import (
     BinaryMatrix,
     SampleSpace,
@@ -152,11 +152,11 @@ def analyze(ctx, space_file, fmt, output, marginal_limit):
     oracle_order = None
     # marginal_order scans levels 1..order + 1 when it agrees with the
     # spectral order; one of them above the oracle's own guard skips it.
-    if marginal_affordable(dist.n, min(report.order + 1, dist.n), marginal_limit):
+    if marginal_affordable(dist.n, min(report["order"] + 1, dist.n), marginal_limit):
         oracle_order = marginal_order(dist)
-    _emit(render({"marginal_order": oracle_order, **report.as_dict()}, fmt), output)
-    failed = any(slack < -ENTROPY_SLACK for slack in report.certified_slacks().values())
-    if oracle_order is not None and oracle_order != report.order:
+    _emit(render({"marginal_order": oracle_order, **report}, fmt), output)
+    failed = any(slack < -ENTROPY_SLACK for slack in certified_slacks(report).values())
+    if oracle_order is not None and oracle_order != report["order"]:
         failed = True
     if failed:
         ctx.exit(1)
@@ -165,27 +165,17 @@ def analyze(ctx, space_file, fmt, output, marginal_limit):
 @main.command()
 @click.argument("space_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", "k", type=int, default=None, help="Chain parameter; the input must be (k-1)-wise independent.")
-@click.option("--halfwise", is_flag=True, help="Run the no-smoothing chain at order floor(n/2).")
-@click.option(
-    "--half-rounding",
-    type=click.Choice(["floor", "ceil"]),
-    default="floor",
-    show_default=True,
-    help="Reading of 'half of n' for odd n in --halfwise mode.",
-)
+@click.option("--halfwise", is_flag=True, help="The no-smoothing chain at order floor(n/2): --k floor(n/2)+1.")
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 @click.option("--output", "-o", default="-")
 @click.pass_context
-def chain(ctx, space_file, k, halfwise, half_rounding, fmt, output):
+def chain(ctx, space_file, k, halfwise, fmt, output):
     """Certify a proof chain on a sample space, one inequality per line."""
     if (k is None) == (not halfwise):
         raise click.UsageError("provide exactly one of --k or --halfwise")
     dist = _load_distribution(space_file)
     try:
-        if halfwise:
-            report = halfwise_chain(dist, rounding=half_rounding)
-        else:
-            report = smoothing_chain(dist, k)
+        report = halfwise_chain(dist) if halfwise else smoothing_chain(dist, k)
     except IndependenceError as exc:
         click.echo(f"precondition failed: {exc}", err=True)
         ctx.exit(1)
@@ -209,7 +199,9 @@ def bound(n, k, fmt, output):
 
 
 def _ball_rows(n: int, radii: range):
-    """One lambda_ball row per radius, refused above the spectra work guard."""
+    """One lambda_ball row per radius in 0..n, refused above the spectra work guard."""
+    if radii[0] < 0 or radii[-1] > n:
+        raise click.UsageError(f"radius range outside 0..{n}")
     if len(radii) * n * n > balls.SPECTRA_WORK_GUARD:
         raise ResourceLimitError(
             f"{len(radii)} ball eigenvalues at n={n} exceed the spectra work guard"
@@ -227,8 +219,6 @@ def spectra(n, r_range, fmt, output):
     if n < 1:
         raise click.UsageError(f"need n >= 1, got n={n}")
     radii = _parse_range(r_range, "radius") if r_range else range(n + 1)
-    if radii[0] < 0 or radii[-1] > n:
-        raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render(_ball_rows(n, radii), fmt), output)
 
 
@@ -246,8 +236,6 @@ def sweep_spectra(n, r_range, output):
     if n < 2:
         raise click.UsageError(f"need n >= 2, got n={n}")
     radii = _parse_range(r_range, "radius") if r_range else range(1, n)
-    if radii[0] < 0 or radii[-1] > n:
-        raise click.UsageError(f"radius range outside 0..{n}")
     _emit(render(_ball_rows(n, radii), "csv"), output)
 
 

@@ -24,7 +24,8 @@ from .tolerances import COEFF_ZERO, MARGINAL_ZERO, PRUNE_RELATIVE, TOTAL_MASS
 
 MARGINAL_WORK_GUARD = 10**7
 # Default total work for an optional run of the marginal oracle: the
-# default of `analyze --marginal-limit`, and verify_smoothing's limit.
+# default of `analyze --marginal-limit`, and verify_smoothing's limit (which
+# divides it by the smoothed support size, since each subset reads every point).
 MARGINAL_WORK_LIMIT = 10**6
 MARGINAL_BLOCK_ELEMENTS = 1 << 14
 
@@ -87,19 +88,6 @@ def is_kwise(dist: Distribution, k: int) -> bool:
     if not 0 <= k <= dist.n:
         raise ValueError(f"k must be in 0..{dist.n}, got {k}")
     return independence_order(dist) >= k
-
-
-def half_independence_order(n: int, rounding: str = "floor") -> int:
-    """Independence order meant by "half of n" for odd n.
-
-    The vanishing band 1 <= |S| <= n/2 only constrains integer levels up to
-    floor(n/2), which is the default reading; "ceil" asks for the stricter one.
-    """
-    if rounding == "floor":
-        return n // 2
-    if rounding == "ceil":
-        return (n + 1) // 2
-    raise ValueError(f"rounding must be 'floor' or 'ceil', got {rounding!r}")
 
 
 def level_cost(n: int, size: int) -> int:

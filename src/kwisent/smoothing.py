@@ -25,13 +25,15 @@ H(X) >= n - log2(n + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .balls import BallSpectrum, lambda_ball, min_radius
 from .bounds import (
     binary_entropy,
+    entropy_at_radius,
+    halfwise_applies,
     halfwise_entropy_bound,
     shannon_entropy,
     shannon_from_density,
@@ -53,7 +55,6 @@ from .errors import DimensionError, IndependenceError
 from .kwise import (
     MARGINAL_WORK_LIMIT,
     Distribution,
-    half_independence_order,
     independence_order,
     marginal_affordable,
     marginal_check,
@@ -239,9 +240,10 @@ def verify_smoothing(
 
     (a) the independence order does not drop (coefficients multiply, so
     zeros stay zeros), confirmed by the marginal oracle, within tol, when
-    it fits MARGINAL_WORK_LIMIT; (b) H(X) + H(Y) >= H(Z) within tol; (c) the
-    spectral convolution agrees with the literal double sum pointwise,
-    within pointwise_tol.
+    its work fits MARGINAL_WORK_LIMIT: the oracle reads every support point
+    of Z once per subset, so the limit is divided by Z's support size;
+    (b) H(X) + H(Y) >= H(Z) within tol; (c) the spectral convolution agrees
+    with the literal double sum pointwise, within pointwise_tol.
     """
     z = smooth(x, ball)
     d = ball.density()
@@ -249,7 +251,8 @@ def verify_smoothing(
     order_after = independence_order(z)
     order_ok = order_after >= order_before
     marginal_dev = None
-    if order_before >= 1 and marginal_affordable(x.n, order_before, MARGINAL_WORK_LIMIT):
+    oracle_limit = MARGINAL_WORK_LIMIT // z.space.support_size
+    if order_before >= 1 and marginal_affordable(x.n, order_before, oracle_limit):
         marginal_dev = marginal_check(z, order_before).max_deviation
         order_ok = order_ok and marginal_dev <= tol
     h_x = shannon_entropy(x.space)
@@ -273,21 +276,21 @@ def verify_smoothing(
     )
 
 
-def halfwise_chain(x: Distribution, rounding: str = "floor") -> ChainReport:
-    """Certify the no-smoothing chain for an order-floor(n/2) input.
+def halfwise_chain(x: Distribution) -> ChainReport:
+    """Certify the no-smoothing chain for an order-floor(n/2) input; the same
+    report as smoothing_chain(x, floor(n/2) + 1).
 
     The middle band of coefficients vanishes, every tail level carries an
     adjacency multiplier <= -1 (for even n the level n/2 sits in the middle
     band with multiplier exactly 0), and nonnegativity of <Af, f> squeezes
     E[f^2] <= n + 1.
     """
-    need = half_independence_order(x.n, rounding)
-    certify_order(x, need)
-    report = _halfwise_body(x)
-    return replace(report, k=need + 1)
+    k = x.n // 2 + 1
+    certify_order(x, k - 1)
+    return _halfwise_body(x, k)
 
 
-def _halfwise_body(x: Distribution) -> ChainReport:
+def _halfwise_body(x: Distribution, k: int) -> ChainReport:
     n = x.n
     f = x.density
     profile = level_profile(x.spectrum)
@@ -313,7 +316,7 @@ def _halfwise_body(x: Distribution) -> ChainReport:
     )
     return ChainReport(
         n=n,
-        k=n // 2 + 1,
+        k=k,
         r=0,
         lam=0.0,
         second_moment=second,
@@ -341,8 +344,8 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
     certify_order(x, k - 1)
-    if 2 * k > n:
-        return replace(_halfwise_body(x), k=k)
+    if halfwise_applies(n, k):
+        return _halfwise_body(x, k)
 
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
@@ -375,7 +378,7 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     ball_cap = log2_ball_volume(n, r)
     applicable = 2 * r <= n
     binary_cap = n * binary_entropy(r / n) if applicable else None
-    bound = n - n * binary_entropy(r / n) - math.log2(n) if applicable else None
+    bound = entropy_at_radius(n, r) if applicable else None
 
     lines = [
         CheckLine("order_preserved", order_max, COEFF_ZERO, 0.0),

@@ -14,7 +14,10 @@ from kwisent.bounds import (
     asymptotic_entropy_leading_term,
     binary_entropy,
     binomial_entropy_bound,
+    bound_row,
+    certified_slacks,
     evaluate,
+    halfwise_applies,
     halfwise_entropy_bound,
     renyi2_entropy,
     renyi2_from_density,
@@ -128,43 +131,65 @@ def test_two_path_renyi_agreement(corpus):
 
 def test_evaluate_hamming7(hamming7):
     report = evaluate(hamming7)
-    assert report.order == 3
-    assert report.shannon == pytest.approx(4.0, abs=0.0)
-    assert report.renyi2 == pytest.approx(4.0, abs=1e-12)
-    assert report.halfwise_bound == pytest.approx(4.0, abs=0.0)
-    assert report.halfwise_slack == pytest.approx(0.0, abs=1e-9)
-    assert report.binomial_bound == pytest.approx(math.log2(7), abs=1e-12)
-    assert report.smoothed_k == 3 and report.smoothed_radius == 1
+    assert report["order"] == 3
+    assert report["shannon"] == pytest.approx(4.0, abs=0.0)
+    assert report["renyi2"] == pytest.approx(4.0, abs=1e-12)
+    assert report["halfwise_bound"] == pytest.approx(4.0, abs=0.0)
+    assert report["halfwise_slack"] == pytest.approx(0.0, abs=1e-9)
+    assert report["binomial_bound"] == pytest.approx(math.log2(7), abs=1e-12)
+    assert report["smoothed_k"] == 3 and report["smoothed_radius"] == 1
 
 
 def test_evaluate_hamming15(hamming15):
     report = evaluate(hamming15)
-    assert report.order == 7
-    assert report.shannon == pytest.approx(11.0, abs=0.0)
-    assert report.halfwise_bound == pytest.approx(11.0, abs=0.0)
-    assert report.halfwise_slack == pytest.approx(0.0, abs=1e-9)
+    assert report["order"] == 7
+    assert report["shannon"] == pytest.approx(11.0, abs=0.0)
+    assert report["halfwise_bound"] == pytest.approx(11.0, abs=0.0)
+    assert report["halfwise_slack"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_evaluate_uniform8(uniform8):
     report = evaluate(uniform8)
-    assert report.order == 8
-    assert report.shannon == pytest.approx(8.0, abs=1e-12)
-    for slack in report.certified_slacks().values():
+    assert report["order"] == 8
+    assert report["shannon"] == pytest.approx(8.0, abs=1e-12)
+    for slack in certified_slacks(report).values():
         assert slack >= -1e-9
 
 
 def test_certified_bounds_never_exceed_entropy(corpus):
     for name, dist in corpus:
         report = evaluate(dist)
-        assert report.shannon >= report.renyi2 - 1e-9, name
-        for kind, slack in report.certified_slacks().items():
+        assert report["shannon"] >= report["renyi2"] - 1e-9, name
+        for kind, slack in certified_slacks(report).items():
             assert slack >= -1e-9, (name, kind)
 
 
 def test_report_serialization_round_trip(hamming7):
     report = evaluate(hamming7)
-    text = render(report.as_dict(), "text")
+    text = render(report, "text")
     assert "halfwise_bound: 4" in text
-    header, row = render(report.as_dict(), "csv").splitlines()
+    header, row = render(report, "csv").splitlines()
     assert len(row.split(",")) == len(header.split(","))
-    assert report.as_dict()["order"] == 3
+    assert report["order"] == 3
+
+
+def test_evaluate_and_bound_row_share_their_bound_terms(corpus):
+    for name, dist in corpus:
+        report = evaluate(dist)
+        n, k = dist.n, report["order"] + 1
+        row = bound_row(n, k)
+        for key in ("halfwise_bound", "binomial_bound"):
+            assert report[key] == row[key], (name, key)
+        if 2 * k <= n:
+            assert report["smoothed_k"] in (None, k), name
+            assert (report["smoothed_radius"], report["smoothed_lambda"]) == (row["radius"], row["lambda"])
+            assert (report["smoothed_bound"], report["asymptotic_display"]) == (
+                row["smoothed_bound"],
+                row["asymptotic_display"],
+            ), name
+
+
+def test_halfwise_applies_exactly_from_order_floor_half_n():
+    for n in range(1, 40):
+        for k in range(1, n + 2):
+            assert halfwise_applies(n, k) == (k - 1 >= n // 2), (n, k)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from kwisent import balls
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
+from test_golden import make_inputs
 
 
 @pytest.fixture()
@@ -164,6 +166,26 @@ def test_chain_csv_format(tmp_path, runner):
     header, row = out.splitlines()
     assert header.startswith("n,k,r,lambda")
     assert row.split(",")[-1] == "true"
+
+
+@pytest.mark.parametrize("space", ["hamming7", "hamming15", "uniform8", "space6", "point8"])
+@pytest.mark.parametrize("form", ["text", "csv"])
+def test_chain_halfwise_is_k_half_n_plus_one(tmp_path, runner, space, form):
+    inputs = make_inputs(tmp_path)
+    inputs["point8"] = str(write_space(tmp_path, runner, "point", "--n", "8"))
+    path = inputs[space]
+    n = int(Path(path).read_text().split("\n", 1)[0].removeprefix("n="))
+    halfwise = invoke(runner, "chain", path, "--halfwise", "--format", form)
+    by_k = invoke(runner, "chain", path, "--k", str(n // 2 + 1), "--format", form)
+    assert halfwise.exit_code == by_k.exit_code  # 1 on space6 and point8: order too low
+    assert (halfwise.stdout_bytes, halfwise.stderr_bytes) == (by_k.stdout_bytes, by_k.stderr_bytes)
+
+
+def test_chain_has_no_half_rounding_option(tmp_path, runner):
+    path = write_space(tmp_path, runner, "hamming", "--m", "3")
+    result = invoke(runner, "chain", str(path), "--halfwise", "--half-rounding", "ceil")
+    assert result.exit_code == 2
+    assert "No such option '--half-rounding'" in result.output
 
 
 def test_bound_command(runner):

@@ -21,7 +21,6 @@ from kwisent.kwise import (
     Distribution,
     MarginalReport,
     density_from_space,
-    half_independence_order,
     independence_order,
     is_kwise,
     marginal_check,
@@ -142,14 +141,6 @@ def test_plancherel_consistency_on_corpus(corpus):
         direct = float((dist.density.values**2).mean())
         spectral = float((dist.spectrum.coeffs**2).sum())
         assert abs(direct - spectral) < 1e-9, name
-
-
-def test_half_independence_order_readings():
-    assert half_independence_order(7) == 3
-    assert half_independence_order(7, "ceil") == 4
-    assert half_independence_order(8) == half_independence_order(8, "ceil") == 4
-    with pytest.raises(ValueError):
-        half_independence_order(7, "round")
 
 
 def test_distribution_from_density_round_trip(hamming7):

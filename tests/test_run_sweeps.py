@@ -1,4 +1,5 @@
-"""scripts/run_sweeps.py writes the same CSV bytes as the sweep commands."""
+"""scripts/run_sweeps.py writes the same CSV bytes as the sweep commands, and
+its witness report matches a recorded copy byte for byte."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from kwisent.cli import main
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_sweeps.py"
+WITNESSES = Path(__file__).resolve().parent / "golden" / "run-sweeps-witnesses.txt"
 
 
 def load_script():
@@ -27,3 +29,7 @@ def test_run_sweeps_csvs_match_sweep_commands():
     assert (spectra.exit_code, bounds.exit_code) == (0, 0)
     assert script.spectra_csv(16).encode() == spectra.stdout_bytes
     assert script.bounds_csv(16, 8).encode() == bounds.stdout_bytes
+
+
+def test_run_sweeps_witness_report_matches_golden():
+    assert load_script().witness_report().encode() == WITNESSES.read_bytes()

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound
 from kwisent.codes import point_space, uniform_space
@@ -79,8 +81,25 @@ def test_verify_smoothing_hamming7(hamming7):
     assert report.all_passed
     assert report.order_after >= 3
     assert report.max_convolution_error <= 1e-10
-    assert report.marginal_deviation is not None
+    assert report.marginal_deviation is not None  # levels 1..3 cost 378 <= 10**6 // 128
     assert report.shannon_x + report.shannon_y >= report.shannon_z - 1e-9
+
+
+def test_verify_smoothing_skips_the_oracle_on_a_large_smoothed_support(monkeypatch):
+    # order 7 at n = 14; smoothed at r = 2 it covers all 16,384 points, so the
+    # oracle's work is subsets x points and would take over a second.
+    x = random_halfwise_distribution(14, np.random.default_rng(5))
+    ball = lambda_ball(14, 2)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the marginal oracle ran")
+
+    monkeypatch.setattr("kwisent.smoothing.marginal_check", refused)
+    started = time.perf_counter()
+    report = verify_smoothing(x, ball)
+    assert time.perf_counter() - started < 1.0  # convolve_direct alone takes about 0.2 s
+    assert report.order_before == 7 and report.marginal_deviation is None
+    assert report.all_passed
 
 
 def test_verify_smoothing_point_mass_equality_case():
@@ -128,9 +147,10 @@ def test_halfwise_chain_rejects_point_mass():
 
 
 def test_halfwise_chain_ceil_rounding(hamming7):
-    # the strict reading needs order 4; Hamming-7 only has order 3
+    # the strict reading of "half of 7" is order 4, asked for as k = 5;
+    # Hamming-7 only has order 3
     with pytest.raises(IndependenceError) as err:
-        halfwise_chain(hamming7, rounding="ceil")
+        smoothing_chain(hamming7, 5)
     assert err.value.level == 4
 
 

@@ -36,7 +36,6 @@ from .codes import (
     BinaryMatrix,
     LinearCode,
     SampleSpace,
-    check_column_independence,
     hamming_code,
     hamming_parity_check,
     parity_sampler_space,
@@ -52,7 +51,6 @@ from .cube import (
     adjacency_apply,
     convolve,
     convolve_direct,
-    dimension_cap,
     inner_product,
     inverse_wht,
     level_max_abs,
@@ -71,7 +69,6 @@ from .errors import (
 )
 from .kwise import (
     Distribution,
-    MarginalReport,
     density_from_space,
     independence_order,
     is_kwise,

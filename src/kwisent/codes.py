@@ -95,21 +95,8 @@ class BinaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
 
-    def column_masks(self) -> list[int]:
-        """Columns in coordinate order 1..cols, packed over row indices."""
-        out = []
-        for bit in range(self.cols - 1, -1, -1):
-            col = 0
-            for i, row in enumerate(self.rows):
-                col |= ((row >> bit) & 1) << i
-            out.append(col)
-        return out
-
     def row_space_basis(self) -> tuple[int, ...]:
         return tuple(gf2_rref(self.rows, self.cols)[0])
-
-    def nullspace_basis(self) -> tuple[int, ...]:
-        return tuple(gf2_nullspace(self.rows, self.cols))
 
     def to_text(self) -> str:
         lines = [f"{len(self.rows)} {self.cols}"]
@@ -210,32 +197,6 @@ def simplex_code(m: int) -> LinearCode:
     """Dual of the Hamming code; every nonzero word has weight 2^(m-1)."""
     check = hamming_parity_check(m)
     return LinearCode(check.cols, check)
-
-
-def check_column_independence(matrix: BinaryMatrix, t: int) -> bool:
-    """True iff every set of at most t columns is linearly independent.
-
-    Brute force over column subsets; equivalent to: no nonempty subset of
-    size <= t XORs to zero.
-    """
-    if t > matrix.cols:
-        raise ValueError(f"t={t} exceeds the column count {matrix.cols}")
-    total = sum(math.comb(matrix.cols, j) for j in range(1, t + 1))
-    if total > ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            f"checking {total} column subsets exceeds the guard of {ENUMERATION_GUARD}"
-        )
-    from itertools import combinations
-
-    columns = matrix.column_masks()
-    for size in range(1, t + 1):
-        for combo in combinations(columns, size):
-            acc = 0
-            for c in combo:
-                acc ^= c
-            if acc == 0:
-                return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,6 @@ test; do not fold 2^n factors into the transforms.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,32 +25,13 @@ import numpy as np
 from .errors import DimensionError
 from .tolerances import TOTAL_MASS
 
-DEFAULT_DIMENSION_CAP = 26
-CAP_ENV_VAR = "KWISENT_MAX_N"
-# subset_sizes indexes the cube with uint32 masks
-MAX_DIMENSION_CAP = 32
-
-
-def dimension_cap() -> int:
-    """Largest cube dimension for dense 2^n vectors (env override, 1..32)."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIMENSION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DimensionError(f"invalid {CAP_ENV_VAR} value: {raw!r}") from None
-    if not 1 <= cap <= MAX_DIMENSION_CAP:
-        raise DimensionError(
-            f"{CAP_ENV_VAR}={cap} outside the supported range 1..{MAX_DIMENSION_CAP}"
-        )
-    return cap
+# Largest cube dimension for dense 2^n vectors: 512 MiB per float64 vector
+DIMENSION_CAP = 26
 
 
 def check_dimension(n: int) -> None:
-    cap = dimension_cap()
-    if not 1 <= n <= cap:
-        raise DimensionError(f"dimension {n} outside supported range 1..{cap}")
+    if not 1 <= n <= DIMENSION_CAP:
+        raise DimensionError(f"dimension {n} outside supported range 1..{DIMENSION_CAP}")
 
 
 @lru_cache(maxsize=8)
@@ -103,15 +83,6 @@ class Density(CubeFunction):
         mean = float(self.values.mean())
         if abs(mean - 1.0) > TOTAL_MASS:
             raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
-
-    @classmethod
-    def normalized(cls, n: int, raw) -> "Density":
-        """Scale a nonnegative vector to mean 1 and wrap it."""
-        vals = np.asarray(raw, dtype=np.float64)
-        mean = vals.mean()
-        if not mean > 0.0:
-            raise ValueError("cannot normalize a vector with nonpositive mean")
-        return cls(n, vals / mean)
 
 
 @dataclass(frozen=True, eq=False)

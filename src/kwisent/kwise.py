@@ -102,38 +102,6 @@ def marginal_affordable(n: int, k: int, limit: int) -> bool:
     return sum(costs) <= limit and max(costs, default=0) <= MARGINAL_WORK_GUARD
 
 
-@dataclass(frozen=True)
-class MarginalReport:
-    """Worst marginal deviation over all restrictions of size <= k."""
-
-    n: int
-    k: int
-    max_deviation: float
-    worst_coordinates: tuple[int, ...]
-    worst_pattern: tuple[int, ...]
-
-
-def _witness_pattern(space: SampleSpace, bits: tuple[int, ...]) -> int:
-    """Worst pattern (a mask on bits) of the restriction to bits.
-
-    The present pattern of largest deviation, the first in sorted order, unless
-    a pattern is absent and its deviation 2^-size is larger: then the first
-    absent one, counting with bits[0] as the low bit.
-    """
-    mask = sum(1 << b for b in bits)
-    uniq, inverse = np.unique(space.points & mask, return_inverse=True)
-    target = 2.0 ** -len(bits)
-    deviations = np.abs(np.bincount(inverse, weights=space.probabilities) - target)
-    best = int(np.argmax(deviations))
-    if uniq.size < (1 << len(bits)) and target > deviations[best]:
-        present = set(uniq.tolist())
-        for index in range(1 << len(bits)):
-            candidate = sum(1 << bit for j, bit in enumerate(bits) if (index >> j) & 1)
-            if candidate not in present:
-                return candidate
-    return int(uniq[best])
-
-
 def _bit_columns(space: SampleSpace) -> np.ndarray:
     """Row c holds coordinate c + 1 (bit n - 1 - c) of every support point."""
     columns = space.points >> np.arange(space.n - 1, -1, -1)[:, None]
@@ -142,15 +110,14 @@ def _bit_columns(space: SampleSpace) -> np.ndarray:
 
 
 def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
-    """Yield (subsets, worst deviation of each) over the subsets of one size.
+    """Yield the worst deviation of each subset of one size, a block at a time.
 
     Subsets come in itertools.combinations order, in blocks of at most
     MARGINAL_BLOCK_ELEMENTS (subset x point) pairs, and each block is one
     bincount over (subset, pattern) bins, the first coordinate the pattern's
     high bit.  A bin adds its weights in point order, as np.unique plus a
-    bincount of one subset's patterns does (_witness_pattern), so the
-    deviations are the same floats; an absent pattern sums to 0 and deviates
-    by the full 2^-size.
+    bincount of one subset's patterns does, so the deviations are the same
+    floats; an absent pattern sums to 0 and deviates by the full 2^-size.
     """
     subsets = combinations(range(space.n), size)
     rows = max(1, MARGINAL_BLOCK_ELEMENTS // max(space.points.size, 1 << size))
@@ -160,33 +127,29 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
         for j in range(size):
             index = (index << 1) | columns[block[:, j]]
         sums = np.bincount(index.ravel(), weights[: index.size], len(block) << size)
-        yield block, np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
+        yield np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
 
 
-def marginal_check(dist: Distribution, k: int) -> MarginalReport:
-    """Brute-force oracle over every coordinate set of size <= k.
+def marginal_check(dist: Distribution, k: int) -> float:
+    """Brute-force oracle: the largest deviation from uniformity over every
+    coordinate set of size <= k (0.0 when k = 0).
 
-    Returns the largest deviation from uniformity and a witness restriction:
-    the first subset, in (size, combination) order, that attains it.
+    Refused when any level 1..k costs more than MARGINAL_WORK_GUARD: the level
+    costs peak near size 2n/3, not at k.
     """
     n, space = dist.n, dist.space
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
-    if k > 0 and level_cost(n, k) > MARGINAL_WORK_GUARD:
+    if not marginal_affordable(n, k, math.inf):
         raise ResourceLimitError(
             f"marginal check at n={n}, k={k} exceeds the work guard"
         )
     columns = _bit_columns(space)
-    worst, combo = 0.0, ()
+    worst = 0.0
     for size in range(1, k + 1):
-        for block, devs in _level_deviations(space, columns, size):
-            best = int(np.argmax(devs))
-            if devs[best] > worst:
-                worst, combo = float(devs[best]), tuple(block[best].tolist())
-    bits = tuple(n - 1 - c for c in combo)  # () when nothing deviates
-    pattern = _witness_pattern(space, bits)
-    values = tuple((pattern >> b) & 1 for b in bits)
-    return MarginalReport(n, k, worst, tuple(c + 1 for c in combo), values)
+        for devs in _level_deviations(space, columns, size):
+            worst = max(worst, float(devs.max()))
+    return worst
 
 
 def marginal_order(dist: Distribution) -> int:
@@ -199,6 +162,6 @@ def marginal_order(dist: Distribution) -> int:
                 f"marginal order scan at n={n}, size={size} exceeds the work guard"
             )
         blocks = _level_deviations(space, columns, size)
-        if any((devs > MARGINAL_ZERO).any() for _, devs in blocks):
+        if any((devs > MARGINAL_ZERO).any() for devs in blocks):
             return size - 1
     return n

@@ -253,7 +253,7 @@ def verify_smoothing(
     marginal_dev = None
     oracle_limit = MARGINAL_WORK_LIMIT // z.space.support_size
     if order_before >= 1 and marginal_affordable(x.n, order_before, oracle_limit):
-        marginal_dev = marginal_check(z, order_before).max_deviation
+        marginal_dev = marginal_check(z, order_before)
         order_ok = order_ok and marginal_dev <= tol
     h_x = shannon_entropy(x.space)
     h_y = shannon_from_density(d)

@@ -13,8 +13,9 @@ gamma_m = m u / (1 - m u).  A sum of terms x_i evaluated by a tree of depth
 h is off by at most gamma_h * sum |x_i| (section 4.2): h = m - 1 for a
 left-to-right sum of m terms, about log2 m for numpy's pairwise sum, and
 h = n for each output of the length-2^n Walsh-Hadamard butterfly.  Dense
-vectors exist only for n <= 32 (cube.check_dimension), where
-gamma_n <= 3.6e-15.
+vectors exist only for n <= 26 (cube.DIMENSION_CAP, checked by
+cube.check_dimension).  The figures below are stated at n = 32, where
+gamma_n <= 3.6e-15, so they are upper bounds for every dense vector.
 """
 
 COEFF_ZERO = 1e-9
@@ -163,8 +164,8 @@ Bound: for a symmetric T and a unit u, some eigenvalue of T lies within
 Eigenvalue Problem*, Theorem 4.5.1), so a converged iteration is within
 1e-9 of an eigenvalue.  The eigenvalue that eigenvalue_threshold reads comes
 from balls.lambda_ball's bisection instead, within about 2 r u relative of
-the exact one (balls module docstring): at most 2.3e-13 at the cube's
-dimension cap n = 32, so the 1e-9 slack covers it many times over.  The
+the exact one (balls module docstring): at most 2.3e-13 at n = 32, above the
+cube's dimension cap, so the 1e-9 slack covers it many times over.  The
 radius itself is decided exactly, in integers, by balls.min_radius.
 """
 

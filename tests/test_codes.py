@@ -15,7 +15,6 @@ from kwisent.codes import (
     BinaryMatrix,
     LinearCode,
     SampleSpace,
-    check_column_independence,
     gf2_nullspace,
     gf2_rank,
     hamming_code,
@@ -114,29 +113,6 @@ def test_duality_invariants_across_constructions():
         for a in code.generator.rows:
             for b in dual.generator.rows:
                 assert (a & b).bit_count() % 2 == 0
-
-
-def test_column_independence_identity():
-    eye = BinaryMatrix(tuple(1 << i for i in range(4)), 4)
-    assert check_column_independence(eye, 4)
-
-
-def test_column_independence_hamming_parity_check():
-    check = hamming_parity_check(3)
-    assert check.shape == (3, 7)
-    assert check_column_independence(check, 2)
-    assert not check_column_independence(check, 3)
-
-
-def test_column_independence_zero_column():
-    mat = BinaryMatrix((0b110, 0b010), 3)  # coordinate 3 is all-zero
-    assert not check_column_independence(mat, 1)
-
-
-def test_column_independence_guard():
-    wide = BinaryMatrix(tuple([1] * 2), 40)
-    with pytest.raises(ResourceLimitError):
-        check_column_independence(wide, 20)
 
 
 def test_uniform_code_space_examples():
@@ -372,6 +348,7 @@ def test_sample_space_load_renormalizes_within_tolerance():
 
 def test_binary_matrix_round_trip_and_errors():
     mat = hamming_parity_check(3)
+    assert mat.shape == (3, 7)
     parsed = BinaryMatrix.from_text(mat.to_text())
     assert parsed == mat
     with pytest.raises(FormatError):

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kwisent
 from kwisent.cube import (
+    DIMENSION_CAP,
     CubeFunction,
     Density,
     Spectrum,
     adjacency_apply,
     convolve,
     convolve_direct,
-    dimension_cap,
     inner_product,
     inverse_wht,
     level_max_abs,
@@ -303,26 +306,30 @@ def test_validation_errors():
         convolve(uniform_density(3), uniform_density(4))
 
 
-def test_dimension_cap_env_override(monkeypatch):
+@pytest.mark.parametrize("raw", ["4", "0", "-3", "33", "1000"])
+def test_dimension_cap_ignores_the_environment(monkeypatch, raw):
+    # the cap is a constant: a KWISENT_MAX_N left in the environment changes nothing
     with pytest.raises(DimensionError):
-        CubeFunction(dimension_cap() + 1, np.zeros(4))  # size check after cap check
-    monkeypatch.setenv("KWISENT_MAX_N", "4")
-    assert dimension_cap() == 4
-    with pytest.raises(DimensionError):
-        uniform_density(5)
-
-
-@pytest.mark.parametrize("raw", ["0", "-3", "33", "1000"])
-def test_dimension_cap_env_override_range(monkeypatch, raw):
-    # subset_sizes builds uint32 masks, so no cap above 32 can work
+        CubeFunction(DIMENSION_CAP + 1, np.zeros(4))  # size check after cap check
     monkeypatch.setenv("KWISENT_MAX_N", raw)
-    with pytest.raises(DimensionError, match="KWISENT_MAX_N"):
-        dimension_cap()
-    with pytest.raises(DimensionError, match="KWISENT_MAX_N"):
-        uniform_density(3)
-    for ok in ("1", "32"):
-        monkeypatch.setenv("KWISENT_MAX_N", ok)
-        assert dimension_cap() == int(ok)
+    assert uniform_density(5).n == 5
+    with pytest.raises(DimensionError, match=r"dimension 27 outside supported range 1\.\.26$"):
+        point_mass_density(27)
+
+
+def test_package_reads_no_environment():
+    found = []
+    for path in sorted(Path(kwisent.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "getenv"}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 def test_values_are_immutable():

@@ -19,7 +19,6 @@ from kwisent.errors import ResourceLimitError
 from kwisent.tolerances import MARGINAL_ZERO
 from kwisent.kwise import (
     Distribution,
-    MarginalReport,
     density_from_space,
     independence_order,
     is_kwise,
@@ -78,22 +77,31 @@ def test_simplex7_order_two(simplex7):
 
 
 def test_marginal_check_examples(hamming7):
-    assert marginal_check(Distribution.from_space(uniform_space(5)), 3).max_deviation == 0.0
+    assert marginal_check(Distribution.from_space(uniform_space(5)), 3) == 0.0
 
-    assert marginal_check(hamming7, 3).max_deviation == 0.0
-    report = marginal_check(hamming7, 4)
-    assert report.max_deviation == pytest.approx(2.0**-4, abs=0.0)
-    assert len(report.worst_coordinates) == 4
+    assert marginal_check(hamming7, 3) == 0.0
+    assert marginal_check(hamming7, 4) == 2.0**-4
 
     biased = Distribution.from_space(biased_product_space(4, 0.6))
-    report = marginal_check(biased, 1)
-    assert report.max_deviation == pytest.approx(0.1, abs=1e-12)
+    assert marginal_check(biased, 1) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_marginal_check_guard():
     dist = Distribution.from_space(uniform_space(18))
     with pytest.raises(ResourceLimitError):
         marginal_check(dist, 9)
+
+
+def test_marginal_check_guard_reads_every_level():
+    # level costs C(n, j) 2^j peak near j = 2n/3, not at j = k
+    point = Distribution.from_space(point_space(12))
+    assert kwise.level_cost(12, 12) <= 10**5 < kwise.level_cost(12, 8)
+    with mock.patch.object(kwise, "MARGINAL_WORK_GUARD", 10**5):
+        with pytest.raises(ResourceLimitError, match="n=12, k=12 exceeds"):
+            marginal_check(point, 12)
+    # at the default guard, level 18 costs 2^18 but level 12 costs 7.6e7
+    with pytest.raises(ResourceLimitError, match="n=18, k=18 exceeds"):
+        marginal_check(Distribution.from_space(point_space(18)), 18)
 
 
 def test_code_independence_link(corpus):
@@ -151,57 +159,35 @@ def test_distribution_from_density_round_trip(hamming7):
     )
 
 
-# The per-subset scan the level-batched oracle replaced, kept whole as its
+# The per-subset scan the level-batched oracle replaced, kept as its
 # reference: one np.unique sort and one bincount per coordinate subset.
 
 
 def _subset_deviation_reference(space, mask, size):
-    patterns = space.points & mask
-    uniq, inverse = np.unique(patterns, return_inverse=True)
-    sums = np.bincount(inverse, weights=space.probabilities)
+    uniq, inverse = np.unique(space.points & mask, return_inverse=True)
     target = 2.0**-size
-    deviations = np.abs(sums - target)
-    best = int(np.argmax(deviations))
-    dev, pattern = float(deviations[best]), int(uniq[best])
-    if uniq.size < (1 << size) and target > dev:
-        return target, -1
-    return dev, pattern
-
-
-def _missing_pattern_reference(space, mask, bits):
-    present = set(int(p) for p in np.unique(space.points & mask))
-    for index in range(1 << len(bits)):
-        candidate = 0
-        for j, bit in enumerate(bits):
-            if (index >> j) & 1:
-                candidate |= 1 << bit
-        if candidate not in present:
-            return candidate
-    raise AssertionError("no pattern is missing")
+    dev = float(np.abs(np.bincount(inverse, weights=space.probabilities) - target).max())
+    if uniq.size < (1 << size):  # an absent pattern deviates by the full target
+        dev = max(dev, target)
+    return dev
 
 
 def marginal_check_by_subset_reference(dist, k):
     n = dist.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
-    if k > 0 and math.comb(n, k) * (1 << k) > kwise.MARGINAL_WORK_GUARD:
+    costs = [math.comb(n, size) * (1 << size) for size in range(1, k + 1)]
+    if max(costs, default=0) > kwise.MARGINAL_WORK_GUARD:
         raise ResourceLimitError(f"marginal check at n={n}, k={k} exceeds the work guard")
     space = dist.space
-    worst = (0.0, (), ())
+    worst = 0.0
     for size in range(1, k + 1):
         for combo in combinations(range(n), size):
-            bits = tuple(n - 1 - c for c in combo)
             mask = 0
-            for b in bits:
-                mask |= 1 << b
-            dev, pattern = _subset_deviation_reference(space, mask, size)
-            if dev > worst[0]:
-                if pattern < 0:
-                    pattern = _missing_pattern_reference(space, mask, bits)
-                coords = tuple(c + 1 for c in combo)
-                values = tuple((pattern >> b) & 1 for b in bits)
-                worst = (dev, coords, values)
-    return MarginalReport(n, k, worst[0], worst[1], worst[2])
+            for c in combo:
+                mask |= 1 << (n - 1 - c)
+            worst = max(worst, _subset_deviation_reference(space, mask, size))
+    return worst
 
 
 def marginal_order_by_subset_reference(dist, tol=MARGINAL_ZERO):
@@ -218,8 +204,7 @@ def marginal_order_by_subset_reference(dist, tol=MARGINAL_ZERO):
             mask = 0
             for c in combo:
                 mask |= 1 << (n - 1 - c)
-            dev, _ = _subset_deviation_reference(space, mask, size)
-            if dev > tol:
+            if _subset_deviation_reference(space, mask, size) > tol:
                 level_ok = False
                 break
         if not level_ok:
@@ -276,25 +261,21 @@ def test_level_batched_oracle_matches_per_subset_reference(dist, k, block, guard
     ):
         order = _outcome(marginal_order, dist)
         expected_order = _outcome(marginal_order_by_subset_reference, dist)
-        report = _outcome(marginal_check, dist, k)
+        deviation = _outcome(marginal_check, dist, k)
         expected = _outcome(marginal_check_by_subset_reference, dist, k)
     assert order == expected_order
-    if isinstance(expected, tuple):  # the same guard refused at the same level
-        assert report == expected
+    if isinstance(expected, tuple):  # the same guard refused with the same message
+        assert deviation == expected
         return
-    assert report.max_deviation.hex() == expected.max_deviation.hex()
-    assert report.worst_coordinates == expected.worst_coordinates
-    assert report.worst_pattern == expected.worst_pattern
-    assert (report.n, report.k) == (expected.n, expected.k)
+    assert deviation.hex() == expected.hex()
 
 
 def test_level_batched_oracle_on_hamming7_every_level(hamming7):
     for block in (1, 3, kwise.MARGINAL_BLOCK_ELEMENTS):
         with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block):
             for k in range(8):
-                assert marginal_check(hamming7, k) == marginal_check_by_subset_reference(
-                    hamming7, k
-                )
+                deviation = marginal_check(hamming7, k)
+                assert deviation.hex() == marginal_check_by_subset_reference(hamming7, k).hex()
             assert marginal_order(hamming7) == 3
 
 

@@ -3,9 +3,10 @@
 oracle, the ball eigenvalue and the radius search, one call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
-each n in 16, 20, 22 it reports the median wall time of repeated calls
-(time.perf_counter) and the peak memory one call allocates beyond its inputs
-(tracemalloc), also in units of one dense 2^n float vector.  The reader parses
+each n in 16, 20, 22 it reports the median and the quartiles of the wall
+times of repeated calls (time.perf_counter; statistics.quantiles) and the
+peak memory one call allocates beyond its inputs (tracemalloc), also in
+units of one dense 2^n float vector.  The reader parses
 a random 2^16-point space file, the support of the n = 20 benchmark code.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
@@ -93,8 +94,8 @@ def radial_kernels(quick: bool):
         yield "min_radius", n, {"k": k}, lambda n=n, k=k: min_radius(n, k)
 
 
-def measure(call, runs: int) -> tuple[float, int]:
-    """Median seconds over runs calls, and the peak bytes of one traced call."""
+def measure(call, runs: int) -> tuple[list[float], int]:
+    """Seconds of each of runs calls, and the peak bytes of one traced call."""
     call()  # warm-up: imports and numpy's first-use setup
     times = []
     for _ in range(runs):
@@ -107,7 +108,7 @@ def measure(call, runs: int) -> tuple[float, int]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times), peak
+    return times, peak
 
 
 def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
@@ -122,9 +123,12 @@ def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     for name, n, param, call in itertools.chain(
         dense, oracle_kernels(quick), radial_kernels(quick)
     ):
-        seconds, peak = measure(call, runs)
+        times, peak = measure(call, runs)
+        q1, median, q3 = statistics.quantiles(times, n=4)
         row = {"label": label, "kernel": name, "n": n, **param, "runs": runs}
-        row["median_ms"] = round(seconds * 1e3, 2)
+        row["median_ms"] = round(median * 1e3, 2)
+        row["q1_ms"] = round(q1 * 1e3, 2)
+        row["q3_ms"] = round(q3 * 1e3, 2)
         row["peak_mib"] = round(peak / 2**20, 2)
         if not param:
             row["peak_vectors"] = round(peak / (8 << n), 3)
@@ -166,6 +170,7 @@ def main(argv=None) -> int:
         vectors = f" ({row['peak_vectors']} vectors)" if "peak_vectors" in row else ""
         print(
             f"{row['kernel']:<22} {size:<12} {row['median_ms']:>10.2f} ms"
+            f" [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
             f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )
     if args.output:

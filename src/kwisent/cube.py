@@ -225,6 +225,7 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
 
 
 def uniform_density(n: int) -> Density:
+    check_dimension(n)
     return Density(n, np.ones(1 << n))
 
 

@@ -5,8 +5,9 @@ coordinates is uniform; equivalently, every Fourier coefficient on a
 nonempty set of size <= k vanishes.  Both criteria are implemented; the
 spectral scan is the fast path and the marginal enumeration is the oracle.
 The oracle still checks every marginal of every coordinate subset by
-definition; it takes each level's subsets a block at a time, one bincount
-per block, instead of one sort per subset.
+definition; it takes each level's subsets a block at a time and builds the
+block's (subset, pattern) bin index with one float64 matrix product, then
+sums the bins with one bincount, instead of one sort per subset.
 """
 
 from __future__ import annotations
@@ -103,9 +104,11 @@ def marginal_affordable(n: int, k: int, limit: int) -> bool:
 
 
 def _bit_columns(space: SampleSpace) -> np.ndarray:
-    """Row c holds coordinate c + 1 (bit n - 1 - c) of every support point."""
-    columns = space.points >> np.arange(space.n - 1, -1, -1)[:, None]
-    columns &= 1  # in place: a second n x m temporary raised the peak RSS
+    """Float64 rows: row c holds coordinate c + 1 (bit n - 1 - c) of every
+    support point, and row n holds ones."""
+    columns = np.ones((space.n + 1, space.points.size))
+    for c, row in enumerate(columns[:-1]):  # no n x m integer temporary
+        np.bitwise_and(space.points >> (space.n - 1 - c), 1, out=row)
     return columns
 
 
@@ -118,14 +121,26 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
     high bit.  A bin adds its weights in point order, as np.unique plus a
     bincount of one subset's patterns does, so the deviations are the same
     floats; an absent pattern sums to 0 and deviates by the full 2^-size.
+
+    The bin index is one float64 product place @ columns.  Row s of place
+    holds 2^(size-1-j) at the j-th coordinate of subset s, and s << size at
+    the ones row.  So each entry is a sum of distinct powers of two plus the
+    row offset: an integer below rows << size <= max(MARGINAL_BLOCK_ELEMENTS,
+    2^size).  Both callers refuse a level whose cost C(n, size) 2^size is
+    above MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD, and both
+    constants are below 2^53.  Every partial sum is then an integer that
+    float64 holds exactly, in any summation order, and the cast to intp is
+    exact.
     """
     subsets = combinations(range(space.n), size)
     rows = max(1, MARGINAL_BLOCK_ELEMENTS // max(space.points.size, 1 << size))
     weights = np.tile(space.probabilities, rows)
+    powers = 2.0 ** np.arange(size - 1, -1, -1)
     while (block := np.array(list(islice(subsets, rows)))).size:
-        index = np.arange(len(block))[:, None]  # the row, shifted above the pattern
-        for j in range(size):
-            index = (index << 1) | columns[block[:, j]]
+        place = np.zeros((len(block), space.n + 1))
+        place[np.arange(len(block))[:, None], block] = powers
+        place[:, -1] = np.arange(len(block)) << size  # the row, above the pattern
+        index = (place @ columns).astype(np.intp)
         sums = np.bincount(index.ravel(), weights[: index.size], len(block) << size)
         yield np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
 

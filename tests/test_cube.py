@@ -317,6 +317,19 @@ def test_dimension_cap_ignores_the_environment(monkeypatch, raw):
         point_mass_density(27)
 
 
+def test_uniform_density_refuses_before_allocating(monkeypatch):
+    # n = 20 would be an 8 MiB vector; the refusal must come first
+    monkeypatch.setattr(kwisent.cube, "DIMENSION_CAP", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match=r"dimension 20 outside supported range 1\.\.10$"):
+            uniform_density(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_package_reads_no_environment():
     found = []
     for path in sorted(Path(kwisent.__file__).parent.glob("*.py")):

@@ -279,6 +279,18 @@ def test_level_batched_oracle_on_hamming7_every_level(hamming7):
             assert marginal_order(hamming7) == 3
 
 
+def test_level_batched_oracle_one_subset_per_block():
+    # 2^15 bins of the one subset at level 15 exceed the block, so rows = 1
+    point = Distribution.from_space(point_space(15))
+    assert 1 << 15 > kwise.MARGINAL_BLOCK_ELEMENTS
+    assert marginal_check(point, 15).hex() == marginal_check_by_subset_reference(point, 15).hex()
+
+
+def test_bin_index_is_exact_in_float64():
+    # every product entry is an integer below this maximum (_level_deviations)
+    assert max(kwise.MARGINAL_BLOCK_ELEMENTS, kwise.MARGINAL_WORK_GUARD) < 2**53
+
+
 def test_level_cost_is_the_guarded_work():
     assert kwise.level_cost(15, 8) == math.comb(15, 8) << 8 == 1647360
     assert kwise.level_cost(18, 9) > kwise.MARGINAL_WORK_GUARD

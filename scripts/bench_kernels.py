@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
 """Time the dense cube kernels, the sample-space reader, the marginal
-oracle, the ball eigenvalue and the radius search, one call at a time.
+oracle, the smoothing chain, the ball eigenvalue and the radius search, one
+call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
 each n in 16, 20, 22 it reports the median and the quartiles of the wall
 times of repeated calls (time.perf_counter; statistics.quantiles) and the
 peak memory one call allocates beyond its inputs (tracemalloc), also in
-units of one dense 2^n float vector.  The reader parses
-a random 2^16-point space file, the support of the n = 20 benchmark code.
+units of one dense 2^n float vector, and the butterflies (full-length fast
+transforms) one call runs.  The wht and convolve rows transform plain cube
+functions, which are not cached, so every call runs its butterflies.  The
+reader parses a random 2^16-point space file, the support of the n = 20
+benchmark code.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
-marginal order 7).  The radial rows time balls.lambda_ball at (n, r) =
+marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
+on the Hamming code of length 15 and on a random n = 20 code with 2^16
+points (marginal order 5).  The radial rows time balls.lambda_ball at (n, r) =
 (48, 24), (192, 40), (400, 200), the eigenvalue that bound and spectra
 print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, one row of the rest, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 chain, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -41,6 +47,7 @@ from pathlib import Path
 SIZES = (16, 20, 22)
 SUPPORT = 1 << 16
 RUNS = 7
+RADIAL = ("lambda_ball", "min_radius")
 
 
 def kernels(n: int, rng):
@@ -79,6 +86,32 @@ def oracle_kernels(quick: bool):
         yield "marginal_order", code.n, {}, lambda dist=dist: marginal_order(dist)
 
 
+def random_code_20():
+    """A random length-20 code of dimension 16 whose dual has distance >= 6."""
+    import numpy as np
+
+    from kwisent.codes import BinaryMatrix, LinearCode
+
+    rng = np.random.default_rng(20)
+    while True:
+        rows = tuple(int(r) for r in rng.integers(1, 1 << 20, size=4))
+        dual = LinearCode(20, BinaryMatrix(rows, 20))
+        if dual.dimension == 4 and dual.min_distance() >= 6:
+            return dual.dual()
+
+
+def chain_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for smoothing_chain."""
+    from kwisent.codes import hamming_code, uniform_code_space
+    from kwisent.kwise import Distribution
+    from kwisent.smoothing import smoothing_chain
+
+    codes = [hamming_code(4)] if quick else [hamming_code(4), random_code_20()]
+    for code in codes:
+        dist = Distribution.from_space(uniform_code_space(code))
+        yield "smoothing_chain", code.n, {"k": 3}, lambda dist=dist: smoothing_chain(dist, 3)
+
+
 def radial_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for the ball eigenvalue
     and the radius search."""
@@ -111,6 +144,24 @@ def measure(call, runs: int) -> tuple[list[float], int]:
     return times, peak
 
 
+def butterflies(call) -> int:
+    """Full-length butterflies (cube._fwht calls) that one call runs."""
+    from kwisent import cube
+
+    fwht, count = cube._fwht, []
+
+    def counted(v):
+        count.append(v.size)
+        return fwht(v)
+
+    cube._fwht = counted
+    try:
+        call()
+    finally:
+        cube._fwht = fwht
+    return len(count)
+
+
 def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     import numpy as np
 
@@ -121,7 +172,7 @@ def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     )
     out = []
     for name, n, param, call in itertools.chain(
-        dense, oracle_kernels(quick), radial_kernels(quick)
+        dense, oracle_kernels(quick), chain_kernels(quick), radial_kernels(quick)
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
@@ -130,8 +181,9 @@ def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
         row["q1_ms"] = round(q1 * 1e3, 2)
         row["q3_ms"] = round(q3 * 1e3, 2)
         row["peak_mib"] = round(peak / 2**20, 2)
-        if not param:
+        if name not in RADIAL:
             row["peak_vectors"] = round(peak / (8 << n), 3)
+            row["butterflies"] = butterflies(call)
         out.append(row)
     return out
 
@@ -167,7 +219,9 @@ def main(argv=None) -> int:
     new = rows(sizes, runs, args.label, args.quick)
     for row in new:
         size = f"n={row['n']}" + "".join(f" {key}={row[key]}" for key in ("r", "k") if key in row)
-        vectors = f" ({row['peak_vectors']} vectors)" if "peak_vectors" in row else ""
+        vectors = ""
+        if "peak_vectors" in row:
+            vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
         print(
             f"{row['kernel']:<22} {size:<12} {row['median_ms']:>10.2f} ms"
             f" [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"

@@ -142,7 +142,10 @@ def construct(kind, m, n, matrix_path, output):
     type=int,
     default=MARGINAL_WORK_LIMIT,
     show_default=True,
-    help="Work cap for the brute-force marginal cross-check (0 disables it).",
+    help=(
+        "Work cap for the brute-force marginal cross-check, in subsets x "
+        "(support + 2^size) summed over its levels (0 disables it)."
+    ),
 )
 @click.pass_context
 def analyze(ctx, space_file, fmt, output, marginal_limit):
@@ -152,7 +155,7 @@ def analyze(ctx, space_file, fmt, output, marginal_limit):
     oracle_order = None
     # marginal_order scans levels 1..order + 1 when it agrees with the
     # spectral order; one of them above the oracle's own guard skips it.
-    if marginal_affordable(dist.n, min(report["order"] + 1, dist.n), marginal_limit):
+    if marginal_affordable(dist, min(report["order"] + 1, dist.n), marginal_limit):
         oracle_order = marginal_order(dist)
     _emit(render({"marginal_order": oracle_order, **report}, fmt), output)
     failed = any(slack < -ENTROPY_SLACK for slack in certified_slacks(report).values())

@@ -50,7 +50,9 @@ def _frozen_vector(raw, n: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite (no NaN or infinity)")
-    if vals is raw and vals.flags.writeable:
+    # Keep only an array that owns its data and that the caller cannot
+    # write: a view aliases its base, which may still change.
+    if not vals.flags.owndata or (vals is raw and vals.flags.writeable):
         vals = vals.copy()
     vals.setflags(write=False)
     return vals
@@ -152,10 +154,22 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 
 def wht(f: CubeFunction) -> Spectrum:
-    """Forward transform; the 1/2^n factor is applied once at the end."""
+    """Forward transform; the 1/2^n factor is applied once at the end.
+
+    A Density is transformed once: its spectrum is kept on the frozen
+    instance and every later call returns that same read-only Spectrum.  Any
+    other CubeFunction (the adjacency kernel, a convolution) is transformed
+    on every call, so that its spectrum is freed with the call's result.
+    """
+    cached = vars(f).get("_spectrum")
+    if cached is not None:
+        return cached
     a = _fwht(f.values)
     a /= f.size
-    return Spectrum(f.n, _frozen(a))
+    spectrum = Spectrum(f.n, _frozen(a))
+    if isinstance(f, Density):
+        object.__setattr__(f, "_spectrum", spectrum)
+    return spectrum
 
 
 def inverse_wht(s: Spectrum) -> CubeFunction:

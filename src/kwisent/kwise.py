@@ -23,11 +23,13 @@ from .cube import Density, Spectrum, check_dimension, level_max_abs, wht
 from .errors import ResourceLimitError
 from .tolerances import COEFF_ZERO, MARGINAL_ZERO, PRUNE_RELATIVE, TOTAL_MASS
 
+# Most (subset, pattern) bins the oracle may hold for one level.
 MARGINAL_WORK_GUARD = 10**7
-# Default total work for an optional run of the marginal oracle: the
-# default of `analyze --marginal-limit`, and verify_smoothing's limit (which
-# divides it by the smoothed support size, since each subset reads every point).
-MARGINAL_WORK_LIMIT = 10**6
+# Default total work, in level_cost units, for an optional run of the
+# marginal oracle: the default of `analyze --marginal-limit`, and
+# verify_smoothing's limit.  Hamming n=15 (2,048 points, levels 1..8) costs
+# 5.0 x 10^7 units and takes about 0.2 s, so the limit is about 0.4 s.
+MARGINAL_WORK_LIMIT = 10**8
 MARGINAL_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -91,16 +93,27 @@ def is_kwise(dist: Distribution, k: int) -> bool:
     return independence_order(dist) >= k
 
 
-def level_cost(n: int, size: int) -> int:
-    """Marginal oracle work at one level: C(n, size) subsets x 2^size patterns."""
+def level_bins(n: int, size: int) -> int:
+    """(subset, pattern) bins of one level: C(n, size) subsets x 2^size patterns."""
     return math.comb(n, size) << size
 
 
-def marginal_affordable(n: int, k: int, limit: int) -> bool:
+def level_cost(n: int, size: int, support: int) -> int:
+    """Marginal oracle work at one level: each of the C(n, size) subsets reads
+    every support point once and then its 2^size bins."""
+    return math.comb(n, size) * support + level_bins(n, size)
+
+
+def marginal_affordable(dist: Distribution, k: int, limit: float) -> bool:
     """Whether the marginal oracle over levels 1..k fits a work limit: the
-    level costs sum to at most limit and none is above MARGINAL_WORK_GUARD."""
-    costs = [level_cost(n, size) for size in range(1, k + 1)]
-    return sum(costs) <= limit and max(costs, default=0) <= MARGINAL_WORK_GUARD
+    level costs sum to at most limit and no level has more bins than
+    MARGINAL_WORK_GUARD."""
+    n, support = dist.n, dist.space.support_size
+    levels = range(1, k + 1)
+    return (
+        sum(level_cost(n, size, support) for size in levels) <= limit
+        and max((level_bins(n, size) for size in levels), default=0) <= MARGINAL_WORK_GUARD
+    )
 
 
 def _bit_columns(space: SampleSpace) -> np.ndarray:
@@ -126,8 +139,8 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
     holds 2^(size-1-j) at the j-th coordinate of subset s, and s << size at
     the ones row.  So each entry is a sum of distinct powers of two plus the
     row offset: an integer below rows << size <= max(MARGINAL_BLOCK_ELEMENTS,
-    2^size).  Both callers refuse a level whose cost C(n, size) 2^size is
-    above MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD, and both
+    2^size).  Both callers refuse a level whose C(n, size) 2^size bins are
+    more than MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD, and both
     constants are below 2^53.  Every partial sum is then an integer that
     float64 holds exactly, in any summation order, and the cast to intp is
     exact.
@@ -149,13 +162,13 @@ def marginal_check(dist: Distribution, k: int) -> float:
     """Brute-force oracle: the largest deviation from uniformity over every
     coordinate set of size <= k (0.0 when k = 0).
 
-    Refused when any level 1..k costs more than MARGINAL_WORK_GUARD: the level
-    costs peak near size 2n/3, not at k.
+    Refused when any level 1..k has more bins than MARGINAL_WORK_GUARD: the
+    level bins peak near size 2n/3, not at k.
     """
     n, space = dist.n, dist.space
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
-    if not marginal_affordable(n, k, math.inf):
+    if not marginal_affordable(dist, k, math.inf):
         raise ResourceLimitError(
             f"marginal check at n={n}, k={k} exceeds the work guard"
         )
@@ -172,7 +185,7 @@ def marginal_order(dist: Distribution) -> int:
     n, space = dist.n, dist.space
     columns = _bit_columns(space)
     for size in range(1, n + 1):
-        if level_cost(n, size) > MARGINAL_WORK_GUARD:
+        if level_bins(n, size) > MARGINAL_WORK_GUARD:
             raise ResourceLimitError(
                 f"marginal order scan at n={n}, size={size} exceeds the work guard"
             )

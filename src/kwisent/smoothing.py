@@ -239,9 +239,9 @@ def verify_smoothing(
     """Check the three facts the smoothing step relies on.
 
     (a) the independence order does not drop (coefficients multiply, so
-    zeros stay zeros), confirmed by the marginal oracle, within tol, when
-    its work fits MARGINAL_WORK_LIMIT: the oracle reads every support point
-    of Z once per subset, so the limit is divided by Z's support size;
+    zeros stay zeros), confirmed by the marginal oracle on Z, within tol,
+    when its work (kwise.level_cost, which counts Z's support) fits
+    MARGINAL_WORK_LIMIT;
     (b) H(X) + H(Y) >= H(Z) within tol; (c) the spectral convolution agrees
     with the literal double sum pointwise, within pointwise_tol.
     """
@@ -251,8 +251,7 @@ def verify_smoothing(
     order_after = independence_order(z)
     order_ok = order_after >= order_before
     marginal_dev = None
-    oracle_limit = MARGINAL_WORK_LIMIT // z.space.support_size
-    if order_before >= 1 and marginal_affordable(x.n, order_before, oracle_limit):
+    if order_before >= 1 and marginal_affordable(z, order_before, MARGINAL_WORK_LIMIT):
         marginal_dev = marginal_check(z, order_before)
         order_ok = order_ok and marginal_dev <= tol
     h_x = shannon_entropy(x.space)
@@ -350,26 +349,27 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
     lam = ball.lam
+    # f, d and g are Densities, so wht transforms each once (f's spectrum is
+    # x.spectrum) and d's spectrum stays alive.  To keep the peak memory where
+    # it was, d * f is not bound to a name: it is freed before the right side
+    # of the associativity check, where the peak is.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)
-    spectrum_g = wht(g)
+    per_level_g = level_max_abs(wht(g))
+    order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
     second = inner_product(g, g)
     ray = inner_product(adjacency_apply(g), g)
     upper = n + (n - 2 * k) * second
     lower = lam * second
 
     kernel = weight_one_indicator(n)
-    df = convolve(d, f)
-    assoc_left = inner_product(convolve(kernel, df), g)
+    assoc_left = inner_product(convolve(kernel, convolve(d, f)), g)
     assoc_right = inner_product(convolve(convolve(kernel, d), f), g)
+    del kernel
 
-    ad = adjacency_apply(d)
-    pointwise_margin = float(np.max(lam * d.values - ad.values))
+    pointwise_margin = float(np.max(lam * d.values - adjacency_apply(d).values))
     pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.values.max()))
-
-    per_level_g = level_max_abs(spectrum_g)
-    order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
 
     h_x = shannon_entropy(x.space)
     h_y = shannon_from_density(d)

@@ -105,14 +105,16 @@ def test_analyze_skips_marginal_oracle_above_its_guard(tmp_path, runner, monkeyp
     assert json.loads(result.stdout)["marginal_order"] is None
 
 
-def test_analyze_runs_the_oracle_on_hamming15_with_a_raised_limit(tmp_path, runner):
-    # levels 1..8 cost 2,913,386 in all: skipped at the default limit, run here
+def test_analyze_runs_the_oracle_on_hamming15_by_default(tmp_path, runner):
+    # levels 1..8 cost 49,644,650 units at 2,048 points: run at the default
+    # limit of 10^8, skipped one unit below the cost
     path = write_space(tmp_path, runner, "hamming", "--m", "4")
-    result = invoke(runner, "analyze", str(path), "--marginal-limit", "5000000")
+    result = invoke(runner, "analyze", str(path))
     assert result.exit_code == 0, result.output
     assert "marginal_order: 7\n" in result.output and "order: 7\n" in result.output
-    default = invoke(runner, "analyze", str(path), "--format", "json")
-    assert json.loads(default.stdout)["marginal_order"] is None
+    for limit, expect in (("49644650", 7), ("49644649", None), ("5000000", None)):
+        capped = invoke(runner, "analyze", str(path), "--format", "json", "--marginal-limit", limit)
+        assert json.loads(capped.stdout)["marginal_order"] == expect, limit
 
 
 def test_analyze_rejects_bad_probability_sum(tmp_path, runner):

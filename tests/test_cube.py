@@ -349,3 +349,25 @@ def test_values_are_immutable():
     f = uniform_density(3)
     with pytest.raises(ValueError):
         f.values[0] = 2.0
+
+
+def test_values_copy_a_read_only_view_of_a_writeable_base():
+    base = np.ones(8)
+    view = base[:]
+    view.setflags(write=False)
+    f, d = CubeFunction(3, view), Density(3, view)
+    spectrum = wht(d)
+    base[0] = 9.0
+    assert f.values[0] == d.values[0] == 1.0
+    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_density(3)).coeffs)
+    # a computed result owns its data and is read-only: wrapping it copies nothing
+    coeffs = wht(f).coeffs
+    assert Spectrum(3, coeffs).coeffs is coeffs
+
+
+def test_wht_transforms_a_density_once():
+    d = uniform_density(4)
+    assert wht(d) is wht(d)
+    np.testing.assert_array_equal(wht(d).coeffs, wht(CubeFunction(4, d.values)).coeffs)
+    kernel = weight_one_indicator(4)
+    assert wht(kernel) is not wht(kernel)

@@ -93,9 +93,9 @@ def test_marginal_check_guard():
 
 
 def test_marginal_check_guard_reads_every_level():
-    # level costs C(n, j) 2^j peak near j = 2n/3, not at j = k
+    # level bins C(n, j) 2^j peak near j = 2n/3, not at j = k
     point = Distribution.from_space(point_space(12))
-    assert kwise.level_cost(12, 12) <= 10**5 < kwise.level_cost(12, 8)
+    assert kwise.level_bins(12, 12) <= 10**5 < kwise.level_bins(12, 8)
     with mock.patch.object(kwise, "MARGINAL_WORK_GUARD", 10**5):
         with pytest.raises(ResourceLimitError, match="n=12, k=12 exceeds"):
             marginal_check(point, 12)
@@ -292,6 +292,23 @@ def test_bin_index_is_exact_in_float64():
 
 
 def test_level_cost_is_the_guarded_work():
-    assert kwise.level_cost(15, 8) == math.comb(15, 8) << 8 == 1647360
-    assert kwise.level_cost(18, 9) > kwise.MARGINAL_WORK_GUARD
-    assert kwise.level_cost(5, 0) == 1
+    # the limit counts subsets x (support + 2^size); the guard caps bins
+    assert kwise.level_cost(15, 8, 2048) == math.comb(15, 8) * (2048 + 256) == 14826240
+    assert kwise.level_bins(15, 8) == math.comb(15, 8) << 8 == 1647360
+    assert kwise.level_bins(18, 9) > kwise.MARGINAL_WORK_GUARD
+    assert kwise.level_cost(5, 0, 1) == 2 and kwise.level_bins(5, 0) == 1
+
+
+def test_oracle_limit_counts_the_support(hamming15):
+    # analyze scans levels 1..8 of Hamming n=15: 4.96e7 units at 2,048 points
+    cost = sum(math.comb(15, j) * (2048 + (1 << j)) for j in range(1, 9))
+    assert cost == 49644650
+    assert kwise.marginal_affordable(hamming15, 8, cost)
+    assert not kwise.marginal_affordable(hamming15, 8, cost - 1)
+    assert kwise.marginal_affordable(hamming15, 8, kwise.MARGINAL_WORK_LIMIT)
+    # the same levels on a point mass: 22,818 subsets of one point, 2,913,386 bins
+    point = Distribution.from_space(point_space(15))
+    assert kwise.marginal_affordable(point, 8, 22818 + 2913386)
+    assert not kwise.marginal_affordable(point, 8, 22818 + 2913385)
+    # a level of more than MARGINAL_WORK_GUARD bins is refused at any limit
+    assert not kwise.marginal_affordable(Distribution.from_space(point_space(18)), 9, math.inf)

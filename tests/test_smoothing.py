@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kwisent.cube
 from conftest import random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound
 from kwisent.codes import point_space, uniform_space
-from kwisent.cube import convolve, inner_product
+from kwisent.cube import convolve, inner_product, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import Distribution, independence_order
 from kwisent.smoothing import (
@@ -81,13 +83,13 @@ def test_verify_smoothing_hamming7(hamming7):
     assert report.all_passed
     assert report.order_after >= 3
     assert report.max_convolution_error <= 1e-10
-    assert report.marginal_deviation is not None  # levels 1..3 cost 378 <= 10**6 // 128
+    assert report.marginal_deviation is not None  # levels 1..3 cost 8,442 units at 128 points
     assert report.shannon_x + report.shannon_y >= report.shannon_z - 1e-9
 
 
 def test_verify_smoothing_skips_the_oracle_on_a_large_smoothed_support(monkeypatch):
     # order 7 at n = 14; smoothed at r = 2 it covers all 16,384 points, so the
-    # oracle's work is subsets x points and would take over a second.
+    # oracle's work is subsets x points (1.6e8 units) and would take over a second.
     x = random_halfwise_distribution(14, np.random.default_rng(5))
     ball = lambda_ball(14, 2)
 
@@ -100,6 +102,12 @@ def test_verify_smoothing_skips_the_oracle_on_a_large_smoothed_support(monkeypat
     assert time.perf_counter() - started < 1.0  # convolve_direct alone takes about 0.2 s
     assert report.order_before == 7 and report.marginal_deviation is None
     assert report.all_passed
+
+
+def test_verify_smoothing_runs_the_oracle_on_uniform8(uniform8):
+    # acceptance criterion 5's uniform input: levels 1..8 cost 71,840 units
+    for r in (1, 2, 3):
+        assert verify_smoothing(uniform8, lambda_ball(8, r)).marginal_deviation == 0.0
 
 
 def test_verify_smoothing_point_mass_equality_case():
@@ -247,3 +255,34 @@ def test_check_line_and_report_serialization(hamming7):
     assert text.count("PASS") == len(report.lines) + 1
     header, row = render(report.as_dict(), "csv").splitlines()
     assert len(row.split(",")) == len(header.split(","))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_smoothing_chain_runs_eleven_butterflies(hamming15, monkeypatch, k):
+    # f's spectrum is x.spectrum and d's is computed once: 16 transforms less 5
+    fwht, calls = kwisent.cube._fwht, []
+
+    def counted(v):
+        calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    assert smoothing_chain(hamming15, k).passed
+    assert calls == [1 << 15] * 11
+
+
+def test_distribution_spectrum_is_the_density_transform(hamming15):
+    assert wht(hamming15.density) is hamming15.spectrum
+    clean = Distribution.from_density(hamming15.density)
+    assert wht(clean.density) is clean.spectrum
+
+
+def test_smoothing_chain_peak_memory(hamming15):
+    smoothing_chain(hamming15, 3)  # warm-up: lazy imports and cached index tables
+    tracemalloc.start()
+    try:
+        smoothing_chain(hamming15, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * (8 << 15)  # 9.8 dense vectors of 2^15 floats

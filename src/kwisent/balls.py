@@ -37,7 +37,7 @@ never to replace it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -69,8 +69,8 @@ class BallSpectrum:
     exactly.
     radial_profile holds the positive eigenfunction by weight class, scaled
     to maximum 1, computed on first read; density() lifts it to a mean-1
-    cube density supported on the ball (only possible below the cube
-    dimension cap).
+    cube density supported on the ball, built on the first call and kept
+    (only possible below the cube dimension cap).
     """
 
     n: int
@@ -78,20 +78,21 @@ class BallSpectrum:
     lam: float
     iterations: int
     residual: float
-    _density: Density | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def radial_profile(self) -> np.ndarray:
         return _perron_profile(self.n, self.r)
 
     def density(self) -> Density:
-        if self._density is None:
-            check_dimension(self.n)
-            padded = np.zeros(self.n + 1)
-            padded[: self.r + 1] = self.radial_profile
-            vals = padded[subset_sizes(self.n)]
-            self._density = Density(self.n, vals / vals.mean())
         return self._density
+
+    @cached_property
+    def _density(self) -> Density:
+        check_dimension(self.n)
+        padded = np.zeros(self.n + 1)
+        padded[: self.r + 1] = self.radial_profile
+        vals = padded[subset_sizes(self.n)]
+        return Density(self.n, vals / vals.mean())
 
     def as_dict(self) -> dict:
         """The spectra report row: the eigenvalue next to its leading term."""

@@ -24,23 +24,6 @@ from .codes import SampleSpace
 from .cube import Density
 from .kwise import Distribution, independence_order
 
-__all__ = [
-    "shannon_entropy",
-    "renyi2_entropy",
-    "binary_entropy",
-    "shannon_from_density",
-    "renyi2_from_density",
-    "halfwise_entropy_bound",
-    "binomial_entropy_bound",
-    "smoothed_entropy_bound",
-    "asymptotic_entropy_leading_term",
-    "halfwise_applies",
-    "entropy_at_radius",
-    "evaluate",
-    "certified_slacks",
-    "bound_row",
-]
-
 
 def shannon_entropy(space: SampleSpace) -> float:
     """H = -sum p log2 p over the support; zero-probability terms drop out."""
@@ -105,33 +88,9 @@ def halfwise_applies(n: int, k: int) -> bool:
     return 2 * k > n
 
 
-def _smoothing_radius(n: int, k: int) -> int | None:
-    """r* behind smoothed_entropy_bound, or None where that bound does not apply."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if halfwise_applies(n, k):
-        return None
-    r = min_radius(n, k)
-    return None if 2 * r > n else r
-
-
 def entropy_at_radius(n: int, r: int) -> float:
     """n - n H(r/n) - log2 n: the smoothing bound's value at radius r."""
     return n - n * binary_entropy(r / n) - math.log2(n)
-
-
-def smoothed_entropy_bound(n: int, k: int) -> float | None:
-    """n - n H(r*/n) - log2 n for a (k-1)-wise independent distribution.
-
-    r* is the smallest radius whose exact ball eigenvalue reaches
-    n - 2k + 1.  Only the regime k <= n/2 is certified (the coefficient
-    n - 2k must be nonnegative for the spectral upper bound, and the
-    binomial-sum entropy cap needs r* <= n/2); outside it, or when no
-    radius <= n/2 qualifies, the bound is not applicable and None is
-    returned.
-    """
-    r = _smoothing_radius(n, k)
-    return None if r is None else entropy_at_radius(n, r)
 
 
 def asymptotic_entropy_leading_term(n: int, k: int) -> float:
@@ -155,10 +114,20 @@ def _order_bounds(n: int, order: int) -> tuple[float | None, float]:
 
 
 def _smoothing_terms(n: int, k: int) -> tuple[int | None, float | None, float | None]:
-    """r*, its ball eigenvalue and the smoothing bound at k, all None where
-    that bound does not apply."""
-    r = _smoothing_radius(n, k)
-    if r is None:
+    """r*, its ball eigenvalue and the smoothing bound n - n H(r*/n) - log2 n
+    for a (k-1)-wise independent distribution, all None where that bound
+    does not apply.
+
+    r* is the smallest radius whose exact ball eigenvalue reaches
+    n - 2k + 1.  Only the regime k <= n/2 is certified (the coefficient
+    n - 2k must be nonnegative for the spectral upper bound, and the
+    binomial-sum entropy cap needs r* <= n/2); outside it, or when no
+    radius <= n/2 qualifies, the bound does not apply.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    r = None if halfwise_applies(n, k) else min_radius(n, k)
+    if r is None or 2 * r > n:
         return None, None, None
     return r, lambda_ball(n, r).lam, entropy_at_radius(n, r)
 

@@ -137,25 +137,15 @@ def construct(kind, m, n, matrix_path, output):
 @click.argument("space_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--format", "fmt", type=FORMAT_CHOICE, default="text", show_default=True)
 @click.option("--output", "-o", default="-")
-@click.option(
-    "--marginal-limit",
-    type=int,
-    default=MARGINAL_WORK_LIMIT,
-    show_default=True,
-    help=(
-        "Work cap for the brute-force marginal cross-check, in subsets x "
-        "(support + 2^size) summed over its levels (0 disables it)."
-    ),
-)
 @click.pass_context
-def analyze(ctx, space_file, fmt, output, marginal_limit):
+def analyze(ctx, space_file, fmt, output):
     """Independence order, entropies, and every applicable bound with slack."""
     dist = _load_distribution(space_file)
     report = evaluate(dist)
     oracle_order = None
     # marginal_order scans levels 1..order + 1 when it agrees with the
     # spectral order; one of them above the oracle's own guard skips it.
-    if marginal_affordable(dist, min(report["order"] + 1, dist.n), marginal_limit):
+    if marginal_affordable(dist, min(report["order"] + 1, dist.n), MARGINAL_WORK_LIMIT):
         oracle_order = marginal_order(dist)
     _emit(render({"marginal_order": oracle_order, **report}, fmt), output)
     failed = any(slack < -ENTROPY_SLACK for slack in certified_slacks(report).values())

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import cube
 from .errors import DimensionError, FormatError, ResourceLimitError
 from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
@@ -345,9 +346,9 @@ def _float_or_nan(text: str) -> float:
 
 def uniform_code_space(code: LinearCode) -> SampleSpace:
     """Uniform distribution on the codewords (2^-dimension each)."""
-    if code.dimension > 26:
+    if code.dimension > cube.DIMENSION_CAP:
         raise DimensionError(
-            f"code dimension {code.dimension} exceeds the enumeration cap of 26"
+            f"code dimension {code.dimension} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
         )
     words = code.codewords()
     probs = np.full(words.size, 1.0 / words.size)
@@ -360,9 +361,9 @@ def parity_sampler_space(matrix: BinaryMatrix) -> SampleSpace:
     Dependent rows merge; the result carries probability 2^-rank per point.
     """
     basis = matrix.row_space_basis()
-    if len(basis) > 26:
+    if len(basis) > cube.DIMENSION_CAP:
         raise DimensionError(
-            f"row space rank {len(basis)} exceeds the enumeration cap of 26"
+            f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
         )
     code = LinearCode(matrix.cols, BinaryMatrix(basis, matrix.cols))
     return uniform_code_space(code)
@@ -370,12 +371,12 @@ def parity_sampler_space(matrix: BinaryMatrix) -> SampleSpace:
 
 def uniform_space(n: int) -> SampleSpace:
     """Uniform distribution on all of {0,1}^n."""
-    if n > 26:
-        raise DimensionError(f"dimension {n} exceeds the enumeration cap of 26")
+    if n > cube.DIMENSION_CAP:
+        raise DimensionError(f"dimension {n} exceeds the enumeration cap of {cube.DIMENSION_CAP}")
     points = np.arange(1 << n, dtype=np.int64)
     return SampleSpace(n, points, np.full(1 << n, 1.0 / (1 << n)))
 
 
-def point_space(n: int, point: int = 0) -> SampleSpace:
-    """The distribution concentrated on one mask (the origin by default)."""
-    return SampleSpace(n, np.asarray([point], dtype=np.int64), np.asarray([1.0]))
+def point_space(n: int) -> SampleSpace:
+    """The distribution concentrated on the origin."""
+    return SampleSpace(n, np.zeros(1, dtype=np.int64), np.ones(1))

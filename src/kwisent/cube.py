@@ -42,18 +42,29 @@ def subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
+class _Fresh:
+    """A vector the package has just computed and shares with no one:
+    CubeFunction and Spectrum take it over without a copy."""
+
+    __slots__ = ("vals",)
+
+    def __init__(self, vals: np.ndarray):
+        self.vals = vals
+
+
 def _frozen_vector(raw, n: int) -> np.ndarray:
-    vals = np.asarray(raw, dtype=np.float64)
+    """A checked, read-only float64 vector.
+
+    Anything a caller passes in is copied, so no array the caller holds, a
+    read-only one included, can change it later; a _Fresh vector is not.
+    """
+    vals = raw.vals if isinstance(raw, _Fresh) else np.array(raw, dtype=np.float64)
     if vals.shape != (1 << n,):
         raise DimensionError(
             f"expected vector of length 2^{n} = {1 << n}, got shape {vals.shape}"
         )
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite (no NaN or infinity)")
-    # Keep only an array that owns its data and that the caller cannot
-    # write: a view aliases its base, which may still change.
-    if not vals.flags.owndata or (vals is raw and vals.flags.writeable):
-        vals = vals.copy()
     vals.setflags(write=False)
     return vals
 
@@ -97,12 +108,6 @@ class Spectrum:
     def __post_init__(self):
         check_dimension(self.n)
         object.__setattr__(self, "coeffs", _frozen_vector(self.coeffs, self.n))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """Mark a freshly computed vector read-only, so wrapping it copies nothing."""
-    a.setflags(write=False)
-    return a
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, h: int) -> None:
@@ -166,7 +171,7 @@ def wht(f: CubeFunction) -> Spectrum:
         return cached
     a = _fwht(f.values)
     a /= f.size
-    spectrum = Spectrum(f.n, _frozen(a))
+    spectrum = Spectrum(f.n, _Fresh(a))
     if isinstance(f, Density):
         object.__setattr__(f, "_spectrum", spectrum)
     return spectrum
@@ -174,7 +179,7 @@ def wht(f: CubeFunction) -> Spectrum:
 
 def inverse_wht(s: Spectrum) -> CubeFunction:
     """Reconstruct f(x) = sum_S coeff(S) * (-1)^popcount(S & x)."""
-    return CubeFunction(s.n, _frozen(_fwht(s.coeffs)))
+    return CubeFunction(s.n, _Fresh(_fwht(s.coeffs)))
 
 
 def _same_dimension(f: CubeFunction, g: CubeFunction) -> None:
@@ -186,7 +191,7 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """(f * g)(x) = 2^-n sum_y f(y) g(y ^ x), via the spectral product."""
     _same_dimension(f, g)
     prod = wht(f).coeffs * wht(g).coeffs
-    return CubeFunction(f.n, _frozen(_fwht(prod)))
+    return CubeFunction(f.n, _Fresh(_fwht(prod)))
 
 
 def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:
@@ -221,7 +226,7 @@ def adjacency_apply(f: CubeFunction) -> CubeFunction:
         h = 1 << i
         pairs = out.reshape(-1, 2, h)
         pairs += f.values.reshape(-1, 2, h)[:, ::-1]  # x picks up f(x ^ e_i)
-    return CubeFunction(f.n, _frozen(out))
+    return CubeFunction(f.n, _Fresh(out))
 
 
 def level_profile(s: Spectrum) -> np.ndarray:
@@ -243,13 +248,11 @@ def uniform_density(n: int) -> Density:
     return Density(n, np.ones(1 << n))
 
 
-def point_mass_density(n: int, point: int = 0) -> Density:
-    """Density of the distribution concentrated on a single mask."""
+def point_mass_density(n: int) -> Density:
+    """Density of the distribution concentrated on the origin."""
     check_dimension(n)
-    if not 0 <= point < (1 << n):
-        raise ValueError(f"point {point} outside cube of dimension {n}")
     vals = np.zeros(1 << n)
-    vals[point] = float(1 << n)
+    vals[0] = float(1 << n)
     return Density(n, vals)
 
 

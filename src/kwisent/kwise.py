@@ -25,10 +25,10 @@ from .tolerances import COEFF_ZERO, MARGINAL_ZERO, PRUNE_RELATIVE, TOTAL_MASS
 
 # Most (subset, pattern) bins the oracle may hold for one level.
 MARGINAL_WORK_GUARD = 10**7
-# Default total work, in level_cost units, for an optional run of the
-# marginal oracle: the default of `analyze --marginal-limit`, and
-# verify_smoothing's limit.  Hamming n=15 (2,048 points, levels 1..8) costs
-# 5.0 x 10^7 units and takes about 0.2 s, so the limit is about 0.4 s.
+# Total work, in level_cost units, above which `analyze` and
+# verify_smoothing skip their optional run of the marginal oracle.  Hamming
+# n=15 (2,048 points, levels 1..8) costs 5.0 x 10^7 units and takes about
+# 0.2 s, so the limit is about 0.4 s.
 MARGINAL_WORK_LIMIT = 10**8
 MARGINAL_BLOCK_ELEMENTS = 1 << 14
 
@@ -85,12 +85,6 @@ def independence_order(dist: Distribution) -> int:
             break
         order = level
     return order
-
-
-def is_kwise(dist: Distribution, k: int) -> bool:
-    if not 0 <= k <= dist.n:
-        raise ValueError(f"k must be in 0..{dist.n}, got {k}")
-    return independence_order(dist) >= k
 
 
 def level_bins(n: int, size: int) -> int:

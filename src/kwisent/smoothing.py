@@ -68,6 +68,7 @@ from .tolerances import (
     EIGEN_DENSITY_RELATIVE,
     EIGEN_RESIDUAL,
     ENTROPY_SLACK,
+    MARGINAL_ZERO,
     MOMENT_SLACK,
     RAYLEIGH_MATCH,
 )
@@ -230,20 +231,16 @@ class SmoothingReport:
         return self.order_preserved and self.entropy_subadditive and self.convolution_matches
 
 
-def verify_smoothing(
-    x: Distribution,
-    ball: BallSpectrum,
-    tol: float = ENTROPY_SLACK,
-    pointwise_tol: float = CONVOLUTION_POINTWISE,
-) -> SmoothingReport:
+def verify_smoothing(x: Distribution, ball: BallSpectrum) -> SmoothingReport:
     """Check the three facts the smoothing step relies on.
 
     (a) the independence order does not drop (coefficients multiply, so
-    zeros stay zeros), confirmed by the marginal oracle on Z, within tol,
-    when its work (kwise.level_cost, which counts Z's support) fits
-    MARGINAL_WORK_LIMIT;
-    (b) H(X) + H(Y) >= H(Z) within tol; (c) the spectral convolution agrees
-    with the literal double sum pointwise, within pointwise_tol.
+    zeros stay zeros), confirmed by the marginal oracle on Z, within
+    MARGINAL_ZERO, when its work (kwise.level_cost, which counts Z's
+    support) fits MARGINAL_WORK_LIMIT;
+    (b) H(X) + H(Y) >= H(Z) within ENTROPY_SLACK; (c) the spectral
+    convolution agrees with the literal double sum pointwise, within
+    CONVOLUTION_POINTWISE.
     """
     z = smooth(x, ball)
     d = ball.density()
@@ -253,7 +250,7 @@ def verify_smoothing(
     marginal_dev = None
     if order_before >= 1 and marginal_affordable(z, order_before, MARGINAL_WORK_LIMIT):
         marginal_dev = marginal_check(z, order_before)
-        order_ok = order_ok and marginal_dev <= tol
+        order_ok = order_ok and marginal_dev <= MARGINAL_ZERO
     h_x = shannon_entropy(x.space)
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(z.density)
@@ -265,8 +262,8 @@ def verify_smoothing(
         order_before=order_before,
         order_after=order_after,
         order_preserved=order_ok,
-        entropy_subadditive=h_z <= h_x + h_y + tol,
-        convolution_matches=err <= pointwise_tol,
+        entropy_subadditive=h_z <= h_x + h_y + ENTROPY_SLACK,
+        convolution_matches=err <= CONVOLUTION_POINTWISE,
         shannon_x=h_x,
         shannon_y=h_y,
         shannon_z=h_z,

@@ -3,9 +3,8 @@
 Each constant bounds one quantity.  Its docstring gives the value, the
 functions and check lines that use it, and why the value is safe: a rounding
 bound where there is one; otherwise it says that the value is a modelling
-threshold or a stopping rule.  No command-line option or parameter overrides
-these values, except verify_smoothing's tol and pointwise_tol, whose
-defaults come from here.
+threshold or a stopping rule.  No command-line option or function parameter
+overrides these values: no library function takes a tolerance.
 
 Notation (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
 ch. 3-4): u = 2^-53 is the unit roundoff of a double and
@@ -21,7 +20,7 @@ gamma_n <= 3.6e-15, so they are upper bounds for every dense vector.
 COEFF_ZERO = 1e-9
 """Largest |f^(S)| read as zero, for a Fourier coefficient of a mean-1 density.
 
-Used by kwise.independence_order and is_kwise (so the `order` that
+Used by kwise.independence_order (so the `order` that
 bounds.evaluate and `analyze` report), smoothing.certify_order (the chain
 precondition), and as the right-hand side of the check lines
 middle_band_vanishes and order_preserved.
@@ -39,7 +38,9 @@ linear code every coefficient is exactly 0 or 1.
 MARGINAL_ZERO = 1e-9
 """Largest |P(X_T = a) - 2^-|T|| read as zero, for one marginal's deviation.
 
-Used by kwise.marginal_order (the `marginal_order` that `analyze` reports).
+Used by kwise.marginal_order (the `marginal_order` that `analyze` reports)
+and by smoothing.verify_smoothing, which reads a smoothed space's largest
+marginal deviation (kwise.marginal_check) against it.
 
 Rounding: each P(X_T = a) is a bincount, a left-to-right sum over the m
 support points, so a uniform marginal is off by at most about
@@ -58,8 +59,8 @@ or with a cap.
 Used by `analyze`'s exit status (a certified bound whose slack is below
 -1e-9 fails), by the check lines shannon_above_collision,
 smoothed_shannon_above_collision, entropy_subadditivity,
-perturbation_entropy_cap and ball_volume_vs_binary_cap, and as the default
-tol of smoothing.verify_smoothing (its marginal and subadditivity tests).
+perturbation_entropy_cap and ball_volume_vs_binary_cap, and by
+smoothing.verify_smoothing's subadditivity test.
 
 Rounding: a Shannon entropy -sum p log2 p has each term off by a few u
 relative and a pairwise sum of them off by about gamma_(log2 m + 8) times
@@ -138,8 +139,8 @@ CONVOLUTION_POINTWISE = 1e-10
 
 Used by smoothing._smoothed_density: a value below -1e-10 means the inputs
 were not densities, and values in [-1e-10, 0) are rounding and are clipped
-to 0 (smooth, smoothing_chain).  Also the default pointwise_tol of
-smoothing.verify_smoothing, the largest |convolve - convolve_direct|.
+to 0 (smooth, smoothing_chain).  Also the largest |convolve -
+convolve_direct| that smoothing.verify_smoothing accepts.
 
 Rounding: f^ and d^ are each off by at most gamma_n (COEFF_ZERO) and at most
 1 in size, so their product by about 2 gamma_n; the inverse butterfly sums

@@ -20,6 +20,7 @@ from kwisent.codes import hamming_code, uniform_code_space, uniform_space
 from kwisent.cube import CubeFunction, convolve, inner_product, inverse_wht, wht
 from kwisent.kwise import Distribution, independence_order, marginal_order
 from kwisent.smoothing import halfwise_chain, smoothing_chain, verify_smoothing
+from kwisent.tolerances import CONVOLUTION_POINTWISE, ENTROPY_SLACK, MARGINAL_ZERO
 
 
 def report(number: int, title: str, started: float, budget: float):
@@ -82,6 +83,8 @@ def test_criterion_4_radial_reduction_oracle():
 
 def test_criterion_5_smoothing_facts():
     started = time.time()
+    # the criterion's tolerances, which verify_smoothing reads from the table
+    assert MARGINAL_ZERO == ENTROPY_SLACK == 1e-9 and CONVOLUTION_POINTWISE == 1e-10
     rng = np.random.default_rng(52)
     inputs = [
         Distribution.from_space(uniform_code_space(hamming_code(3))),
@@ -91,9 +94,7 @@ def test_criterion_5_smoothing_facts():
     inputs += [random_halfwise_distribution(10, rng) for _ in range(3)]
     for dist in inputs:
         for r in (1, 2, 3):
-            result = verify_smoothing(
-                dist, lambda_ball(dist.n, r), tol=1e-9, pointwise_tol=1e-10
-            )
+            result = verify_smoothing(dist, lambda_ball(dist.n, r))
             assert result.order_preserved, (dist.n, r)
             assert result.shannon_x + result.shannon_y >= result.shannon_z - 1e-9
             assert result.max_convolution_error <= 1e-10

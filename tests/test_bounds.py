@@ -23,7 +23,6 @@ from kwisent.bounds import (
     renyi2_from_density,
     shannon_entropy,
     shannon_from_density,
-    smoothed_entropy_bound,
 )
 from kwisent.codes import SampleSpace, uniform_space
 from kwisent.kwise import Distribution
@@ -83,21 +82,21 @@ def test_binomial_bound_values():
 def test_smoothed_bound_examples():
     # n=14, k=7: threshold 1 forces radius 1 (the star eigenvalue sqrt(14))
     expect = 14 - 14 * binary_entropy(1 / 14) - math.log2(14)
-    assert smoothed_entropy_bound(14, 7) == pytest.approx(expect, abs=1e-12)
+    assert bound_row(14, 7)["smoothed_bound"] == pytest.approx(expect, abs=1e-12)
 
     # n=16, k=4: radius from the exact spectra (independently checked in
     # test_balls via the tridiagonal oracle to be 4)
     expect = 16 - 16 * binary_entropy(4 / 16) - math.log2(16)
-    assert smoothed_entropy_bound(16, 4) == pytest.approx(expect, abs=1e-12)
+    assert bound_row(16, 4)["smoothed_bound"] == pytest.approx(expect, abs=1e-12)
 
     # beyond half independence the folded spectral bound is invalid (the
     # tight Hamming-7 witness has H = 4 < 7 - log2 7), so: not applicable
-    assert smoothed_entropy_bound(7, 4) is None
+    assert bound_row(7, 4)["smoothed_bound"] is None
 
 
 def test_smoothed_bound_nondecreasing_in_k():
     for n in (12, 16):
-        values = [smoothed_entropy_bound(n, k) for k in range(1, n // 2 + 1)]
+        values = [bound_row(n, k)["smoothed_bound"] for k in range(1, n // 2 + 1)]
         present = [v for v in values if v is not None]
         assert all(b >= a - 1e-12 for a, b in zip(present, present[1:]))
         # once applicable, larger k stays applicable

@@ -97,23 +97,23 @@ def test_analyze_formats(tmp_path, runner):
 def test_analyze_skips_marginal_oracle_above_its_guard(tmp_path, runner, monkeypatch):
     # Hamming n=15 has order 7: its level-2 scan already costs 105 * 4 > 100.
     monkeypatch.setattr("kwisent.kwise.MARGINAL_WORK_GUARD", 100)
+    monkeypatch.setattr("kwisent.cli.MARGINAL_WORK_LIMIT", 10**9)
     path = write_space(tmp_path, runner, "hamming", "--m", "4")
-    result = invoke(
-        runner, "analyze", str(path), "--format", "json", "--marginal-limit", str(10**9)
-    )
+    result = invoke(runner, "analyze", str(path), "--format", "json")
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["marginal_order"] is None
 
 
-def test_analyze_runs_the_oracle_on_hamming15_by_default(tmp_path, runner):
-    # levels 1..8 cost 49,644,650 units at 2,048 points: run at the default
+def test_analyze_runs_the_oracle_on_hamming15_by_default(tmp_path, runner, monkeypatch):
+    # levels 1..8 cost 49,644,650 units at 2,048 points: run at the
     # limit of 10^8, skipped one unit below the cost
     path = write_space(tmp_path, runner, "hamming", "--m", "4")
     result = invoke(runner, "analyze", str(path))
     assert result.exit_code == 0, result.output
     assert "marginal_order: 7\n" in result.output and "order: 7\n" in result.output
-    for limit, expect in (("49644650", 7), ("49644649", None), ("5000000", None)):
-        capped = invoke(runner, "analyze", str(path), "--format", "json", "--marginal-limit", limit)
+    for limit, expect in ((49644650, 7), (49644649, None), (5000000, None)):
+        monkeypatch.setattr("kwisent.cli.MARGINAL_WORK_LIMIT", limit)
+        capped = invoke(runner, "analyze", str(path), "--format", "json")
         assert json.loads(capped.stdout)["marginal_order"] == expect, limit
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,10 @@ from kwisent.codes import (
     uniform_space,
 )
 from kwisent.errors import DimensionError, FormatError, ResourceLimitError
+
+
+def identity(n):
+    return BinaryMatrix(tuple(1 << i for i in range(n)), n)
 
 
 def span(rows):
@@ -366,3 +371,25 @@ def test_generator_must_be_full_rank():
 def test_point_and_uniform_spaces():
     assert point_space(5).support_size == 1
     assert uniform_space(4).support_size == 16
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: uniform_code_space(LinearCode(20, identity(20))), "code dimension 20"),
+        (lambda: parity_sampler_space(identity(20)), "row space rank 20"),
+        (lambda: uniform_space(20), "dimension 20"),
+    ],
+    ids=["uniform_code_space", "parity_sampler_space", "uniform_space"],
+)
+def test_enumerations_refuse_above_the_cube_cap_before_allocating(monkeypatch, build, message):
+    # 2^20 points would be 8 MiB of int64; the cap is read at call time
+    monkeypatch.setattr("kwisent.cube.DIMENSION_CAP", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match=rf"^{message} exceeds the enumeration cap of 10$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -345,6 +345,22 @@ def test_package_reads_no_environment():
     assert not found, found
 
 
+def test_package_imports_only_names_it_uses():
+    unused = []
+    for path in sorted(Path(kwisent.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused
+
+
 def test_values_are_immutable():
     f = uniform_density(3)
     with pytest.raises(ValueError):
@@ -360,9 +376,37 @@ def test_values_copy_a_read_only_view_of_a_writeable_base():
     base[0] = 9.0
     assert f.values[0] == d.values[0] == 1.0
     np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_density(3)).coeffs)
-    # a computed result owns its data and is read-only: wrapping it copies nothing
+    # a read-only array the caller holds is copied as well
     coeffs = wht(f).coeffs
-    assert Spectrum(3, coeffs).coeffs is coeffs
+    assert Spectrum(3, coeffs).coeffs is not coeffs
+
+
+def test_values_copy_a_read_only_array_the_caller_owns():
+    a = np.ones(8)
+    a.setflags(write=False)
+    f, d, s = CubeFunction(3, a), Density(3, a), Spectrum(3, a)
+    spectrum = wht(d)
+    a.setflags(write=True)  # the owner may make it writeable again
+    a[0] = 5.0
+    for vals in (f.values, d.values, s.coeffs):
+        np.testing.assert_array_equal(vals, np.ones(8))
+    assert d.values.mean() == 1.0
+    assert wht(d) is spectrum
+    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_density(3)).coeffs)
+
+
+def test_transform_results_are_not_copied(monkeypatch):
+    made, fwht = [], kwisent.cube._fwht
+
+    def recorded(v):
+        made.append(fwht(v))
+        return made[-1]
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", recorded)
+    f = random_function(4, np.random.default_rng(3))
+    assert wht(f).coeffs is made[-1]
+    assert inverse_wht(wht(f)).values is made[-1]
+    assert convolve(f, f).values is made[-1]
 
 
 def test_wht_transforms_a_density_once():

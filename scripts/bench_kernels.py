@@ -74,42 +74,42 @@ def oracle_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for kwise.marginal_order."""
     import numpy as np
 
-    from kwisent.codes import BinaryMatrix, LinearCode, hamming_code, uniform_code_space
+    from kwisent.codes import BinaryMatrix, hamming_code, parity_sampler_space
     from kwisent.kwise import Distribution, marginal_order
 
     rng = np.random.default_rng(15)
     dual_rows = tuple(int(r) for r in rng.integers(1, 1 << 14, size=3))
-    random14 = LinearCode(14, BinaryMatrix(dual_rows, 14)).dual()
+    random14 = BinaryMatrix(dual_rows, 14).dual()
     codes = [random14] if quick else [random14, hamming_code(4)]
     for code in codes:
-        dist = Distribution.from_space(uniform_code_space(code))
-        yield "marginal_order", code.n, {}, lambda dist=dist: marginal_order(dist)
+        dist = Distribution.from_space(parity_sampler_space(code))
+        yield "marginal_order", code.cols, {}, lambda dist=dist: marginal_order(dist)
 
 
 def random_code_20():
     """A random length-20 code of dimension 16 whose dual has distance >= 6."""
     import numpy as np
 
-    from kwisent.codes import BinaryMatrix, LinearCode
+    from kwisent.codes import BinaryMatrix
 
     rng = np.random.default_rng(20)
     while True:
-        rows = tuple(int(r) for r in rng.integers(1, 1 << 20, size=4))
-        dual = LinearCode(20, BinaryMatrix(rows, 20))
-        if dual.dimension == 4 and dual.min_distance() >= 6:
-            return dual.dual()
+        dual = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << 20, size=4)), 20)
+        code = dual.dual()
+        if len(code.rows) == 16 and dual.min_distance() >= 6:
+            return code
 
 
 def chain_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for smoothing_chain."""
-    from kwisent.codes import hamming_code, uniform_code_space
+    from kwisent.codes import hamming_code, parity_sampler_space
     from kwisent.kwise import Distribution
     from kwisent.smoothing import smoothing_chain
 
     codes = [hamming_code(4)] if quick else [hamming_code(4), random_code_20()]
     for code in codes:
-        dist = Distribution.from_space(uniform_code_space(code))
-        yield "smoothing_chain", code.n, {"k": 3}, lambda dist=dist: smoothing_chain(dist, 3)
+        dist = Distribution.from_space(parity_sampler_space(code))
+        yield "smoothing_chain", code.cols, {"k": 3}, lambda dist=dist: smoothing_chain(dist, 3)
 
 
 def radial_kernels(quick: bool):

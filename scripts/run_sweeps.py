@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kwisent.balls import lambda_ball
 from kwisent.bounds import bound_row, evaluate
-from kwisent.codes import hamming_code, uniform_code_space
+from kwisent.codes import hamming_code, parity_sampler_space
 from kwisent.kwise import Distribution
 from kwisent.smoothing import halfwise_chain, smoothing_chain
 from kwisent.table import render
@@ -34,7 +34,7 @@ def bounds_csv(n: int, k_max: int) -> str:
 def witness_report() -> str:
     blocks = []
     for m in (2, 3, 4):
-        dist = Distribution.from_space(uniform_code_space(hamming_code(m)))
+        dist = Distribution.from_space(parity_sampler_space(hamming_code(m)))
         n = dist.n
         blocks.append(f"=== Hamming witness, n={n} ===")
         blocks.append(render(evaluate(dist), "text"))

@@ -25,10 +25,15 @@ from .cube import Density
 from .kwise import Distribution, independence_order
 
 
+def _shannon(p: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries of p; zeros drop out."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum()) + 0.0
+
+
 def shannon_entropy(space: SampleSpace) -> float:
     """H = -sum p log2 p over the support; zero-probability terms drop out."""
-    p = space.probabilities[space.probabilities > 0]
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    return _shannon(space.probabilities)
 
 
 def renyi2_entropy(space: SampleSpace) -> float:
@@ -37,10 +42,12 @@ def renyi2_entropy(space: SampleSpace) -> float:
 
 
 def shannon_from_density(density: Density) -> float:
-    """Shannon entropy through the density path (p = values / 2^n)."""
-    vals = density.values[density.values > 0]
-    p = vals / (1 << density.n)
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    """Shannon entropy through the density path (p = values / 2^n).
+
+    The positive entries are taken after the division, so a value that
+    underflows to zero drops out rather than giving 0 * log2 0.
+    """
+    return _shannon(density.values / (1 << density.n))
 
 
 def renyi2_from_density(density: Density) -> float:

@@ -22,16 +22,7 @@ import click
 from . import balls
 from .balls import lambda_ball
 from .bounds import bound_row, certified_slacks, evaluate
-from .codes import (
-    BinaryMatrix,
-    SampleSpace,
-    hamming_code,
-    parity_sampler_space,
-    point_space,
-    simplex_code,
-    uniform_code_space,
-    uniform_space,
-)
+from .codes import BinaryMatrix, SampleSpace, hamming_code, parity_sampler_space, simplex_code
 from .errors import IndependenceError, KwisentError, ResourceLimitError
 from .kwise import MARGINAL_WORK_LIMIT, Distribution, marginal_affordable, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
@@ -106,29 +97,23 @@ def construct(kind, m, n, matrix_path, output):
         if kind in ("hamming", "simplex", "hadamard"):
             if m is None:
                 raise click.UsageError(f"construct {kind} requires --m")
-            code = hamming_code(m) if kind == "hamming" else simplex_code(m)
-            space = uniform_code_space(code)
-            dimension = code.dimension
-        elif kind == "uniform":
+            matrix = hamming_code(m) if kind == "hamming" else simplex_code(m)
+        elif kind in ("uniform", "point"):
             if n is None:
-                raise click.UsageError("construct uniform requires --n")
-            space = uniform_space(n)
-            dimension = n
-        elif kind == "point":
-            if n is None:
-                raise click.UsageError("construct point requires --n")
-            space = point_space(n)
-            dimension = 0
+                raise click.UsageError(f"construct {kind} requires --n")
+            # the identity's rows stay lazy until BinaryMatrix has checked n
+            rows = (1 << i for i in range(n)) if kind == "uniform" else ()
+            matrix = BinaryMatrix(rows, n)
         else:
             if matrix_path is None:
                 raise click.UsageError("construct from-matrix requires --matrix")
             with open(matrix_path) as handle:
                 matrix = BinaryMatrix.from_text(handle.read())
-            space = parity_sampler_space(matrix)
-            dimension = matrix.rank
+        space = parity_sampler_space(matrix)
     except ValueError as exc:  # FormatError and DimensionError included
         raise click.UsageError(str(exc))
     _emit(space.to_text(), output)
+    dimension = space.support_size.bit_length() - 1  # the support is 2^rank points
     summary = f"n={space.n} support={space.support_size} dimension={dimension}"
     click.echo(summary, err=(output == "-"))
 

@@ -17,7 +17,6 @@ from . import cube
 from .errors import DimensionError, FormatError, ResourceLimitError
 from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
-MAX_CODE_LENGTH = 64
 MAX_SPACE_DIMENSION = 63
 # SampleSpace.from_text splits this many lines at a time, so only one block's
 # per-line token lists are alive at once
@@ -50,10 +49,6 @@ def gf2_rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     return out, pivots
 
 
-def gf2_rank(rows: Sequence[int], cols: int) -> int:
-    return len(gf2_rref(rows, cols)[0])
-
-
 def gf2_nullspace(rows: Sequence[int], cols: int) -> list[int]:
     """Basis of {x : row . x = 0 mod 2 for every row}, as bitmasks."""
     reduced, pivots = gf2_rref(rows, cols)
@@ -72,32 +67,60 @@ def gf2_nullspace(rows: Sequence[int], cols: int) -> list[int]:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """A rows x cols matrix over GF(2) with bit-packed rows."""
+    """A rows x cols matrix over GF(2) with bit-packed rows.
+
+    As a code, the matrix is a generator and the code is its row space; the
+    rows need not be independent.
+    """
 
     rows: tuple[int, ...]
     cols: int
 
     def __post_init__(self):
-        if not 1 <= self.cols <= MAX_CODE_LENGTH:
-            raise DimensionError(f"cols must be in 1..{MAX_CODE_LENGTH}, got {self.cols}")
+        # codewords are int64 bitmasks, which cannot hold bit 63; the width is
+        # checked before the rows are read, so rows may be a lazy iterable
+        if not 1 <= self.cols <= MAX_SPACE_DIMENSION:
+            raise DimensionError(
+                f"code length must be in 1..{MAX_SPACE_DIMENSION}, got {self.cols}"
+            )
         rows = tuple(int(r) for r in self.rows)
         mask = (1 << self.cols) - 1
         for r in rows:
             if r < 0 or r & ~mask:
                 raise ValueError(f"row {r:#x} has bits outside {self.cols} columns")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_rank", gf2_rank(rows, self.cols))
-
-    @property
-    def rank(self) -> int:
-        return self._rank  # type: ignore[attr-defined]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
 
-    def row_space_basis(self) -> tuple[int, ...]:
-        return tuple(gf2_rref(self.rows, self.cols)[0])
+    def codewords(self) -> np.ndarray:
+        """Every word of the row space once (2^rank words), in increasing order."""
+        basis = gf2_rref(self.rows, self.cols)[0]
+        if len(basis) > cube.DIMENSION_CAP:
+            raise DimensionError(
+                f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
+            )
+        words = np.zeros(1, dtype=np.int64)
+        # lowest pivot first: each new row's pivot is above every word so far
+        # and reduced rows are zero at the other pivots, so the words stay sorted
+        for row in reversed(basis):
+            words = np.concatenate([words, words ^ np.int64(row)])
+        return words
+
+    def min_distance(self) -> int:
+        """Least weight of a nonzero codeword."""
+        rank = len(gf2_rref(self.rows, self.cols)[0])
+        if rank == 0:
+            raise ValueError("the zero code has no nonzero codewords")
+        if (1 << rank) > ENUMERATION_GUARD:
+            raise ResourceLimitError(f"2^{rank} codewords exceed the enumeration guard")
+        words = self.codewords()[1:]
+        return int(np.bitwise_count(words.astype(np.uint64)).min())
+
+    def dual(self) -> "BinaryMatrix":
+        """A basis of the dual code {x : row . x = 0 for every row}."""
+        return BinaryMatrix(tuple(gf2_nullspace(self.rows, self.cols)), self.cols)
 
     def to_text(self) -> str:
         lines = [f"{len(self.rows)} {self.cols}"]
@@ -131,49 +154,9 @@ class BinaryMatrix:
         return cls(tuple(rows), cols)
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    """A binary linear code given by a full-rank generator matrix."""
-
-    n: int
-    generator: BinaryMatrix
-
-    def __post_init__(self):
-        if self.generator.cols != self.n:
-            raise DimensionError(
-                f"generator has {self.generator.cols} columns, code length is {self.n}"
-            )
-        if self.generator.rank != len(self.generator.rows):
-            raise ValueError("generator rows must be linearly independent")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.generator.rows)
-
-    def codewords(self) -> np.ndarray:
-        """All 2^dimension codewords as an int64 array (doubling order)."""
-        words = np.zeros(1, dtype=np.int64)
-        for row in self.generator.rows:
-            words = np.concatenate([words, words ^ np.int64(row)])
-        return words
-
-    def min_distance(self) -> int:
-        if self.dimension == 0:
-            raise ValueError("the zero code has no nonzero codewords")
-        if (1 << self.dimension) > ENUMERATION_GUARD:
-            raise ResourceLimitError(
-                f"2^{self.dimension} codewords exceed the enumeration guard"
-            )
-        words = self.codewords()[1:]
-        return int(np.bitwise_count(words.astype(np.uint64)).min())
-
-    def dual(self) -> "LinearCode":
-        basis = gf2_nullspace(self.generator.rows, self.n)
-        return LinearCode(self.n, BinaryMatrix(tuple(basis), self.n))
-
-
-def hamming_parity_check(m: int) -> BinaryMatrix:
-    """m x (2^m - 1) matrix whose column j is the binary encoding of j."""
+def simplex_code(m: int) -> BinaryMatrix:
+    """Generator of the [2^m - 1, m] simplex code: m x (2^m - 1), column j is
+    the binary encoding of j.  Every nonzero word has weight 2^(m-1)."""
     if not 2 <= m <= 6:
         raise ValueError(f"m must be in 2..6, got {m}")
     n = (1 << m) - 1
@@ -187,17 +170,10 @@ def hamming_parity_check(m: int) -> BinaryMatrix:
     return BinaryMatrix(tuple(rows), n)
 
 
-def hamming_code(m: int) -> LinearCode:
-    """The [2^m - 1, 2^m - 1 - m] code with the natural parity-check order."""
-    check = hamming_parity_check(m)
-    basis = gf2_nullspace(check.rows, check.cols)
-    return LinearCode(check.cols, BinaryMatrix(tuple(basis), check.cols))
-
-
-def simplex_code(m: int) -> LinearCode:
-    """Dual of the Hamming code; every nonzero word has weight 2^(m-1)."""
-    check = hamming_parity_check(m)
-    return LinearCode(check.cols, check)
+def hamming_code(m: int) -> BinaryMatrix:
+    """Generator of the [2^m - 1, 2^m - 1 - m] Hamming code, the dual of the
+    simplex code (whose generator is the Hamming parity check)."""
+    return simplex_code(m).dual()
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,39 +320,13 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def uniform_code_space(code: LinearCode) -> SampleSpace:
-    """Uniform distribution on the codewords (2^-dimension each)."""
-    if code.dimension > cube.DIMENSION_CAP:
-        raise DimensionError(
-            f"code dimension {code.dimension} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
-        )
-    words = code.codewords()
-    probs = np.full(words.size, 1.0 / words.size)
-    return SampleSpace(code.n, words, probs)
-
-
 def parity_sampler_space(matrix: BinaryMatrix) -> SampleSpace:
     """Distribution of y^T M for uniform y: uniform on the row space of M.
 
-    Dependent rows merge; the result carries probability 2^-rank per point.
+    Every sample space built from a code comes from here.  Dependent rows
+    merge; the result carries probability 2^-rank per point.  The n x n
+    identity gives the uniform distribution and a matrix with no rows the
+    point mass at the origin.
     """
-    basis = matrix.row_space_basis()
-    if len(basis) > cube.DIMENSION_CAP:
-        raise DimensionError(
-            f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
-        )
-    code = LinearCode(matrix.cols, BinaryMatrix(basis, matrix.cols))
-    return uniform_code_space(code)
-
-
-def uniform_space(n: int) -> SampleSpace:
-    """Uniform distribution on all of {0,1}^n."""
-    if n > cube.DIMENSION_CAP:
-        raise DimensionError(f"dimension {n} exceeds the enumeration cap of {cube.DIMENSION_CAP}")
-    points = np.arange(1 << n, dtype=np.int64)
-    return SampleSpace(n, points, np.full(1 << n, 1.0 / (1 << n)))
-
-
-def point_space(n: int) -> SampleSpace:
-    """The distribution concentrated on the origin."""
-    return SampleSpace(n, np.zeros(1, dtype=np.int64), np.ones(1))
+    words = matrix.codewords()
+    return SampleSpace(matrix.cols, words, np.full(words.size, 1.0 / words.size))

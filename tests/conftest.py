@@ -8,13 +8,10 @@ from hypothesis import settings
 
 from kwisent.codes import (
     BinaryMatrix,
-    LinearCode,
     SampleSpace,
     hamming_code,
-    point_space,
+    parity_sampler_space,
     simplex_code,
-    uniform_code_space,
-    uniform_space,
 )
 from kwisent.kwise import Distribution
 
@@ -22,29 +19,37 @@ settings.register_profile("kwisent", deadline=None, max_examples=60)
 settings.load_profile("kwisent")
 
 
+def uniform_space(n: int) -> SampleSpace:
+    """Uniform distribution on all of {0,1}^n: the identity's row space."""
+    return parity_sampler_space(BinaryMatrix(tuple(1 << i for i in range(n)), n))
+
+
+def point_space(n: int) -> SampleSpace:
+    """The distribution concentrated on the origin: the empty matrix's row space."""
+    return parity_sampler_space(BinaryMatrix((), n))
+
+
 def random_code_with_dual_distance(
     n: int, rng: np.random.Generator, target: int, dual_dim: int
-) -> LinearCode:
-    """Random [n, n - dual_dim] code whose dual has minimum distance >= target.
+) -> BinaryMatrix:
+    """Generator of a random [n, n - dual_dim] code whose dual has minimum
+    distance >= target.
 
     Rejection sampling on the dual side; the dual is tiny (2^dual_dim words)
     so its distance is verified by full enumeration every time.
     """
     while True:
-        rows = tuple(int(rng.integers(1, 1 << n)) for _ in range(dual_dim))
-        mat = BinaryMatrix(rows, n)
-        if mat.rank != dual_dim:
-            continue
-        dual = LinearCode(n, BinaryMatrix(mat.row_space_basis(), n))
-        if dual.min_distance() >= target:
-            return dual.dual()
+        dual = BinaryMatrix(tuple(int(rng.integers(1, 1 << n)) for _ in range(dual_dim)), n)
+        code = dual.dual()
+        if len(code.rows) == n - dual_dim and dual.min_distance() >= target:
+            return code
 
 
 def random_halfwise_distribution(n: int, rng: np.random.Generator) -> Distribution:
     """Uniform code space certified independent at order floor(n/2)."""
     dual_dim = int(rng.integers(1, 3))
     code = random_code_with_dual_distance(n, rng, n // 2 + 1, dual_dim)
-    return Distribution.from_space(uniform_code_space(code))
+    return Distribution.from_space(parity_sampler_space(code))
 
 
 def random_sample_space(n: int, rng: np.random.Generator, max_support: int = 200) -> SampleSpace:
@@ -78,22 +83,22 @@ def mixture_space(a: SampleSpace, b: SampleSpace, weight: float) -> SampleSpace:
 
 @pytest.fixture(scope="session")
 def hamming3():
-    return Distribution.from_space(uniform_code_space(hamming_code(2)))
+    return Distribution.from_space(parity_sampler_space(hamming_code(2)))
 
 
 @pytest.fixture(scope="session")
 def hamming7():
-    return Distribution.from_space(uniform_code_space(hamming_code(3)))
+    return Distribution.from_space(parity_sampler_space(hamming_code(3)))
 
 
 @pytest.fixture(scope="session")
 def hamming15():
-    return Distribution.from_space(uniform_code_space(hamming_code(4)))
+    return Distribution.from_space(parity_sampler_space(hamming_code(4)))
 
 
 @pytest.fixture(scope="session")
 def simplex7():
-    return Distribution.from_space(uniform_code_space(simplex_code(3)))
+    return Distribution.from_space(parity_sampler_space(simplex_code(3)))
 
 
 @pytest.fixture(scope="session")

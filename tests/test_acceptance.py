@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_halfwise_distribution, random_sample_space
+from conftest import random_halfwise_distribution, random_sample_space, uniform_space
 from kwisent.balls import lambda_ball, lambda_ball_dense_oracle, min_radius
 from kwisent.bounds import binary_entropy, renyi2_entropy, shannon_entropy
-from kwisent.codes import hamming_code, uniform_code_space, uniform_space
+from kwisent.codes import hamming_code, parity_sampler_space
 from kwisent.cube import CubeFunction, convolve, inner_product, inverse_wht, wht
 from kwisent.kwise import Distribution, independence_order, marginal_order
 from kwisent.smoothing import halfwise_chain, smoothing_chain, verify_smoothing
@@ -33,7 +33,7 @@ def test_criterion_1_halfwise_tightness():
     started = time.time()
     for m in (2, 3, 4):
         n = 2**m - 1
-        dist = Distribution.from_space(uniform_code_space(hamming_code(m)))
+        dist = Distribution.from_space(parity_sampler_space(hamming_code(m)))
         assert independence_order(dist) == n // 2
         shannon = shannon_entropy(dist.space)
         assert abs(shannon - (n - math.log2(n + 1))) < 1e-9
@@ -87,8 +87,8 @@ def test_criterion_5_smoothing_facts():
     assert MARGINAL_ZERO == ENTROPY_SLACK == 1e-9 and CONVOLUTION_POINTWISE == 1e-10
     rng = np.random.default_rng(52)
     inputs = [
-        Distribution.from_space(uniform_code_space(hamming_code(3))),
-        Distribution.from_space(uniform_code_space(hamming_code(4))),
+        Distribution.from_space(parity_sampler_space(hamming_code(3))),
+        Distribution.from_space(parity_sampler_space(hamming_code(4))),
         Distribution.from_space(uniform_space(8)),
     ]
     inputs += [random_halfwise_distribution(10, rng) for _ in range(3)]

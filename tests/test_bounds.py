@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sample_space
+from conftest import random_sample_space, uniform_space
 from kwisent.bounds import (
     asymptotic_entropy_leading_term,
     binary_entropy,
@@ -24,7 +24,8 @@ from kwisent.bounds import (
     shannon_entropy,
     shannon_from_density,
 )
-from kwisent.codes import SampleSpace, uniform_space
+from kwisent.codes import SampleSpace
+from kwisent.cube import Density
 from kwisent.kwise import Distribution
 from kwisent.table import render
 
@@ -37,6 +38,12 @@ def test_shannon_entropy_examples(hamming7):
     assert shannon_entropy(uniform_space(6)) == pytest.approx(6.0, abs=1e-12)
     assert shannon_entropy(SampleSpace(3, np.array([5]), np.array([1.0]))) == 0.0
     assert shannon_entropy(hamming7.space) == pytest.approx(4.0, abs=0.0)
+
+
+def test_shannon_from_density_drops_a_value_that_underflows():
+    # 5e-324 / 4 rounds to 0.0, whose 0 * log2 0 term would be nan
+    density = Density(2, np.array([4.0, 0.0, 0.0, 5e-324]))
+    assert shannon_from_density(density) == 0.0
 
 
 def test_renyi2_entropy_examples():

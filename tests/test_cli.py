@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from kwisent import balls
+from kwisent import balls, codes
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
 from test_golden import make_inputs
@@ -64,6 +65,47 @@ def test_construct_usage_errors(runner):
     assert invoke(runner, "construct", "hamming").exit_code == 2
     assert invoke(runner, "construct", "hamming", "--m", "9").exit_code == 2
     assert invoke(runner, "construct", "banana", "--m", "3").exit_code == 2
+
+
+SIMPLEX3 = "3 7\n1010101\n0110011\n0001111\n"
+
+
+@pytest.mark.parametrize(
+    "kind, args, summary",
+    [
+        ("hamming", ["--m", "3"], "n=7 support=16 dimension=4"),
+        ("simplex", ["--m", "3"], "n=7 support=8 dimension=3"),
+        ("hadamard", ["--m", "3"], "n=7 support=8 dimension=3"),
+        ("uniform", ["--n", "4"], "n=4 support=16 dimension=4"),
+        ("point", ["--n", "5"], "n=5 support=1 dimension=0"),
+        ("from-matrix", [SIMPLEX3], "n=7 support=8 dimension=3"),
+        # the fourth row is the sum of the first two: the dimension is the rank
+        ("from-matrix", [SIMPLEX3.replace("3 7", "4 7") + "1100110\n"], "n=7 support=8 dimension=3"),
+        ("from-matrix", ["0 5\n"], "n=5 support=1 dimension=0"),
+    ],
+    ids=["hamming", "simplex", "hadamard", "uniform", "point", "from-matrix", "dependent-rows", "no-rows"],
+)
+def test_construct_summary_gives_the_dimension(tmp_path, runner, kind, args, summary):
+    if kind == "from-matrix":
+        matrix = tmp_path / "matrix.txt"
+        matrix.write_text(args[0])
+        args = ["--matrix", str(matrix)]
+    result = invoke(runner, "construct", kind, *args, "-o", str(tmp_path / "space.txt"))
+    assert (result.exit_code, result.stdout) == (0, summary + "\n")
+
+
+def test_construct_from_matrix_reduces_the_matrix_once(tmp_path, runner, monkeypatch):
+    reduce, calls = codes.gf2_rref, []
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return reduce(rows, cols)
+
+    monkeypatch.setattr(codes, "gf2_rref", counted)
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text(SIMPLEX3)
+    assert invoke(runner, "construct", "from-matrix", "--matrix", str(matrix)).exit_code == 0
+    assert calls == [7]
 
 
 def test_analyze_hamming7(tmp_path, runner):
@@ -319,3 +361,31 @@ def test_outputs_are_deterministic(tmp_path, runner):
     sweep_a = invoke(runner, "sweep", "spectra", "--n", "16", "--r", "1..15").output
     sweep_b = invoke(runner, "sweep", "spectra", "--n", "16", "--r", "1..15").output
     assert sweep_a == sweep_b
+
+
+@pytest.mark.parametrize("row", ["1" * 64, "0" + "1" * 63], ids=["all-ones", "top-bit-clear"])
+def test_construct_refuses_a_matrix_wider_than_63_columns(tmp_path, capsys, row):
+    # a point is an int64 bitmask, so column 1 of 64 (bit 63) has no room
+    matrix = tmp_path / "wide.txt"
+    matrix.write_text(f"1 64\n{row}\n")
+    status, err = run_exit(capsys, "construct", "from-matrix", "--matrix", str(matrix))
+    assert status == 2 and "internal error" not in err
+    assert err.endswith("\nError: code length must be in 1..63, got 64\n")
+
+
+def test_construct_uniform_refuses_above_the_cube_cap_before_allocating(capsys, monkeypatch):
+    # 2^20 points would be 8 MiB of int64; the cap is read at call time
+    monkeypatch.setattr("kwisent.cube.DIMENSION_CAP", 10)
+    tracemalloc.start()
+    try:
+        status, err = run_exit(capsys, "construct", "uniform", "--n", "20")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert err.endswith("\nError: row space rank 20 exceeds the enumeration cap of 10\n")
+    assert peak < 1 << 20
+    # no identity row is built for a length that no point can hold
+    status, err = run_exit(capsys, "construct", "uniform", "--n", str(10**12))
+    assert status == 2
+    assert err.endswith("\nError: code length must be in 1..63, got 1000000000000\n")

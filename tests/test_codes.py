@@ -11,26 +11,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import point_space, uniform_space
 from kwisent import codes
 from kwisent.codes import (
     BinaryMatrix,
-    LinearCode,
     SampleSpace,
     gf2_nullspace,
-    gf2_rank,
+    gf2_rref,
     hamming_code,
-    hamming_parity_check,
     parity_sampler_space,
-    point_space,
     simplex_code,
-    uniform_code_space,
-    uniform_space,
 )
 from kwisent.errors import DimensionError, FormatError, ResourceLimitError
 
 
 def identity(n):
     return BinaryMatrix(tuple(1 << i for i in range(n)), n)
+
+
+def rank(rows, cols):
+    return len(gf2_rref(rows, cols)[0])
 
 
 def span(rows):
@@ -46,7 +46,9 @@ def test_rank_matches_span_size_oracle():
     for _ in range(50):
         cols = int(rng.integers(1, 12))
         rows = [int(rng.integers(0, 1 << cols)) for _ in range(int(rng.integers(0, 8)))]
-        assert 2 ** gf2_rank(rows, cols) == len(span(rows))
+        assert 2 ** rank(rows, cols) == len(span(rows))
+        words = BinaryMatrix(tuple(rows), cols).codewords()
+        assert words.tolist() == sorted(span(rows))
 
 
 def test_nullspace_is_orthogonal_complement():
@@ -55,7 +57,7 @@ def test_nullspace_is_orthogonal_complement():
         cols = int(rng.integers(1, 12))
         rows = [int(rng.integers(0, 1 << cols)) for _ in range(int(rng.integers(1, 6)))]
         basis = gf2_nullspace(rows, cols)
-        assert gf2_rank(basis, cols) == len(basis) == cols - gf2_rank(rows, cols)
+        assert rank(basis, cols) == len(basis) == cols - rank(rows, cols)
         for v in basis:
             for r in rows:
                 assert (r & v).bit_count() % 2 == 0
@@ -63,21 +65,21 @@ def test_nullspace_is_orthogonal_complement():
 
 def test_hamming_m2_is_repetition_code():
     code = hamming_code(2)
-    assert (code.n, code.dimension) == (3, 1)
-    assert span(code.generator.rows) == {0b000, 0b111}
+    assert code.shape == (1, 3)
+    assert span(code.rows) == {0b000, 0b111}
     assert code.min_distance() == 3
 
 
 def test_hamming_m3_parameters():
     code = hamming_code(3)
-    assert (code.n, code.dimension) == (7, 4)
-    assert len(span(code.generator.rows)) == 16
+    assert code.shape == (4, 7)
+    assert len(span(code.rows)) == 16
     assert code.min_distance() == 3
 
 
 def test_hamming_m3_dual_is_constant_weight_four():
     dual = hamming_code(3).dual()
-    words = sorted(span(dual.generator.rows))
+    words = sorted(span(dual.rows))
     weights = sorted(w.bit_count() for w in words if w)
     assert weights == [4] * 7
     assert dual.min_distance() == 4
@@ -85,52 +87,49 @@ def test_hamming_m3_dual_is_constant_weight_four():
 
 def test_hamming_m4_and_simplex():
     code = hamming_code(4)
-    assert (code.n, code.dimension, code.min_distance()) == (15, 11, 3)
+    assert (code.shape, code.min_distance()) == ((11, 15), 3)
     simp = simplex_code(4)
-    assert (simp.n, simp.dimension) == (15, 4)
-    assert {w.bit_count() for w in span(simp.generator.rows) if w} == {8}
+    assert simp.shape == (4, 15)
+    assert {w.bit_count() for w in span(simp.rows) if w} == {8}
 
 
 def test_simplex_is_dual_of_hamming():
-    assert span(simplex_code(3).generator.rows) == span(
-        hamming_code(3).dual().generator.rows
-    )
+    assert span(simplex_code(3).rows) == span(hamming_code(3).dual().rows)
     assert simplex_code(3).min_distance() == 4
 
 
 def test_dual_is_involution():
     code = hamming_code(3)
-    assert span(code.dual().dual().generator.rows) == span(code.generator.rows)
+    assert span(code.dual().dual().rows) == span(code.rows)
 
 
 def test_dual_of_full_space_is_zero_code():
-    full = LinearCode(5, BinaryMatrix(tuple(1 << i for i in range(5)), 5))
+    full = identity(5)
     zero = full.dual()
-    assert zero.dimension == 0
+    assert zero.shape == (0, 5)
     assert list(zero.codewords()) == [0]
-    assert span(zero.dual().generator.rows) == span(full.generator.rows)
+    assert span(zero.dual().rows) == span(full.rows)
 
 
 def test_duality_invariants_across_constructions():
     for code in (hamming_code(2), hamming_code(3), simplex_code(3), hamming_code(4)):
         dual = code.dual()
-        assert code.dimension + dual.dimension == code.n
-        for a in code.generator.rows:
-            for b in dual.generator.rows:
+        assert len(code.rows) + len(dual.rows) == code.cols
+        for a in code.rows:
+            for b in dual.rows:
                 assert (a & b).bit_count() % 2 == 0
 
 
 def test_uniform_code_space_examples():
-    space = uniform_code_space(hamming_code(2))
+    space = parity_sampler_space(hamming_code(2))
     assert list(space.points) == [0b000, 0b111]
     np.testing.assert_array_equal(space.probabilities, [0.5, 0.5])
 
-    space7 = uniform_code_space(hamming_code(3))
+    space7 = parity_sampler_space(hamming_code(3))
     assert space7.support_size == 16 == -(-(2**7) // (7 + 1))  # ceil(2^n / (n+1))
     np.testing.assert_array_equal(space7.probabilities, np.full(16, 1 / 16))
 
-    zero = LinearCode(4, BinaryMatrix(tuple(1 << i for i in range(4)), 4)).dual()
-    assert list(uniform_code_space(zero).points) == [0]
+    assert list(parity_sampler_space(identity(4).dual()).points) == [0]
 
 
 def test_parity_sampler_identity_matrix_gives_uniform():
@@ -141,7 +140,7 @@ def test_parity_sampler_identity_matrix_gives_uniform():
 
 
 def test_parity_sampler_merges_dependent_rows():
-    gen = simplex_code(3).generator
+    gen = simplex_code(3)
     doubled = BinaryMatrix(gen.rows + gen.rows, 7)
     a = parity_sampler_space(doubled)
     b = parity_sampler_space(gen)
@@ -155,18 +154,15 @@ def test_parity_sampler_equals_uniform_row_space():
     for _ in range(20):
         cols = int(rng.integers(2, 10))
         rows = tuple(int(rng.integers(0, 1 << cols)) for _ in range(int(rng.integers(1, 6))))
-        mat = BinaryMatrix(rows, cols)
-        sampled = parity_sampler_space(mat)
-        row_space = LinearCode(cols, BinaryMatrix(mat.row_space_basis(), cols))
-        direct = uniform_code_space(row_space)
-        np.testing.assert_array_equal(sampled.points, direct.points)
-        np.testing.assert_array_equal(sampled.probabilities, direct.probabilities)
+        sampled = parity_sampler_space(BinaryMatrix(rows, cols))
+        words = sorted(span(rows))
+        np.testing.assert_array_equal(sampled.points, words)
+        np.testing.assert_array_equal(sampled.probabilities, np.full(len(words), 1 / len(words)))
 
 
 def test_min_distance_guard():
-    big = LinearCode(26, BinaryMatrix(tuple(1 << i for i in range(26)), 26))
     with pytest.raises(ResourceLimitError):
-        big.min_distance()
+        identity(26).min_distance()
 
 
 def test_sample_space_validation():
@@ -181,7 +177,7 @@ def test_sample_space_validation():
 
 
 def test_sample_space_round_trip():
-    space = uniform_code_space(hamming_code(3))
+    space = parity_sampler_space(hamming_code(3))
     parsed = SampleSpace.from_text(space.to_text())
     assert parsed.n == space.n
     np.testing.assert_array_equal(parsed.points, space.points)
@@ -352,7 +348,7 @@ def test_sample_space_load_renormalizes_within_tolerance():
 
 
 def test_binary_matrix_round_trip_and_errors():
-    mat = hamming_parity_check(3)
+    mat = simplex_code(3)
     assert mat.shape == (3, 7)
     parsed = BinaryMatrix.from_text(mat.to_text())
     assert parsed == mat
@@ -363,32 +359,26 @@ def test_binary_matrix_round_trip_and_errors():
     assert err.value.line == 3
 
 
-def test_generator_must_be_full_rank():
-    with pytest.raises(ValueError):
-        LinearCode(3, BinaryMatrix((0b101, 0b101), 3))
-
-
 def test_point_and_uniform_spaces():
     assert point_space(5).support_size == 1
     assert uniform_space(4).support_size == 16
 
 
 @pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: uniform_code_space(LinearCode(20, identity(20))), "code dimension 20"),
-        (lambda: parity_sampler_space(identity(20)), "row space rank 20"),
-        (lambda: uniform_space(20), "dimension 20"),
-    ],
-    ids=["uniform_code_space", "parity_sampler_space", "uniform_space"],
+    "matrix",
+    [identity(20), BinaryMatrix(identity(20).rows * 2, 20)],
+    ids=["parity_sampler_space", "dependent_rows"],
 )
-def test_enumerations_refuse_above_the_cube_cap_before_allocating(monkeypatch, build, message):
-    # 2^20 points would be 8 MiB of int64; the cap is read at call time
+def test_enumerations_refuse_above_the_cube_cap_before_allocating(monkeypatch, matrix):
+    # 2^20 points would be 8 MiB of int64; the cap is read at call time and
+    # compared with the rank, not the row count
     monkeypatch.setattr("kwisent.cube.DIMENSION_CAP", 10)
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionError, match=rf"^{message} exceeds the enumeration cap of 10$"):
-            build()
+        with pytest.raises(
+            DimensionError, match=r"^row space rank 20 exceeds the enumeration cap of 10$"
+        ):
+            parity_sampler_space(matrix)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import biased_product_space
+from conftest import biased_product_space, point_space, uniform_space
 from kwisent import kwise
-from kwisent.codes import SampleSpace, hamming_code, point_space, uniform_space
+from kwisent.codes import SampleSpace, hamming_code
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.tolerances import MARGINAL_ZERO
@@ -118,19 +118,19 @@ def test_code_independence_link(corpus):
 
 
 def test_code_independence_link_random_codes():
-    from kwisent.codes import BinaryMatrix, LinearCode, uniform_code_space
+    from kwisent.codes import BinaryMatrix, parity_sampler_space
 
     rng = np.random.default_rng(41)
     checked = 0
     for n in (6, 9, 12, 15):
         for _ in range(6):
             rows = tuple(int(rng.integers(1, 1 << n)) for _ in range(int(rng.integers(1, 4))))
-            mat = BinaryMatrix(rows, n)
-            code = LinearCode(n, BinaryMatrix(mat.row_space_basis(), n))
-            if code.dimension in (0, n):
+            code = BinaryMatrix(rows, n)
+            dual = code.dual()
+            if len(dual.rows) in (0, n):
                 continue
-            dist = Distribution.from_space(uniform_code_space(code))
-            dual_distance = code.dual().min_distance()
+            dist = Distribution.from_space(parity_sampler_space(code))
+            dual_distance = dual.min_distance()
             assert independence_order(dist) == dual_distance - 1, (n, rows)
             checked += 1
     assert checked >= 15

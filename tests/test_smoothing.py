@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import kwisent.cube
-from conftest import random_halfwise_distribution
+from conftest import point_space, random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound
-from kwisent.codes import point_space, uniform_space
 from kwisent.cube import convolve, inner_product, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import Distribution, independence_order

@@ -65,6 +65,20 @@ def gf2_nullspace(rows: Sequence[int], cols: int) -> list[int]:
     return basis
 
 
+def _span(basis: list[int]) -> np.ndarray:
+    """Every word of the span of gf2_rref's reduced rows once, in increasing order."""
+    if len(basis) > cube.DIMENSION_CAP:
+        raise DimensionError(
+            f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
+        )
+    words = np.zeros(1, dtype=np.int64)
+    # lowest pivot first: each new row's pivot is above every word so far
+    # and reduced rows are zero at the other pivots, so the words stay sorted
+    for row in reversed(basis):
+        words = np.concatenate([words, words ^ np.int64(row)])
+    return words
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     """A rows x cols matrix over GF(2) with bit-packed rows.
@@ -96,27 +110,16 @@ class BinaryMatrix:
 
     def codewords(self) -> np.ndarray:
         """Every word of the row space once (2^rank words), in increasing order."""
-        basis = gf2_rref(self.rows, self.cols)[0]
-        if len(basis) > cube.DIMENSION_CAP:
-            raise DimensionError(
-                f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
-            )
-        words = np.zeros(1, dtype=np.int64)
-        # lowest pivot first: each new row's pivot is above every word so far
-        # and reduced rows are zero at the other pivots, so the words stay sorted
-        for row in reversed(basis):
-            words = np.concatenate([words, words ^ np.int64(row)])
-        return words
+        return _span(gf2_rref(self.rows, self.cols)[0])
 
     def min_distance(self) -> int:
         """Least weight of a nonzero codeword."""
-        rank = len(gf2_rref(self.rows, self.cols)[0])
-        if rank == 0:
+        basis = gf2_rref(self.rows, self.cols)[0]
+        if not basis:
             raise ValueError("the zero code has no nonzero codewords")
-        if (1 << rank) > ENUMERATION_GUARD:
-            raise ResourceLimitError(f"2^{rank} codewords exceed the enumeration guard")
-        words = self.codewords()[1:]
-        return int(np.bitwise_count(words.astype(np.uint64)).min())
+        if (1 << len(basis)) > ENUMERATION_GUARD:
+            raise ResourceLimitError(f"2^{len(basis)} codewords exceed the enumeration guard")
+        return int(np.bitwise_count(_span(basis)[1:].astype(np.uint64)).min())
 
     def dual(self) -> "BinaryMatrix":
         """A basis of the dual code {x : row . x = 0 for every row}."""

@@ -59,7 +59,7 @@ from .kwise import (
     marginal_affordable,
     marginal_check,
 )
-from .table import fmt
+from .table import fmt, render
 from .tolerances import (
     ASSOCIATIVITY,
     CHAIN_ENTROPY_SLACK,
@@ -71,6 +71,13 @@ from .tolerances import (
     MARGINAL_ZERO,
     MOMENT_SLACK,
     RAYLEIGH_MATCH,
+)
+
+
+# The record entries the chain's text form prints after `chain` and `lambda_r`.
+TEXT_HEAD = (
+    "second_moment", "rayleigh", "shannon_x", "shannon_y", "shannon_z", "renyi2_z",
+    "entropy_bound",
 )
 
 
@@ -96,40 +103,32 @@ class CheckLine:
             return abs(self.lhs - self.rhs) <= self.tol
         return self.lhs <= self.rhs + self.tol
 
-    def to_text(self) -> str:
+    @property
+    def cell(self) -> str:
+        """The line's report cell: `lhs <= rhs slack=... PASS`."""
         op = "==" if self.kind == "eq" else "<="
         verdict = "PASS" if self.passed else "FAIL"
-        return (
-            f"{self.name}: {fmt(self.lhs)} {op} {fmt(self.rhs)} "
-            f"slack={fmt(self.slack)} {verdict}"
-        )
+        return f"{fmt(self.lhs)} {op} {fmt(self.rhs)} slack={fmt(self.slack)} {verdict}"
 
 
 @dataclass(frozen=True, eq=False)
 class ChainReport:
     """Every intermediate quantity of one proof-chain run, plus the verdict.
 
-    second_moment is E[g^2] of the (possibly unsmoothed) density the chain
-    ran on; rayleigh is <Ag, g>; rayleigh_lower/upper are the two spectral
-    bounds the chain compares it against.  entropy_bound is the final
-    certified floor for H(X), or None when no radius <= n/2 qualifies.
+    record holds the quantities in chain CSV column order: n and k; the
+    smoothing radius r (0 for the half-independence chain); lambda, the
+    ball's top eigenvalue (0 without smoothing); second_moment, E[g^2] of
+    the (possibly unsmoothed) density the chain ran on; rayleigh, <Ag, g>;
+    rayleigh_lower and rayleigh_upper, the two spectral bounds the chain
+    compares it against; shannon_x, shannon_y and shannon_z, the Shannon
+    entropies of X, of the ball density Y and of Z = X xor Y; renyi2_z, the
+    collision entropy n - log2 E[g^2]; and entropy_bound, the final certified
+    floor for H(X), or None when no radius <= n/2 qualifies.
     """
 
-    n: int
-    k: int
-    r: int
-    lam: float
-    second_moment: float
-    rayleigh: float
-    rayleigh_lower: float
-    rayleigh_upper: float
-    shannon_x: float
-    shannon_y: float
-    shannon_z: float
-    renyi2_z: float
-    entropy_bound: float | None
-    halfwise_mode: bool
+    record: dict
     lines: tuple[CheckLine, ...]
+    halfwise_mode: bool
 
     @property
     def passed(self) -> bool:
@@ -142,49 +141,29 @@ class ChainReport:
         return next(line.passed for line in self.lines if line.name == name)
 
     def to_text(self) -> str:
+        """The head record, then one line per check and the verdict; two
+        records, since entropy_bound is both a quantity and a check."""
+        rec = self.record
         mode = "half-independence" if self.halfwise_mode else "smoothing"
-        head = [
-            f"chain: {mode} (n={self.n}, k={self.k}, r={self.r})",
-            f"lambda_r: {fmt(self.lam)}",
-            f"second_moment: {fmt(self.second_moment)}",
-            f"rayleigh: {fmt(self.rayleigh)}",
-            f"shannon_x: {fmt(self.shannon_x)}",
-            f"shannon_y: {fmt(self.shannon_y)}",
-            f"shannon_z: {fmt(self.shannon_z)}",
-            f"renyi2_z: {fmt(self.renyi2_z)}",
-            f"entropy_bound: {fmt(self.entropy_bound)}",
-        ]
-        body = [line.to_text() for line in self.lines]
-        verdict = "result: " + ("PASS" if self.passed else "FAIL")
-        return "\n".join(head + body + [verdict]) + "\n"
+        head = {
+            "chain": f"{mode} (n={rec['n']}, k={rec['k']}, r={rec['r']})",
+            "lambda_r": rec["lambda"],
+            **{key: rec[key] for key in TEXT_HEAD},
+        }
+        body = {line.name: line.cell for line in self.lines}
+        body["result"] = "PASS" if self.passed else "FAIL"
+        return render(head, "text") + render(body, "text")
 
     def as_dict(self) -> dict:
         """The chain quantities as one report record (the chain CSV row)."""
-        return {
-            "n": self.n,
-            "k": self.k,
-            "r": self.r,
-            "lambda": self.lam,
-            "second_moment": self.second_moment,
-            "rayleigh": self.rayleigh,
-            "rayleigh_lower": self.rayleigh_lower,
-            "rayleigh_upper": self.rayleigh_upper,
-            "shannon_x": self.shannon_x,
-            "shannon_y": self.shannon_y,
-            "shannon_z": self.shannon_z,
-            "renyi2_z": self.renyi2_z,
-            "entropy_bound": self.entropy_bound,
-            "final_check": self.final_check,
-            "passed": self.passed,
-        }
+        return {**self.record, "final_check": self.final_check, "passed": self.passed}
 
 
 def certify_order(dist: Distribution, order: int) -> None:
     """Raise IndependenceError naming the first level whose coefficients leak."""
-    per_level = level_max_abs(dist.spectrum)
-    for level in range(1, order + 1):
-        if per_level[level] > COEFF_ZERO:
-            raise IndependenceError(level, float(per_level[level]))
+    found = independence_order(dist)
+    if found < order:
+        raise IndependenceError(found + 1, float(level_max_abs(dist.spectrum)[found + 1]))
 
 
 def smooth(x: Distribution, ball: BallSpectrum) -> Distribution:
@@ -310,23 +289,12 @@ def _halfwise_body(x: Distribution, k: int) -> ChainReport:
         CheckLine("shannon_above_collision", h2_x, h_x, ENTROPY_SLACK),
         CheckLine("entropy_bound", bound, h_x, CHAIN_ENTROPY_SLACK),
     )
-    return ChainReport(
-        n=n,
-        k=k,
-        r=0,
-        lam=0.0,
-        second_moment=second,
-        rayleigh=ray,
-        rayleigh_lower=0.0,
-        rayleigh_upper=upper,
-        shannon_x=h_x,
-        shannon_y=0.0,
-        shannon_z=h_x,
-        renyi2_z=h2_x,
-        entropy_bound=bound,
-        halfwise_mode=True,
-        lines=lines,
-    )
+    record = {
+        "n": n, "k": k, "r": 0, "lambda": 0.0, "second_moment": second, "rayleigh": ray,
+        "rayleigh_lower": 0.0, "rayleigh_upper": upper, "shannon_x": h_x, "shannon_y": 0.0,
+        "shannon_z": h_x, "renyi2_z": h2_x, "entropy_bound": bound,
+    }
+    return ChainReport(record, lines, halfwise_mode=True)
 
 
 def smoothing_chain(x: Distribution, k: int) -> ChainReport:
@@ -397,20 +365,9 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
         lines.append(CheckLine("ball_volume_vs_binary_cap", ball_cap, binary_cap, ENTROPY_SLACK))
         lines.append(CheckLine("entropy_bound", bound, h_x, CHAIN_ENTROPY_SLACK))
 
-    return ChainReport(
-        n=n,
-        k=k,
-        r=r,
-        lam=lam,
-        second_moment=second,
-        rayleigh=ray,
-        rayleigh_lower=lower,
-        rayleigh_upper=upper,
-        shannon_x=h_x,
-        shannon_y=h_y,
-        shannon_z=h_z,
-        renyi2_z=h2_z,
-        entropy_bound=bound,
-        halfwise_mode=False,
-        lines=tuple(lines),
-    )
+    record = {
+        "n": n, "k": k, "r": r, "lambda": lam, "second_moment": second, "rayleigh": ray,
+        "rayleigh_lower": lower, "rayleigh_upper": upper, "shannon_x": h_x, "shannon_y": h_y,
+        "shannon_z": h_z, "renyi2_z": h2_z, "entropy_bound": bound,
+    }
+    return ChainReport(record, tuple(lines), halfwise_mode=False)

@@ -20,9 +20,9 @@ gamma_n <= 3.6e-15, so they are upper bounds for every dense vector.
 COEFF_ZERO = 1e-9
 """Largest |f^(S)| read as zero, for a Fourier coefficient of a mean-1 density.
 
-Used by kwise.independence_order (so the `order` that
-bounds.evaluate and `analyze` report), smoothing.certify_order (the chain
-precondition), and as the right-hand side of the check lines
+Used by kwise.independence_order (so the `order` that bounds.evaluate and
+`analyze` report, and the chain precondition smoothing.certify_order, which
+reads that order), and as the right-hand side of the check lines
 middle_band_vanishes and order_preserved.
 
 Rounding: wht evaluates f^(S) = 2^-n sum_x f(x) chi_S(x) with the butterfly,

@@ -52,7 +52,7 @@ def test_criterion_2_halfwise_chain_on_random_codes():
             assert independence_order(dist) >= n // 2
             chain = halfwise_chain(dist)
             for line in chain.lines:
-                assert line.slack >= -1e-8, (n, line.to_text())
+                assert line.slack >= -1e-8, (n, line.name, line.cell)
             total += 1
     assert total >= 500
     report(2, f"no-smoothing chain on {total} random code spaces", started, 30.0)
@@ -108,13 +108,13 @@ def test_criterion_6_smoothing_chain(corpus):
         order = independence_order(dist)
         for k in range(2, min(order + 1, dist.n // 2) + 1):
             chain = smoothing_chain(dist, k)
-            n = dist.n
-            assert chain.r == min_radius(n, k)
-            assert chain.lam >= n - 2 * k + 1 - 1e-9, (name, k)
-            assert chain.second_moment <= n + 1e-8, (name, k)
-            assert chain.entropy_bound is not None, (name, k)
-            floor = n - n * binary_entropy(chain.r / n) - math.log2(n)
-            assert chain.shannon_x >= floor - 1e-8, (name, k)
+            rec, n = chain.record, dist.n
+            assert rec["r"] == min_radius(n, k)
+            assert rec["lambda"] >= n - 2 * k + 1 - 1e-9, (name, k)
+            assert rec["second_moment"] <= n + 1e-8, (name, k)
+            assert rec["entropy_bound"] is not None, (name, k)
+            floor = n - n * binary_entropy(rec["r"] / n) - math.log2(n)
+            assert rec["shannon_x"] >= floor - 1e-8, (name, k)
             assert chain.passed, (name, k)
             runs += 1
     assert runs >= 15

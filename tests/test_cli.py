@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from kwisent import balls, codes
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
-from test_golden import make_inputs
+from test_golden import CASES, GOLDEN, make_inputs
 
 
 @pytest.fixture()
@@ -223,6 +223,85 @@ def test_chain_halfwise_is_k_half_n_plus_one(tmp_path, runner, space, form):
     by_k = invoke(runner, "chain", path, "--k", str(n // 2 + 1), "--format", form)
     assert halfwise.exit_code == by_k.exit_code  # 1 on space6 and point8: order too low
     assert (halfwise.stdout_bytes, halfwise.stderr_bytes) == (by_k.stdout_bytes, by_k.stderr_bytes)
+
+
+# The head cells of the chain's text form, by the CSV column each repeats.
+HEAD_COLUMNS = {"lambda": "lambda_r"} | {
+    key: key
+    for key in "second_moment rayleigh shannon_x shannon_y shannon_z renyi2_z entropy_bound".split()
+}
+# every chain golden case that prints a report (the others fail the precondition)
+CHAIN_COMMANDS = sorted(
+    {
+        CASES[name].removesuffix(" --format csv")
+        for name in CASES
+        if name.startswith("chain-") and (GOLDEN / f"{name}.txt").read_text().count("\n") > 1
+    }
+)
+
+
+def chain_head_and_row(runner, path, *args):
+    """The chain's text head and its CSV row, each as {name: cell}."""
+    text = invoke(runner, "chain", path, *args)
+    csv = invoke(runner, "chain", path, *args, "--format", "csv")
+    assert text.exit_code == csv.exit_code and text.stdout, text.output
+    # the title line `chain: ...`, then one line per head cell
+    head = dict(line.split(": ", 1) for line in text.stdout.splitlines()[: 1 + len(HEAD_COLUMNS)])
+    header, row = csv.stdout.splitlines()
+    return head, dict(zip(header.split(","), row.split(",")))
+
+
+def assert_head_matches_row(head, row):
+    assert list(head)[:2] == ["chain", "lambda_r"]
+    assert head["chain"].endswith(f"(n={row['n']}, k={row['k']}, r={row['r']})")
+    for column, key in HEAD_COLUMNS.items():
+        assert head[key] == row[column], column
+
+
+@pytest.mark.parametrize("command", CHAIN_COMMANDS)
+def test_chain_text_head_repeats_the_csv_row(tmp_path, runner, command):
+    inputs = make_inputs(tmp_path)
+    _, space, *args = [token.format(**inputs) for token in command.split()]
+    assert_head_matches_row(*chain_head_and_row(runner, space, *args))
+
+
+# (space, chain options, mode, CSV cells n through entropy_bound)
+ONE_AND_TWO_BITS = [
+    ("uniform --n 1", "--halfwise", "half-independence", "1,1,0,0,1,1,0,1,1,0,1,1,0"),
+    ("uniform --n 1", "--k 1", "half-independence", "1,1,0,0,1,1,0,1,1,0,1,1,0"),
+    ("point --n 1", "--halfwise", "half-independence", "1,1,0,0,2,0,0,0,0,0,0,0,0"),
+    ("uniform --n 2", "--halfwise", "half-independence", "2,2,0,0,1,2,0,2,2,0,2,2,0.415037499279"),
+    (
+        "uniform --n 2",
+        "--k 1",
+        "smoothing",
+        "2,1,1,1.41421356237,1,2,1.41421356237,2,2,1.56444652198,2,2,-1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "space, options, mode, record", ONE_AND_TWO_BITS, ids=[f"{c[0]} {c[1]}" for c in ONE_AND_TWO_BITS]
+)
+def test_chain_on_one_and_two_bits(tmp_path, runner, space, options, mode, record):
+    path = str(write_space(tmp_path, runner, *space.split()))
+    head, row = chain_head_and_row(runner, path, *options.split())
+    assert_head_matches_row(head, row)
+    assert head["chain"].startswith(mode + " ")
+    assert ",".join(list(row.values())[:-2]) == record
+    assert (row["final_check"], row["passed"]) == ("true", "true")
+
+
+def test_chain_precondition_names_the_first_leaking_level(tmp_path, runner):
+    # two bits, each uniform, always equal: order 1, the level-2 coefficient is 1
+    path = tmp_path / "space.txt"
+    path.write_text("n=2\n00 0.5\n11 0.5\n")
+    result = invoke(runner, "chain", str(path), "--k", "3")
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "precondition failed: level-2 Fourier coefficient has magnitude 1; "
+        "required independence order is not certified\n"
+    )
 
 
 def test_chain_has_no_half_rounding_option(tmp_path, runner):

@@ -160,6 +160,18 @@ def test_parity_sampler_equals_uniform_row_space():
         np.testing.assert_array_equal(sampled.probabilities, np.full(len(words), 1 / len(words)))
 
 
+def test_min_distance_reduces_the_rows_once(monkeypatch):
+    code, reduce, calls = hamming_code(3), codes.gf2_rref, []
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return reduce(rows, cols)
+
+    monkeypatch.setattr(codes, "gf2_rref", counted)
+    assert code.min_distance() == 3
+    assert calls == [7]
+
+
 def test_min_distance_guard():
     with pytest.raises(ResourceLimitError):
         identity(26).min_distance()

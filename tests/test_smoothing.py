@@ -18,6 +18,7 @@ from kwisent.cube import convolve, inner_product, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import Distribution, independence_order
 from kwisent.smoothing import (
+    TEXT_HEAD,
     CheckLine,
     halfwise_chain,
     smooth,
@@ -119,28 +120,30 @@ def test_verify_smoothing_point_mass_equality_case():
 
 def test_halfwise_chain_hamming7_is_tight(hamming7):
     report = halfwise_chain(hamming7)
+    rec = report.record
     assert report.passed
-    assert report.second_moment == pytest.approx(8.0, abs=0.0)
-    assert report.rayleigh == pytest.approx(0.0, abs=1e-10)
-    assert report.renyi2_z == pytest.approx(4.0, abs=1e-12)
-    assert report.shannon_x == pytest.approx(4.0, abs=0.0)
-    assert report.entropy_bound == pytest.approx(halfwise_entropy_bound(7), abs=0.0)
+    assert rec["second_moment"] == pytest.approx(8.0, abs=0.0)
+    assert rec["rayleigh"] == pytest.approx(0.0, abs=1e-10)
+    assert rec["renyi2_z"] == pytest.approx(4.0, abs=1e-12)
+    assert rec["shannon_x"] == pytest.approx(4.0, abs=0.0)
+    assert rec["entropy_bound"] == pytest.approx(halfwise_entropy_bound(7), abs=0.0)
     for line in report.lines:
-        assert line.passed, line.to_text()
+        assert line.passed, (line.name, line.cell)
 
 
 def test_halfwise_chain_hamming15_is_tight(hamming15):
     report = halfwise_chain(hamming15)
+    rec = report.record
     assert report.passed
-    assert report.second_moment == pytest.approx(16.0, abs=0.0)
-    assert report.shannon_x == pytest.approx(11.0, abs=0.0)
-    assert report.entropy_bound == pytest.approx(11.0, abs=0.0)
+    assert rec["second_moment"] == pytest.approx(16.0, abs=0.0)
+    assert rec["shannon_x"] == pytest.approx(11.0, abs=0.0)
+    assert rec["entropy_bound"] == pytest.approx(11.0, abs=0.0)
 
 
 def test_halfwise_chain_uniform_has_full_slack(uniform8):
     report = halfwise_chain(uniform8)
     assert report.passed
-    assert report.second_moment == pytest.approx(1.0, abs=1e-12)
+    assert report.record["second_moment"] == pytest.approx(1.0, abs=1e-12)
     line = {l.name: l for l in report.lines}["second_moment_bound"]
     assert line.slack == pytest.approx(8.0, abs=1e-9)
 
@@ -165,42 +168,42 @@ def test_smoothing_chain_uniform_any_k(uniform8):
     for k in (2, 3, 4):
         report = smoothing_chain(uniform8, k)
         assert report.passed
-        assert report.second_moment == pytest.approx(1.0, abs=1e-9)
+        assert report.record["second_moment"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smoothing_chain_hamming7(hamming7):
     report = smoothing_chain(hamming7, 3)
+    rec = report.record
     assert report.passed
-    assert report.r == min_radius(7, 3) == 1
-    assert report.lam == pytest.approx(math.sqrt(7), abs=1e-10)
-    assert report.rayleigh_lower <= report.rayleigh <= report.rayleigh_upper + 1e-8
-    assert (report.lam - (7 - 6)) * report.second_moment <= 7 + 1e-8
+    assert rec["r"] == min_radius(7, 3) == 1
+    assert rec["lambda"] == pytest.approx(math.sqrt(7), abs=1e-10)
+    assert rec["rayleigh_lower"] <= rec["rayleigh"] <= rec["rayleigh_upper"] + 1e-8
+    assert (rec["lambda"] - (7 - 6)) * rec["second_moment"] <= 7 + 1e-8
     assert report.final_check
 
 
 def test_smoothing_chain_hamming15(hamming15):
     report = smoothing_chain(hamming15, 4)
+    rec = report.record
     assert report.passed
-    assert report.r == min_radius(15, 4)
-    assert report.second_moment <= 15 + 1e-8
-    assert report.entropy_bound == pytest.approx(
+    assert rec["r"] == min_radius(15, 4)
+    assert rec["second_moment"] <= 15 + 1e-8
+    assert rec["entropy_bound"] == pytest.approx(
         15 - 15 * (-(3 / 15) * math.log2(3 / 15) - (12 / 15) * math.log2(12 / 15)) - math.log2(15),
         abs=1e-9,
     )
-    assert report.entropy_bound <= report.shannon_x + 1e-8
+    assert rec["entropy_bound"] <= rec["shannon_x"] + 1e-8
 
 
 def test_smoothing_chain_delegates_past_half(hamming7):
     delegated = smoothing_chain(hamming7, 4)
     half = halfwise_chain(hamming7)
     assert delegated.halfwise_mode
-    assert delegated.k == 4
-    assert delegated.r == half.r == 0
-    assert delegated.second_moment == half.second_moment
-    assert delegated.rayleigh == half.rayleigh
-    assert delegated.rayleigh_upper == half.rayleigh_upper
+    assert delegated.record["k"] == 4
+    assert delegated.record["r"] == half.record["r"] == 0
+    for key in ("second_moment", "rayleigh", "rayleigh_upper", "entropy_bound"):
+        assert delegated.record[key] == half.record[key], key
     assert delegated.final_check == half.final_check
-    assert delegated.entropy_bound == half.entropy_bound
 
 
 def test_smoothing_chain_requires_certified_order(hamming7):
@@ -216,9 +219,10 @@ def test_smoothing_chain_internal_identities(hamming15):
     assert lines["eigen_density_pointwise"].passed
     assert lines["eigenvalue_threshold"].lhs == 15 - 6 + 1
     # the unfolded bound n + (n - 2k)(E[g^2] - 1) is tighter than the folded one
-    unfolded = report.n + (report.n - 2 * report.k) * (report.second_moment - 1.0)
-    assert unfolded <= report.rayleigh_upper
-    assert report.rayleigh <= unfolded + 1e-8
+    rec = report.record
+    unfolded = rec["n"] + (rec["n"] - 2 * rec["k"]) * (rec["second_moment"] - 1.0)
+    assert unfolded <= rec["rayleigh_upper"]
+    assert rec["rayleigh"] <= unfolded + 1e-8
 
 
 def test_chain_entropy_relations_hold(corpus):
@@ -230,20 +234,22 @@ def test_chain_entropy_relations_hold(corpus):
         assert report.passed, name
         for k in range(2, min(order + 1, dist.n // 2) + 1):
             rep = smoothing_chain(dist, k)
+            rec = rep.record
             assert rep.passed, (name, k)
-            assert rep.shannon_x >= rep.shannon_z - rep.shannon_y - 1e-9, (name, k)
+            assert rec["shannon_x"] >= rec["shannon_z"] - rec["shannon_y"] - 1e-9, (name, k)
 
 
 def test_second_moment_equals_plancherel(hamming7):
     ball = lambda_ball(7, 1)
     g = convolve(hamming7.density, ball.density())
     report = smoothing_chain(hamming7, 3)
-    assert report.second_moment == pytest.approx(inner_product(g, g), abs=1e-10)
+    assert report.record["second_moment"] == pytest.approx(inner_product(g, g), abs=1e-10)
 
 
 def test_check_line_and_report_serialization(hamming7):
     line = CheckLine("demo", 1.0, 2.0, 1e-9)
     assert line.passed and line.slack == 1.0
+    assert line.cell == "1 <= 2 slack=1 PASS"
     eq_line = CheckLine("demo_eq", 1.0, 1.0 + 5e-10, 1e-9, kind="eq")
     assert eq_line.passed
     assert not replace(eq_line, rhs=2.0).passed
@@ -254,6 +260,15 @@ def test_check_line_and_report_serialization(hamming7):
     assert text.count("PASS") == len(report.lines) + 1
     header, row = render(report.as_dict(), "csv").splitlines()
     assert len(row.split(",")) == len(header.split(","))
+
+
+def test_chain_record_holds_every_csv_column_once(hamming7):
+    columns = "n k r lambda second_moment rayleigh rayleigh_lower rayleigh_upper shannon_x shannon_y"
+    columns += " shannon_z renyi2_z entropy_bound final_check passed"
+    for report in (halfwise_chain(hamming7), smoothing_chain(hamming7, 3)):
+        assert set(TEXT_HEAD) <= set(report.record)
+        assert list(report.as_dict()) == columns.split()
+        assert render(report.as_dict(), "csv").splitlines()[0] == columns.replace(" ", ",")
 
 
 @pytest.mark.parametrize("k", [3, 4])

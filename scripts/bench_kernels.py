@@ -75,15 +75,15 @@ def oracle_kernels(quick: bool):
     import numpy as np
 
     from kwisent.codes import BinaryMatrix, hamming_code, parity_sampler_space
-    from kwisent.kwise import Distribution, marginal_order
+    from kwisent.kwise import marginal_order
 
     rng = np.random.default_rng(15)
     dual_rows = tuple(int(r) for r in rng.integers(1, 1 << 14, size=3))
     random14 = BinaryMatrix(dual_rows, 14).dual()
     codes = [random14] if quick else [random14, hamming_code(4)]
     for code in codes:
-        dist = Distribution.from_space(parity_sampler_space(code))
-        yield "marginal_order", code.cols, {}, lambda dist=dist: marginal_order(dist)
+        space = parity_sampler_space(code)
+        yield "marginal_order", code.cols, {}, lambda space=space: marginal_order(space)
 
 
 def random_code_20():
@@ -103,13 +103,12 @@ def random_code_20():
 def chain_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for smoothing_chain."""
     from kwisent.codes import hamming_code, parity_sampler_space
-    from kwisent.kwise import Distribution
     from kwisent.smoothing import smoothing_chain
 
     codes = [hamming_code(4)] if quick else [hamming_code(4), random_code_20()]
     for code in codes:
-        dist = Distribution.from_space(parity_sampler_space(code))
-        yield "smoothing_chain", code.cols, {"k": 3}, lambda dist=dist: smoothing_chain(dist, 3)
+        space = parity_sampler_space(code)
+        yield "smoothing_chain", code.cols, {"k": 3}, lambda space=space: smoothing_chain(space, 3)
 
 
 def radial_kernels(quick: bool):

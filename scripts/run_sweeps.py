@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from kwisent.balls import lambda_ball
 from kwisent.bounds import bound_row, evaluate
 from kwisent.codes import hamming_code, parity_sampler_space
-from kwisent.kwise import Distribution
 from kwisent.smoothing import halfwise_chain, smoothing_chain
 from kwisent.table import render
 
@@ -34,13 +33,13 @@ def bounds_csv(n: int, k_max: int) -> str:
 def witness_report() -> str:
     blocks = []
     for m in (2, 3, 4):
-        dist = Distribution.from_space(parity_sampler_space(hamming_code(m)))
-        n = dist.n
+        space = parity_sampler_space(hamming_code(m))
+        n = space.n
         blocks.append(f"=== Hamming witness, n={n} ===")
-        blocks.append(render(evaluate(dist), "text"))
-        blocks.append(halfwise_chain(dist).to_text())
+        blocks.append(render(evaluate(space), "text"))
+        blocks.append(halfwise_chain(space).to_text())
         if n >= 7:
-            blocks.append(smoothing_chain(dist, min(3, n // 2)).to_text())
+            blocks.append(smoothing_chain(space, min(3, n // 2)).to_text())
     return "\n".join(blocks)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
 from .cube import Density
-from .kwise import Distribution, independence_order
+from .kwise import independence_order
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -139,7 +139,7 @@ def _smoothing_terms(n: int, k: int) -> tuple[int | None, float | None, float | 
     return r, lambda_ball(n, r).lam, entropy_at_radius(n, r)
 
 
-def evaluate(dist: Distribution) -> dict:
+def evaluate(space: SampleSpace) -> dict:
     """Measure both entropies and every bound applicable at the certified order.
 
     The smoothing bound is evaluated at the strongest usable parameter
@@ -149,9 +149,9 @@ def evaluate(dist: Distribution) -> dict:
     its bound; asymptotic_display is the smoothing bound's leading term,
     never certified.
     """
-    n = dist.n
-    order = independence_order(dist)
-    shannon = shannon_entropy(dist.space)
+    n = space.n
+    order = independence_order(space)
+    shannon = shannon_entropy(space)
     halfwise, binomial = _order_bounds(n, order)
     k = min(order + 1, n // 2)
     radius = lam = smoothed = display = None
@@ -161,9 +161,9 @@ def evaluate(dist: Distribution) -> dict:
     return {
         "n": n,
         "order": order,
-        "support": dist.space.support_size,
+        "support": space.support_size,
         "shannon": shannon,
-        "renyi2": renyi2_entropy(dist.space),
+        "renyi2": renyi2_entropy(space),
         "halfwise_bound": halfwise,
         "halfwise_slack": None if halfwise is None else shannon - halfwise,
         "smoothed_bound": smoothed,

@@ -23,8 +23,9 @@ from . import balls
 from .balls import lambda_ball
 from .bounds import bound_row, certified_slacks, evaluate
 from .codes import BinaryMatrix, SampleSpace, hamming_code, parity_sampler_space, simplex_code
+from .cube import check_dimension
 from .errors import IndependenceError, KwisentError, ResourceLimitError
-from .kwise import MARGINAL_WORK_LIMIT, Distribution, marginal_affordable, marginal_order
+from .kwise import MARGINAL_WORK_LIMIT, marginal_affordable, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
 from .table import render
 from .tolerances import ENTROPY_SLACK
@@ -60,11 +61,14 @@ def _emit(text: str, output: str) -> None:
             )
 
 
-def _load_distribution(path: str) -> Distribution:
+def _load_space(path: str) -> SampleSpace:
+    """The space a file holds; refused at load above the dense cube cap,
+    since every command that reads a file builds its density."""
     try:
         with open(path) as handle:
             space = SampleSpace.from_text(handle.read())
-        return Distribution.from_space(space)
+        check_dimension(space.n)
+        return space
     except ValueError as exc:  # FormatError and DimensionError included
         raise click.UsageError(f"{path}: {exc}")
 
@@ -125,13 +129,13 @@ def construct(kind, m, n, matrix_path, output):
 @click.pass_context
 def analyze(ctx, space_file, fmt, output):
     """Independence order, entropies, and every applicable bound with slack."""
-    dist = _load_distribution(space_file)
-    report = evaluate(dist)
+    space = _load_space(space_file)
+    report = evaluate(space)
     oracle_order = None
     # marginal_order scans levels 1..order + 1 when it agrees with the
     # spectral order; one of them above the oracle's own guard skips it.
-    if marginal_affordable(dist, min(report["order"] + 1, dist.n), MARGINAL_WORK_LIMIT):
-        oracle_order = marginal_order(dist)
+    if marginal_affordable(space, min(report["order"] + 1, space.n), MARGINAL_WORK_LIMIT):
+        oracle_order = marginal_order(space)
     _emit(render({"marginal_order": oracle_order, **report}, fmt), output)
     failed = any(slack < -ENTROPY_SLACK for slack in certified_slacks(report).values())
     if oracle_order is not None and oracle_order != report["order"]:
@@ -151,9 +155,9 @@ def chain(ctx, space_file, k, halfwise, fmt, output):
     """Certify a proof chain on a sample space, one inequality per line."""
     if (k is None) == (not halfwise):
         raise click.UsageError("provide exactly one of --k or --halfwise")
-    dist = _load_distribution(space_file)
+    space = _load_space(space_file)
     try:
-        report = halfwise_chain(dist) if halfwise else smoothing_chain(dist, k)
+        report = halfwise_chain(space) if halfwise else smoothing_chain(space, k)
     except IndependenceError as exc:
         click.echo(f"precondition failed: {exc}", err=True)
         ctx.exit(1)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import cube
 from .errors import DimensionError, FormatError, ResourceLimitError
-from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
+from .tolerances import FILE_TOTAL_MASS, PRUNE_RELATIVE, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
 # SampleSpace.from_text splits this many lines at a time, so only one block's
@@ -181,7 +182,11 @@ def hamming_code(m: int) -> BinaryMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SampleSpace:
-    """A finite distribution on {0,1}^n: distinct points with probabilities."""
+    """A finite distribution on {0,1}^n: distinct points with probabilities.
+
+    The one input of every check in the package; its density (and so the
+    density's spectrum) is built only when a check reads it.
+    """
 
     n: int
     points: np.ndarray
@@ -215,6 +220,25 @@ class SampleSpace:
     @property
     def support_size(self) -> int:
         return int(self.points.size)
+
+    @cached_property
+    def density(self) -> cube.Density:
+        """The mean-1 density: 2^n times the probability on the support, 0
+        elsewhere.  A dense 2^n vector, so it is built on first read, after
+        cube.check_dimension, and kept."""
+        cube.check_dimension(self.n)
+        vals = np.zeros(1 << self.n)
+        vals[self.points] = self.probabilities * (1 << self.n)
+        return cube.Density(self.n, vals / vals.mean())
+
+    @classmethod
+    def from_density(cls, density: cube.Density) -> "SampleSpace":
+        """The distribution of a density, dropping the values at most
+        PRUNE_RELATIVE of the largest."""
+        vals = density.values
+        points = np.flatnonzero(vals > PRUNE_RELATIVE * vals.max())
+        probs = vals[points]
+        return cls(density.n, points, probs / probs.sum())
 
     def to_text(self) -> str:
         lines = [f"n={self.n}"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,6 +97,11 @@ class Density(CubeFunction):
         if abs(mean - 1.0) > TOTAL_MASS:
             raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
 
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The forward transform, computed on first read and kept."""
+        return _transform(self)
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -158,23 +163,22 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     return src
 
 
-def wht(f: CubeFunction) -> Spectrum:
-    """Forward transform; the 1/2^n factor is applied once at the end.
-
-    A Density is transformed once: its spectrum is kept on the frozen
-    instance and every later call returns that same read-only Spectrum.  Any
-    other CubeFunction (the adjacency kernel, a convolution) is transformed
-    on every call, so that its spectrum is freed with the call's result.
-    """
-    cached = vars(f).get("_spectrum")
-    if cached is not None:
-        return cached
+def _transform(f: CubeFunction) -> Spectrum:
+    """The forward butterfly, then the 1/2^n factor once at the end."""
     a = _fwht(f.values)
     a /= f.size
-    spectrum = Spectrum(f.n, _Fresh(a))
-    if isinstance(f, Density):
-        object.__setattr__(f, "_spectrum", spectrum)
-    return spectrum
+    return Spectrum(f.n, _Fresh(a))
+
+
+def wht(f: CubeFunction) -> Spectrum:
+    """Forward transform.
+
+    A Density is transformed once: this returns its kept spectrum property.
+    Any other CubeFunction (the adjacency kernel, a convolution) is
+    transformed on every call, so that its spectrum is freed with the
+    call's result.
+    """
+    return f.spectrum if isinstance(f, Density) else _transform(f)
 
 
 def inverse_wht(s: Spectrum) -> CubeFunction:
@@ -241,19 +245,6 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
     out = np.zeros(s.n + 1)
     np.maximum.at(out, subset_sizes(s.n), np.abs(s.coeffs))
     return out
-
-
-def uniform_density(n: int) -> Density:
-    check_dimension(n)
-    return Density(n, np.ones(1 << n))
-
-
-def point_mass_density(n: int) -> Density:
-    """Density of the distribution concentrated on the origin."""
-    check_dimension(n)
-    vals = np.zeros(1 << n)
-    vals[0] = float(1 << n)
-    return Density(n, vals)
 
 
 def weight_one_indicator(n: int) -> CubeFunction:

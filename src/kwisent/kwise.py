@@ -1,9 +1,11 @@
-"""Distributions on the cube and detection of k-wise independence.
+"""Detection of k-wise independence for a sample space.
 
 A distribution is k-wise independent when every restriction to at most k
 coordinates is uniform; equivalently, every Fourier coefficient on a
-nonempty set of size <= k vanishes.  Both criteria are implemented; the
-spectral scan is the fast path and the marginal enumeration is the oracle.
+nonempty set of size <= k vanishes.  Every function here takes a
+codes.SampleSpace.  Both criteria are implemented: the spectral scan reads
+the space's density spectrum and is the fast path; the marginal enumeration
+reads only the support and is the oracle.
 The oracle still checks every marginal of every coordinate subset by
 definition; it takes each level's subsets a block at a time and builds the
 block's (subset, pattern) bin index with one float64 matrix product, then
@@ -13,15 +15,14 @@ sums the bins with one bincount, instead of one sort per subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
 
 from .codes import SampleSpace
-from .cube import Density, Spectrum, check_dimension, level_max_abs, wht
+from .cube import level_max_abs
 from .errors import ResourceLimitError
-from .tolerances import COEFF_ZERO, MARGINAL_ZERO, PRUNE_RELATIVE, TOTAL_MASS
+from .tolerances import COEFF_ZERO, MARGINAL_ZERO
 
 # Most (subset, pattern) bins the oracle may hold for one level.
 MARGINAL_WORK_GUARD = 10**7
@@ -33,58 +34,17 @@ MARGINAL_WORK_LIMIT = 10**8
 MARGINAL_BLOCK_ELEMENTS = 1 << 14
 
 
-def density_from_space(space: SampleSpace) -> Density:
-    """Dense mean-1 density: value 2^n * probability on support, 0 elsewhere."""
-    check_dimension(space.n)
-    vals = np.zeros(1 << space.n)
-    vals[space.points] = space.probabilities * (1 << space.n)
-    return Density(space.n, vals / vals.mean())
+def order_from_levels(per_level: np.ndarray) -> int:
+    """The independence order read from the largest |coeff(S)| per level |S|
+    (cube.level_max_abs): the largest k with every level 1..k at most
+    COEFF_ZERO, n if all are."""
+    leaks = np.flatnonzero(per_level[1:] > COEFF_ZERO)
+    return int(leaks[0]) if leaks.size else per_level.size - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A sample space together with its cached density and spectrum."""
-
-    space: SampleSpace
-    density: Density
-    spectrum: Spectrum
-
-    def __post_init__(self):
-        if abs(self.spectrum.coeffs[0] - 1.0) > TOTAL_MASS:
-            raise ValueError("empty-set coefficient of a density must be 1")
-
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    @classmethod
-    def from_space(cls, space: SampleSpace) -> "Distribution":
-        density = density_from_space(space)
-        return cls(space=space, density=density, spectrum=wht(density))
-
-    @classmethod
-    def from_density(cls, density: Density) -> "Distribution":
-        """Build the support representation, dropping values at most
-        PRUNE_RELATIVE of the largest."""
-        vals = density.values.copy()
-        vals[vals <= PRUNE_RELATIVE * vals.max()] = 0.0
-        vals /= vals.mean()
-        clean = Density(density.n, vals)
-        points = np.flatnonzero(vals).astype(np.int64)
-        probs = vals[points] / (1 << density.n)
-        space = SampleSpace(density.n, points, probs / probs.sum())
-        return cls(space=space, density=clean, spectrum=wht(clean))
-
-
-def independence_order(dist: Distribution) -> int:
+def independence_order(space: SampleSpace) -> int:
     """Largest k with |coeff(S)| <= COEFF_ZERO for all 1 <= |S| <= k (n if all vanish)."""
-    per_level = level_max_abs(dist.spectrum)
-    order = 0
-    for level in range(1, dist.n + 1):
-        if per_level[level] > COEFF_ZERO:
-            break
-        order = level
-    return order
+    return order_from_levels(level_max_abs(space.density.spectrum))
 
 
 def level_bins(n: int, size: int) -> int:
@@ -98,11 +58,11 @@ def level_cost(n: int, size: int, support: int) -> int:
     return math.comb(n, size) * support + level_bins(n, size)
 
 
-def marginal_affordable(dist: Distribution, k: int, limit: float) -> bool:
+def marginal_affordable(space: SampleSpace, k: int, limit: float) -> bool:
     """Whether the marginal oracle over levels 1..k fits a work limit: the
     level costs sum to at most limit and no level has more bins than
     MARGINAL_WORK_GUARD."""
-    n, support = dist.n, dist.space.support_size
+    n, support = space.n, space.support_size
     levels = range(1, k + 1)
     return (
         sum(level_cost(n, size, support) for size in levels) <= limit
@@ -152,17 +112,17 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
         yield np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
 
 
-def marginal_check(dist: Distribution, k: int) -> float:
+def marginal_check(space: SampleSpace, k: int) -> float:
     """Brute-force oracle: the largest deviation from uniformity over every
     coordinate set of size <= k (0.0 when k = 0).
 
     Refused when any level 1..k has more bins than MARGINAL_WORK_GUARD: the
     level bins peak near size 2n/3, not at k.
     """
-    n, space = dist.n, dist.space
+    n = space.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
-    if not marginal_affordable(dist, k, math.inf):
+    if not marginal_affordable(space, k, math.inf):
         raise ResourceLimitError(
             f"marginal check at n={n}, k={k} exceeds the work guard"
         )
@@ -174,9 +134,9 @@ def marginal_check(dist: Distribution, k: int) -> float:
     return worst
 
 
-def marginal_order(dist: Distribution) -> int:
+def marginal_order(space: SampleSpace) -> int:
     """Largest k passing the marginal oracle; scans level by level."""
-    n, space = dist.n, dist.space
+    n = space.n
     columns = _bit_columns(space)
     for size in range(1, n + 1):
         if level_bins(n, size) > MARGINAL_WORK_GUARD:

@@ -38,6 +38,7 @@ from .bounds import (
     shannon_entropy,
     shannon_from_density,
 )
+from .codes import SampleSpace
 from .cube import (
     Density,
     adjacency_apply,
@@ -54,10 +55,10 @@ from .cube import (
 from .errors import DimensionError, IndependenceError
 from .kwise import (
     MARGINAL_WORK_LIMIT,
-    Distribution,
     independence_order,
     marginal_affordable,
     marginal_check,
+    order_from_levels,
 )
 from .table import fmt, render
 from .tolerances import (
@@ -159,14 +160,18 @@ class ChainReport:
         return {**self.record, "final_check": self.final_check, "passed": self.passed}
 
 
-def certify_order(dist: Distribution, order: int) -> None:
-    """Raise IndependenceError naming the first level whose coefficients leak."""
-    found = independence_order(dist)
+def certify_order(x: SampleSpace, order: int) -> np.ndarray:
+    """X's largest |coeff(S)| per level |S|, from its one level scan; raises
+    IndependenceError naming the first level whose coefficients leak when
+    the order found there is below the one asked for."""
+    per_level = level_max_abs(x.density.spectrum)
+    found = order_from_levels(per_level)
     if found < order:
-        raise IndependenceError(found + 1, float(level_max_abs(dist.spectrum)[found + 1]))
+        raise IndependenceError(found + 1, float(per_level[found + 1]))
+    return per_level
 
 
-def smooth(x: Distribution, ball: BallSpectrum) -> Distribution:
+def smooth(x: SampleSpace, ball: BallSpectrum) -> SampleSpace:
     """Z = X xor Y for Y distributed as the ball eigenfunction density.
 
     The density of Z is the convolution of the two densities; radius 0
@@ -174,8 +179,7 @@ def smooth(x: Distribution, ball: BallSpectrum) -> Distribution:
     """
     if x.n != ball.n:
         raise DimensionError(f"dimension mismatch: {x.n} vs {ball.n}")
-    g = _smoothed_density(x.density, ball.density())
-    return Distribution.from_density(g)
+    return SampleSpace.from_density(_smoothed_density(x.density, ball.density()))
 
 
 def _smoothed_density(f: Density, d: Density) -> Density:
@@ -210,7 +214,7 @@ class SmoothingReport:
         return self.order_preserved and self.entropy_subadditive and self.convolution_matches
 
 
-def verify_smoothing(x: Distribution, ball: BallSpectrum) -> SmoothingReport:
+def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
     """Check the three facts the smoothing step relies on.
 
     (a) the independence order does not drop (coefficients multiply, so
@@ -230,7 +234,7 @@ def verify_smoothing(x: Distribution, ball: BallSpectrum) -> SmoothingReport:
     if order_before >= 1 and marginal_affordable(z, order_before, MARGINAL_WORK_LIMIT):
         marginal_dev = marginal_check(z, order_before)
         order_ok = order_ok and marginal_dev <= MARGINAL_ZERO
-    h_x = shannon_entropy(x.space)
+    h_x = shannon_entropy(x)
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(z.density)
     direct = convolve_direct(x.density, d)
@@ -251,7 +255,7 @@ def verify_smoothing(x: Distribution, ball: BallSpectrum) -> SmoothingReport:
     )
 
 
-def halfwise_chain(x: Distribution) -> ChainReport:
+def halfwise_chain(x: SampleSpace) -> ChainReport:
     """Certify the no-smoothing chain for an order-floor(n/2) input; the same
     report as smoothing_chain(x, floor(n/2) + 1).
 
@@ -261,22 +265,21 @@ def halfwise_chain(x: Distribution) -> ChainReport:
     E[f^2] <= n + 1.
     """
     k = x.n // 2 + 1
-    certify_order(x, k - 1)
-    return _halfwise_body(x, k)
+    return _halfwise_body(x, k, certify_order(x, k - 1))
 
 
-def _halfwise_body(x: Distribution, k: int) -> ChainReport:
+def _halfwise_body(x: SampleSpace, k: int, per_level: np.ndarray) -> ChainReport:
+    """The chain on X, whose level maxima certify_order returned."""
     n = x.n
     f = x.density
-    profile = level_profile(x.spectrum)
+    profile = level_profile(f.spectrum)
     second = float(profile.sum())
     ray = inner_product(adjacency_apply(f), f)
     ray_spectral = float((adjacency_level_multipliers(n) * profile).sum())
-    per_level = level_max_abs(x.spectrum)
     mid = n // 2
     mid_max = float(per_level[1 : mid + 1].max()) if mid >= 1 else 0.0
     upper = n + 1.0 - second
-    h_x = shannon_entropy(x.space)
+    h_x = shannon_entropy(x)
     h2_x = n - math.log2(second)
     bound = halfwise_entropy_bound(n)
     lines = (
@@ -297,7 +300,7 @@ def _halfwise_body(x: Distribution, k: int) -> ChainReport:
     return ChainReport(record, lines, halfwise_mode=True)
 
 
-def smoothing_chain(x: Distribution, k: int) -> ChainReport:
+def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     """Certify the smoothing chain for a (k-1)-wise independent input.
 
     Needs k <= n/2 for the folded spectral upper bound to hold; larger k is
@@ -307,17 +310,17 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     n = x.n
     if not 1 <= k <= n + 1:
         raise ValueError(f"k must be in 1..{n + 1}, got {k}")
-    certify_order(x, k - 1)
+    per_level = certify_order(x, k - 1)
     if halfwise_applies(n, k):
-        return _halfwise_body(x, k)
+        return _halfwise_body(x, k, per_level)
 
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
     lam = ball.lam
-    # f, d and g are Densities, so wht transforms each once (f's spectrum is
-    # x.spectrum) and d's spectrum stays alive.  To keep the peak memory where
-    # it was, d * f is not bound to a name: it is freed before the right side
-    # of the associativity check, where the peak is.
+    # f, d and g are Densities, so wht transforms each once (certify_order
+    # read f's spectrum) and d's spectrum stays alive.  To keep the peak
+    # memory where it was, d * f is not bound to a name: it is freed before
+    # the right side of the associativity check, where the peak is.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)
@@ -336,7 +339,7 @@ def smoothing_chain(x: Distribution, k: int) -> ChainReport:
     pointwise_margin = float(np.max(lam * d.values - adjacency_apply(d).values))
     pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.values.max()))
 
-    h_x = shannon_entropy(x.space)
+    h_x = shannon_entropy(x)
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(g)
     h2_z = n - math.log2(second)

@@ -20,10 +20,10 @@ gamma_n <= 3.6e-15, so they are upper bounds for every dense vector.
 COEFF_ZERO = 1e-9
 """Largest |f^(S)| read as zero, for a Fourier coefficient of a mean-1 density.
 
-Used by kwise.independence_order (so the `order` that bounds.evaluate and
-`analyze` report, and the chain precondition smoothing.certify_order, which
-reads that order), and as the right-hand side of the check lines
-middle_band_vanishes and order_preserved.
+Used by kwise.order_from_levels, the one order rule: kwise.independence_order
+(the `order` that bounds.evaluate and `analyze` report) and the chain
+precondition smoothing.certify_order read the order through it.  Also the
+right-hand side of the check lines middle_band_vanishes and order_preserved.
 
 Rounding: wht evaluates f^(S) = 2^-n sum_x f(x) chi_S(x) with the butterfly,
 a depth-n tree, and scales by the exact power 2^-n.  So a coefficient is off
@@ -217,7 +217,7 @@ below 0 is an underflow or a rounding; the floor keeps the logarithm finite
 PRUNE_RELATIVE = 1e-12
 """Share of a density's maximum at or below which a value counts as zero
 when a density is turned back into a sample space
-(kwise.Distribution.from_density, used by smoothing.smooth).
+(codes.SampleSpace.from_density, used by smoothing.smooth).
 
 Modelling threshold: it separates the rounding noise left on exact zeros
 (pointwise errors of CONVOLUTION_POINTWISE's size) from real mass.  A
@@ -227,15 +227,15 @@ dropped in all is at most 1e-12 max f.
 
 TOTAL_MASS = 1e-12
 """Allowed |total mass - 1| of a distribution built inside the program: the
-sum of a sample space's probabilities (codes.SampleSpace), a density's mean
-(cube.Density) and a density's empty-set coefficient (kwise.Distribution),
-which are the same number.
+sum of a sample space's probabilities (codes.SampleSpace) and a density's
+mean (cube.Density, among them SampleSpace.density).  The mean is also the
+density's empty-set coefficient, so no separate check reads that.
 
 Input validation.  Every builder normalizes with one division
 (probs / probs.sum(), vals / vals.mean()), after which a pairwise sum of m
-terms is 1 within about gamma_(log2 m + 8), under 5e-15 for m <= 2^32, and
-the empty-set coefficient within gamma_n (COEFF_ZERO).  The threshold passes
-these with a margin of 200 and refuses a vector that was not normalized.
+terms is 1 within about gamma_(log2 m + 8), under 5e-15 for m <= 2^32.  The
+threshold passes these with a margin of 200 and refuses a vector that was
+not normalized.
 """
 
 FILE_TOTAL_MASS = 1e-9

@@ -13,7 +13,6 @@ from kwisent.codes import (
     parity_sampler_space,
     simplex_code,
 )
-from kwisent.kwise import Distribution
 
 settings.register_profile("kwisent", deadline=None, max_examples=60)
 settings.load_profile("kwisent")
@@ -27,6 +26,12 @@ def uniform_space(n: int) -> SampleSpace:
 def point_space(n: int) -> SampleSpace:
     """The distribution concentrated on the origin: the empty matrix's row space."""
     return parity_sampler_space(BinaryMatrix((), n))
+
+
+def with_spectrum(space: SampleSpace) -> SampleSpace:
+    """The space after its density's spectrum has been read, and so kept."""
+    space.density.spectrum  # built on first read
+    return space
 
 
 def random_code_with_dual_distance(
@@ -45,11 +50,11 @@ def random_code_with_dual_distance(
             return code
 
 
-def random_halfwise_distribution(n: int, rng: np.random.Generator) -> Distribution:
+def random_halfwise_distribution(n: int, rng: np.random.Generator) -> SampleSpace:
     """Uniform code space certified independent at order floor(n/2)."""
     dual_dim = int(rng.integers(1, 3))
     code = random_code_with_dual_distance(n, rng, n // 2 + 1, dual_dim)
-    return Distribution.from_space(parity_sampler_space(code))
+    return with_spectrum(parity_sampler_space(code))
 
 
 def random_sample_space(n: int, rng: np.random.Generator, max_support: int = 200) -> SampleSpace:
@@ -83,27 +88,27 @@ def mixture_space(a: SampleSpace, b: SampleSpace, weight: float) -> SampleSpace:
 
 @pytest.fixture(scope="session")
 def hamming3():
-    return Distribution.from_space(parity_sampler_space(hamming_code(2)))
+    return with_spectrum(parity_sampler_space(hamming_code(2)))
 
 
 @pytest.fixture(scope="session")
 def hamming7():
-    return Distribution.from_space(parity_sampler_space(hamming_code(3)))
+    return with_spectrum(parity_sampler_space(hamming_code(3)))
 
 
 @pytest.fixture(scope="session")
 def hamming15():
-    return Distribution.from_space(parity_sampler_space(hamming_code(4)))
+    return with_spectrum(parity_sampler_space(hamming_code(4)))
 
 
 @pytest.fixture(scope="session")
 def simplex7():
-    return Distribution.from_space(parity_sampler_space(simplex_code(3)))
+    return with_spectrum(parity_sampler_space(simplex_code(3)))
 
 
 @pytest.fixture(scope="session")
 def uniform8():
-    return Distribution.from_space(uniform_space(8))
+    return with_spectrum(uniform_space(8))
 
 
 @pytest.fixture(scope="session")
@@ -115,10 +120,10 @@ def corpus(hamming3, hamming7, hamming15, simplex7, uniform8):
         ("hamming7", hamming7),
         ("hamming15", hamming15),
         ("simplex7", simplex7),
-        ("uniform4", Distribution.from_space(uniform_space(4))),
+        ("uniform4", with_spectrum(uniform_space(4))),
         ("uniform8", uniform8),
-        ("point5", Distribution.from_space(point_space(5))),
-        ("biased6", Distribution.from_space(biased_product_space(6, 0.6))),
+        ("point5", with_spectrum(point_space(5))),
+        ("biased6", with_spectrum(biased_product_space(6, 0.6))),
     ]
     for i in range(3):
         entries.append(
@@ -129,9 +134,9 @@ def corpus(hamming3, hamming7, hamming15, simplex7, uniform8):
             (f"random12_{i}", random_halfwise_distribution(12, rng))
         )
     blend = mixture_space(
-        random_halfwise_distribution(8, rng).space,
-        random_halfwise_distribution(8, rng).space,
+        random_halfwise_distribution(8, rng),
+        random_halfwise_distribution(8, rng),
         1.0 / 3.0,
     )
-    entries.append(("mixture8", Distribution.from_space(blend)))
+    entries.append(("mixture8", with_spectrum(blend)))
     return entries

@@ -18,7 +18,7 @@ from kwisent.balls import lambda_ball, lambda_ball_dense_oracle, min_radius
 from kwisent.bounds import binary_entropy, renyi2_entropy, shannon_entropy
 from kwisent.codes import hamming_code, parity_sampler_space
 from kwisent.cube import CubeFunction, convolve, inner_product, inverse_wht, wht
-from kwisent.kwise import Distribution, independence_order, marginal_order
+from kwisent.kwise import independence_order, marginal_order
 from kwisent.smoothing import halfwise_chain, smoothing_chain, verify_smoothing
 from kwisent.tolerances import CONVOLUTION_POINTWISE, ENTROPY_SLACK, MARGINAL_ZERO
 
@@ -33,9 +33,9 @@ def test_criterion_1_halfwise_tightness():
     started = time.time()
     for m in (2, 3, 4):
         n = 2**m - 1
-        dist = Distribution.from_space(parity_sampler_space(hamming_code(m)))
+        dist = parity_sampler_space(hamming_code(m))
         assert independence_order(dist) == n // 2
-        shannon = shannon_entropy(dist.space)
+        shannon = shannon_entropy(dist)
         assert abs(shannon - (n - math.log2(n + 1))) < 1e-9
         second_moment = inner_product(dist.density, dist.density)
         assert abs(second_moment - (n + 1)) < 1e-9
@@ -87,9 +87,9 @@ def test_criterion_5_smoothing_facts():
     assert MARGINAL_ZERO == ENTROPY_SLACK == 1e-9 and CONVOLUTION_POINTWISE == 1e-10
     rng = np.random.default_rng(52)
     inputs = [
-        Distribution.from_space(parity_sampler_space(hamming_code(3))),
-        Distribution.from_space(parity_sampler_space(hamming_code(4))),
-        Distribution.from_space(uniform_space(8)),
+        parity_sampler_space(hamming_code(3)),
+        parity_sampler_space(hamming_code(4)),
+        uniform_space(8),
     ]
     inputs += [random_halfwise_distribution(10, rng) for _ in range(3)]
     for dist in inputs:

@@ -1,0 +1,28 @@
+"""scripts/bench_kernels.py runs against the package as it is: every kernel
+row is produced, and the chain row counts the chain's butterflies."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
+KERNELS = {
+    "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "marginal_order",
+    "smoothing_chain", "lambda_ball", "min_radius",
+}
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_rows_cover_every_kernel():
+    rows = load_script().rows((10,), 2, "test", quick=True)
+    assert {row["kernel"] for row in rows} == KERNELS
+    assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
+    chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
+    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 11)]

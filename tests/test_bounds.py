@@ -26,7 +26,6 @@ from kwisent.bounds import (
 )
 from kwisent.codes import SampleSpace
 from kwisent.cube import Density
-from kwisent.kwise import Distribution
 from kwisent.table import render
 
 
@@ -37,7 +36,7 @@ def two_point_space(p):
 def test_shannon_entropy_examples(hamming7):
     assert shannon_entropy(uniform_space(6)) == pytest.approx(6.0, abs=1e-12)
     assert shannon_entropy(SampleSpace(3, np.array([5]), np.array([1.0]))) == 0.0
-    assert shannon_entropy(hamming7.space) == pytest.approx(4.0, abs=0.0)
+    assert shannon_entropy(hamming7) == pytest.approx(4.0, abs=0.0)
 
 
 def test_shannon_from_density_drops_a_value_that_underflows():
@@ -128,10 +127,10 @@ def test_shannon_never_below_renyi2_property():
 
 def test_two_path_renyi_agreement(corpus):
     for name, dist in corpus:
-        via_space = renyi2_entropy(dist.space)
+        via_space = renyi2_entropy(dist)
         via_density = renyi2_from_density(dist.density)
         assert abs(via_space - via_density) < 1e-9, name
-        via_space_h = shannon_entropy(dist.space)
+        via_space_h = shannon_entropy(dist)
         assert abs(via_space_h - shannon_from_density(dist.density)) < 1e-9, name
 
 

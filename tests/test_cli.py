@@ -442,6 +442,17 @@ def test_outputs_are_deterministic(tmp_path, runner):
     assert sweep_a == sweep_b
 
 
+@pytest.mark.parametrize("args", [(), ("--k", "3")], ids=["analyze", "chain"])
+def test_a_space_above_the_dense_cap_is_refused_at_load(tmp_path, capsys, args):
+    # a 27-bit space is valid, but its density would be 2^27 floats
+    path = tmp_path / "space27.txt"
+    path.write_text("n=27\n" + "0" * 27 + " 1.0\n")
+    command = "chain" if args else "analyze"
+    status, err = run_exit(capsys, command, str(path), *args)
+    assert status == 2
+    assert err.endswith(f"\nError: {path}: dimension 27 outside supported range 1..26\n")
+
+
 @pytest.mark.parametrize("row", ["1" * 64, "0" + "1" * 63], ids=["all-ones", "top-bit-clear"])
 def test_construct_refuses_a_matrix_wider_than_63_columns(tmp_path, capsys, row):
     # a point is an int64 bitmask, so column 1 of 64 (bit 63) has no room

@@ -376,6 +376,20 @@ def test_point_and_uniform_spaces():
     assert uniform_space(4).support_size == 16
 
 
+def test_density_is_built_on_first_read_and_kept():
+    # a 40-bit density would be 2^40 floats: making and writing the space
+    # must not build it, and reading it is refused by the dense cap
+    space = parity_sampler_space(BinaryMatrix((0b111 << 37, 0b1011 << 20, 0b11), 40))
+    assert space.to_text().startswith("n=40\n") and space.support_size == 8
+    assert "density" not in vars(space)
+    with pytest.raises(DimensionError, match=r"^dimension 40 outside supported range 1\.\.26$"):
+        space.density
+    small = point_space(3)
+    assert "density" not in vars(small)
+    assert small.density is small.density
+    np.testing.assert_array_equal(small.density.values, [8, 0, 0, 0, 0, 0, 0, 0])
+
+
 @pytest.mark.parametrize(
     "matrix",
     [identity(20), BinaryMatrix(identity(20).rows * 2, 20)],

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwisent
+from conftest import point_space, uniform_space
 from kwisent.cube import (
     DIMENSION_CAP,
     CubeFunction,
@@ -24,9 +25,7 @@ from kwisent.cube import (
     inverse_wht,
     level_max_abs,
     level_profile,
-    point_mass_density,
     subset_sizes,
-    uniform_density,
     weight_one_indicator,
     wht,
 )
@@ -83,14 +82,14 @@ def convolve_loop(f, g):
 
 
 def test_uniform_density_spectrum():
-    s = wht(uniform_density(4))
+    s = wht(uniform_space(4).density)
     expect = np.zeros(16)
     expect[0] = 1.0
     np.testing.assert_array_equal(s.coeffs, expect)
 
 
 def test_point_mass_spectrum_all_ones():
-    s = wht(point_mass_density(4))
+    s = wht(point_space(4).density)
     np.testing.assert_array_equal(s.coeffs, np.ones(16))
 
 
@@ -153,7 +152,7 @@ def test_inverse_of_unit_spectra():
     e0[0] = 1.0
     np.testing.assert_array_equal(inverse_wht(Spectrum(3, e0)).values, np.ones(8))
     back = inverse_wht(Spectrum(3, np.ones(8)))
-    np.testing.assert_array_equal(back.values, point_mass_density(3).values)
+    np.testing.assert_array_equal(back.values, point_space(3).density.values)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers())
@@ -168,14 +167,14 @@ def test_round_trip_property(n, seed):
 def test_convolution_identity_element():
     rng = np.random.default_rng(2)
     f = random_function(6, rng)
-    out = convolve(f, point_mass_density(6))
+    out = convolve(f, point_space(6).density)
     np.testing.assert_allclose(out.values, f.values, atol=1e-12)
 
 
 def test_convolution_with_uniform_is_constant_mean():
     rng = np.random.default_rng(3)
     g = random_function(5, rng)
-    out = convolve(uniform_density(5), g)
+    out = convolve(uniform_space(5).density, g)
     np.testing.assert_allclose(out.values, g.values.mean(), atol=1e-12)
 
 
@@ -198,7 +197,7 @@ def test_convolution_theorem_per_coefficient():
 
 
 def test_inner_product_basics():
-    one = uniform_density(5)
+    one = uniform_space(5).density
     assert inner_product(one, one) == 1.0
 
 
@@ -213,7 +212,7 @@ def test_plancherel_property(seed):
 
 def test_adjacency_on_constants_and_point_mass():
     n = 6
-    af = adjacency_apply(uniform_density(n))
+    af = adjacency_apply(uniform_space(n).density)
     np.testing.assert_array_equal(af.values, np.full(1 << n, float(n)))
     ap = adjacency_apply(CubeFunction(n, (np.arange(1 << n) == 0).astype(float)))
     np.testing.assert_array_equal(ap.values, weight_one_indicator(n).values)
@@ -271,9 +270,9 @@ def test_rayleigh_nonnegative_for_nonnegative_functions(seed):
 def test_level_profile_examples():
     n = 5
     np.testing.assert_array_equal(
-        level_profile(wht(uniform_density(n))), np.eye(n + 1)[0]
+        level_profile(wht(uniform_space(n).density)), np.eye(n + 1)[0]
     )
-    profile = level_profile(wht(point_mass_density(n)))
+    profile = level_profile(wht(point_space(n).density))
     expect = np.array([1.0, 5.0, 10.0, 10.0, 5.0, 1.0])
     np.testing.assert_array_equal(profile, expect)
 
@@ -303,7 +302,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Density(2, np.array([1.0, 1.0, 1.0, 1.5]))
     with pytest.raises(DimensionError):
-        convolve(uniform_density(3), uniform_density(4))
+        convolve(uniform_space(3).density, uniform_space(4).density)
 
 
 @pytest.mark.parametrize("raw", ["4", "0", "-3", "33", "1000"])
@@ -312,18 +311,19 @@ def test_dimension_cap_ignores_the_environment(monkeypatch, raw):
     with pytest.raises(DimensionError):
         CubeFunction(DIMENSION_CAP + 1, np.zeros(4))  # size check after cap check
     monkeypatch.setenv("KWISENT_MAX_N", raw)
-    assert uniform_density(5).n == 5
+    assert uniform_space(5).density.n == 5
     with pytest.raises(DimensionError, match=r"dimension 27 outside supported range 1\.\.26$"):
-        point_mass_density(27)
+        point_space(27).density
 
 
 def test_uniform_density_refuses_before_allocating(monkeypatch):
     # n = 20 would be an 8 MiB vector; the refusal must come first
+    space = uniform_space(20)  # the support is enumerated under the real cap
     monkeypatch.setattr(kwisent.cube, "DIMENSION_CAP", 10)
     tracemalloc.start()
     try:
         with pytest.raises(DimensionError, match=r"dimension 20 outside supported range 1\.\.10$"):
-            uniform_density(20)
+            space.density
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,7 +362,7 @@ def test_package_imports_only_names_it_uses():
 
 
 def test_values_are_immutable():
-    f = uniform_density(3)
+    f = uniform_space(3).density
     with pytest.raises(ValueError):
         f.values[0] = 2.0
 
@@ -375,7 +375,7 @@ def test_values_copy_a_read_only_view_of_a_writeable_base():
     spectrum = wht(d)
     base[0] = 9.0
     assert f.values[0] == d.values[0] == 1.0
-    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_density(3)).coeffs)
+    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_space(3).density).coeffs)
     # a read-only array the caller holds is copied as well
     coeffs = wht(f).coeffs
     assert Spectrum(3, coeffs).coeffs is not coeffs
@@ -392,7 +392,7 @@ def test_values_copy_a_read_only_array_the_caller_owns():
         np.testing.assert_array_equal(vals, np.ones(8))
     assert d.values.mean() == 1.0
     assert wht(d) is spectrum
-    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_density(3)).coeffs)
+    np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_space(3).density).coeffs)
 
 
 def test_transform_results_are_not_copied(monkeypatch):
@@ -410,8 +410,8 @@ def test_transform_results_are_not_copied(monkeypatch):
 
 
 def test_wht_transforms_a_density_once():
-    d = uniform_density(4)
-    assert wht(d) is wht(d)
+    d = uniform_space(4).density
+    assert wht(d) is wht(d) is d.spectrum
     np.testing.assert_array_equal(wht(d).coeffs, wht(CubeFunction(4, d.values)).coeffs)
     kernel = weight_one_indicator(4)
     assert wht(kernel) is not wht(kernel)

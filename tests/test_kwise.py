@@ -18,8 +18,6 @@ from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.tolerances import MARGINAL_ZERO
 from kwisent.kwise import (
-    Distribution,
-    density_from_space,
     independence_order,
     marginal_check,
     marginal_order,
@@ -27,10 +25,10 @@ from kwisent.kwise import (
 
 
 def test_density_from_space_examples(hamming7):
-    vals = density_from_space(uniform_space(2)).values
+    vals = uniform_space(2).density.values
     np.testing.assert_array_equal(vals, np.ones(4))
 
-    vals = density_from_space(point_space(4)).values
+    vals = point_space(4).density.values
     expect = np.zeros(16)
     expect[0] = 16.0
     np.testing.assert_array_equal(vals, expect)
@@ -41,13 +39,13 @@ def test_density_from_space_examples(hamming7):
 
 
 def test_uniform_distribution_has_full_order():
-    dist = Distribution.from_space(uniform_space(6))
+    dist = uniform_space(6)
     assert independence_order(dist) == 6
     assert independence_order(dist) >= 6
 
 
 def test_point_mass_has_order_zero():
-    dist = Distribution.from_space(point_space(5))
+    dist = point_space(5)
     assert independence_order(dist) == 0
     assert independence_order(dist) < 1
 
@@ -61,7 +59,7 @@ def test_hamming7_order_three(hamming7):
 
 def test_hamming7_fourier_levels_match_dual_distance(hamming7):
     # dual distance 4: levels 1..3 carry no coefficient mass
-    profile = level_profile(hamming7.spectrum)
+    profile = level_profile(hamming7.density.spectrum)
     np.testing.assert_array_equal(profile[1:4], np.zeros(3))
     assert profile[4] == 7.0  # seven dual words of weight 4
 
@@ -76,31 +74,31 @@ def test_simplex7_order_two(simplex7):
 
 
 def test_marginal_check_examples(hamming7):
-    assert marginal_check(Distribution.from_space(uniform_space(5)), 3) == 0.0
+    assert marginal_check(uniform_space(5), 3) == 0.0
 
     assert marginal_check(hamming7, 3) == 0.0
     assert marginal_check(hamming7, 4) == 2.0**-4
 
-    biased = Distribution.from_space(biased_product_space(4, 0.6))
+    biased = biased_product_space(4, 0.6)
     assert marginal_check(biased, 1) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_marginal_check_guard():
-    dist = Distribution.from_space(uniform_space(18))
+    dist = uniform_space(18)
     with pytest.raises(ResourceLimitError):
         marginal_check(dist, 9)
 
 
 def test_marginal_check_guard_reads_every_level():
     # level bins C(n, j) 2^j peak near j = 2n/3, not at j = k
-    point = Distribution.from_space(point_space(12))
+    point = point_space(12)
     assert kwise.level_bins(12, 12) <= 10**5 < kwise.level_bins(12, 8)
     with mock.patch.object(kwise, "MARGINAL_WORK_GUARD", 10**5):
         with pytest.raises(ResourceLimitError, match="n=12, k=12 exceeds"):
             marginal_check(point, 12)
     # at the default guard, level 18 costs 2^18 but level 12 costs 7.6e7
     with pytest.raises(ResourceLimitError, match="n=18, k=18 exceeds"):
-        marginal_check(Distribution.from_space(point_space(18)), 18)
+        marginal_check(point_space(18), 18)
 
 
 def test_code_independence_link(corpus):
@@ -129,7 +127,7 @@ def test_code_independence_link_random_codes():
             dual = code.dual()
             if len(dual.rows) in (0, n):
                 continue
-            dist = Distribution.from_space(parity_sampler_space(code))
+            dist = parity_sampler_space(code)
             dual_distance = dual.min_distance()
             assert independence_order(dist) == dual_distance - 1, (n, rows)
             checked += 1
@@ -146,16 +144,14 @@ def test_spectral_equals_marginal_order_on_corpus(corpus):
 def test_plancherel_consistency_on_corpus(corpus):
     for name, dist in corpus:
         direct = float((dist.density.values**2).mean())
-        spectral = float((dist.spectrum.coeffs**2).sum())
+        spectral = float((dist.density.spectrum.coeffs**2).sum())
         assert abs(direct - spectral) < 1e-9, name
 
 
 def test_distribution_from_density_round_trip(hamming7):
-    rebuilt = Distribution.from_density(hamming7.density)
-    np.testing.assert_array_equal(rebuilt.space.points, hamming7.space.points)
-    np.testing.assert_allclose(
-        rebuilt.space.probabilities, hamming7.space.probabilities, atol=1e-15
-    )
+    rebuilt = SampleSpace.from_density(hamming7.density)
+    np.testing.assert_array_equal(rebuilt.points, hamming7.points)
+    np.testing.assert_allclose(rebuilt.probabilities, hamming7.probabilities, atol=1e-15)
 
 
 # The per-subset scan the level-batched oracle replaced, kept as its
@@ -171,14 +167,13 @@ def _subset_deviation_reference(space, mask, size):
     return dev
 
 
-def marginal_check_by_subset_reference(dist, k):
-    n = dist.n
+def marginal_check_by_subset_reference(space, k):
+    n = space.n
     if not 0 <= k <= n:
         raise ValueError(f"k must be in 0..{n}, got {k}")
     costs = [math.comb(n, size) * (1 << size) for size in range(1, k + 1)]
     if max(costs, default=0) > kwise.MARGINAL_WORK_GUARD:
         raise ResourceLimitError(f"marginal check at n={n}, k={k} exceeds the work guard")
-    space = dist.space
     worst = 0.0
     for size in range(1, k + 1):
         for combo in combinations(range(n), size):
@@ -189,9 +184,8 @@ def marginal_check_by_subset_reference(dist, k):
     return worst
 
 
-def marginal_order_by_subset_reference(dist, tol=MARGINAL_ZERO):
-    n = dist.n
-    space = dist.space
+def marginal_order_by_subset_reference(space, tol=MARGINAL_ZERO):
+    n = space.n
     order = 0
     for size in range(1, n + 1):
         if math.comb(n, size) * (1 << size) > kwise.MARGINAL_WORK_GUARD:
@@ -236,8 +230,7 @@ def oracle_spaces(draw):
         )
     )
     weights = np.asarray(weights) if sum(weights) > 0 else np.ones(len(points))
-    space = SampleSpace(n, np.asarray(points, dtype=np.int64), weights / weights.sum())
-    return Distribution.from_space(space)
+    return SampleSpace(n, np.asarray(points, dtype=np.int64), weights / weights.sum())
 
 
 def _outcome(oracle, *args):
@@ -253,15 +246,15 @@ def _outcome(oracle, *args):
     st.sampled_from([1, 3, kwise.MARGINAL_BLOCK_ELEMENTS]),
     st.sampled_from([kwise.MARGINAL_WORK_GUARD, 30, 300, 3000]),
 )
-def test_level_batched_oracle_matches_per_subset_reference(dist, k, block, guard):
-    k = min(k, dist.n)
+def test_level_batched_oracle_matches_per_subset_reference(space, k, block, guard):
+    k = min(k, space.n)
     with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block), mock.patch.object(
         kwise, "MARGINAL_WORK_GUARD", guard
     ):
-        order = _outcome(marginal_order, dist)
-        expected_order = _outcome(marginal_order_by_subset_reference, dist)
-        deviation = _outcome(marginal_check, dist, k)
-        expected = _outcome(marginal_check_by_subset_reference, dist, k)
+        order = _outcome(marginal_order, space)
+        expected_order = _outcome(marginal_order_by_subset_reference, space)
+        deviation = _outcome(marginal_check, space, k)
+        expected = _outcome(marginal_check_by_subset_reference, space, k)
     assert order == expected_order
     if isinstance(expected, tuple):  # the same guard refused with the same message
         assert deviation == expected
@@ -280,7 +273,7 @@ def test_level_batched_oracle_on_hamming7_every_level(hamming7):
 
 def test_level_batched_oracle_one_subset_per_block():
     # 2^15 bins of the one subset at level 15 exceed the block, so rows = 1
-    point = Distribution.from_space(point_space(15))
+    point = point_space(15)
     assert 1 << 15 > kwise.MARGINAL_BLOCK_ELEMENTS
     assert marginal_check(point, 15).hex() == marginal_check_by_subset_reference(point, 15).hex()
 
@@ -306,8 +299,8 @@ def test_oracle_limit_counts_the_support(hamming15):
     assert not kwise.marginal_affordable(hamming15, 8, cost - 1)
     assert kwise.marginal_affordable(hamming15, 8, kwise.MARGINAL_WORK_LIMIT)
     # the same levels on a point mass: 22,818 subsets of one point, 2,913,386 bins
-    point = Distribution.from_space(point_space(15))
+    point = point_space(15)
     assert kwise.marginal_affordable(point, 8, 22818 + 2913386)
     assert not kwise.marginal_affordable(point, 8, 22818 + 2913385)
     # a level of more than MARGINAL_WORK_GUARD bins is refused at any limit
-    assert not kwise.marginal_affordable(Distribution.from_space(point_space(18)), 9, math.inf)
+    assert not kwise.marginal_affordable(point_space(18), 9, math.inf)

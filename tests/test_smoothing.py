@@ -16,7 +16,8 @@ from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound
 from kwisent.cube import convolve, inner_product, wht
 from kwisent.errors import IndependenceError
-from kwisent.kwise import Distribution, independence_order
+from kwisent.codes import SampleSpace
+from kwisent.kwise import independence_order
 from kwisent.smoothing import (
     TEXT_HEAD,
     CheckLine,
@@ -31,20 +32,20 @@ from kwisent.table import render
 def direct_smoothed_probability(x, d, mask):
     """Pr(Z = mask) by the literal sum over the support of X."""
     total = 0.0
-    for point, prob in zip(x.space.points, x.space.probabilities):
+    for point, prob in zip(x.points, x.probabilities):
         total += prob * d.values[int(point) ^ int(mask)] / (1 << x.n)
     return total
 
 
 def test_smooth_radius_zero_is_identity(hamming7):
     z = smooth(hamming7, lambda_ball(7, 0))
-    np.testing.assert_array_equal(z.space.points, hamming7.space.points)
+    np.testing.assert_array_equal(z.points, hamming7.points)
     np.testing.assert_allclose(z.density.values, hamming7.density.values, atol=1e-12)
 
 
 def test_smooth_of_point_mass_is_the_ball_density():
     ball = lambda_ball(6, 2)
-    z = smooth(Distribution.from_space(point_space(6)), ball)
+    z = smooth(point_space(6), ball)
     np.testing.assert_allclose(z.density.values, ball.density().values, atol=1e-12)
 
 
@@ -61,14 +62,14 @@ def test_smooth_support_is_exact_dilation(hamming15):
     r = 2
     z = smooth(hamming15, lambda_ball(15, r))
     dilated = np.zeros(1 << 15, dtype=bool)
-    dilated[hamming15.space.points] = True
+    dilated[hamming15.points] = True
     idx = np.arange(1 << 15)
     for _ in range(r):
         grown = dilated.copy()
         for i in range(15):
             grown |= dilated[idx ^ (1 << i)]
         dilated = grown
-    np.testing.assert_array_equal(np.flatnonzero(dilated), z.space.points)
+    np.testing.assert_array_equal(np.flatnonzero(dilated), z.points)
 
 
 def test_verify_smoothing_uniform_stays_uniform(uniform8):
@@ -111,7 +112,7 @@ def test_verify_smoothing_runs_the_oracle_on_uniform8(uniform8):
 
 
 def test_verify_smoothing_point_mass_equality_case():
-    x = Distribution.from_space(point_space(6))
+    x = point_space(6)
     report = verify_smoothing(x, lambda_ball(6, 1))
     assert report.all_passed
     assert report.shannon_x == 0.0
@@ -149,7 +150,7 @@ def test_halfwise_chain_uniform_has_full_slack(uniform8):
 
 
 def test_halfwise_chain_rejects_point_mass():
-    x = Distribution.from_space(point_space(6))
+    x = point_space(6)
     with pytest.raises(IndependenceError) as err:
         halfwise_chain(x)
     assert err.value.level == 1
@@ -273,7 +274,7 @@ def test_chain_record_holds_every_csv_column_once(hamming7):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_smoothing_chain_runs_eleven_butterflies(hamming15, monkeypatch, k):
-    # f's spectrum is x.spectrum and d's is computed once: 16 transforms less 5
+    # f's spectrum was read before and d's is computed once: 16 transforms less 5
     fwht, calls = kwisent.cube._fwht, []
 
     def counted(v):
@@ -286,9 +287,27 @@ def test_smoothing_chain_runs_eleven_butterflies(hamming15, monkeypatch, k):
 
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):
-    assert wht(hamming15.density) is hamming15.spectrum
-    clean = Distribution.from_density(hamming15.density)
-    assert wht(clean.density) is clean.spectrum
+    assert wht(hamming15.density) is hamming15.density.spectrum
+    clean = SampleSpace.from_density(hamming15.density)
+    assert wht(clean.density) is clean.density.spectrum
+
+
+@pytest.mark.parametrize(
+    "k, scans", [(None, 1), (3, 2), (8, 1)], ids=["halfwise", "smoothing", "delegated"]
+)
+def test_each_chain_scans_the_input_levels_once(hamming15, monkeypatch, k, scans):
+    # X once, and the smoothed g once more when the chain smooths
+    scan, calls = kwisent.cube.level_max_abs, []
+
+    def counted(s):
+        calls.append(s.n)
+        return scan(s)
+
+    for module in ("cube", "kwise", "smoothing"):
+        monkeypatch.setattr(f"kwisent.{module}.level_max_abs", counted)
+    report = halfwise_chain(hamming15) if k is None else smoothing_chain(hamming15, k)
+    assert report.passed
+    assert calls == [15] * scans
 
 
 def test_smoothing_chain_peak_memory(hamming15):

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Time the dense cube kernels, the sample-space reader, the marginal
-oracle, the smoothing chain, the ball eigenvalue and the radius search, one
-call at a time.
+"""Time the dense cube kernels, the sample-space reader and writer, the
+marginal oracle, the smoothing chain, the ball eigenvalue and the radius
+search, one call at a time.
 
-For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text) and
-each n in 16, 20, 22 it reports the median and the quartiles of the wall
-times of repeated calls (time.perf_counter; statistics.quantiles) and the
-peak memory one call allocates beyond its inputs (tracemalloc), also in
-units of one dense 2^n float vector, and the butterflies (full-length fast
-transforms) one call runs.  The wht and convolve rows transform plain cube
-functions, which are not cached, so every call runs its butterflies.  The
-reader parses a random 2^16-point space file, the support of the n = 20
-benchmark code.
+For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text,
+SampleSpace.to_text) and each n in 16, 20, 22 it reports the median and the
+quartiles of the wall times of repeated calls (time.perf_counter;
+statistics.quantiles) and the peak memory one call allocates beyond its
+inputs (tracemalloc), also in units of one dense 2^n float vector, and the
+butterflies (full-length fast transforms) one call runs.  The wht and
+convolve rows transform plain cube functions, which are not cached, so every
+call runs its butterflies.  The reader parses a random 2^16-point space file,
+the support of the n = 20 benchmark code; the writer writes a uniform space
+on the same points, with one distinct probability as in every space built
+from a code.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
@@ -26,9 +28,16 @@ r or k and no peak_vectors.
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
+    for i in 1 2 3; do                               # interleaved fresh processes
+      python scripts/bench_kernels.py --src OTHER/src --label parent --process $i --output BENCH_kernels.json
+      python scripts/bench_kernels.py --label change --process $i --output BENCH_kernels.json
+    done
+
 --src imports kwisent from another checkout, to measure two versions with one
-script; --output merges the rows into a JSON file, replacing rows with the
-same label.
+script; --process tags the rows with the index of the process that measured
+them, since one process alone cannot tell a 2x change from noise;
+--output merges the rows into a JSON file, replacing rows with the same label
+and process.
 """
 
 from __future__ import annotations
@@ -62,11 +71,13 @@ def kernels(n: int, rng):
     points = rng.choice(1 << n, size=min(SUPPORT, 1 << n), replace=False)
     weights = rng.uniform(0.5, 1.5, size=points.size)
     text = SampleSpace(n, points.astype(np.int64), weights / weights.sum()).to_text()
+    uniform = SampleSpace(n, points.astype(np.int64), np.full(points.size, 1.0 / points.size))
     return [
         ("wht", lambda: wht(f)),
         ("adjacency_apply", lambda: adjacency_apply(f)),
         ("convolve", lambda: convolve(f, g)),
         ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
+        ("SampleSpace.to_text", uniform.to_text),
     ]
 
 
@@ -161,7 +172,7 @@ def butterflies(call) -> int:
     return len(count)
 
 
-def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
+def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[dict]:
     import numpy as np
 
     dense = (
@@ -175,7 +186,7 @@ def rows(sizes, runs: int, label: str, quick: bool) -> list[dict]:
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
-        row = {"label": label, "kernel": name, "n": n, **param, "runs": runs}
+        row = {"label": label, "process": process, "kernel": name, "n": n, **param, "runs": runs}
         row["median_ms"] = round(median * 1e3, 2)
         row["q1_ms"] = round(q1 * 1e3, 2)
         row["q3_ms"] = round(q3 * 1e3, 2)
@@ -204,6 +215,7 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="n = 16 and one row of each other kernel, 3 runs"
     )
     parser.add_argument("--label", default="checkout", help="row label")
+    parser.add_argument("--process", type=int, default=1, help="index of this process for the label")
     parser.add_argument(
         "--src",
         type=Path,
@@ -215,7 +227,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
-    new = rows(sizes, runs, args.label, args.quick)
+    new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
         size = f"n={row['n']}" + "".join(f" {key}={row[key]}" for key in ("r", "k") if key in row)
         vectors = ""
@@ -231,7 +243,8 @@ def main(argv=None) -> int:
         if args.output.exists():
             record = json.loads(args.output.read_text())
         record.setdefault("hosts", {})[args.label] = host()
-        record["rows"] = [r for r in record["rows"] if r["label"] != args.label] + new
+        same = (args.label, args.process)
+        record["rows"] = [r for r in record["rows"] if (r["label"], r.get("process", 1)) != same] + new
         args.output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube import Density, check_dimension, subset_sizes
+from .cube import Density, _Fresh, check_dimension, subset_sizes
 from .errors import DimensionError
 from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, ORACLE_RAYLEIGH_STEP, RAYLEIGH_STEP
 
@@ -92,7 +92,8 @@ class BallSpectrum:
         padded = np.zeros(self.n + 1)
         padded[: self.r + 1] = self.radial_profile
         vals = padded[subset_sizes(self.n)]
-        return Density(self.n, vals / vals.mean())
+        vals /= vals.mean()
+        return Density(self.n, _Fresh(vals))
 
     def as_dict(self) -> dict:
         """The spectra report row: the eigenvalue next to its leading term."""

@@ -19,8 +19,8 @@ from .errors import DimensionError, FormatError, ResourceLimitError
 from .tolerances import FILE_TOTAL_MASS, PRUNE_RELATIVE, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
-# SampleSpace.from_text splits this many lines at a time, so only one block's
-# per-line token lists are alive at once
+# SampleSpace.from_text and to_text handle this many lines at a time, so only
+# one block's per-line token lists or strings are alive at once
 READ_BLOCK_LINES = 1024
 ENUMERATION_GUARD = 10**7
 
@@ -207,6 +207,8 @@ class SampleSpace:
         pts, probs = pts[order], probs[order]
         if np.any(pts[1:] == pts[:-1]):
             raise ValueError("points must be distinct")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite (no NaN or infinity)")
         if probs.min() < 0.0:
             raise ValueError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -229,7 +231,8 @@ class SampleSpace:
         cube.check_dimension(self.n)
         vals = np.zeros(1 << self.n)
         vals[self.points] = self.probabilities * (1 << self.n)
-        return cube.Density(self.n, vals / vals.mean())
+        vals /= vals.mean()
+        return cube.Density(self.n, cube._Fresh(vals))
 
     @classmethod
     def from_density(cls, density: cube.Density) -> "SampleSpace":
@@ -241,10 +244,17 @@ class SampleSpace:
         return cls(density.n, points, probs / probs.sum())
 
     def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        for p, q in zip(self.points, self.probabilities):
-            lines.append(f"{format(int(p), f'0{self.n}b')} {float(q)!r}")
-        return "\n".join(lines) + "\n"
+        """'n=<n>', then '<bitstring> <repr(probability)>' per point.  Each
+        distinct probability is formatted once, keyed by its bits, so 0.0
+        and -0.0 keep their own text."""
+        bits, index = np.unique(self.probabilities.view(np.uint64), return_inverse=True)
+        texts = [repr(q) for q in bits.view(np.float64).tolist()]
+        spec, blocks = f"0{self.n}b", [f"n={self.n}\n"]
+        for start in range(0, index.size, READ_BLOCK_LINES):
+            stop = start + READ_BLOCK_LINES
+            rows = zip(self.points[start:stop].tolist(), index[start:stop].tolist())
+            blocks.append("".join([f"{p:{spec}} {texts[i]}\n" for p, i in rows]))
+        return "".join(blocks)
 
     @classmethod
     def from_text(cls, text: str) -> "SampleSpace":

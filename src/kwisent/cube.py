@@ -12,6 +12,11 @@ Plancherel reads <f, g> = sum_S coeff_f(S) * coeff_g(S), and the cube
 adjacency operator (sum over the n bit-flip neighbours) equals 2^n times
 convolution with the weight-one indicator.  That scale is pinned by a unit
 test; do not fold 2^n factors into the transforms.
+
+Every function reads its spectrum through its spectrum property, which wht
+returns: a Density transforms once and keeps it, the weight-one kernel
+writes it in closed form, (n - 2|S|) / 2^n, and every other function
+transforms on each read.
 """
 
 from __future__ import annotations
@@ -84,6 +89,14 @@ class CubeFunction:
     def size(self) -> int:
         return 1 << self.n
 
+    @property
+    def spectrum(self) -> Spectrum:
+        """The forward transform: the butterfly, then the 1/2^n factor once
+        at the end.  A plain CubeFunction computes it on every read."""
+        a = _fwht(self.values)
+        a /= self.size
+        return Spectrum(self.n, _Fresh(a))
+
 
 @dataclass(frozen=True, eq=False)
 class Density(CubeFunction):
@@ -97,10 +110,8 @@ class Density(CubeFunction):
         if abs(mean - 1.0) > TOTAL_MASS:
             raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
 
-    @cached_property
-    def spectrum(self) -> Spectrum:
-        """The forward transform, computed on first read and kept."""
-        return _transform(self)
+    # the same transform, computed on first read and kept
+    spectrum = cached_property(CubeFunction.spectrum.fget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,22 +174,14 @@ def _fwht(v: np.ndarray) -> np.ndarray:
     return src
 
 
-def _transform(f: CubeFunction) -> Spectrum:
-    """The forward butterfly, then the 1/2^n factor once at the end."""
-    a = _fwht(f.values)
-    a /= f.size
-    return Spectrum(f.n, _Fresh(a))
-
-
 def wht(f: CubeFunction) -> Spectrum:
-    """Forward transform.
+    """Forward transform: f's spectrum property.
 
-    A Density is transformed once: this returns its kept spectrum property.
-    Any other CubeFunction (the adjacency kernel, a convolution) is
-    transformed on every call, so that its spectrum is freed with the
-    call's result.
+    A Density returns the spectrum it keeps, the weight-one kernel its
+    closed form; any other CubeFunction (a convolution) runs the butterfly
+    on every call, so that its spectrum is freed with the call's result.
     """
-    return f.spectrum if isinstance(f, Density) else _transform(f)
+    return f.spectrum
 
 
 def inverse_wht(s: Spectrum) -> CubeFunction:
@@ -247,11 +250,21 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
     return out
 
 
+class _WeightOne(CubeFunction):
+    @property
+    def spectrum(self) -> Spectrum:
+        """(n - 2|S|) / 2^n, built on each read: small integers over a power
+        of two, so bit for bit the butterfly's result."""
+        coeffs = adjacency_level_multipliers(self.n)[subset_sizes(self.n)]
+        coeffs /= self.size
+        return Spectrum(self.n, _Fresh(coeffs))
+
+
 def weight_one_indicator(n: int) -> CubeFunction:
-    """0/1 indicator of the Hamming weight-1 shell (the adjacency kernel)."""
+    """0/1 indicator of the Hamming weight-1 shell (the adjacency kernel),
+    whose spectrum is written in closed form."""
     check_dimension(n)
-    vals = (subset_sizes(n) == 1).astype(np.float64)
-    return CubeFunction(n, vals)
+    return _WeightOne(n, _Fresh((subset_sizes(n) == 1).astype(np.float64)))
 
 
 def adjacency_level_multipliers(n: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .bounds import (
 from .codes import SampleSpace
 from .cube import (
     Density,
+    _Fresh,
     adjacency_apply,
     adjacency_level_multipliers,
     convolve,
@@ -189,7 +190,8 @@ def _smoothed_density(f: Density, d: Density) -> Density:
             f"convolution produced {raw.min()!r}; inputs are not valid densities"
         )
     vals = np.maximum(raw, 0.0)
-    return Density(f.n, vals / vals.mean())
+    vals /= vals.mean()
+    return Density(f.n, _Fresh(vals))
 
 
 @dataclass(frozen=True)
@@ -317,15 +319,15 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
     lam = ball.lam
-    # f, d and g are Densities, so wht transforms each once (certify_order
-    # read f's spectrum) and d's spectrum stays alive.  To keep the peak
-    # memory where it was, d * f is not bound to a name: it is freed before
-    # the right side of the associativity check, where the peak is.
+    # f and d keep their spectra (certify_order read f's) and the kernel's
+    # is written in closed form.  The peak, 10 dense vectors, is the last
+    # butterfly of the associativity check: f, d, g, the spectra of f and d,
+    # the kernel, k * d, the spectral product and the butterfly's two
+    # buffers.  d * f is not bound to a name, so it is freed by then, and
+    # g's spectrum is first read after the kernel is deleted.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)
-    per_level_g = level_max_abs(wht(g))
-    order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
     second = inner_product(g, g)
     ray = inner_product(adjacency_apply(g), g)
     upper = n + (n - 2 * k) * second
@@ -335,6 +337,8 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     assoc_left = inner_product(convolve(kernel, convolve(d, f)), g)
     assoc_right = inner_product(convolve(convolve(kernel, d), f), g)
     del kernel
+    per_level_g = level_max_abs(wht(g))
+    order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
 
     pointwise_margin = float(np.max(lam * d.values - adjacency_apply(d).values))
     pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.values.max()))

@@ -8,8 +8,8 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 KERNELS = {
-    "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "marginal_order",
-    "smoothing_chain", "lambda_ball", "min_radius",
+    "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
+    "marginal_order", "smoothing_chain", "lambda_ball", "min_radius",
 }
 
 
@@ -25,4 +25,4 @@ def test_quick_rows_cover_every_kernel():
     assert {row["kernel"] for row in rows} == KERNELS
     assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
-    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 11)]
+    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 9)]

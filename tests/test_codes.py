@@ -188,6 +188,42 @@ def test_sample_space_validation():
         SampleSpace(0, np.array([0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sample_space_refuses_non_finite_probabilities(bad):
+    # NaN passes both the sign and the sum checks; the text form refuses it
+    with pytest.raises(ValueError, match="finite"):
+        SampleSpace(1, np.array([0, 1]), np.array([bad, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        SampleSpace(2, np.array([0, 1, 2]), np.array([0.5, 0.5, bad]))
+
+
+def test_sample_space_writer_matches_line_by_line_reference():
+    # more points than one block, few distinct probabilities, and both zeros
+    rng = np.random.default_rng(7)
+    points = rng.choice(1 << 14, size=3 * codes.READ_BLOCK_LINES + 5, replace=False)
+    probs = rng.choice([1.0, 2.0, 3.0, 0.0], size=points.size)
+    probs /= probs.sum()
+    probs[probs == 0.0] = np.where(np.arange(points.size) % 2, -0.0, 0.0)[probs == 0.0]
+    space = SampleSpace(14, points, probs)
+    lines = [f"{int(p):014b} {float(q)!r}" for p, q in zip(space.points, space.probabilities)]
+    assert space.to_text() == "\n".join(["n=14", *lines]) + "\n"
+    assert " -0.0\n" in space.to_text() and " 0.0\n" in space.to_text()
+
+
+def test_sample_space_density_divides_in_place():
+    # the density is the one dense vector built: no quotient, no copy
+    rng = np.random.default_rng(16)
+    points = rng.choice(1 << 16, size=4096, replace=False)
+    space = SampleSpace(16, points, np.full(points.size, 1.0 / points.size))
+    tracemalloc.start()
+    try:
+        space.density
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (8 << 16)
+
+
 def test_sample_space_round_trip():
     space = parity_sampler_space(hamming_code(3))
     parsed = SampleSpace.from_text(space.to_text())

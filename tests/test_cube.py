@@ -119,6 +119,14 @@ def test_kernels_bit_identical_to_references(n):
     assert_same_bits(adjacency_apply(f).values, adjacency_gather_reference(f))
 
 
+@pytest.mark.parametrize("n", range(1, 23))
+def test_kernel_closed_form_spectrum_matches_the_butterfly_bits(n):
+    kernel = weight_one_indicator(n)
+    butterfly = kernel.values.copy()
+    fwht_copy_reference(butterfly)
+    assert_same_bits(wht(kernel).coeffs, butterfly / kernel.size)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 12, 17])
 def test_convolve_bit_identical_to_reference_butterflies(n):
     rng = np.random.default_rng(2000 + n)

@@ -10,10 +10,12 @@ statistics.quantiles) and the peak memory one call allocates beyond its
 inputs (tracemalloc), also in units of one dense 2^n float vector, and the
 butterflies (full-length fast transforms) one call runs.  The wht and
 convolve rows transform plain cube functions, which are not cached, so every
-call runs its butterflies.  The reader parses a random 2^16-point space file,
-the support of the n = 20 benchmark code; the writer writes a uniform space
-on the same points, with one distinct probability as in every space built
-from a code.
+call runs its butterflies; the convolve row reads the result's values, since
+a convolution keeps its spectral product and runs its inverse butterfly only
+when its values are first read.  The reader parses a random 2^16-point space
+file, the support of the n = 20 benchmark code; the writer writes a uniform
+space on the same points, with one distinct probability as in every space
+built from a code.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
@@ -75,7 +77,7 @@ def kernels(n: int, rng):
     return [
         ("wht", lambda: wht(f)),
         ("adjacency_apply", lambda: adjacency_apply(f)),
-        ("convolve", lambda: convolve(f, g)),
+        ("convolve", lambda: convolve(f, g).values),  # values are built on first read
         ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
         ("SampleSpace.to_text", uniform.to_text),
     ]

@@ -323,7 +323,9 @@ def _read_block(lines: list[str], n: int, first_lineno: int):
     good = _first((digits > 1).any(axis=1))
     if good < cut:
         cut, message = good, f"expected a bitstring of length {n}"
-    probs = np.fromiter(map(_float_or_nan, prob_texts[:cut]), np.float64, cut)
+    # each distinct text is parsed once: a space built from a code has one
+    table = {text: _float_or_nan(text) for text in set(prob_texts[:cut])}
+    probs = np.fromiter(map(table.__getitem__, prob_texts[:cut]), np.float64, cut)
     good = _first((probs < 0.0) | ~np.isfinite(probs))
     if good < cut:
         cut, message = good, f"bad probability {prob_texts[good]!r}"

@@ -15,8 +15,9 @@ test; do not fold 2^n factors into the transforms.
 
 Every function reads its spectrum through its spectrum property, which wht
 returns: a Density transforms once and keeps it, the weight-one kernel
-writes it in closed form, (n - 2|S|) / 2^n, and every other function
-transforms on each read.
+writes it in closed form, (n - 2|S|) / 2^n, a convolution keeps the spectral
+product it was made from and builds its values only when they are first read,
+and every other function transforms on each read.
 """
 
 from __future__ import annotations
@@ -178,8 +179,10 @@ def wht(f: CubeFunction) -> Spectrum:
     """Forward transform: f's spectrum property.
 
     A Density returns the spectrum it keeps, the weight-one kernel its
-    closed form; any other CubeFunction (a convolution) runs the butterfly
-    on every call, so that its spectrum is freed with the call's result.
+    closed form and a convolution its spectral product, so none of them runs
+    a butterfly here after the first read; any other CubeFunction runs the
+    butterfly on every call, so that its spectrum is freed with the call's
+    result.
     """
     return f.spectrum
 
@@ -194,11 +197,33 @@ def _same_dimension(f: CubeFunction, g: CubeFunction) -> None:
         raise DimensionError(f"dimension mismatch: {f.n} vs {g.n}")
 
 
+class _Convolution(CubeFunction):
+    """f * g held as its spectral product, which it keeps as its spectrum;
+    its values, the inverse butterfly of that product, are built on first
+    read and then kept."""
+
+    def __init__(self, spectrum: Spectrum):
+        object.__setattr__(self, "n", spectrum.n)
+        object.__setattr__(self, "_product", spectrum)
+
+    @property
+    def spectrum(self) -> Spectrum:
+        return self._product
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _frozen_vector(_Fresh(_fwht(self._product.coeffs)), self.n)
+
+
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
-    """(f * g)(x) = 2^-n sum_y f(y) g(y ^ x), via the spectral product."""
+    """(f * g)(x) = 2^-n sum_y f(y) g(y ^ x), as the spectral product.
+
+    The result keeps the product as its spectrum, so wht of it runs no
+    butterfly; its values are built by one inverse butterfly when first read.
+    """
     _same_dimension(f, g)
     prod = wht(f).coeffs * wht(g).coeffs
-    return CubeFunction(f.n, _Fresh(_fwht(prod)))
+    return _Convolution(Spectrum(f.n, _Fresh(prod)))
 
 
 def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:

@@ -319,12 +319,14 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
     lam = ball.lam
-    # f and d keep their spectra (certify_order read f's) and the kernel's
-    # is written in closed form.  The peak, 10 dense vectors, is the last
-    # butterfly of the associativity check: f, d, g, the spectra of f and d,
-    # the kernel, k * d, the spectral product and the butterfly's two
-    # buffers.  d * f is not bound to a name, so it is freed by then, and
-    # g's spectrum is first read after the kernel is deleted.
+    # f and d keep their spectra (certify_order read f's), the kernel's is
+    # written in closed form and a convolution keeps its spectral product,
+    # so the inner convolutions d * f and K * d never build values.  The
+    # peak, 9 dense vectors, is the inverse butterfly of either side of the
+    # associativity check: f, d, g, the spectra of f and d, the kernel, the
+    # side's spectral product and the butterfly's two buffers.  The inner
+    # convolution is not bound to a name, so it is freed by then, and g's
+    # spectrum is first read after the kernel is deleted.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)

@@ -125,13 +125,21 @@ ASSOCIATIVITY = 1e-10
 
 Used by the check line convolution_associativity (smoothing chain).
 
-Rounding: K has mean n 2^-n, so both sides equal 2^-n <Ag, g>.  In a
-convolution with K the transforms of K are off by at most gamma_n n 2^-n per
-coefficient, and the inverse butterfly sums 2^n of them, so each value is
-off by at most about 3 n gamma_n; a further convolution with a mean-1
-density and the dot product with the mean-1 g keep that absolute size.
-Each side is then off by at most about 10 n^2 u = 1.1e-12 at n = 32, under
-a hundredth of the tolerance.
+What it checks: a convolution keeps its spectral product, so each side is
+one product of spectra, K^ (D^ F^) or (K^ D^) F^, taken through its own
+inverse butterfly and paired with g.  The line checks the two product orders
+and the two inverse butterflies; no forward transform of an inverse one runs
+in it.  The butterfly round trip is checked by acceptance criterion 7 and
+tests/test_cube.py.
+
+Rounding: K has mean n 2^-n, so both sides equal 2^-n <Ag, g>.  K^ is written
+in closed form, exactly, with |K^(S)| <= n 2^-n; D^ and F^ are transforms of
+mean-1 densities, each off by at most gamma_n per coefficient, so a product
+coefficient is off by at most about 3 gamma_n n 2^-n.  The inverse butterfly
+sums 2^n of them and adds its own gamma_n n, so each value is off by at most
+about 4 n gamma_n, and the dot product with the mean-1 g keeps that absolute
+size.  Each side is then off by at most about 10 n^2 u = 1.1e-12 at n = 32,
+under a hundredth of the tolerance.
 """
 
 CONVOLUTION_POINTWISE = 1e-10

@@ -132,7 +132,8 @@ def test_criterion_7_transform_kernel_properties():
             fs, gs = wht(f), wht(g)
             assert np.max(np.abs(inverse_wht(fs).values - f.values)) < 1e-12
             assert abs(inner_product(f, g) - float((fs.coeffs * gs.coeffs).sum())) < 1e-10
-            conv_coeffs = wht(convolve(f, g)).coeffs
+            # transform the values: a convolution's own spectrum is the product
+            conv_coeffs = wht(CubeFunction(n, convolve(f, g).values)).coeffs
             assert np.max(np.abs(conv_coeffs - fs.coeffs * gs.coeffs)) < 1e-12
     report(7, "round trip, Plancherel, convolution theorem x 3000", started, 30.0)
 

@@ -1,5 +1,5 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, and the chain row counts the chain's butterflies."""
+row is produced, and the convolve and chain rows count their butterflies."""
 
 from __future__ import annotations
 
@@ -24,5 +24,7 @@ def test_quick_rows_cover_every_kernel():
     rows = load_script().rows((10,), 2, "test", quick=True)
     assert {row["kernel"] for row in rows} == KERNELS
     assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
+    convolve = [row["butterflies"] for row in rows if row["kernel"] == "convolve"]
+    assert convolve == [3]  # two forward, and the inverse that builds the values
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
-    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 9)]
+    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 5)]

@@ -354,6 +354,19 @@ def test_sample_space_reader_matches_line_by_line_reference(text, block):
     assert np.array_equal(space.probabilities.view(np.uint64), probs[order].view(np.uint64))
 
 
+@pytest.mark.parametrize("block", [2, 3, codes.READ_BLOCK_LINES])
+def test_sample_space_bad_probability_after_repeated_good_ones(block):
+    # each distinct probability text is parsed once: the repeated good text
+    # and the repeated bad one still take the line of their first refusal
+    lines = [f"{p:05b} 0.0625" for p in range(10)] + ["01010 -0", "01011 x", "01100 0.0625"]
+    text = "n=5\n" + "\n".join(lines + ["01101 x"]) + "\n"
+    with mock.patch.object(codes, "READ_BLOCK_LINES", block):
+        with pytest.raises(FormatError) as err:
+            SampleSpace.from_text(text)
+    assert (str(err.value), err.value.line) == ("line 13: bad probability 'x'", 13)
+    assert read_space_by_line(text) == ("bad probability 'x'", 13)
+
+
 @pytest.mark.parametrize(
     "probs", [[0.1] * 10, [0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [1e-3] * 999 + [1e-3 + 1e-12]]
 )

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import kwisent
 from conftest import point_space, uniform_space
+from kwisent.codes import SampleSpace
 from kwisent.cube import (
     DIMENSION_CAP,
     CubeFunction,
@@ -199,7 +200,8 @@ def test_convolution_theorem_per_coefficient():
     rng = np.random.default_rng(5)
     for n in (4, 8):
         f, g = random_function(n, rng), random_function(n, rng)
-        lhs = wht(convolve(f, g)).coeffs
+        # transform the values: a convolution's own spectrum is the product
+        lhs = wht(CubeFunction(n, convolve(f, g).values)).coeffs
         rhs = wht(f).coeffs * wht(g).coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -423,3 +425,28 @@ def test_wht_transforms_a_density_once():
     np.testing.assert_array_equal(wht(d).coeffs, wht(CubeFunction(4, d.values)).coeffs)
     kernel = weight_one_indicator(4)
     assert wht(kernel) is not wht(kernel)
+
+
+def test_convolution_builds_its_values_only_when_read(monkeypatch):
+    # a Density keeps its spectrum, so once both are read the only butterfly
+    # left in a convolution is the inverse that builds its values
+    rng = np.random.default_rng(8)
+    f = SampleSpace(6, np.arange(64), rng.dirichlet(np.ones(64))).density
+    d = point_space(6).density
+    fs, ds = wht(f), wht(d)
+    calls, fwht = [], kwisent.cube._fwht
+
+    def counted(v):
+        calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    unread = convolve(f, d)
+    assert calls == []  # values never read: no inverse butterfly
+    assert wht(convolve(f, d)).coeffs.tolist() == (fs.coeffs * ds.coeffs).tolist()
+    assert calls == []  # the spectrum is the kept product
+    c = convolve(f, d)
+    assert c.values is c.values  # built once, then kept
+    assert calls == [64]
+    assert not c.values.flags.writeable
+    np.testing.assert_array_equal(c.values, inverse_wht(unread.spectrum).values)

@@ -273,9 +273,10 @@ def test_chain_record_holds_every_csv_column_once(hamming7):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_smoothing_chain_runs_nine_butterflies(hamming15, monkeypatch, k):
-    # f's spectrum was read before, d's is computed once and the kernel's is
-    # written in closed form: 16 transforms less 7
+def test_smoothing_chain_runs_five_butterflies(hamming15, monkeypatch, k):
+    # f's spectrum was read before, d's is computed once, the kernel's is
+    # written in closed form and a convolution keeps its spectral product:
+    # d, g's values, g's spectrum and one inverse per associativity side
     fwht, calls = kwisent.cube._fwht, []
 
     def counted(v):
@@ -284,7 +285,7 @@ def test_smoothing_chain_runs_nine_butterflies(hamming15, monkeypatch, k):
 
     monkeypatch.setattr(kwisent.cube, "_fwht", counted)
     assert smoothing_chain(hamming15, k).passed
-    assert calls == [1 << 15] * 9
+    assert calls == [1 << 15] * 5
 
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):
@@ -319,4 +320,4 @@ def test_smoothing_chain_peak_memory(hamming15):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * (8 << 15)  # 8.8 dense vectors of 2^15 floats
+    assert peak <= 8 * (8 << 15)  # 7.8 dense vectors of 2^15 floats

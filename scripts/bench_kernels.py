@@ -96,7 +96,7 @@ def oracle_kernels(quick: bool):
     codes = [random14] if quick else [random14, hamming_code(4)]
     for code in codes:
         space = parity_sampler_space(code)
-        yield "marginal_order", code.cols, {}, lambda space=space: marginal_order(space)
+        yield "marginal_order", code.cols, {}, lambda space=space: marginal_order(space, space.n)
 
 
 def random_code_20():

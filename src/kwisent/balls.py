@@ -29,9 +29,9 @@ r + 1 pivots of every larger ball.
   T's (Ostrowski).  The squares are exact in floats for n below 1.8 * 10^8.
 
 The Perron eigenvector, which only the smoothing chain reads, still comes
-from a power iteration, run on first use.  The dense oracle repeats the
-computation on the full 2^n space and exists to check the radial collapse,
-never to replace it.
+from a power iteration, run on first use.  The dense oracle in
+tests/oracles.py repeats the computation on the full 2^n space and exists to
+check the radial collapse, never to replace it.
 """
 
 from __future__ import annotations
@@ -43,12 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .cube import Density, _Fresh, check_dimension, subset_sizes
-from .errors import DimensionError
-from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, ORACLE_RAYLEIGH_STEP, RAYLEIGH_STEP
+from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, RAYLEIGH_STEP
 
-DENSE_ORACLE_MAX_N = 14
 MAX_POWER_ITERATIONS = 10**6
-DENSE_ORACLE_MAX_ITERATIONS = 200_000
 # Cap on rows x n^2 for a table of ball eigenvalues.  A row costs about 53
 # bisection steps of r float pivots each, about 60 ns per pivot on a 2-vCPU
 # x86 host (lambda_ball(4096, 2048) takes about 10 ms), so a table under the
@@ -201,39 +198,6 @@ def _perron_profile(n: int, r: int) -> np.ndarray:
         u = -u
     log_profile = np.log(np.maximum(u, LOG_FLOOR)) - 0.5 * _log_binomials(n, r)
     return np.exp(log_profile - log_profile.max())
-
-
-def lambda_ball_dense_oracle(n: int, r: int) -> float:
-    """Same eigenvalue, computed on the full 2^n space (verification only).
-
-    Each step applies the cube adjacency and zeroes everything outside the
-    ball, with the same +n shift as the radial path; it stops on
-    ORACLE_RAYLEIGH_STEP and EIGEN_RESIDUAL.
-    """
-    if n > DENSE_ORACLE_MAX_N:
-        raise DimensionError(f"dense oracle is capped at n={DENSE_ORACLE_MAX_N}")
-    check_dimension(n)
-    if not 0 <= r <= n:
-        raise ValueError(f"radius {r} outside 0..{n}")
-    size = 1 << n
-    inside = subset_sizes(n) <= r
-    idx = np.arange(size)
-    x = inside.astype(np.float64)
-    x /= np.linalg.norm(x)
-    lam, prev = 0.0, math.inf
-    for _ in range(DENSE_ORACLE_MAX_ITERATIONS):
-        ax = np.zeros(size)
-        for i in range(n):
-            ax += x[idx ^ (1 << i)]
-        ax[~inside] = 0.0
-        lam = float(x @ ax)
-        resid = float(np.linalg.norm(ax - lam * x))
-        if abs(lam - prev) < ORACLE_RAYLEIGH_STEP and resid <= EIGEN_RESIDUAL:
-            break
-        prev = lam
-        v = ax + n * x
-        x = v / np.linalg.norm(v)
-    return lam
 
 
 def min_radius(n: int, k: int) -> int:

@@ -50,12 +50,6 @@ def shannon_from_density(density: Density) -> float:
     return _shannon(density.values / (1 << density.n))
 
 
-def renyi2_from_density(density: Density) -> float:
-    """Collision entropy as n - log2 E[f^2]; must agree with the space path."""
-    mean_sq = float((density.values**2).mean())
-    return density.n - math.log2(mean_sq)
-
-
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p), extended by continuity at 0 and 1."""
     if not 0.0 <= p <= 1.0:

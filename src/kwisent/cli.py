@@ -25,7 +25,7 @@ from .bounds import bound_row, certified_slacks, evaluate
 from .codes import BinaryMatrix, SampleSpace, hamming_code, parity_sampler_space, simplex_code
 from .cube import check_dimension
 from .errors import IndependenceError, KwisentError, ResourceLimitError
-from .kwise import MARGINAL_WORK_LIMIT, marginal_affordable, marginal_order
+from .kwise import marginal_affordable, marginal_order
 from .smoothing import halfwise_chain, smoothing_chain
 from .table import render
 from .tolerances import ENTROPY_SLACK
@@ -132,10 +132,11 @@ def analyze(ctx, space_file, fmt, output):
     space = _load_space(space_file)
     report = evaluate(space)
     oracle_order = None
-    # marginal_order scans levels 1..order + 1 when it agrees with the
-    # spectral order; one of them above the oracle's own guard skips it.
-    if marginal_affordable(space, min(report["order"] + 1, space.n), MARGINAL_WORK_LIMIT):
-        oracle_order = marginal_order(space)
+    # The oracle scans only levels 1..order + 1, the ones priced here; where
+    # it agrees with the spectral order it stops there anyway.
+    stop = min(report["order"] + 1, space.n)
+    if marginal_affordable(space, stop):
+        oracle_order = marginal_order(space, stop)
     _emit(render({"marginal_order": oracle_order, **report}, fmt), output)
     failed = any(slack < -ENTROPY_SLACK for slack in certified_slacks(report).values())
     if oracle_order is not None and oracle_order != report["order"]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cube
 from .errors import DimensionError, FormatError, ResourceLimitError
-from .tolerances import FILE_TOTAL_MASS, PRUNE_RELATIVE, TOTAL_MASS
+from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
 # SampleSpace.from_text and to_text handle this many lines at a time, so only
@@ -233,15 +233,6 @@ class SampleSpace:
         vals[self.points] = self.probabilities * (1 << self.n)
         vals /= vals.mean()
         return cube.Density(self.n, cube._Fresh(vals))
-
-    @classmethod
-    def from_density(cls, density: cube.Density) -> "SampleSpace":
-        """The distribution of a density, dropping the values at most
-        PRUNE_RELATIVE of the largest."""
-        vals = density.values
-        points = np.flatnonzero(vals > PRUNE_RELATIVE * vals.max())
-        probs = vals[points]
-        return cls(density.n, points, probs / probs.sum())
 
     def to_text(self) -> str:
         """'n=<n>', then '<bitstring> <repr(probability)>' per point.  Each

@@ -226,21 +226,6 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     return _Convolution(Spectrum(f.n, _Fresh(prod)))
 
 
-def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:
-    """Convolution by literal summation over the support of f.
-
-    O(|supp f| * 2^n); kept as the transform-free reference path.
-    """
-    _same_dimension(f, g)
-    out = np.zeros(f.size)
-    idx = np.arange(f.size)
-    fv, gv = f.values, g.values
-    for y in np.flatnonzero(fv):
-        out += fv[y] * gv[idx ^ y]
-    out /= f.size
-    return CubeFunction(f.n, out)
-
-
 def inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """<f, g> = 2^-n sum_x f(x) g(x)."""
     _same_dimension(f, g)

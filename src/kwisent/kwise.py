@@ -5,7 +5,8 @@ coordinates is uniform; equivalently, every Fourier coefficient on a
 nonempty set of size <= k vanishes.  Every function here takes a
 codes.SampleSpace.  Both criteria are implemented: the spectral scan reads
 the space's density spectrum and is the fast path; the marginal enumeration
-reads only the support and is the oracle.
+(marginal_order) reads only the support and is the oracle.  The test oracle
+marginal_check in tests/oracles.py runs the same level scan.
 The oracle still checks every marginal of every coordinate subset by
 definition; it takes each level's subsets a block at a time and builds the
 block's (subset, pattern) bin index with one float64 matrix product, then
@@ -26,8 +27,8 @@ from .tolerances import COEFF_ZERO, MARGINAL_ZERO
 
 # Most (subset, pattern) bins the oracle may hold for one level.
 MARGINAL_WORK_GUARD = 10**7
-# Total work, in level_cost units, above which `analyze` and
-# verify_smoothing skip their optional run of the marginal oracle.  Hamming
+# Total work, in level_cost units, above which `analyze` (and verify_smoothing
+# in tests/oracles.py) skips its optional run of the marginal oracle.  Hamming
 # n=15 (2,048 points, levels 1..8) costs 5.0 x 10^7 units and takes about
 # 0.2 s, so the limit is about 0.4 s.
 MARGINAL_WORK_LIMIT = 10**8
@@ -58,14 +59,14 @@ def level_cost(n: int, size: int, support: int) -> int:
     return math.comb(n, size) * support + level_bins(n, size)
 
 
-def marginal_affordable(space: SampleSpace, k: int, limit: float) -> bool:
-    """Whether the marginal oracle over levels 1..k fits a work limit: the
-    level costs sum to at most limit and no level has more bins than
-    MARGINAL_WORK_GUARD."""
+def marginal_affordable(space: SampleSpace, k: int) -> bool:
+    """Whether the marginal oracle over levels 1..k fits its work limit: the
+    level costs sum to at most MARGINAL_WORK_LIMIT and no level has more bins
+    than MARGINAL_WORK_GUARD."""
     n, support = space.n, space.support_size
     levels = range(1, k + 1)
     return (
-        sum(level_cost(n, size, support) for size in levels) <= limit
+        sum(level_cost(n, size, support) for size in levels) <= MARGINAL_WORK_LIMIT
         and max((level_bins(n, size) for size in levels), default=0) <= MARGINAL_WORK_GUARD
     )
 
@@ -93,8 +94,9 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
     holds 2^(size-1-j) at the j-th coordinate of subset s, and s << size at
     the ones row.  So each entry is a sum of distinct powers of two plus the
     row offset: an integer below rows << size <= max(MARGINAL_BLOCK_ELEMENTS,
-    2^size).  Both callers refuse a level whose C(n, size) 2^size bins are
-    more than MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD, and both
+    2^size).  Both callers, marginal_order and the test oracle marginal_check,
+    refuse a level whose C(n, size) 2^size bins are more than
+    MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD, and both
     constants are below 2^53.  Every partial sum is then an integer that
     float64 holds exactly, in any summation order, and the cast to intp is
     exact.
@@ -112,33 +114,13 @@ def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
         yield np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
 
 
-def marginal_check(space: SampleSpace, k: int) -> float:
-    """Brute-force oracle: the largest deviation from uniformity over every
-    coordinate set of size <= k (0.0 when k = 0).
-
-    Refused when any level 1..k has more bins than MARGINAL_WORK_GUARD: the
-    level bins peak near size 2n/3, not at k.
-    """
-    n = space.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in 0..{n}, got {k}")
-    if not marginal_affordable(space, k, math.inf):
-        raise ResourceLimitError(
-            f"marginal check at n={n}, k={k} exceeds the work guard"
-        )
-    columns = _bit_columns(space)
-    worst = 0.0
-    for size in range(1, k + 1):
-        for devs in _level_deviations(space, columns, size):
-            worst = max(worst, float(devs.max()))
-    return worst
-
-
-def marginal_order(space: SampleSpace) -> int:
-    """Largest k passing the marginal oracle; scans level by level."""
+def marginal_order(space: SampleSpace, stop: int) -> int:
+    """Largest k <= stop passing the marginal oracle: scans levels 1..stop in
+    turn and returns the level before the first that fails, or stop when
+    none fails."""
     n = space.n
     columns = _bit_columns(space)
-    for size in range(1, n + 1):
+    for size in range(1, stop + 1):
         if level_bins(n, size) > MARGINAL_WORK_GUARD:
             raise ResourceLimitError(
                 f"marginal order scan at n={n}, size={size} exceeds the work guard"
@@ -146,4 +128,4 @@ def marginal_order(space: SampleSpace) -> int:
         blocks = _level_deviations(space, columns, size)
         if any((devs > MARGINAL_ZERO).any() for devs in blocks):
             return size - 1
-    return n
+    return stop

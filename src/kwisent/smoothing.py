@@ -13,7 +13,10 @@ H(X) >= n - n H(r/n) - log2 n.
 
 Every inequality is evaluated numerically and reported line by line; a
 failing line is a report entry, never an exception.  The only exception
-raised is the independence precondition on the input itself.
+raised is the independence precondition on the input itself.  The facts
+the smoothing step rests on (the order does not drop, the entropies are
+subadditive, the spectral convolution is the literal sum) are checked by
+routes the chain does not take: verify_smoothing in tests/oracles.py.
 
 For k > n/2 the coefficient n - 2k flips sign and the upper bound above is
 no longer valid, so those runs fall back to the half-independence chain:
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import BallSpectrum, lambda_ball, min_radius
+from .balls import lambda_ball, min_radius
 from .bounds import (
     binary_entropy,
     entropy_at_radius,
@@ -45,7 +48,6 @@ from .cube import (
     adjacency_apply,
     adjacency_level_multipliers,
     convolve,
-    convolve_direct,
     inner_product,
     level_max_abs,
     level_profile,
@@ -53,14 +55,8 @@ from .cube import (
     weight_one_indicator,
     wht,
 )
-from .errors import DimensionError, IndependenceError
-from .kwise import (
-    MARGINAL_WORK_LIMIT,
-    independence_order,
-    marginal_affordable,
-    marginal_check,
-    order_from_levels,
-)
+from .errors import IndependenceError
+from .kwise import order_from_levels
 from .table import fmt, render
 from .tolerances import (
     ASSOCIATIVITY,
@@ -70,7 +66,6 @@ from .tolerances import (
     EIGEN_DENSITY_RELATIVE,
     EIGEN_RESIDUAL,
     ENTROPY_SLACK,
-    MARGINAL_ZERO,
     MOMENT_SLACK,
     RAYLEIGH_MATCH,
 )
@@ -172,17 +167,6 @@ def certify_order(x: SampleSpace, order: int) -> np.ndarray:
     return per_level
 
 
-def smooth(x: SampleSpace, ball: BallSpectrum) -> SampleSpace:
-    """Z = X xor Y for Y distributed as the ball eigenfunction density.
-
-    The density of Z is the convolution of the two densities; radius 0
-    returns X itself (the point mass is the convolution identity).
-    """
-    if x.n != ball.n:
-        raise DimensionError(f"dimension mismatch: {x.n} vs {ball.n}")
-    return SampleSpace.from_density(_smoothed_density(x.density, ball.density()))
-
-
 def _smoothed_density(f: Density, d: Density) -> Density:
     raw = convolve(f, d).values
     if raw.min() < -CONVOLUTION_POINTWISE:
@@ -192,69 +176,6 @@ def _smoothed_density(f: Density, d: Density) -> Density:
     vals = np.maximum(raw, 0.0)
     vals /= vals.mean()
     return Density(f.n, _Fresh(vals))
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    """Outcome of the three smoothing sanity checks; failures are entries."""
-
-    n: int
-    radius: int
-    order_before: int
-    order_after: int
-    order_preserved: bool
-    entropy_subadditive: bool
-    convolution_matches: bool
-    shannon_x: float
-    shannon_y: float
-    shannon_z: float
-    max_convolution_error: float
-    marginal_deviation: float | None
-
-    @property
-    def all_passed(self) -> bool:
-        return self.order_preserved and self.entropy_subadditive and self.convolution_matches
-
-
-def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
-    """Check the three facts the smoothing step relies on.
-
-    (a) the independence order does not drop (coefficients multiply, so
-    zeros stay zeros), confirmed by the marginal oracle on Z, within
-    MARGINAL_ZERO, when its work (kwise.level_cost, which counts Z's
-    support) fits MARGINAL_WORK_LIMIT;
-    (b) H(X) + H(Y) >= H(Z) within ENTROPY_SLACK; (c) the spectral
-    convolution agrees with the literal double sum pointwise, within
-    CONVOLUTION_POINTWISE.
-    """
-    z = smooth(x, ball)
-    d = ball.density()
-    order_before = independence_order(x)
-    order_after = independence_order(z)
-    order_ok = order_after >= order_before
-    marginal_dev = None
-    if order_before >= 1 and marginal_affordable(z, order_before, MARGINAL_WORK_LIMIT):
-        marginal_dev = marginal_check(z, order_before)
-        order_ok = order_ok and marginal_dev <= MARGINAL_ZERO
-    h_x = shannon_entropy(x)
-    h_y = shannon_from_density(d)
-    h_z = shannon_from_density(z.density)
-    direct = convolve_direct(x.density, d)
-    err = float(np.max(np.abs(z.density.values - direct.values)))
-    return SmoothingReport(
-        n=x.n,
-        radius=ball.r,
-        order_before=order_before,
-        order_after=order_after,
-        order_preserved=order_ok,
-        entropy_subadditive=h_z <= h_x + h_y + ENTROPY_SLACK,
-        convolution_matches=err <= CONVOLUTION_POINTWISE,
-        shannon_x=h_x,
-        shannon_y=h_y,
-        shannon_z=h_z,
-        max_convolution_error=err,
-        marginal_deviation=marginal_dev,
-    )
 
 
 def halfwise_chain(x: SampleSpace) -> ChainReport:

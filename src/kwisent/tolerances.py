@@ -39,8 +39,8 @@ MARGINAL_ZERO = 1e-9
 """Largest |P(X_T = a) - 2^-|T|| read as zero, for one marginal's deviation.
 
 Used by kwise.marginal_order (the `marginal_order` that `analyze` reports)
-and by smoothing.verify_smoothing, which reads a smoothed space's largest
-marginal deviation (kwise.marginal_check) against it.
+and by verify_smoothing in tests/oracles.py, which reads a smoothed space's
+largest marginal deviation (marginal_check there) against it.
 
 Rounding: each P(X_T = a) is a bincount, a left-to-right sum over the m
 support points, so a uniform marginal is off by at most about
@@ -60,7 +60,7 @@ Used by `analyze`'s exit status (a certified bound whose slack is below
 -1e-9 fails), by the check lines shannon_above_collision,
 smoothed_shannon_above_collision, entropy_subadditivity,
 perturbation_entropy_cap and ball_volume_vs_binary_cap, and by
-smoothing.verify_smoothing's subadditivity test.
+the subadditivity test of verify_smoothing in tests/oracles.py.
 
 Rounding: a Shannon entropy -sum p log2 p has each term off by a few u
 relative and a pairwise sum of them off by about gamma_(log2 m + 8) times
@@ -147,8 +147,9 @@ CONVOLUTION_POINTWISE = 1e-10
 
 Used by smoothing._smoothed_density: a value below -1e-10 means the inputs
 were not densities, and values in [-1e-10, 0) are rounding and are clipped
-to 0 (smooth, smoothing_chain).  Also the largest |convolve -
-convolve_direct| that smoothing.verify_smoothing accepts.
+to 0 (smoothing_chain, and smooth in tests/oracles.py).  Also the largest
+|convolve - convolve_direct| that verify_smoothing in tests/oracles.py
+accepts.
 
 Rounding: f^ and d^ are each off by at most gamma_n (COEFF_ZERO) and at most
 1 in size, so their product by about 2 gamma_n; the inverse butterfly sums
@@ -156,8 +157,9 @@ Rounding: f^ and d^ are each off by at most gamma_n (COEFF_ZERO) and at most
 therefore off by at most about 3 n u 2^n: 3.4e-12 at n = 10 and 7.6e-11 at
 n = 14, so the bound holds for n <= 14.  Above that the value is a
 threshold resting on measurement, not a bound (the tests compare with
-convolve_direct up to n = 15): the measured errors are about 0.5 n u at
-n = 14, 16 and 20, for a random density convolved with a ball density.
+convolve_direct, in tests/oracles.py, up to n = 15): the measured errors
+are about 0.5 n u at n = 14, 16 and 20, for a random density convolved with
+a ball density.
 """
 
 EIGEN_RESIDUAL = 1e-9
@@ -165,8 +167,8 @@ EIGEN_RESIDUAL = 1e-9
 iteration may stop, and the shortfall of lam allowed against n - 2k + 1.
 
 Used by the Perron-profile iteration behind balls.BallSpectrum.radial_profile
-and by balls.lambda_ball_dense_oracle (stopping rule), and by the check line
-eigenvalue_threshold.
+and by lambda_ball_dense_oracle in tests/oracles.py (stopping rule), and by
+the check line eigenvalue_threshold.
 
 Bound: for a symmetric T and a unit u, some eigenvalue of T lies within
 ||T u - lam u|| of the Rayleigh quotient lam (Parlett, *The Symmetric
@@ -204,14 +206,6 @@ still moves by more than 1e-12, about 9,000 u.  The printed eigenvalue does
 not depend on it: that comes from the bisection in balls.lambda_ball.
 """
 
-ORACLE_RAYLEIGH_STEP = 1e-13
-"""The same stopping rule for lambda_ball_dense_oracle, the test-only check
-of the weight collapse on the full 2^n space.
-
-A stopping rule, not an error bound.  It is ten times stricter than
-RAYLEIGH_STEP, so the oracle settles at least as far as the path it checks.
-"""
-
 LOG_FLOOR = 1e-300
 """Floor under the entries of a computed Perron eigenvector before their
 logarithm (balls.BallSpectrum.radial_profile, built in logs).
@@ -220,17 +214,6 @@ Not an error bound.  The top eigenvector of the irreducible nonnegative
 radial operator is entrywise positive (Perron-Frobenius), so an entry at or
 below 0 is an underflow or a rounding; the floor keeps the logarithm finite
 (about -690.8).  It lies above the smallest normal double, 2.2e-308.
-"""
-
-PRUNE_RELATIVE = 1e-12
-"""Share of a density's maximum at or below which a value counts as zero
-when a density is turned back into a sample space
-(codes.SampleSpace.from_density, used by smoothing.smooth).
-
-Modelling threshold: it separates the rounding noise left on exact zeros
-(pointwise errors of CONVOLUTION_POINTWISE's size) from real mass.  A
-dropped value carries probability at most 1e-12 max f / 2^n, so the mass
-dropped in all is at most 1e-12 max f.
 """
 
 TOTAL_MASS = 1e-12

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from conftest import random_halfwise_distribution, random_sample_space, uniform_space
-from kwisent.balls import lambda_ball, lambda_ball_dense_oracle, min_radius
+from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import binary_entropy, renyi2_entropy, shannon_entropy
 from kwisent.codes import hamming_code, parity_sampler_space
 from kwisent.cube import CubeFunction, convolve, inner_product, inverse_wht, wht
 from kwisent.kwise import independence_order, marginal_order
-from kwisent.smoothing import halfwise_chain, smoothing_chain, verify_smoothing
+from kwisent.smoothing import halfwise_chain, smoothing_chain
 from kwisent.tolerances import CONVOLUTION_POINTWISE, ENTROPY_SLACK, MARGINAL_ZERO
+from oracles import lambda_ball_dense_oracle, verify_smoothing
 
 
 def report(number: int, title: str, started: float, budget: float):
@@ -144,7 +145,7 @@ def test_criterion_8_independence_criteria_agree(corpus):
     for name, dist in corpus:
         if dist.n > 12:
             continue
-        assert independence_order(dist) == marginal_order(dist), name
+        assert independence_order(dist) == marginal_order(dist, dist.n), name
         checked += 1
     assert checked >= 8
     report(8, f"spectral order equals marginal order on {checked} spaces", started, 60.0)

@@ -14,13 +14,13 @@ from kwisent.balls import (
     _above_spectrum,
     asymptotic_lambda,
     lambda_ball,
-    lambda_ball_dense_oracle,
     min_radius,
     predicted_radius,
 )
 from kwisent.cli import main
 from kwisent.cube import adjacency_apply, inner_product, subset_sizes
 from kwisent.errors import DimensionError
+from oracles import lambda_ball_dense_oracle
 
 
 def tridiagonal_oracle(n, r):

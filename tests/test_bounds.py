@@ -20,13 +20,13 @@ from kwisent.bounds import (
     halfwise_applies,
     halfwise_entropy_bound,
     renyi2_entropy,
-    renyi2_from_density,
     shannon_entropy,
     shannon_from_density,
 )
 from kwisent.codes import SampleSpace
 from kwisent.cube import Density
 from kwisent.table import render
+from oracles import renyi2_from_density
 
 
 def two_point_space(p):

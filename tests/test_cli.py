@@ -7,10 +7,11 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kwisent import balls, codes
+from kwisent import balls, codes, kwise
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
 from test_golden import CASES, GOLDEN, make_inputs
@@ -139,7 +140,7 @@ def test_analyze_formats(tmp_path, runner):
 def test_analyze_skips_marginal_oracle_above_its_guard(tmp_path, runner, monkeypatch):
     # Hamming n=15 has order 7: its level-2 scan already costs 105 * 4 > 100.
     monkeypatch.setattr("kwisent.kwise.MARGINAL_WORK_GUARD", 100)
-    monkeypatch.setattr("kwisent.cli.MARGINAL_WORK_LIMIT", 10**9)
+    monkeypatch.setattr("kwisent.kwise.MARGINAL_WORK_LIMIT", 10**9)
     path = write_space(tmp_path, runner, "hamming", "--m", "4")
     result = invoke(runner, "analyze", str(path), "--format", "json")
     assert result.exit_code == 0, result.output
@@ -154,9 +155,34 @@ def test_analyze_runs_the_oracle_on_hamming15_by_default(tmp_path, runner, monke
     assert result.exit_code == 0, result.output
     assert "marginal_order: 7\n" in result.output and "order: 7\n" in result.output
     for limit, expect in ((49644650, 7), (49644649, None), (5000000, None)):
-        monkeypatch.setattr("kwisent.cli.MARGINAL_WORK_LIMIT", limit)
+        monkeypatch.setattr("kwisent.kwise.MARGINAL_WORK_LIMIT", limit)
         capped = invoke(runner, "analyze", str(path), "--format", "json")
         assert json.loads(capped.stdout)["marginal_order"] == expect, limit
+
+
+def test_analyze_scans_only_the_levels_it_priced(tmp_path, runner, monkeypatch):
+    # p proportional to 1 + 4e-9 chi_T, |T| = 3, on all of {0,1}^10: the
+    # coefficient 4e-9 at level 3 is above COEFF_ZERO, so the spectral order
+    # is 2, but every marginal deviates by at most 4e-9 / 8, under
+    # MARGINAL_ZERO, so the oracle passes every level.  analyze priced levels
+    # 1..3, so the oracle scans those, reads 3 and the run fails.
+    n = 10
+    points = np.arange(1 << n)
+    chi = 1.0 - 2.0 * (np.bitwise_count(points & 0b111) & 1)
+    path = tmp_path / "tilted.txt"
+    path.write_text(codes.SampleSpace(n, points, (1 + 4e-9 * chi) / (1 << n)).to_text())
+    deviations, sizes = kwise._level_deviations, []
+
+    def counted(space, columns, size):
+        sizes.append(size)
+        return deviations(space, columns, size)
+
+    monkeypatch.setattr(kwise, "_level_deviations", counted)
+    result = invoke(runner, "analyze", str(path), "--format", "json")
+    assert result.exit_code == 1, result.output
+    record = json.loads(result.stdout)
+    assert (record["order"], record["marginal_order"]) == (2, 3)
+    assert sizes == [1, 2, 3]
 
 
 def test_analyze_rejects_bad_probability_sum(tmp_path, runner):

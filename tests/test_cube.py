@@ -21,7 +21,6 @@ from kwisent.cube import (
     Spectrum,
     adjacency_apply,
     convolve,
-    convolve_direct,
     inner_product,
     inverse_wht,
     level_max_abs,
@@ -31,6 +30,7 @@ from kwisent.cube import (
     wht,
 )
 from kwisent.errors import DimensionError
+from oracles import convolve_direct
 
 
 def random_function(n, rng):

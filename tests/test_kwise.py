@@ -17,11 +17,8 @@ from kwisent.codes import SampleSpace, hamming_code
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.tolerances import MARGINAL_ZERO
-from kwisent.kwise import (
-    independence_order,
-    marginal_check,
-    marginal_order,
-)
+from kwisent.kwise import independence_order, marginal_order
+from oracles import from_density, marginal_check
 
 
 def test_density_from_space_examples(hamming7):
@@ -54,7 +51,7 @@ def test_hamming7_order_three(hamming7):
     assert independence_order(hamming7) == 3
     assert independence_order(hamming7) >= 3
     assert independence_order(hamming7) < 4
-    assert marginal_order(hamming7) == 3
+    assert marginal_order(hamming7, 7) == 3
 
 
 def test_hamming7_fourier_levels_match_dual_distance(hamming7):
@@ -68,7 +65,7 @@ def test_simplex7_order_two(simplex7):
     # dual of the simplex is the Hamming code with distance 3, so the
     # uniform simplex space is pairwise independent and no more
     assert independence_order(simplex7) == 2
-    assert marginal_order(simplex7) == 2
+    assert marginal_order(simplex7, 7) == 2
     assert independence_order(simplex7) >= 2
     assert independence_order(simplex7) < 3
 
@@ -138,7 +135,7 @@ def test_spectral_equals_marginal_order_on_corpus(corpus):
     for name, dist in corpus:
         if dist.n > 12:
             continue
-        assert independence_order(dist) == marginal_order(dist), name
+        assert independence_order(dist) == marginal_order(dist, dist.n), name
 
 
 def test_plancherel_consistency_on_corpus(corpus):
@@ -149,7 +146,7 @@ def test_plancherel_consistency_on_corpus(corpus):
 
 
 def test_distribution_from_density_round_trip(hamming7):
-    rebuilt = SampleSpace.from_density(hamming7.density)
+    rebuilt = from_density(hamming7.density)
     np.testing.assert_array_equal(rebuilt.points, hamming7.points)
     np.testing.assert_allclose(rebuilt.probabilities, hamming7.probabilities, atol=1e-15)
 
@@ -251,7 +248,7 @@ def test_level_batched_oracle_matches_per_subset_reference(space, k, block, guar
     with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block), mock.patch.object(
         kwise, "MARGINAL_WORK_GUARD", guard
     ):
-        order = _outcome(marginal_order, space)
+        order = _outcome(marginal_order, space, space.n)
         expected_order = _outcome(marginal_order_by_subset_reference, space)
         deviation = _outcome(marginal_check, space, k)
         expected = _outcome(marginal_check_by_subset_reference, space, k)
@@ -268,7 +265,7 @@ def test_level_batched_oracle_on_hamming7_every_level(hamming7):
             for k in range(8):
                 deviation = marginal_check(hamming7, k)
                 assert deviation.hex() == marginal_check_by_subset_reference(hamming7, k).hex()
-            assert marginal_order(hamming7) == 3
+            assert marginal_order(hamming7, 7) == 3
 
 
 def test_level_batched_oracle_one_subset_per_block():
@@ -291,16 +288,21 @@ def test_level_cost_is_the_guarded_work():
     assert kwise.level_cost(5, 0, 1) == 2 and kwise.level_bins(5, 0) == 1
 
 
-def test_oracle_limit_counts_the_support(hamming15):
+def test_oracle_limit_counts_the_support(hamming15, monkeypatch):
     # analyze scans levels 1..8 of Hamming n=15: 4.96e7 units at 2,048 points
     cost = sum(math.comb(15, j) * (2048 + (1 << j)) for j in range(1, 9))
     assert cost == 49644650
-    assert kwise.marginal_affordable(hamming15, 8, cost)
-    assert not kwise.marginal_affordable(hamming15, 8, cost - 1)
-    assert kwise.marginal_affordable(hamming15, 8, kwise.MARGINAL_WORK_LIMIT)
-    # the same levels on a point mass: 22,818 subsets of one point, 2,913,386 bins
+    assert kwise.marginal_affordable(hamming15, 8)  # at the default limit
     point = point_space(15)
-    assert kwise.marginal_affordable(point, 8, 22818 + 2913386)
-    assert not kwise.marginal_affordable(point, 8, 22818 + 2913385)
+    for limit, affordable in (
+        (cost, [True, True]),
+        (cost - 1, [False, True]),
+        # the same levels on a point mass: 22,818 subsets of one point, 2,913,386 bins
+        (22818 + 2913386, [False, True]),
+        (22818 + 2913385, [False, False]),
+    ):
+        monkeypatch.setattr(kwise, "MARGINAL_WORK_LIMIT", limit)
+        assert [kwise.marginal_affordable(s, 8) for s in (hamming15, point)] == affordable, limit
     # a level of more than MARGINAL_WORK_GUARD bins is refused at any limit
-    assert not kwise.marginal_affordable(point_space(18), 9, math.inf)
+    monkeypatch.setattr(kwise, "MARGINAL_WORK_LIMIT", math.inf)
+    assert not kwise.marginal_affordable(point_space(18), 9)

@@ -11,22 +11,16 @@ import numpy as np
 import pytest
 
 import kwisent.cube
+import oracles
 from conftest import point_space, random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound
 from kwisent.cube import convolve, inner_product, wht
 from kwisent.errors import IndependenceError
-from kwisent.codes import SampleSpace
 from kwisent.kwise import independence_order
-from kwisent.smoothing import (
-    TEXT_HEAD,
-    CheckLine,
-    halfwise_chain,
-    smooth,
-    smoothing_chain,
-    verify_smoothing,
-)
+from kwisent.smoothing import TEXT_HEAD, CheckLine, halfwise_chain, smoothing_chain
 from kwisent.table import render
+from oracles import from_density, smooth, verify_smoothing
 
 
 def direct_smoothed_probability(x, d, mask):
@@ -97,7 +91,7 @@ def test_verify_smoothing_skips_the_oracle_on_a_large_smoothed_support(monkeypat
     def refused(*args, **kwargs):
         raise AssertionError("the marginal oracle ran")
 
-    monkeypatch.setattr("kwisent.smoothing.marginal_check", refused)
+    monkeypatch.setattr(oracles, "marginal_check", refused)
     started = time.perf_counter()
     report = verify_smoothing(x, ball)
     assert time.perf_counter() - started < 1.0  # convolve_direct alone takes about 0.2 s
@@ -290,7 +284,7 @@ def test_smoothing_chain_runs_five_butterflies(hamming15, monkeypatch, k):
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):
     assert wht(hamming15.density) is hamming15.density.spectrum
-    clean = SampleSpace.from_density(hamming15.density)
+    clean = from_density(hamming15.density)
     assert wht(clean.density) is clean.density.spectrum
 
 

@@ -13,9 +13,14 @@ convolve rows transform plain cube functions, which are not cached, so every
 call runs its butterflies; the convolve row reads the result's values, since
 a convolution keeps its spectral product and runs its inverse butterfly only
 when its values are first read.  The reader parses a random 2^16-point space
-file, the support of the n = 20 benchmark code; the writer writes a uniform
-space on the same points, with one distinct probability as in every space
-built from a code.
+file, the support of the n = 20 benchmark code, with a distinct probability
+text on each line, so its lines differ in width and are split into tokens;
+the writer writes a uniform space on the same points, with one distinct
+probability as in every space built from a code.  A further reader row
+(texts=1) parses the file every space built from a code writes, one
+probability text on lines of one width, which the reader slices as a byte
+grid: the file of random_code_20(), the code of the n = 20 chain row below,
+like the files dense-chain reads (the Hamming code of length 15 with --quick).
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
@@ -26,7 +31,7 @@ print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 chain, one row of the rest, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -97,6 +102,16 @@ def oracle_kernels(quick: bool):
     for code in codes:
         space = parity_sampler_space(code)
         yield "marginal_order", code.cols, {}, lambda space=space: marginal_order(space, space.n)
+
+
+def reader_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text
+    on the one-text file of a space built from a code."""
+    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
+
+    code = hamming_code(4) if quick else random_code_20()
+    text = parity_sampler_space(code).to_text()
+    yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: SampleSpace.from_text(text)
 
 
 def random_code_20():
@@ -184,7 +199,8 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     )
     out = []
     for name, n, param, call in itertools.chain(
-        dense, oracle_kernels(quick), chain_kernels(quick), radial_kernels(quick)
+        dense, reader_kernels(quick), oracle_kernels(quick), chain_kernels(quick),
+        radial_kernels(quick),
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
@@ -231,7 +247,8 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
-        size = f"n={row['n']}" + "".join(f" {key}={row[key]}" for key in ("r", "k") if key in row)
+        params = [f" {key}={row[key]}" for key in ("r", "k", "texts") if key in row]
+        size = f"n={row['n']}" + "".join(params)
         vectors = ""
         if "peak_vectors" in row:
             vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"

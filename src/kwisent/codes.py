@@ -3,6 +3,11 @@
 Matrices store one int bitmask per row.  Coordinate j (1-based, as written
 in the text formats) lives at bit position cols - j, so the leftmost
 character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
+
+A sample space file is written as one byte grid, a row per point.  A file
+in that layout, every line '<n bits> <probability text>' with one width, is
+read back by slicing the grid's columns; any other layout is split into
+tokens line by line, more slowly, to the same values and the same messages.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from .errors import DimensionError, FormatError, ResourceLimitError
 from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
-# SampleSpace.from_text and to_text handle this many lines at a time, so only
-# one block's per-line token lists or strings are alive at once
+# SampleSpace.from_text splits a file not in the layout to_text writes this
+# many lines at a time, so only one block's per-line token lists are alive at
+# once; a file in that layout is sliced whole (_line_grid)
 READ_BLOCK_LINES = 1024
 ENUMERATION_GUARD = 10**7
 
@@ -235,47 +241,59 @@ class SampleSpace:
         return cube.Density(self.n, cube._Fresh(vals))
 
     def to_text(self) -> str:
-        """'n=<n>', then '<bitstring> <repr(probability)>' per point.  Each
-        distinct probability is formatted once, keyed by its bits, so 0.0
-        and -0.0 keep their own text."""
-        bits, index = np.unique(self.probabilities.view(np.uint64), return_inverse=True)
-        texts = [repr(q) for q in bits.view(np.float64).tolist()]
-        spec, blocks = f"0{self.n}b", [f"n={self.n}\n"]
-        for start in range(0, index.size, READ_BLOCK_LINES):
-            stop = start + READ_BLOCK_LINES
-            rows = zip(self.points[start:stop].tolist(), index[start:stop].tolist())
-            blocks.append("".join([f"{p:{spec}} {texts[i]}\n" for p, i in rows]))
-        return "".join(blocks)
+        """'n=<n>', then '<bitstring> <repr(probability)>' per point.
+
+        The body is built as one byte grid, a row per point: the bits
+        unpacked from the point, a space, and the text of its probability.
+        Each distinct probability is formatted once, keyed by its bits, so
+        0.0 and -0.0 keep their own text; where the texts differ in length,
+        each row is cut after its own text.
+        """
+        n, size = self.n, self.points.size
+        keys = self.probabilities.view(np.uint64)
+        if (keys == keys[0]).all():  # a space built from a code has one value
+            keys, index = keys[:1], np.zeros(size, dtype=np.intp)
+        else:
+            keys, index = np.unique(keys, return_inverse=True)
+        texts = [f"{q!r}\n".encode() for q in keys.view(np.float64).tolist()]
+        widths = [len(text) for text in texts]
+        tails = np.array(texts).view(np.uint8).reshape(len(texts), -1)  # NUL-padded
+        grid = np.empty((size, n + 1 + tails.shape[1]), dtype=np.uint8)
+        octets = self.points.astype("<u8", copy=False).view(np.uint8).reshape(size, 8)
+        bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")  # coordinate n first
+        np.add(bits[:, ::-1], ord("0"), out=grid[:, :n])
+        grid[:, n] = ord(" ")
+        grid[:, n + 1 :] = tails[index]
+        if min(widths) < max(widths):  # keep each row up to its own newline
+            body = grid[np.arange(grid.shape[1]) <= n + np.array(widths)[index][:, None]]
+        else:
+            body = grid.ravel()
+        return f"n={n}\n" + str(memoryview(body), "ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "SampleSpace":
-        lines = text.splitlines()
-        if not lines or not lines[0].strip():
-            raise FormatError("expected header 'n=<int>'", line=1)
-        header = lines[0].strip()
-        if not header.startswith("n="):
-            raise FormatError("expected header 'n=<int>'", line=1)
-        try:
-            n = int(header[2:])
-        except ValueError:
-            raise FormatError("expected header 'n=<int>'", line=1) from None
-        if not 1 <= n <= MAX_SPACE_DIMENSION:
-            raise DimensionError(
-                f"sample space dimension must be 1..{MAX_SPACE_DIMENSION}, got {n}"
-            )
-        linenos = [np.empty(0, dtype=np.intp)]
-        points = [np.empty(0, dtype=np.int64)]
-        probs = [np.empty(0)]
-        bad = None
-        for start in range(1, len(lines), READ_BLOCK_LINES):
-            block = lines[start : start + READ_BLOCK_LINES]
-            found, pts, prb, bad = _read_block(block, n, first_lineno=start + 1)
-            linenos.append(found)
-            points.append(pts)
-            probs.append(prb)
-            if bad is not None:
-                break
-        linenos, points, probs = map(np.concatenate, (linenos, points, probs))
+        """Read the 'n=<n>' header, then one '<bitstring> <probability>' line
+        per point.
+
+        A text in the layout to_text writes (ASCII, '\\n' line ends, every
+        line '<n bits> <text>' with one width) is sliced as a byte grid, a
+        row per line, and each distinct probability text is parsed once.  Any
+        other text is split into tokens line by line (_read_block), more
+        slowly.  Both read the same values and report the first bad line with
+        the same message and number.
+        """
+        end = text.find("\n")
+        head = text[:end]
+        grid = None
+        if end > 0 and text.isascii() and head.splitlines() == [head]:
+            n = _read_header(head)
+            grid = _line_grid(text, end + 1, n)
+        if grid is not None:
+            linenos, points, probs, bad = _read_grid(grid, n)
+        else:
+            lines = text.splitlines()
+            n = _read_header(lines[0] if lines else "")
+            linenos, points, probs, bad = _read_lines(lines, n)
         repeat = _first_repeat(points)
         if repeat < points.size:  # it precedes any bad line found
             bad = int(linenos[repeat]), f"duplicate point {int(points[repeat]):0{n}b}"
@@ -288,6 +306,85 @@ class SampleSpace:
             # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
             raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
         return cls(n, points, probs / total)
+
+
+def _read_header(line: str) -> int:
+    """The dimension n of an 'n=<int>' header line."""
+    header = line.strip()
+    if not header.startswith("n="):
+        raise FormatError("expected header 'n=<int>'", line=1)
+    try:
+        n = int(header[2:])
+    except ValueError:
+        raise FormatError("expected header 'n=<int>'", line=1) from None
+    if not 1 <= n <= MAX_SPACE_DIMENSION:
+        raise DimensionError(
+            f"sample space dimension must be 1..{MAX_SPACE_DIMENSION}, got {n}"
+        )
+    return n
+
+
+def _line_grid(text: str, start: int, n: int) -> np.ndarray | None:
+    """The lines of an ASCII text from offset start as a (lines, width) byte
+    grid, or None unless every one is '<n bits of 0/1> <nonblank token>' with
+    one width.  Such lines hold no whitespace but the one space, so they
+    split into the same two tokens as str.split finds."""
+    if not text.endswith("\n"):
+        text += "\n"
+    width = text.find("\n", start) + 1 - start
+    if width < n + 3 or (len(text) - start) % width:
+        return None
+    data = text.encode("ascii")  # ASCII: one byte per character, at the same offsets
+    grid = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
+    if (
+        (grid[:, -1] == ord("\n")).all()
+        and (grid[:, n] == ord(" ")).all()
+        and (grid[:, n + 1 : -1] > ord(" ")).all()  # ASCII whitespace is all <= ' '
+        and ((grid[:, :n] | 1) == ord("1")).all()  # only '0' and '1' OR 1 to '1'
+    ):
+        return grid
+    return None
+
+
+def _read_grid(grid: np.ndarray, n: int):
+    """Read _line_grid's rows (row i is line i + 2) up to the first bad
+    probability; returns what _read_block returns, and repeated points are
+    again left to the caller."""
+    tails = grid[:, n + 1 : -1]
+    if (tails == tails[0]).all():  # a space built from a code has one text
+        keys, index = tails[:1], np.zeros(len(grid), dtype=np.intp)
+    else:
+        rows = np.ascontiguousarray(tails).view(f"S{tails.shape[1]}").ravel()
+        keys, index = np.unique(rows, return_inverse=True)
+    texts = [key.tobytes().decode("ascii") for key in keys]
+    probs = np.array([_float_or_nan(text) for text in texts])[index]
+    cut = _first((probs < 0.0) | ~np.isfinite(probs))
+    bad = None
+    if cut < len(grid):
+        bad = cut + 2, f"bad probability {texts[index[cut]]!r}"
+    bits = np.zeros((cut, 64), dtype=np.uint8)  # a row per point, coordinate 1 at bit 64 - n
+    np.bitwise_and(grid[:cut, :n], 1, out=bits[:, 64 - n :])  # '0' and '1' differ in bit 0
+    points = np.packbits(bits).view(">u8").astype(np.int64)
+    return np.arange(2, cut + 2), points, probs[:cut], bad
+
+
+def _read_lines(lines: list[str], n: int):
+    """Read the lines after the header, READ_BLOCK_LINES at a time, up to
+    the first bad one; returns what _read_block returns for all of them."""
+    linenos = [np.empty(0, dtype=np.intp)]
+    points = [np.empty(0, dtype=np.int64)]
+    probs = [np.empty(0)]
+    bad = None
+    for start in range(1, len(lines), READ_BLOCK_LINES):
+        block = lines[start : start + READ_BLOCK_LINES]
+        found, pts, prb, bad = _read_block(block, n, first_lineno=start + 1)
+        linenos.append(found)
+        points.append(pts)
+        probs.append(prb)
+        if bad is not None:
+            break
+    linenos, points, probs = map(np.concatenate, (linenos, points, probs))
+    return linenos, points, probs, bad
 
 
 def _read_block(lines: list[str], n: int, first_lineno: int):

@@ -12,7 +12,9 @@ of the package by a different method:
 - renyi2_from_density: collision entropy through the density, against the
   space path (bounds.renyi2_entropy);
 - smooth and verify_smoothing: the three facts the smoothing chain rests on,
-  each by a route the chain does not take.
+  each by a route the chain does not take;
+- space_text_by_line: a sample space file formatted one line at a time,
+  against the byte grid of codes.SampleSpace.to_text.
 """
 
 from __future__ import annotations
@@ -216,3 +218,9 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
         max_convolution_error=err,
         marginal_deviation=marginal_dev,
     )
+
+
+def space_text_by_line(space: SampleSpace) -> str:
+    """'n=<n>', then one f-string '<bitstring> <repr(probability)>' per point."""
+    rows = zip(space.points.tolist(), space.probabilities.tolist())
+    return f"n={space.n}\n" + "".join(f"{p:0{space.n}b} {q!r}\n" for p, q in rows)

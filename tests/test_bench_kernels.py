@@ -1,5 +1,6 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, and the convolve and chain rows count their butterflies."""
+row is produced, the convolve and chain rows count their butterflies, and
+the reader has a row on the random file and one on a code's one-text file."""
 
 from __future__ import annotations
 
@@ -28,3 +29,9 @@ def test_quick_rows_cover_every_kernel():
     assert convolve == [3]  # two forward, and the inverse that builds the values
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
     assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 5)]
+    # the one-text file of a code's space, sliced as a byte grid
+    reader = [row for row in rows if row["kernel"] == "SampleSpace.from_text"]
+    assert [(row["n"], row.get("texts"), row["butterflies"]) for row in reader] == [
+        (10, None, 0),
+        (15, 1, 0),
+    ]

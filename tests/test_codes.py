@@ -23,6 +23,7 @@ from kwisent.codes import (
     simplex_code,
 )
 from kwisent.errors import DimensionError, FormatError, ResourceLimitError
+from oracles import space_text_by_line
 
 
 def identity(n):
@@ -198,16 +199,36 @@ def test_sample_space_refuses_non_finite_probabilities(bad):
 
 
 def test_sample_space_writer_matches_line_by_line_reference():
-    # more points than one block, few distinct probabilities, and both zeros
+    # many points, few distinct probabilities of different text lengths, and both zeros
     rng = np.random.default_rng(7)
-    points = rng.choice(1 << 14, size=3 * codes.READ_BLOCK_LINES + 5, replace=False)
+    points = rng.choice(1 << 14, size=3077, replace=False)
     probs = rng.choice([1.0, 2.0, 3.0, 0.0], size=points.size)
     probs /= probs.sum()
     probs[probs == 0.0] = np.where(np.arange(points.size) % 2, -0.0, 0.0)[probs == 0.0]
     space = SampleSpace(14, points, probs)
-    lines = [f"{int(p):014b} {float(q)!r}" for p, q in zip(space.points, space.probabilities)]
-    assert space.to_text() == "\n".join(["n=14", *lines]) + "\n"
+    assert space.to_text() == space_text_by_line(space)
     assert " -0.0\n" in space.to_text() and " 0.0\n" in space.to_text()
+
+
+@st.composite
+def writer_spaces(draw):
+    """Spaces at any dimension whose probabilities have one text or many,
+    of one length or several, with 0.0 and -0.0 among them."""
+    n = draw(st.integers(1, 63))
+    size = draw(st.integers(1, min(40, 1 << n)))
+    points = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
+    )
+    weights = st.sampled_from([0.0, -0.0, 1.0, 3.0, 0.1, 1e-300, 7e5])
+    probs = np.asarray(draw(st.lists(weights, min_size=size, max_size=size)))
+    total = probs.sum()
+    probs = probs / total if total > 0 else np.full(size, 1.0 / size)
+    return SampleSpace(n, np.asarray(points, dtype=np.int64), probs)
+
+
+@given(writer_spaces())
+def test_sample_space_writer_matches_line_by_line_property(space):
+    assert space.to_text() == space_text_by_line(space)
 
 
 def test_sample_space_density_divides_in_place():
@@ -333,13 +354,12 @@ def space_texts(draw):
     return f"n={n}\n" + "\n".join(lines) + "\n"
 
 
-@given(space_texts(), st.sampled_from([1, 2, 3, codes.READ_BLOCK_LINES]))
-def test_sample_space_reader_matches_line_by_line_reference(text, block):
-    # small blocks put blank, bad and repeated lines on both sides of a boundary
+def assert_reads_like_reference(text):
+    """from_text reads the points and probability bits read_space_by_line
+    reads, or refuses the text with its message and line."""
     expected = read_space_by_line(text)
     try:
-        with mock.patch.object(codes, "READ_BLOCK_LINES", block):
-            space = SampleSpace.from_text(text)
+        space = SampleSpace.from_text(text)
     except FormatError as err:
         if err.line is None:
             assert expected is None
@@ -352,6 +372,104 @@ def test_sample_space_reader_matches_line_by_line_reference(text, block):
     assert space.n == n
     np.testing.assert_array_equal(space.points, points[order])
     assert np.array_equal(space.probabilities.view(np.uint64), probs[order].view(np.uint64))
+
+
+@given(space_texts(), st.sampled_from([1, 2, 3, codes.READ_BLOCK_LINES]))
+def test_sample_space_reader_matches_line_by_line_reference(text, block):
+    # small blocks put blank, bad and repeated lines on both sides of a boundary
+    with mock.patch.object(codes, "READ_BLOCK_LINES", block):
+        assert_reads_like_reference(text)
+
+
+BAD_TEXTS = ["x", "nan", "inf", "1e999", "-0.25", "-0"]
+
+
+def widen(text, width):
+    """text with zeros after its sign up to width: a number keeps its value,
+    and each of BAD_TEXTS but '-0' (still -0.0) is still refused."""
+    sign = text[:1] if text[:1] in "+-" else ""
+    return sign + "0" * (width - len(text)) + text[len(sign) :]
+
+
+def near_miss(line, n, kind):
+    """A '<bits> <text>\\n' line that the token reader must read."""
+    bits, text = line[:n], line[n + 1 : -1]
+    if kind == "tab":
+        return f"{bits}\t{text}\n"
+    if kind == "two spaces":
+        return f"{bits}  {text}\n"
+    if kind == "crlf":
+        return f"{bits} {text}\r\n"
+    if kind == "digit 2":
+        return f"2{bits[1:]} {text}\n"
+    if kind == "blank":
+        return "\n" + line
+    return f"{bits} {text}0\n"  # one character longer
+
+
+@st.composite
+def grid_space_texts(draw):
+    """(text, sliced): a file in to_text's layout, with one probability text
+    or many, bad texts and repeated points at any line, and perhaps no final
+    newline; sliced is False where one line is a near miss of the layout."""
+    n = draw(st.integers(1, 63))
+    size = draw(st.integers(1, min(40, 1 << n)))
+    points = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
+    )
+    if draw(st.booleans()):  # one text, as in a space built from a code
+        texts = [draw(st.sampled_from([repr(1.0 / size)] * 12 + BAD_TEXTS))] * size
+    else:  # dyadic probabilities summing to exactly 1
+        cuts = draw(st.lists(st.integers(0, 1 << 20), min_size=size - 1, max_size=size - 1))
+        counts = np.diff([0, *sorted(cuts), 1 << 20]).tolist()
+        texts = [repr(c / float(1 << 20)) for c in counts]
+    rarely = st.sampled_from([False, False, False, True])
+    if draw(rarely):
+        texts[draw(st.integers(0, size - 1))] = draw(st.sampled_from(BAD_TEXTS))
+    if size > 1 and draw(rarely):
+        at = draw(st.integers(1, size - 1))
+        points[at] = points[draw(st.integers(0, at - 1))]
+    width = max(map(len, texts))
+    lines = [f"{p:0{n}b} {widen(t, width)}\n" for p, t in zip(points, texts)]
+    # a single line one character longer is still one width
+    kinds = ["tab", "two spaces", "crlf", "digit 2", "blank"] + ["longer"] * (size > 1)
+    kind = draw(st.sampled_from([None] * len(kinds) + kinds))
+    if kind is not None:
+        at = draw(st.integers(0, size - 1))
+        lines[at] = near_miss(lines[at], n, kind)
+    text = f"n={n}\n" + "".join(lines)
+    if draw(st.booleans()):
+        text = text[:-1]
+    return text, kind is None
+
+
+@given(grid_space_texts())
+def test_sample_space_grid_reader_matches_line_by_line_reference(case):
+    text, sliced = case
+    with mock.patch.object(codes, "_read_block", wraps=codes._read_block) as token_reader:
+        assert_reads_like_reference(text)
+    assert token_reader.called is not sliced
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [hamming_code(4), simplex_code(6), identity(1), BinaryMatrix((), 9)],
+    ids=["hamming15", "simplex63", "identity1", "point9"],
+)
+def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
+    # every line to_text writes for a code has one width: the token reader,
+    # many times slower, must not run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the token reader ran on a file to_text wrote")
+
+    monkeypatch.setattr(codes, "_read_block", refuse)
+    space = parity_sampler_space(matrix)
+    parsed = SampleSpace.from_text(space.to_text())
+    assert parsed.n == space.n
+    np.testing.assert_array_equal(parsed.points, space.points)
+    assert np.array_equal(
+        parsed.probabilities.view(np.uint64), space.probabilities.view(np.uint64)
+    )
 
 
 @pytest.mark.parametrize("block", [2, 3, codes.READ_BLOCK_LINES])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the dense cube kernels, the sample-space reader and writer, the
-marginal oracle, the smoothing chain, the ball eigenvalue and the radius
-search, one call at a time.
+marginal oracle, the smoothing chain, the ball density's spectrum, the ball
+eigenvalue and the radius search, one call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text,
 SampleSpace.to_text) and each n in 16, 20, 22 it reports the median and the
@@ -25,7 +25,12 @@ The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
 on the Hamming code of length 15 and on a random n = 20 code with 2^16
-points (marginal order 5).  The radial rows time balls.lambda_ball at (n, r) =
+points (marginal order 5).  The ball density rows time
+balls.BallSpectrum.density().spectrum for the radius of that chain at k = 3,
+at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick): the
+spectrum by level from exact Krawtchouk sums, then one gather into a dense
+2^n table, with no butterfly; at n = 26 that table is 512 MiB.  The radial
+rows time balls.lambda_ball at (n, r) =
 (48, 24), (192, 40), (400, 200), the eigenvalue that bound and spectra
 print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
@@ -139,6 +144,19 @@ def chain_kernels(quick: bool):
         yield "smoothing_chain", code.cols, {"k": 3}, lambda space=space: smoothing_chain(space, 3)
 
 
+def ball_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for the spectrum of the
+    ball density that smoothing_chain(space, 3) reads; the eigenvalue and
+    the profile are computed once, outside the timed call."""
+    from kwisent.balls import lambda_ball, min_radius
+
+    for n in (16,) if quick else (20, 26):
+        r = min_radius(n, 3)
+        ball = lambda_ball(n, r)
+        ball.radial_profile  # computed on first read, and kept
+        yield "ball_density.spectrum", n, {"r": r}, lambda ball=ball: ball.density().spectrum
+
+
 def radial_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for the ball eigenvalue
     and the radius search."""
@@ -200,7 +218,7 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     out = []
     for name, n, param, call in itertools.chain(
         dense, reader_kernels(quick), oracle_kernels(quick), chain_kernels(quick),
-        radial_kernels(quick),
+        ball_kernels(quick), radial_kernels(quick),
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube import Density, _Fresh, check_dimension, subset_sizes
+from .cube import Radial, radial_density
 from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, RAYLEIGH_STEP
 
 MAX_POWER_ITERATIONS = 10**6
@@ -65,9 +65,10 @@ class BallSpectrum:
     is the width of the final bracket, 0.0 when lam is an integer decided
     exactly.
     radial_profile holds the positive eigenfunction by weight class, scaled
-    to maximum 1, computed on first read; density() lifts it to a mean-1
-    cube density supported on the ball, built on the first call and kept
-    (only possible below the cube dimension cap).
+    to maximum 1, computed on first read; density() scales it to a mean-1
+    radial density supported on the ball (cube.Radial, only possible below
+    the cube dimension cap), whose spectrum comes from exact Krawtchouk sums
+    and whose dense values are built only if read.
     """
 
     n: int
@@ -80,17 +81,11 @@ class BallSpectrum:
     def radial_profile(self) -> np.ndarray:
         return _perron_profile(self.n, self.r)
 
-    def density(self) -> Density:
-        return self._density
-
-    @cached_property
-    def _density(self) -> Density:
-        check_dimension(self.n)
+    def density(self) -> Radial:
         padded = np.zeros(self.n + 1)
         padded[: self.r + 1] = self.radial_profile
-        vals = padded[subset_sizes(self.n)]
-        vals /= vals.mean()
-        return Density(self.n, _Fresh(vals))
+        padded /= Radial(self.n, padded).level_spectrum[0]  # the mean, correctly rounded
+        return radial_density(self.n, padded)
 
     def as_dict(self) -> dict:
         """The spectra report row: the eigenvalue next to its leading term."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
-from .cube import Density
+from .cube import Density, Radial
 from .kwise import independence_order
 
 
@@ -48,6 +48,15 @@ def shannon_from_density(density: Density) -> float:
     underflows to zero drops out rather than giving 0 * log2 0.
     """
     return _shannon(density.values / (1 << density.n))
+
+
+def shannon_from_radial(d: Radial) -> float:
+    """Shannon entropy of a radial density: -sum_w C(n, w) q_w log2 q_w, with
+    q_w = d(w) / 2^n the probability of each of the C(n, w) masks of weight w."""
+    q = d.profile / (1 << d.n)
+    keep = q > 0
+    counts = np.array([math.comb(d.n, w) for w in range(d.n + 1)], dtype=np.float64)
+    return float(-(counts[keep] * q[keep] * np.log2(q[keep])).sum()) + 0.0
 
 
 def binary_entropy(p: float) -> float:

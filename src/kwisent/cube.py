@@ -14,10 +14,12 @@ convolution with the weight-one indicator.  That scale is pinned by a unit
 test; do not fold 2^n factors into the transforms.
 
 Every function reads its spectrum through its spectrum property, which wht
-returns: a Density transforms once and keeps it, the weight-one kernel
-writes it in closed form, (n - 2|S|) / 2^n, a convolution keeps the spectral
-product it was made from and builds its values only when they are first read,
-and every other function transforms on each read.
+returns: a Density transforms once and keeps it; a Radial function (a
+function of |x| alone, like the ball density and the weight-one kernel)
+sums its spectrum per level from exact Krawtchouk sums, with no butterfly,
+and keeps it; a convolution keeps the spectral product it was made from; and
+every other function transforms on each read.  A Radial function and a
+convolution build their dense values only when they are first read.
 """
 
 from __future__ import annotations
@@ -99,17 +101,20 @@ class CubeFunction:
         return Spectrum(self.n, _Fresh(a))
 
 
+def _check_density(low: float, mean: float) -> None:
+    if low < 0.0:
+        raise ValueError("density values must be nonnegative")
+    if abs(mean - 1.0) > TOTAL_MASS:
+        raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Density(CubeFunction):
     """Nonnegative cube function with mean 1 (2^n times a probability mass)."""
 
     def __post_init__(self):
         super().__post_init__()
-        if self.values.min() < 0.0:
-            raise ValueError("density values must be nonnegative")
-        mean = float(self.values.mean())
-        if abs(mean - 1.0) > TOTAL_MASS:
-            raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
+        _check_density(self.values.min(), float(self.values.mean()))
 
     # the same transform, computed on first read and kept
     spectrum = cached_property(CubeFunction.spectrum.fget)
@@ -178,11 +183,11 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 def wht(f: CubeFunction) -> Spectrum:
     """Forward transform: f's spectrum property.
 
-    A Density returns the spectrum it keeps, the weight-one kernel its
-    closed form and a convolution its spectral product, so none of them runs
-    a butterfly here after the first read; any other CubeFunction runs the
-    butterfly on every call, so that its spectrum is freed with the call's
-    result.
+    A Density returns the spectrum it keeps, a Radial function its level
+    sums and a convolution its spectral product, so none of them runs a
+    butterfly here after the first read (a Radial function never does); any
+    other CubeFunction runs the butterfly on every call, so that its spectrum
+    is freed with the call's result.
     """
     return f.spectrum
 
@@ -232,6 +237,14 @@ def inner_product(f: CubeFunction, g: CubeFunction) -> float:
     return float(np.dot(f.values, g.values) / f.size)
 
 
+def spectral_inner_product(f: CubeFunction, g: CubeFunction) -> float:
+    """<f, g> by Plancherel, sum_S coeff_f(S) coeff_g(S): reads the two
+    spectra, which a Density, a Radial function and a convolution keep, and
+    no values."""
+    _same_dimension(f, g)
+    return float(np.dot(f.spectrum.coeffs, g.spectrum.coeffs))
+
+
 def adjacency_apply(f: CubeFunction) -> CubeFunction:
     """(Af)(x) = sum_i f(x ^ e_i), the cube adjacency acting on f.
 
@@ -260,21 +273,83 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
     return out
 
 
-class _WeightOne(CubeFunction):
-    @property
+def krawtchouk(n: int, top: int) -> list[list[int]]:
+    """Rows j = 0..n of K_j(w) for w = 0..top, in Python integers.
+
+    K_j(w) is the sum of (-1)^popcount(S & x) over the masks x of weight w,
+    for any S of weight j: the coefficient of z^w in (1 - z)^j (1 + z)^(n - j)
+    (MacWilliams & Sloane, ch. 5).  Each row follows the exact recurrence
+    (w + 1) K_j(w + 1) = (n - 2j) K_j(w) - (n - w + 1) K_j(w - 1).
+    """
+    rows = []
+    for j in range(n + 1):
+        row, prev = [1], 0
+        for w in range(top):
+            row.append(((n - 2 * j) * row[w] - (n - w + 1) * prev) // (w + 1))
+            prev = row[w]
+        rows.append(row)
+    return rows
+
+
+class Radial(CubeFunction):
+    """A function of the weight |x| alone: profile[w] on every mask of weight w.
+
+    Its spectrum depends on the level alone, coeff(S) = sum_w profile[w]
+    K_|S|(w) / 2^n.  Each profile value is an integer over a power of two, so
+    over their largest denominator the level sum is one integer ratio, and
+    Python's integer division rounds it correctly.  The spectrum by level is
+    computed on first read; the dense spectrum and values are each built from
+    their n + 1 levels on first read, and kept.
+    """
+
+    def __init__(self, n: int, profile):
+        check_dimension(n)
+        profile = np.array(profile, dtype=np.float64)
+        if profile.shape != (n + 1,):
+            raise DimensionError(f"expected {n + 1} values by weight, got shape {profile.shape}")
+        if not np.all(np.isfinite(profile)):
+            raise ValueError("values must be finite (no NaN or infinity)")
+        profile.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "profile", profile)
+
+    @cached_property
+    def level_spectrum(self) -> np.ndarray:
+        """coeff(S) for |S| = 0..n, each correctly rounded."""
+        ratios = [value.as_integer_ratio() for value in self.profile.tolist()]
+        scale = max(den for _, den in ratios)  # every denominator is a power of two
+        numerators = [num * (scale // den) for num, den in ratios]
+        top = max((w for w, num in enumerate(numerators) if num), default=0)
+        total = scale << self.n
+        return np.array(
+            [sum(a * k for a, k in zip(numerators, row)) / total for row in krawtchouk(self.n, top)]
+        )
+
+    @cached_property
     def spectrum(self) -> Spectrum:
-        """(n - 2|S|) / 2^n, built on each read: small integers over a power
-        of two, so bit for bit the butterfly's result."""
-        coeffs = adjacency_level_multipliers(self.n)[subset_sizes(self.n)]
-        coeffs /= self.size
-        return Spectrum(self.n, _Fresh(coeffs))
+        return Spectrum(self.n, _Fresh(self.level_spectrum[subset_sizes(self.n)]))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _frozen_vector(_Fresh(self.profile[subset_sizes(self.n)]), self.n)
 
 
-def weight_one_indicator(n: int) -> CubeFunction:
-    """0/1 indicator of the Hamming weight-1 shell (the adjacency kernel),
-    whose spectrum is written in closed form."""
-    check_dimension(n)
-    return _WeightOne(n, _Fresh((subset_sizes(n) == 1).astype(np.float64)))
+def radial_density(n: int, profile) -> Radial:
+    """A Radial function checked as a density: nonnegative, with mean
+    sum_w C(n, w) profile[w] / 2^n (its empty-set coefficient) 1 within
+    TOTAL_MASS."""
+    d = Radial(n, profile)
+    _check_density(d.profile.min(), float(d.level_spectrum[0]))
+    return d
+
+
+def weight_one_indicator(n: int) -> Radial:
+    """0/1 indicator of the Hamming weight-1 shell (the adjacency kernel).
+
+    Its spectrum is K_|S|(1) / 2^n = (n - 2|S|) / 2^n: small integers over a
+    power of two, so bit for bit the butterfly's result.
+    """
+    return Radial(n, np.eye(n + 1)[1])
 
 
 def adjacency_level_multipliers(n: int) -> np.ndarray:

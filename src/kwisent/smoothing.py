@@ -40,10 +40,13 @@ from .bounds import (
     halfwise_entropy_bound,
     shannon_entropy,
     shannon_from_density,
+    shannon_from_radial,
 )
 from .codes import SampleSpace
 from .cube import (
+    CubeFunction,
     Density,
+    Radial,
     _Fresh,
     adjacency_apply,
     adjacency_level_multipliers,
@@ -52,6 +55,7 @@ from .cube import (
     level_max_abs,
     level_profile,
     log2_ball_volume,
+    spectral_inner_product,
     weight_one_indicator,
     wht,
 )
@@ -167,7 +171,18 @@ def certify_order(x: SampleSpace, order: int) -> np.ndarray:
     return per_level
 
 
-def _smoothed_density(f: Density, d: Density) -> Density:
+def _eigen_margin(d: Radial, lam: float) -> float:
+    """max_x (lam d - A d)(x), over the weight classes w = 0..n: A d is radial
+    too, w d(w - 1) + (n - w) d(w + 1) on weight w, so the largest class
+    value is the largest value on the cube."""
+    n, p = d.n, d.profile
+    w = np.arange(n + 1)
+    below = np.concatenate(([0.0], p[:-1]))
+    above = np.concatenate((p[1:], [0.0]))
+    return float(np.max(lam * p - (w * below + (n - w) * above)))
+
+
+def _smoothed_density(f: Density, d: CubeFunction) -> Density:
     raw = convolve(f, d).values
     if raw.min() < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
@@ -240,14 +255,14 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     r = min_radius(n, k)
     ball = lambda_ball(n, r)
     lam = ball.lam
-    # f and d keep their spectra (certify_order read f's), the kernel's is
-    # written in closed form and a convolution keeps its spectral product,
-    # so the inner convolutions d * f and K * d never build values.  The
-    # peak, 9 dense vectors, is the inverse butterfly of either side of the
-    # associativity check: f, d, g, the spectra of f and d, the kernel, the
-    # side's spectral product and the butterfly's two buffers.  The inner
-    # convolution is not bound to a name, so it is freed by then, and g's
-    # spectrum is first read after the kernel is deleted.
+    # f keeps its spectrum (certify_order read it), d and the kernel are
+    # radial, so their spectra are level sums with no butterfly, and a
+    # convolution keeps its spectral product: the chain runs 2 butterflies,
+    # g's values and g's spectrum (3 when f's spectrum is first read here).
+    # The associativity line reads spectra alone.  The peak, 6 dense vectors
+    # beyond f and its spectrum, is the outer product on either side of that
+    # line: the spectra of d, g and the kernel, g, and the side's two
+    # products.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)
@@ -255,19 +270,19 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     ray = inner_product(adjacency_apply(g), g)
     upper = n + (n - 2 * k) * second
     lower = lam * second
-
-    kernel = weight_one_indicator(n)
-    assoc_left = inner_product(convolve(kernel, convolve(d, f)), g)
-    assoc_right = inner_product(convolve(convolve(kernel, d), f), g)
-    del kernel
     per_level_g = level_max_abs(wht(g))
     order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
 
-    pointwise_margin = float(np.max(lam * d.values - adjacency_apply(d).values))
-    pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.values.max()))
+    kernel = weight_one_indicator(n)
+    assoc_left = spectral_inner_product(convolve(kernel, convolve(d, f)), g)
+    assoc_right = spectral_inner_product(convolve(convolve(kernel, d), f), g)
+    del kernel
+
+    pointwise_margin = _eigen_margin(d, lam)
+    pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.profile.max()))
 
     h_x = shannon_entropy(x)
-    h_y = shannon_from_density(d)
+    h_y = shannon_from_radial(d)
     h_z = shannon_from_density(g)
     h2_z = n - math.log2(second)
     ball_cap = log2_ball_volume(n, r)

@@ -126,20 +126,21 @@ ASSOCIATIVITY = 1e-10
 Used by the check line convolution_associativity (smoothing chain).
 
 What it checks: a convolution keeps its spectral product, so each side is
-one product of spectra, K^ (D^ F^) or (K^ D^) F^, taken through its own
-inverse butterfly and paired with g.  The line checks the two product orders
-and the two inverse butterflies; no forward transform of an inverse one runs
-in it.  The butterfly round trip is checked by acceptance criterion 7 and
-tests/test_cube.py.
+one product of spectra, K^ (D^ F^) or (K^ D^) F^, paired with g by Plancherel
+(cube.spectral_inner_product, a sum over S with G^); no butterfly runs in the
+line.  It checks the two product orders.  The butterfly round trip is checked
+by acceptance criterion 7 and tests/test_cube.py.
 
-Rounding: K has mean n 2^-n, so both sides equal 2^-n <Ag, g>.  K^ is written
-in closed form, exactly, with |K^(S)| <= n 2^-n; D^ and F^ are transforms of
-mean-1 densities, each off by at most gamma_n per coefficient, so a product
-coefficient is off by at most about 3 gamma_n n 2^-n.  The inverse butterfly
-sums 2^n of them and adds its own gamma_n n, so each value is off by at most
-about 4 n gamma_n, and the dot product with the mean-1 g keeps that absolute
-size.  Each side is then off by at most about 10 n^2 u = 1.1e-12 at n = 32,
-under a hundredth of the tolerance.
+Rounding: K has mean n 2^-n, so both sides equal 2^-n <Ag, g>.  K^ and D^
+are level sums, correctly rounded (K^ exactly, |K^(S)| <= n 2^-n); F^ and G^
+are transforms of mean-1 densities, each at most 1 in size, and the two
+sides share them.  Each side sums 2^n terms of total size at most n.  The
+two product orders differ by at most 2 u n in all, and each dot product,
+summed in any order, is off by at most gamma_(2^n) n: together under
+1e-10 for n <= 14.  Above that the value is a threshold resting on
+measurement, not a bound: the dot products sum in blocks, and the measured
+|lhs - rhs| is 0 on the Hamming code of length 15 and a random
+n = 20 code, at k = 3 and 4.
 """
 
 CONVOLUTION_POINTWISE = 1e-10
@@ -187,9 +188,11 @@ max(1, lam max d).
 Used by the check line eigen_density_pointwise (smoothing chain), whose
 tolerance is this value times max(1, lam max d).
 
-Not a rounding bound.  On the ball, lam d - A d is the power iteration's
-eigen-residual carried to the cube: the weight-w entry of the symmetric
-residual, divided by sqrt(C(n, w)) and scaled with d.  So it is the
+Not a rounding bound.  d is radial, so lam d - A d is evaluated once per
+weight class, lam d(w) - w d(w - 1) - (n - w) d(w + 1), and its largest class
+value is its largest value on the cube.  On the ball it is the power
+iteration's eigen-residual: the weight-w entry of the symmetric residual,
+divided by sqrt(C(n, w)) and scaled with d.  So it is the
 eigenvector's own error, which EIGEN_RESIDUAL leaves at a fraction of 1e-9
 relative to the density's scale (measured 3.1e-10 at n = 15 and 3.7e-10 at
 n = 20, k = 3).  The value 1e-8 is a threshold about 30 times above that.
@@ -219,12 +222,15 @@ below 0 is an underflow or a rounding; the floor keeps the logarithm finite
 TOTAL_MASS = 1e-12
 """Allowed |total mass - 1| of a distribution built inside the program: the
 sum of a sample space's probabilities (codes.SampleSpace) and a density's
-mean (cube.Density, among them SampleSpace.density).  The mean is also the
-density's empty-set coefficient, so no separate check reads that.
+mean (cube.Density, among them SampleSpace.density, and cube.radial_density,
+the ball density).  The mean is also the density's empty-set coefficient, so
+no separate check reads that.
 
 Input validation.  Every builder normalizes with one division
-(probs / probs.sum(), vals / vals.mean()), after which a pairwise sum of m
-terms is 1 within about gamma_(log2 m + 8), under 5e-15 for m <= 2^32.  The
+(probs / probs.sum(), vals / vals.mean(), or a radial profile divided by its
+correctly rounded mean), after which a pairwise sum of m terms is 1 within
+about gamma_(log2 m + 8), under 5e-15 for m <= 2^32, and a radial mean,
+correctly rounded, within 3 u.  The
 threshold passes these with a margin of 200 and refuses a vector that was
 not normalized.
 """

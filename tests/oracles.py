@@ -5,6 +5,12 @@ of the package by a different method:
 
 - lambda_ball_dense_oracle: the ball eigenvalue by power iteration on the
   full 2^n space, against the radial bisection (balls.lambda_ball);
+- dense_ball_density and dense_eigen_margin: the ball density lifted to the
+  cube and divided by its mean, its butterfly spectrum, its largest
+  lam d - A d through adjacency_apply and its entropy through
+  bounds.shannon_from_density, against the radial density
+  (balls.BallSpectrum.density, a cube.Radial) that the chain reads by
+  weight class;
 - convolve_direct: convolution by literal summation, against the spectral
   product (cube.convolve);
 - marginal_check: every marginal of every coordinate set up to a size,
@@ -28,7 +34,14 @@ from kwisent import kwise
 from kwisent.balls import BallSpectrum
 from kwisent.bounds import shannon_entropy, shannon_from_density
 from kwisent.codes import SampleSpace
-from kwisent.cube import CubeFunction, Density, _same_dimension, check_dimension, subset_sizes
+from kwisent.cube import (
+    CubeFunction,
+    Density,
+    _same_dimension,
+    adjacency_apply,
+    check_dimension,
+    subset_sizes,
+)
 from kwisent.errors import DimensionError, ResourceLimitError
 from kwisent.smoothing import _smoothed_density
 from kwisent.tolerances import (
@@ -94,6 +107,23 @@ def lambda_ball_dense_oracle(n: int, r: int) -> float:
         v = ax + n * x
         x = v / np.linalg.norm(v)
     return lam
+
+
+def dense_ball_density(ball: BallSpectrum) -> Density:
+    """The ball's eigenfunction lifted to every mask by its weight
+    (subset_sizes) and divided by its numpy mean; its spectrum is the
+    butterfly's."""
+    check_dimension(ball.n)
+    padded = np.zeros(ball.n + 1)
+    padded[: ball.r + 1] = ball.radial_profile
+    vals = padded[subset_sizes(ball.n)]
+    vals /= vals.mean()
+    return Density(ball.n, vals)
+
+
+def dense_eigen_margin(ball: BallSpectrum, d: CubeFunction) -> float:
+    """max over the cube of lam d - A d, with A d from adjacency_apply."""
+    return float(np.max(ball.lam * d.values - adjacency_apply(d).values))
 
 
 def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:

@@ -17,10 +17,14 @@ from kwisent.balls import (
     min_radius,
     predicted_radius,
 )
+from kwisent.bounds import shannon_from_density, shannon_from_radial
 from kwisent.cli import main
 from kwisent.cube import adjacency_apply, inner_product, subset_sizes
 from kwisent.errors import DimensionError
-from oracles import lambda_ball_dense_oracle
+from kwisent.smoothing import _eigen_margin
+from oracles import dense_ball_density, dense_eigen_margin, lambda_ball_dense_oracle
+
+U = 2.0**-53  # unit roundoff
 
 
 def tridiagonal_oracle(n, r):
@@ -124,6 +128,60 @@ def test_lifted_density_is_eigenfunction(hamming7):
         assert np.min(ad.values - (spec.lam - 1e-8) * d.values) >= -1e-8
         quotient = inner_product(ad, d) / inner_product(d, d)
         assert quotient == pytest.approx(spec.lam, abs=1e-8)
+
+
+def radial_vs_dense_tolerances(n: int) -> dict:
+    """Largest gaps allowed between the radial density and the dense oracle.
+
+    values, relative to each value: the radial d(w) is the profile divided
+    by its correctly rounded mean (2 u); the oracle divides by numpy's
+    pairwise mean of 2^n nonnegative terms, within (n + 17) u (blocks of 128
+    summed 8 ways, then halved log2(2^n / 128) times).
+    spectrum, absolute (both have mean 1, so every coefficient is at most 1):
+    the radial level sums are correctly rounded (u), the butterfly is off by
+    n u times the mean, and the two exact transforms differ by at most the
+    largest relative value gap.
+    margin, relative to max d: the dense A d sums n neighbours one at a time
+    (n u times n max d), the radial one rounds 3 products and 2 sums; lam
+    and n <= n carry the value gap, twice.
+    entropy, relative to H + 2: each side rounds its log2 and products (8 u
+    in all) and its sum (n + 1 terms, or 2^n pairwise: (2n + 18) u H); a
+    relative change delta of every q moves -q log2 q by at most
+    delta q (|log2 q| + 1.45), so H by delta (H + 1.45).
+    """
+    values = (n + 21) * U
+    return {
+        "values": values,
+        "spectrum": (2 * n + 24) * U,
+        "margin": (3 * n * n + 48 * n) * U,
+        "entropy": (3 * n + 48) * U,
+    }
+
+
+def assert_radial_matches_dense(n: int, r: int) -> None:
+    ball = lambda_ball(n, r)
+    radial, dense = ball.density(), dense_ball_density(ball)
+    tol = radial_vs_dense_tolerances(n)
+    top = float(dense.values.max())
+    np.testing.assert_allclose(radial.values, dense.values, rtol=tol["values"], atol=0.0)
+    np.testing.assert_allclose(
+        radial.spectrum.coeffs, dense.spectrum.coeffs, rtol=0.0, atol=tol["spectrum"]
+    )
+    margin = _eigen_margin(radial, ball.lam)
+    assert abs(margin - dense_eigen_margin(ball, dense)) <= tol["margin"] * top, (n, r)
+    h = shannon_from_density(dense)
+    assert abs(shannon_from_radial(radial) - h) <= tol["entropy"] * (h + 2.0), (n, r)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_radial_density_matches_the_dense_oracle(n):
+    for r in range(n + 1):
+        assert_radial_matches_dense(n, r)
+
+
+def test_radial_density_matches_the_dense_oracle_at_n15():
+    for r in range(16):
+        assert_radial_matches_dense(15, r)
 
 
 def test_density_respects_dimension_cap():

@@ -1,6 +1,7 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, the convolve and chain rows count their butterflies, and
-the reader has a row on the random file and one on a code's one-text file."""
+row is produced, the convolve, chain and ball density rows count their
+butterflies, and the reader has a row on the random file and one on a code's
+one-text file."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
-    "marginal_order", "smoothing_chain", "lambda_ball", "min_radius",
+    "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
 }
 
 
@@ -28,7 +29,11 @@ def test_quick_rows_cover_every_kernel():
     convolve = [row["butterflies"] for row in rows if row["kernel"] == "convolve"]
     assert convolve == [3]  # two forward, and the inverse that builds the values
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
-    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 5)]
+    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 2)]
+    # the ball density's spectrum is a level sum, gathered into one dense table
+    ball = [row for row in rows if row["kernel"] == "ball_density.spectrum"]
+    assert [(row["n"], row["r"], row["butterflies"]) for row in ball] == [(16, 5, 0)]
+    assert 1.0 <= ball[0]["peak_vectors"] < 1.5
     # the one-text file of a code's space, sliced as a byte grid
     reader = [row for row in rows if row["kernel"] == "SampleSpace.from_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in reader] == [

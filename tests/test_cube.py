@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,17 @@ from kwisent.cube import (
     DIMENSION_CAP,
     CubeFunction,
     Density,
+    Radial,
     Spectrum,
     adjacency_apply,
     convolve,
     inner_product,
     inverse_wht,
+    krawtchouk,
     level_max_abs,
     level_profile,
+    radial_density,
+    spectral_inner_product,
     subset_sizes,
     weight_one_indicator,
     wht,
@@ -424,7 +429,7 @@ def test_wht_transforms_a_density_once():
     assert wht(d) is wht(d) is d.spectrum
     np.testing.assert_array_equal(wht(d).coeffs, wht(CubeFunction(4, d.values)).coeffs)
     kernel = weight_one_indicator(4)
-    assert wht(kernel) is not wht(kernel)
+    assert wht(kernel) is wht(kernel) is kernel.spectrum
 
 
 def test_convolution_builds_its_values_only_when_read(monkeypatch):
@@ -450,3 +455,79 @@ def test_convolution_builds_its_values_only_when_read(monkeypatch):
     assert calls == [64]
     assert not c.values.flags.writeable
     np.testing.assert_array_equal(c.values, inverse_wht(unread.spectrum).values)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_krawtchouk_counts_the_signs_on_each_weight(n):
+    masks = np.arange(1 << n)
+    weights = subset_sizes(n)
+    table = krawtchouk(n, n)
+    for j in range(n + 1):
+        signs = 1 - 2 * (np.bitwise_count(masks & ((1 << j) - 1)) & 1).astype(np.int64)
+        assert table[j] == [int(signs[weights == w].sum()) for w in range(n + 1)]
+
+
+def random_profile(n, rng):
+    """Values by weight whose exponents span 2^-60..2^20, some of them 0."""
+    profile = rng.uniform(0.5, 1.0, n + 1) * 2.0 ** rng.integers(-60, 20, n + 1)
+    profile[rng.random(n + 1) < 0.3] = 0.0
+    return profile
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 26])
+def test_radial_spectrum_is_the_correctly_rounded_level_sum(n):
+    rng = np.random.default_rng(300 + n)
+    table = krawtchouk(n, n)
+    for _ in range(5):
+        f = Radial(n, random_profile(n, rng))
+        exact = [
+            sum(Fraction(p) * k for p, k in zip(f.profile.tolist(), row)) / (1 << n)
+            for row in table
+        ]
+        assert f.level_spectrum.tolist() == [float(c) for c in exact]  # float(Fraction) rounds once
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 14])
+def test_radial_function_matches_its_dense_lift(n, monkeypatch):
+    rng = np.random.default_rng(400 + n)
+    f = Radial(n, rng.uniform(-1.0, 1.0, n + 1))
+    lifted = CubeFunction(n, f.profile[subset_sizes(n)])
+    calls, fwht = [], kwisent.cube._fwht
+
+    def counted(v):
+        calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    assert wht(f) is wht(f) is f.spectrum
+    assert calls == []  # level sums, no butterfly
+    assert "values" not in vars(f)  # the spectrum did not build the values
+    np.testing.assert_array_equal(f.values, lifted.values)
+    assert f.values is f.values and not f.values.flags.writeable
+    # the butterfly of the lift is off by n u times the mean of |f|, the level sums by u
+    tol = (n + 1) * 2.0**-53 * float(np.abs(lifted.values).mean())
+    np.testing.assert_allclose(f.spectrum.coeffs, wht(lifted).coeffs, rtol=0.0, atol=tol)
+
+
+def test_radial_density_is_checked_as_a_density():
+    with pytest.raises(ValueError, match="mean must be 1"):
+        radial_density(3, [1.0, 1.0, 1.0, 0.5])
+    d = radial_density(3, [8.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(d.spectrum.coeffs, np.ones(8))
+    np.testing.assert_array_equal(d.values, point_space(3).density.values)
+    with pytest.raises(ValueError, match="nonnegative"):
+        radial_density(2, [2.0, 2.0, -2.0])
+    with pytest.raises(DimensionError):
+        Radial(3, [1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Radial(2, [1.0, np.nan, 1.0])
+    with pytest.raises(DimensionError):
+        Radial(DIMENSION_CAP + 1, np.ones(DIMENSION_CAP + 2))
+
+
+def test_spectral_inner_product_is_plancherel():
+    rng = np.random.default_rng(9)
+    f = SampleSpace(6, np.arange(64), rng.dirichlet(np.ones(64))).density
+    d = radial_density(6, np.full(7, 1.0))
+    for g in (d, convolve(f, d), weight_one_indicator(6)):
+        assert spectral_inner_product(f, g) == pytest.approx(inner_product(f, g), abs=1e-14)

@@ -14,13 +14,22 @@ import kwisent.cube
 import oracles
 from conftest import point_space, random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
-from kwisent.bounds import halfwise_entropy_bound
-from kwisent.cube import convolve, inner_product, wht
+from kwisent.bounds import halfwise_entropy_bound, shannon_from_density
+from kwisent.codes import hamming_code, parity_sampler_space
+from kwisent.cube import convolve, inner_product, weight_one_indicator, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import independence_order
-from kwisent.smoothing import TEXT_HEAD, CheckLine, halfwise_chain, smoothing_chain
+from kwisent.smoothing import (
+    TEXT_HEAD,
+    CheckLine,
+    _smoothed_density,
+    halfwise_chain,
+    smoothing_chain,
+)
 from kwisent.table import render
-from oracles import from_density, smooth, verify_smoothing
+from kwisent.tolerances import ASSOCIATIVITY
+from oracles import dense_ball_density, dense_eigen_margin, from_density, smooth, verify_smoothing
+from test_balls import radial_vs_dense_tolerances
 
 
 def direct_smoothed_probability(x, d, mask):
@@ -234,6 +243,27 @@ def test_chain_entropy_relations_hold(corpus):
             assert rec["shannon_x"] >= rec["shannon_z"] - rec["shannon_y"] - 1e-9, (name, k)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_chain_radial_lines_match_the_dense_ball_oracle(hamming15, k):
+    report = smoothing_chain(hamming15, k)
+    lines = {line.name: line for line in report.lines}
+    ball = lambda_ball(15, report.record["r"])
+    dense = dense_ball_density(ball)
+    tol = radial_vs_dense_tolerances(15)
+    h_y = shannon_from_density(dense)
+    assert abs(report.record["shannon_y"] - h_y) <= tol["entropy"] * (h_y + 2.0)
+    margin = dense_eigen_margin(ball, dense)
+    assert abs(lines["eigen_density_pointwise"].lhs - margin) <= tol["margin"] * dense.values.max()
+    # both associativity sides, read from spectra, against the inner product
+    # of the dense route's values with g
+    f = hamming15.density
+    g = _smoothed_density(f, dense)
+    kernel = weight_one_indicator(15)
+    line = lines["convolution_associativity"]
+    assert abs(line.lhs - inner_product(convolve(kernel, convolve(dense, f)), g)) <= ASSOCIATIVITY
+    assert abs(line.rhs - inner_product(convolve(convolve(kernel, dense), f), g)) <= ASSOCIATIVITY
+
+
 def test_second_moment_equals_plancherel(hamming7):
     ball = lambda_ball(7, 1)
     g = convolve(hamming7.density, ball.density())
@@ -266,11 +296,13 @@ def test_chain_record_holds_every_csv_column_once(hamming7):
         assert render(report.as_dict(), "csv").splitlines()[0] == columns.replace(" ", ",")
 
 
+@pytest.mark.parametrize("fresh", [False, True], ids=["kept", "fresh"])
 @pytest.mark.parametrize("k", [3, 4])
-def test_smoothing_chain_runs_five_butterflies(hamming15, monkeypatch, k):
-    # f's spectrum was read before, d's is computed once, the kernel's is
-    # written in closed form and a convolution keeps its spectral product:
-    # d, g's values, g's spectrum and one inverse per associativity side
+def test_smoothing_chain_runs_two_butterflies(hamming15, monkeypatch, k, fresh):
+    # d and the kernel are radial, so their spectra are level sums, and a
+    # convolution keeps its spectral product: g's values and g's spectrum,
+    # after f's spectrum on a space whose spectrum was not read before
+    space = parity_sampler_space(hamming_code(4)) if fresh else hamming15
     fwht, calls = kwisent.cube._fwht, []
 
     def counted(v):
@@ -278,8 +310,8 @@ def test_smoothing_chain_runs_five_butterflies(hamming15, monkeypatch, k):
         return fwht(v)
 
     monkeypatch.setattr(kwisent.cube, "_fwht", counted)
-    assert smoothing_chain(hamming15, k).passed
-    assert calls == [1 << 15] * 5
+    assert smoothing_chain(space, k).passed
+    assert calls == [1 << 15] * (3 if fresh else 2)
 
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):
@@ -314,4 +346,4 @@ def test_smoothing_chain_peak_memory(hamming15):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (8 << 15)  # 7.8 dense vectors of 2^15 floats
+    assert peak <= 6.25 * (8 << 15)  # 6.14 dense vectors of 2^15 floats

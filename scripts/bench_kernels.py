@@ -4,7 +4,10 @@ marginal oracle, the smoothing chain, the ball density's spectrum, the ball
 eigenvalue and the radius search, one call at a time.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text,
-SampleSpace.to_text) and each n in 16, 20, 22 it reports the median and the
+SampleSpace.to_text) and each n in 16, 20, 22, and for wht and
+adjacency_apply also at n = 24 (128 MiB per vector; not with --quick),
+where a transform outgrows the 2^16-value rows it runs through in cache, it
+reports the median and the
 quartiles of the wall times of repeated calls (time.perf_counter;
 statistics.quantiles) and the peak memory one call allocates beyond its
 inputs (tracemalloc), also in units of one dense 2^n float vector, and the
@@ -66,6 +69,7 @@ import tracemalloc
 from pathlib import Path
 
 SIZES = (16, 20, 22)
+LARGE = 24
 SUPPORT = 1 << 16
 RUNS = 7
 RADIAL = ("lambda_ball", "min_radius")
@@ -91,6 +95,20 @@ def kernels(n: int, rng):
         ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
         ("SampleSpace.to_text", uniform.to_text),
     ]
+
+
+def large_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for wht and
+    adjacency_apply at n = LARGE; none with quick."""
+    if quick:
+        return
+    import numpy as np
+
+    from kwisent.cube import CubeFunction, adjacency_apply, wht
+
+    f = CubeFunction(LARGE, np.random.default_rng(LARGE).uniform(-1.0, 1.0, size=1 << LARGE))
+    yield "wht", LARGE, {}, lambda: wht(f)
+    yield "adjacency_apply", LARGE, {}, lambda: adjacency_apply(f)
 
 
 def oracle_kernels(quick: bool):
@@ -217,8 +235,8 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     )
     out = []
     for name, n, param, call in itertools.chain(
-        dense, reader_kernels(quick), oracle_kernels(quick), chain_kernels(quick),
-        ball_kernels(quick), radial_kernels(quick),
+        dense, large_kernels(quick), reader_kernels(quick), oracle_kernels(quick),
+        chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)

@@ -20,6 +20,16 @@ sums its spectrum per level from exact Krawtchouk sums, with no butterfly,
 and keeps it; a convolution keeps the spectral product it was made from; and
 every other function transforms on each read.  A Radial function and a
 convolution build their dense values only when they are first read.
+
+The two dense kernels work on a vector of more than 2^_BLOCK values row by
+row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
+once per bit: the butterfly sweeps memory about twice rather than n times,
+and the adjacency writes its result once and reads f n + 1 - _BLOCK times
+rather than reading and writing the result n times.  Each value still meets
+the same additions in the same order, so their results are those of the
+textbook loops, bit for bit.
+Inner products sum in numpy's own loop, not in BLAS, so that no result
+depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -151,23 +161,19 @@ def _transpose(src: np.ndarray, dst: np.ndarray, rows: int, cols: int) -> None:
         b[:, i : i + 64] = a[i : i + 64].T
 
 
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized butterfly of v into a fresh array, O(n 2^n) arithmetic.
+def _fwht_row(v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Stages 0..n-1 of v, of length 2^n, through the buffers src and dst of
+    v's length; returns the one written last, and v is only read.
 
-    Stage i pairs the masks that differ in bit i, for i = 0..n-1 in that
-    order, and writes left + right and left - right into the other of two
-    fresh buffers; the one written last is returned and v is only read.
     Seen as a (rows, cols) matrix, the low n//2 bits of a mask index the
     column; on the transposed matrix bit i sits at stride rows << i, so the
     low stages run there and every stage works on rows of at least 2^(n//2)
-    contiguous values.  The stage order and each addition are those of the
-    textbook in-place butterfly, so the result is bit-identical to it.
+    contiguous values.
     """
     size = v.shape[0]
     n = size.bit_length() - 1
     low = n // 2
     rows, cols = size >> low, 1 << low
-    src, dst = np.empty_like(v), np.empty_like(v)
     _transpose(v, src, rows, cols)
     for i in range(low):
         _butterfly(src, dst, rows << i)
@@ -178,6 +184,47 @@ def _fwht(v: np.ndarray) -> np.ndarray:
         _butterfly(src, dst, 1 << i)
         src, dst = dst, src
     return src
+
+
+# log2 of the values in one row of the blocked kernels: 2^16 float64 values
+# (512 KiB) sit in a 2 MiB L2 cache with room for the buffers beside them
+_BLOCK = 16
+
+
+def _fwht(v: np.ndarray) -> np.ndarray:
+    """Unnormalized butterfly of v into a fresh array, O(n 2^n) arithmetic.
+
+    Stage i pairs the masks that differ in bit i, for i = 0..n-1 in that
+    order, and writes left + right and left - right; v is only read.  Up to
+    2^_BLOCK values, _fwht_row runs every stage over the whole vector.
+    Above, v is a (rows, 2^_BLOCK) matrix: each row runs stages 0.._BLOCK-1
+    through _fwht_row while it sits in cache, and then stages _BLOCK..n-1,
+    which pair rows r and r ^ 2^(i - _BLOCK), run on slabs of columns copied
+    into two buffers of max(2^_BLOCK, rows) values (512 KiB each).  So
+    memory is swept about twice, not n times, and the call holds the result
+    and those two buffers, not a second vector.
+    Every value sees the stages in the same order with the same additions as
+    in the textbook in-place butterfly, so the result is bit-identical to it.
+    """
+    size = v.shape[0]
+    n = size.bit_length() - 1
+    if n <= _BLOCK:
+        return _fwht_row(v, np.empty_like(v), np.empty_like(v))
+    rows, cols = size >> _BLOCK, 1 << _BLOCK
+    width = max(cols // rows, 1)  # columns per slab
+    src, dst = np.empty(width * rows), np.empty(width * rows)
+    out = np.empty_like(v)
+    grid, flat = out.reshape(rows, cols), v.reshape(rows, cols)
+    for r in range(rows):
+        grid[r] = _fwht_row(flat[r], src[:cols], dst[:cols])
+    for start in range(0, cols, width):
+        a, b = src, dst
+        a.reshape(rows, width)[:] = grid[:, start : start + width]
+        for i in range(n - _BLOCK):
+            _butterfly(a, b, width << i)
+            a, b = b, a
+        grid[:, start : start + width] = a.reshape(rows, width)
+    return out
 
 
 def wht(f: CubeFunction) -> Spectrum:
@@ -231,10 +278,17 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     return _Convolution(Spectrum(f.n, _Fresh(prod)))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i in numpy's own loop: BLAS (np.dot) splits the sum by
+    thread, so its last bits, and the printed slacks, would follow the
+    thread count."""
+    return np.einsum("i,i->", a, b)
+
+
 def inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """<f, g> = 2^-n sum_x f(x) g(x)."""
     _same_dimension(f, g)
-    return float(np.dot(f.values, g.values) / f.size)
+    return float(_dot(f.values, g.values) / f.size)
 
 
 def spectral_inner_product(f: CubeFunction, g: CubeFunction) -> float:
@@ -242,21 +296,46 @@ def spectral_inner_product(f: CubeFunction, g: CubeFunction) -> float:
     spectra, which a Density, a Radial function and a convolution keep, and
     no values."""
     _same_dimension(f, g)
-    return float(np.dot(f.spectrum.coeffs, g.spectrum.coeffs))
+    return float(_dot(f.spectrum.coeffs, g.spectrum.coeffs))
+
+
+def _add_flips(acc: np.ndarray, vals: np.ndarray, h: int) -> None:
+    """acc[x] += vals[x ^ h] for every x, h a power of two below their length."""
+    pairs = acc.reshape(-1, 2, h)
+    pairs += vals.reshape(-1, 2, h)[:, ::-1]
 
 
 def adjacency_apply(f: CubeFunction) -> CubeFunction:
     """(Af)(x) = sum_i f(x ^ e_i), the cube adjacency acting on f.
 
     Equals 2^n * convolve(weight_one_indicator(n), f); this scale is pinned
-    by a normalization test.
+    by a normalization test.  Each row of 2^_BLOCK values of the result (all
+    of it at n <= _BLOCK) is built once, while it sits in cache: from zero,
+    x picks up f(x ^ e_i) for i = 0, 1, ... in turn, the flips inside the
+    row first and then the partner rows r ^ 2^(i - _BLOCK).  That order
+    fixes the rounding.  As in _fwht_row, the flips of the low half of the
+    row's bits run on transposed copies, where they pair long contiguous
+    runs instead of single values: the result row holds f's row transposed
+    until the sums, made in one buffer, replace it.
     """
-    out = np.zeros(f.size)
-    for i in range(f.n):  # e_0, e_1, ... in turn: the order fixes the rounding
-        h = 1 << i
-        pairs = out.reshape(-1, 2, h)
-        pairs += f.values.reshape(-1, 2, h)[:, ::-1]  # x picks up f(x ^ e_i)
-    return CubeFunction(f.n, _Fresh(out))
+    n = f.n
+    low = min(n, _BLOCK)
+    half = low // 2
+    rows, cols = 1 << (low - half), 1 << half
+    out = np.empty(f.size)
+    grid, flat = out.reshape(-1, 1 << low), f.values.reshape(-1, 1 << low)
+    sums_t = np.empty(1 << low)
+    for r, row in enumerate(grid):
+        _transpose(flat[r], row, rows, cols)
+        sums_t.fill(0.0)
+        for i in range(half):
+            _add_flips(sums_t, row, rows << i)
+        _transpose(sums_t, row, cols, rows)
+        for i in range(half, low):
+            _add_flips(row, flat[r], 1 << i)
+        for i in range(low, n):
+            row += flat[r ^ (1 << (i - low))]
+    return CubeFunction(n, _Fresh(out))
 
 
 def level_profile(s: Spectrum) -> np.ndarray:
@@ -266,10 +345,42 @@ def level_profile(s: Spectrum) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=8)
+def _masks_by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks < 2^n ordered by popcount, and where each level begins, as
+    read-only arrays."""
+    sizes = subset_sizes(n)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(n + 1))
+    for table in (order, starts):
+        table.setflags(write=False)
+    return order, starts
+
+
+# log2 of the row length of level_max_abs: 2^12 values (32 KiB) per row
+_LEVEL_ROW = 12
+
+
 def level_max_abs(s: Spectrum) -> np.ndarray:
-    """Largest |coeff(S)| per level |S|; the independence-order scan input."""
-    out = np.zeros(s.n + 1)
-    np.maximum.at(out, subset_sizes(s.n), np.abs(s.coeffs))
+    """Largest |coeff(S)| per level |S|; the independence-order scan input.
+
+    On the (2^high, 2^low) view, each row's |coeff| goes into the running
+    maximum of the rows whose high bits have its popcount p; then each of
+    those high + 1 rows is split by the popcount q of the low bits, and its
+    maxima go to level p + q.  A maximum does not round, so the order in
+    which the values meet does not matter.
+    """
+    n = s.n
+    low = min(n, _LEVEL_ROW)
+    high = n - low
+    rows = np.zeros((high + 1, 1 << low))
+    buf = np.empty(1 << low)
+    for row, p in zip(s.coeffs.reshape(-1, 1 << low), subset_sizes(high).tolist()):
+        np.maximum(rows[p], np.abs(row, out=buf), out=rows[p])
+    order, starts = _masks_by_level(low)
+    out = np.zeros(n + 1)
+    for p, maxima in enumerate(np.maximum.reduceat(np.take(rows, order, axis=1), starts, axis=1)):
+        np.maximum(out[p : p + low + 1], maxima, out=out[p : p + low + 1])
     return out
 
 

@@ -79,12 +79,17 @@ second_moment_bound (half-independence chain), and rayleigh_lower_bound,
 rayleigh_upper_bound, combined_second_moment and second_moment_vs_n
 (smoothing chain).
 
-Rounding: E[g^2] is a dot product of 2^n nonnegative terms, off by at most
-about gamma_(n + 8) relative; adjacency_apply adds n nonnegative neighbours
-per point before the second dot product, another gamma_n.  On the inputs
-the chains certify these numbers are at most n(n + 1): E[g^2] <= n + 1 is
-what the chains prove, and |<Ag, g>| <= n E[g^2].  So each is off by at
-most about (2n + 10) u n(n + 1) = 9e-12 at n = 32.  The eigenvalue lam is a
+Rounding: E[g^2] and <Ag, g> are each one sum of 2^n nonnegative products
+(cube.inner_product, in numpy's einsum loop, not BLAS, so the order of the
+sum does not follow the thread count), off by at most gamma_(2^n) relative
+in any order; adjacency_apply adds n nonnegative neighbours per point
+before the second sum, another gamma_n.  On the inputs the chains certify
+these numbers are at most n(n + 1): E[g^2] <= n + 1 is what the chains
+prove, and |<Ag, g>| <= n E[g^2].  So each is off by at most about
+(2^n + n) u n(n + 1): 2e-9 at n = 16 and 1e-8 at n = 18.  Above that the
+worst case exceeds the slack, though such errors grow about as
+sqrt(2^n) u in practice (Higham, section 4.2): 6.4e-10 at n = 26, the
+dense cap.  The eigenvalue lam is a
 Rayleigh quotient and so does not exceed the top eigenvalue beyond
 rounding; a low lam only loosens rayleigh_lower_bound and
 combined_second_moment.  The lines are evaluated on the vectors the chain
@@ -115,9 +120,12 @@ level j: the space-domain and the spectral Rayleigh quotient.
 Used by the check line rayleigh_spectral_match (half-independence chain).
 
 Rounding: as for MOMENT_SLACK, each side is off by at most about
-(2n + 10) u n(n + 1) = 9e-12 at n = 32, since an input that passes the
-chain's precondition has E[f^2] <= n + 1.  The value 1e-7 is ten times
-MOMENT_SLACK; it is not derived from a tighter bound.
+(2^n + n) u n(n + 1), since an input that passes the chain's precondition
+has E[f^2] <= n + 1; the spectral side sums each level's squared
+coefficients left to right (np.bincount).  The two together stay under
+1e-7 for n <= 20; above that the value rests on the typical error, as for
+MOMENT_SLACK.  The value 1e-7 is ten times MOMENT_SLACK; it is not derived
+from a tighter bound.
 """
 
 ASSOCIATIVITY = 1e-10
@@ -134,13 +142,14 @@ by acceptance criterion 7 and tests/test_cube.py.
 Rounding: K has mean n 2^-n, so both sides equal 2^-n <Ag, g>.  K^ and D^
 are level sums, correctly rounded (K^ exactly, |K^(S)| <= n 2^-n); F^ and G^
 are transforms of mean-1 densities, each at most 1 in size, and the two
-sides share them.  Each side sums 2^n terms of total size at most n.  The
-two product orders differ by at most 2 u n in all, and each dot product,
-summed in any order, is off by at most gamma_(2^n) n: together under
-1e-10 for n <= 14.  Above that the value is a threshold resting on
-measurement, not a bound: the dot products sum in blocks, and the measured
-|lhs - rhs| is 0 on the Hamming code of length 15 and a random
-n = 20 code, at k = 3 and 4.
+sides share them.  Each side sums 2^n terms of total size at most n, in
+numpy's einsum loop (not BLAS, so the order does not follow the thread
+count).  The two product orders differ by at most 2 u n in all, and each
+sum, in any order, is off by at most gamma_(2^n) n: together under 1e-10
+for n <= 14.  Above that the value is a threshold resting on measurement,
+not a bound: both sides run the same loop on products that differ only in
+their last bits, and the measured |lhs - rhs| is 0 on the Hamming code of
+length 15 and a random n = 20 code, at k = 3 and 4.
 """
 
 CONVOLUTION_POINTWISE = 1e-10

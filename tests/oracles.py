@@ -13,6 +13,8 @@ of the package by a different method:
   weight class;
 - convolve_direct: convolution by literal summation, against the spectral
   product (cube.convolve);
+- level_max_abs_scatter: the largest |coeff(S)| per level by one scatter
+  maximum, against the row and column grouping of cube.level_max_abs;
 - marginal_check: every marginal of every coordinate set up to a size,
   against the spectral independence order (kwise.independence_order);
 - renyi2_from_density: collision entropy through the density, against the
@@ -37,6 +39,7 @@ from kwisent.codes import SampleSpace
 from kwisent.cube import (
     CubeFunction,
     Density,
+    Spectrum,
     _same_dimension,
     adjacency_apply,
     check_dimension,
@@ -139,6 +142,14 @@ def convolve_direct(f: CubeFunction, g: CubeFunction) -> CubeFunction:
         out += fv[y] * gv[idx ^ y]
     out /= f.size
     return CubeFunction(f.n, out)
+
+
+def level_max_abs_scatter(s: Spectrum) -> np.ndarray:
+    """Largest |coeff(S)| per level |S|, each coefficient sent to its level
+    by np.maximum.at."""
+    out = np.zeros(s.n + 1)
+    np.maximum.at(out, subset_sizes(s.n), np.abs(s.coeffs))
+    return out
 
 
 def renyi2_from_density(density: Density) -> float:

@@ -35,7 +35,7 @@ from kwisent.cube import (
     wht,
 )
 from kwisent.errors import DimensionError
-from oracles import convolve_direct
+from oracles import convolve_direct, level_max_abs_scatter
 
 
 def random_function(n, rng):
@@ -55,22 +55,43 @@ def wht_direct(f):
 def fwht_copy_reference(a):
     """The textbook in-place butterfly: copy each stage's left halves."""
     h = 1
+    left = np.empty(a.shape[0] // 2)
     while h < a.shape[0]:
         view = a.reshape(-1, 2 * h)
-        left = view[:, :h].copy()
-        right = view[:, h:]
-        view[:, :h] = left + right
-        view[:, h:] = left - right
+        saved = left.reshape(-1, h)
+        saved[:] = view[:, :h]
+        np.add(saved, view[:, h:], out=view[:, :h])
+        np.subtract(saved, view[:, h:], out=view[:, h:])
         h *= 2
 
 
 def adjacency_gather_reference(f):
     """sum_i f(x ^ e_i) by index gather, neighbours added in the order i = 0..n-1."""
-    idx = np.arange(f.size)
+    idx = np.arange(f.size, dtype=np.uint32)
+    partner, neighbour = np.empty_like(idx), np.empty(f.size)
     out = np.zeros(f.size)
     for i in range(f.n):
-        out += f.values[idx ^ (1 << i)]
+        np.bitwise_xor(idx, 1 << i, out=partner)
+        out += np.take(f.values, partner, out=neighbour, mode="clip")
     return out
+
+
+def mixed_function(n, rng):
+    """Random values in [-1, 1] with special ones, by the top two bits of
+    the mask: the first quarter holds only +-0.0 and +-the smallest
+    subnormal, the third has a quarter of its values +-0.0 and the fourth a
+    quarter of them +-1e300.  The butterfly's stages below the top two bits
+    keep the quarters apart, so the huge values swamp only their own."""
+    vals = rng.uniform(-1.0, 1.0, size=1 << n)
+    q = vals.size // 4
+    vals[:q] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=q)
+    for quarter, special in (
+        (vals[2 * q : 3 * q], [0.0, -0.0]),
+        (vals[3 * q : 4 * q], [1e300, -1e300]),
+    ):
+        hit = rng.random(q) < 0.25
+        quarter[hit] = rng.choice(special, size=int(hit.sum()))
+    return CubeFunction(n, vals)
 
 
 def assert_same_bits(actual, expected):
@@ -114,15 +135,55 @@ def test_wht_matches_direct_summation_oracle():
         np.testing.assert_allclose(wht(f).coeffs, wht_direct(f), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", range(1, 23))
-def test_kernels_bit_identical_to_references(n):
-    rng = np.random.default_rng(1000 + n)
-    f = random_function(n, rng)
+def assert_kernels_match_references(f):
+    """The butterfly both ways and the adjacency, bit for bit."""
     butterfly = f.values.copy()
     fwht_copy_reference(butterfly)
-    assert_same_bits(inverse_wht(Spectrum(n, f.values)).values, butterfly)
-    assert_same_bits(wht(f).coeffs, butterfly / f.size)
+    assert_same_bits(inverse_wht(Spectrum(f.n, f.values)).values, butterfly)
+    butterfly /= f.size
+    assert_same_bits(wht(f).coeffs, butterfly)
+    del butterfly
     assert_same_bits(adjacency_apply(f).values, adjacency_gather_reference(f))
+
+
+@pytest.mark.parametrize("n", [*range(1, 23), 24])
+def test_kernels_bit_identical_to_references(n):
+    assert_kernels_match_references(mixed_function(n, np.random.default_rng(1000 + n)))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_blocked_kernels_bit_identical_at_a_small_block(n, monkeypatch):
+    # rows of 2^4 values: the blocked branch runs from n = 5 on, with slabs
+    # one column wide from n = 8 on and more rows than columns from n = 9 on
+    monkeypatch.setattr(kwisent.cube, "_BLOCK", 4)
+    assert_kernels_match_references(mixed_function(n, np.random.default_rng(3000 + n)))
+
+
+def test_blocked_wht_is_one_butterfly(monkeypatch):
+    n = kwisent.cube._BLOCK + 2
+    f = random_function(n, np.random.default_rng(12))
+    calls, fwht = [], kwisent.cube._fwht
+
+    def counted(v):
+        calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    wht(f)
+    assert calls == [1 << n]
+
+
+def test_blocked_wht_holds_one_dense_vector_and_two_rows():
+    f = random_function(20, np.random.default_rng(11))
+    rows = 2 * (8 << kwisent.cube._BLOCK)  # the two slab buffers
+    budget = f.values.nbytes + rows + 4 * np.getbufsize() * 8
+    tracemalloc.start()
+    try:
+        wht(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 @pytest.mark.parametrize("n", range(1, 23))
@@ -149,7 +210,8 @@ def test_convolve_bit_identical_to_reference_butterflies(n):
 
 def test_wht_allocates_two_dense_vectors():
     f = random_function(18, np.random.default_rng(11))
-    # The result and one scratch vector; numpy's ufunc iteration buffers
+    # The result and at most one scratch vector (two buffers of 2^_BLOCK
+    # values above that length); numpy's ufunc iteration buffers
     # (np.getbufsize() doubles per operand) come on top and do not grow with n.
     budget = 2 * f.values.nbytes + 4 * np.getbufsize() * 8
     tracemalloc.start()
@@ -305,6 +367,16 @@ def test_level_max_abs_tracks_largest_coefficient():
     coeffs[0b0101] = 0.5
     out = level_max_abs(Spectrum(4, coeffs))
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("n", range(1, 23))
+def test_level_max_abs_bit_identical_to_the_scatter_maximum(n):
+    rng = np.random.default_rng(500 + n)
+    # few distinct magnitudes, so levels tie; signed zeros, and levels of zeros alone
+    coeffs = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5], size=1 << n)
+    coeffs[subset_sizes(n) == n // 2] = -0.0
+    for s in (Spectrum(n, coeffs), wht(mixed_function(n, rng))):
+        assert_same_bits(level_max_abs(s), level_max_abs_scatter(s))
 
 
 def test_validation_errors():

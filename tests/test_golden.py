@@ -9,7 +9,10 @@ result, and change whenever the solver does.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from click.testing import CliRunner
 from kwisent.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Columns are 1..6 in binary, so every two columns are independent and some
 # three are not: the space is independent at order exactly 2.
@@ -105,3 +109,19 @@ def inputs(tmp_path_factory) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, inputs):
     assert run_case(CASES[name], inputs) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_cli_output_does_not_follow_the_blas_thread_count(inputs):
+    """A fresh process with one BLAS thread and one with two print the same
+    bytes, and those of the golden file: no printed sum goes through BLAS,
+    which splits a dot product by thread."""
+    name = "chain-hamming15-k3-text"
+    args = [token.format(**inputs) for token in CASES[name].split()]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-m", "kwisent.cli", *args], env=env, capture_output=True, check=False
+        )
+        outputs.append(f"exit {run.returncode}\n".encode() + run.stdout)
+    assert outputs[0] == outputs[1] == (GOLDEN / f"{name}.txt").read_bytes()

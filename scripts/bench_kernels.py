@@ -24,6 +24,8 @@ probability as in every space built from a code.  A further reader row
 probability text on lines of one width, which the reader slices as a byte
 grid: the file of random_code_20(), the code of the n = 20 chain row below,
 like the files dense-chain reads (the Hamming code of length 15 with --quick).
+The last reader row (texts=1 sep=tab) parses a copy of that file with a tab
+for each space, which the reader splits into tokens.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
@@ -129,12 +131,16 @@ def oracle_kernels(quick: bool):
 
 def reader_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text
-    on the one-text file of a space built from a code."""
+    on the one-text file of a space built from a code, and on a copy of it
+    with a tab between the bits and the probability."""
     from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
 
     code = hamming_code(4) if quick else random_code_20()
     text = parity_sampler_space(code).to_text()
-    yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: SampleSpace.from_text(text)
+    tabs = text.replace(" ", "\t")
+    read = SampleSpace.from_text
+    yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: read(text)
+    yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, lambda: read(tabs)
 
 
 def random_code_20():
@@ -283,13 +289,13 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
-        params = [f" {key}={row[key]}" for key in ("r", "k", "texts") if key in row]
+        params = [f" {key}={row[key]}" for key in ("r", "k", "texts", "sep") if key in row]
         size = f"n={row['n']}" + "".join(params)
         vectors = ""
         if "peak_vectors" in row:
             vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
         print(
-            f"{row['kernel']:<22} {size:<12} {row['median_ms']:>10.2f} ms"
+            f"{row['kernel']:<22} {size:<21} {row['median_ms']:>10.2f} ms"
             f" [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
             f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )

@@ -7,7 +7,9 @@ character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 A sample space file is written as one byte grid, a row per point.  A file
 in that layout, every line '<n bits> <probability text>' with one width, is
 read back by slicing the grid's columns; any other layout is split into
-tokens line by line, more slowly, to the same values and the same messages.
+tokens line by line, more slowly, to the same values.  Both reads only
+accept: a file either refuses is read once more, line by line, for the
+message and number of its first bad line.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 MAX_SPACE_DIMENSION = 63
 # SampleSpace.from_text splits a file not in the layout to_text writes this
 # many lines at a time, so only one block's per-line token lists are alive at
-# once; a file in that layout is sliced whole (_line_grid)
+# once; a file in that layout is sliced whole (_read_grid)
 READ_BLOCK_LINES = 1024
 ENUMERATION_GUARD = 10**7
 
@@ -149,6 +151,10 @@ class BinaryMatrix:
             n_rows, cols = int(header[0]), int(header[1])
         except ValueError:
             raise FormatError("expected integer 'rows cols' header", line=1) from None
+        if not 1 <= cols <= MAX_SPACE_DIMENSION:  # the constructor's check, before any row is read
+            raise DimensionError(f"code length must be in 1..{MAX_SPACE_DIMENSION}, got {cols}")
+        if n_rows < 0:
+            raise FormatError(f"expected a row count >= 0, got {n_rows}", line=1)
         rows = []
         for lineno, raw in enumerate(lines[1:], start=2):
             stripped = raw.strip()
@@ -277,35 +283,27 @@ class SampleSpace:
 
         A text in the layout to_text writes (ASCII, '\\n' line ends, every
         line '<n bits> <text>' with one width) is sliced as a byte grid, a
-        row per line, and each distinct probability text is parsed once.  Any
-        other text is split into tokens line by line (_read_block), more
-        slowly.  Both read the same values and report the first bad line with
-        the same message and number.
+        row per line (_read_grid); any other text is split into tokens,
+        READ_BLOCK_LINES lines at a time (_read_tokens).  Where the values
+        read sum to 1 within FILE_TOTAL_MASS, in line order, they go to the
+        constructor, whose one sort also refuses a repeated point.  A text
+        that either read or the constructor refuses is read again line by
+        line (_refuse), which raises the FormatError of its first bad line,
+        with its number, else of no points or of the sum; a text it finds
+        nothing wrong with keeps the constructor's own ValueError.
         """
-        end = text.find("\n")
-        head = text[:end]
-        grid = None
-        if end > 0 and text.isascii() and head.splitlines() == [head]:
-            n = _read_header(head)
-            grid = _line_grid(text, end + 1, n)
-        if grid is not None:
-            linenos, points, probs, bad = _read_grid(grid, n)
-        else:
-            lines = text.splitlines()
-            n = _read_header(lines[0] if lines else "")
-            linenos, points, probs, bad = _read_lines(lines, n)
-        repeat = _first_repeat(points)
-        if repeat < points.size:  # it precedes any bad line found
-            bad = int(linenos[repeat]), f"duplicate point {int(points[repeat]):0{n}b}"
-        if bad is not None:
-            raise FormatError(bad[1], line=bad[0])
-        if points.size == 0:
-            raise FormatError("sample space has no points")
-        total = sum(probs.tolist())  # left to right, as the points are listed
-        if abs(total - 1.0) > FILE_TOTAL_MASS:
-            # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
-            raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
-        return cls(n, points, probs / total)
+        read = _read_grid(text) or _read_tokens(text)
+        fault = None
+        if read is not None:
+            n, points, probs = read
+            total = sum(probs.tolist())  # left to right, as the points are listed
+            if abs(total - 1.0) <= FILE_TOTAL_MASS:
+                try:
+                    return cls(n, points, probs / total)
+                except ValueError as err:  # a repeated point or a negative probability
+                    fault = err
+        _refuse(text)
+        raise fault
 
 
 def _read_header(line: str) -> int:
@@ -324,119 +322,104 @@ def _read_header(line: str) -> int:
     return n
 
 
-def _line_grid(text: str, start: int, n: int) -> np.ndarray | None:
-    """The lines of an ASCII text from offset start as a (lines, width) byte
-    grid, or None unless every one is '<n bits of 0/1> <nonblank token>' with
-    one width.  Such lines hold no whitespace but the one space, so they
-    split into the same two tokens as str.split finds."""
+def _read_grid(text: str):
+    """(n, points, probabilities) of a text in the layout to_text writes, read
+    as a (lines, width) byte grid, else None: an ASCII text whose header is
+    one line ended by '\\n', and whose every later line is '<n bits of 0/1>
+    <nonblank token>' with one width.  Such lines hold no whitespace but the
+    one space, so they split into the same two tokens as str.split finds.  A
+    probability text float() refuses reads as NaN."""
+    end = text.find("\n")
+    head = text[:end]
+    if end <= 0 or not text.isascii() or head.splitlines() != [head]:
+        return None
+    n = _read_header(head)
     if not text.endswith("\n"):
         text += "\n"
-    width = text.find("\n", start) + 1 - start
-    if width < n + 3 or (len(text) - start) % width:
+    width = text.find("\n", end + 1) - end
+    if width < n + 3 or (len(text) - end - 1) % width:
         return None
     data = text.encode("ascii")  # ASCII: one byte per character, at the same offsets
-    grid = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, width)
-    if (
+    grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(-1, width)
+    tails = grid[:, n + 1 : -1]
+    if not (
         (grid[:, -1] == ord("\n")).all()
         and (grid[:, n] == ord(" ")).all()
-        and (grid[:, n + 1 : -1] > ord(" ")).all()  # ASCII whitespace is all <= ' '
+        and (tails > ord(" ")).all()  # ASCII whitespace is all <= ' '
         and ((grid[:, :n] | 1) == ord("1")).all()  # only '0' and '1' OR 1 to '1'
     ):
-        return grid
-    return None
-
-
-def _read_grid(grid: np.ndarray, n: int):
-    """Read _line_grid's rows (row i is line i + 2) up to the first bad
-    probability; returns what _read_block returns, and repeated points are
-    again left to the caller."""
-    tails = grid[:, n + 1 : -1]
+        return None
     if (tails == tails[0]).all():  # a space built from a code has one text
         keys, index = tails[:1], np.zeros(len(grid), dtype=np.intp)
     else:
         rows = np.ascontiguousarray(tails).view(f"S{tails.shape[1]}").ravel()
         keys, index = np.unique(rows, return_inverse=True)
-    texts = [key.tobytes().decode("ascii") for key in keys]
-    probs = np.array([_float_or_nan(text) for text in texts])[index]
-    cut = _first((probs < 0.0) | ~np.isfinite(probs))
-    bad = None
-    if cut < len(grid):
-        bad = cut + 2, f"bad probability {texts[index[cut]]!r}"
-    bits = np.zeros((cut, 64), dtype=np.uint8)  # a row per point, coordinate 1 at bit 64 - n
-    np.bitwise_and(grid[:cut, :n], 1, out=bits[:, 64 - n :])  # '0' and '1' differ in bit 0
-    points = np.packbits(bits).view(">u8").astype(np.int64)
-    return np.arange(2, cut + 2), points, probs[:cut], bad
+    probs = np.array([_float_or_nan(key.tobytes().decode("ascii")) for key in keys])
+    return n, _points(grid[:, :n]), probs[index]
 
 
-def _read_lines(lines: list[str], n: int):
-    """Read the lines after the header, READ_BLOCK_LINES at a time, up to
-    the first bad one; returns what _read_block returns for all of them."""
-    linenos = [np.empty(0, dtype=np.intp)]
-    points = [np.empty(0, dtype=np.int64)]
-    probs = [np.empty(0)]
-    bad = None
+def _read_tokens(text: str):
+    """(n, points, probabilities) of a text split into tokens line by line,
+    READ_BLOCK_LINES lines at a time, else None: blank lines are skipped, and
+    every other line must be '<n chars of 0/1> <token>'.  A probability text
+    float() refuses reads as NaN."""
+    lines = text.splitlines()
+    n = _read_header(lines[0] if lines else "")
+    points, probs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for start in range(1, len(lines), READ_BLOCK_LINES):
-        block = lines[start : start + READ_BLOCK_LINES]
-        found, pts, prb, bad = _read_block(block, n, first_lineno=start + 1)
-        linenos.append(found)
-        points.append(pts)
-        probs.append(prb)
-        if bad is not None:
-            break
-    linenos, points, probs = map(np.concatenate, (linenos, points, probs))
-    return linenos, points, probs, bad
+        rows = list(filter(None, map(str.split, lines[start : start + READ_BLOCK_LINES])))
+        if set(map(len, rows)) - {2}:
+            return None
+        bits, texts = [row[0] for row in rows], [row[1] for row in rows]
+        if set(map(len, bits)) - {n}:
+            return None
+        digits = np.array(bits, dtype=f"<U{n}").view(np.uint32).reshape(-1, n)
+        if ((digits | 1) != ord("1")).any():  # code points, as in _read_grid
+            return None
+        points.append(_points(digits))
+        # each distinct text is parsed once: a space built from a code has one
+        table = {text: _float_or_nan(text) for text in set(texts)}
+        probs.append(np.fromiter(map(table.__getitem__, texts), np.float64, len(texts)))
+    return n, np.concatenate(points), np.concatenate(probs)
 
 
-def _read_block(lines: list[str], n: int, first_lineno: int):
-    """Read '<bitstring> <probability>' lines up to the first bad one.
-
-    Returns the line numbers, points and probabilities of the lines read
-    (blank lines are skipped), and (line number, message) of the first bad
-    line or None.  Each check runs over the lines that passed the checks
-    before it, so a bad line gets the message of the first check it fails, in
-    the order of a line-by-line reader; repeated points are left to the caller.
-    """
-    rows = list(map(str.split, lines))
-    tokens = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    keep = np.flatnonzero(tokens)
-    rows = list(filter(None, rows))  # the nonblank lines, as indexed by keep
-    cut = _first(tokens[keep] != 2)
-    message = "expected '<bitstring> <probability>'"
-    bits = [parts[0] for parts in rows[:cut]]
-    prob_texts = [parts[1] for parts in rows[:cut]]
-    lengths = np.fromiter(map(len, bits), dtype=np.intp, count=cut)
-    digits = np.array(bits[: _first(lengths != n)], dtype=f"<U{n}").view(np.uint32)
-    digits = digits.reshape(-1, n)
-    digits -= ord("0")  # uint32 code points: only "0" and "1" end up below 2
-    good = _first((digits > 1).any(axis=1))
-    if good < cut:
-        cut, message = good, f"expected a bitstring of length {n}"
-    # each distinct text is parsed once: a space built from a code has one
-    table = {text: _float_or_nan(text) for text in set(prob_texts[:cut])}
-    probs = np.fromiter(map(table.__getitem__, prob_texts[:cut]), np.float64, cut)
-    good = _first((probs < 0.0) | ~np.isfinite(probs))
-    if good < cut:
-        cut, message = good, f"bad probability {prob_texts[good]!r}"
-    points = np.zeros(cut, dtype=np.int64)
-    for column in digits[:cut].T:  # coordinate 1 is the most significant bit
-        points <<= 1
-        points += column
-    linenos = keep + first_lineno
-    bad = (int(linenos[cut]), message) if cut < keep.size else None
-    return linenos[:cut], points, probs[:cut], bad
+def _points(digits: np.ndarray) -> np.ndarray:
+    """The int64 points of a (points, n) array of '0' and '1' character codes,
+    coordinate 1 first."""
+    bits = np.zeros((len(digits), 64), dtype=np.uint8)  # coordinate 1 at bit 64 - n
+    np.bitwise_and(digits, 1, out=bits[:, 64 - digits.shape[1] :])
+    return np.packbits(bits).view(">u8").astype(np.int64)
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of mask, or its length if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
-
-
-def _first_repeat(values: np.ndarray) -> int:
-    """Index of the first entry equal to an earlier one, or len(values)."""
-    order = np.argsort(values, kind="stable")
-    later = order[1:][values[order[1:]] == values[order[:-1]]]
-    return int(later.min()) if later.size else values.size
+def _refuse(text: str) -> None:
+    """Read text line by line and raise the FormatError of its first bad
+    line, else of a text with no points or whose probabilities do not sum to
+    1 within FILE_TOTAL_MASS; return if it finds none."""
+    lines = text.splitlines()  # a fast read has read the header
+    n = _read_header(lines[0])
+    seen, probs = set(), []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise FormatError("expected '<bitstring> <probability>'", line=lineno)
+        bits, prob_text = parts
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise FormatError(f"expected a bitstring of length {n}", line=lineno)
+        prob = _float_or_nan(prob_text)
+        if not 0.0 <= prob < math.inf:
+            raise FormatError(f"bad probability {prob_text!r}", line=lineno)
+        if bits in seen:
+            raise FormatError(f"duplicate point {bits}", line=lineno)
+        seen.add(bits)
+        probs.append(prob)
+    if not probs:
+        raise FormatError("sample space has no points")
+    total = sum(probs)  # as the fast reads sum
+    if abs(total - 1.0) > FILE_TOTAL_MASS:
+        # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
+        raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
 
 
 def _float_or_nan(text: str) -> float:

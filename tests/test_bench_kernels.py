@@ -1,7 +1,7 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
 row is produced, the convolve, chain and ball density rows count their
-butterflies, and the reader has a row on the random file and one on a code's
-one-text file."""
+butterflies, and the reader has a row on the random file and two on a code's
+one-text file, as written and with tab separators."""
 
 from __future__ import annotations
 
@@ -34,9 +34,9 @@ def test_quick_rows_cover_every_kernel():
     ball = [row for row in rows if row["kernel"] == "ball_density.spectrum"]
     assert [(row["n"], row["r"], row["butterflies"]) for row in ball] == [(16, 5, 0)]
     assert 1.0 <= ball[0]["peak_vectors"] < 1.5
-    # the one-text file of a code's space, sliced as a byte grid
+    # the one-text file of a code's space, sliced as a byte grid, and its
+    # tab-separated copy, split into tokens
     reader = [row for row in rows if row["kernel"] == "SampleSpace.from_text"]
-    assert [(row["n"], row.get("texts"), row["butterflies"]) for row in reader] == [
-        (10, None, 0),
-        (15, 1, 0),
-    ]
+    assert [
+        (row["n"], row.get("texts"), row.get("sep"), row["butterflies"]) for row in reader
+    ] == [(10, None, None, 0), (15, 1, None, 0), (15, 1, "tab", 0)]

@@ -24,6 +24,7 @@ from kwisent.codes import (
 )
 from kwisent.errors import DimensionError, FormatError, ResourceLimitError
 from oracles import space_text_by_line
+from test_bench_kernels import load_script
 
 
 def identity(n):
@@ -346,6 +347,16 @@ def space_line(n, kind, point, draw):
 @st.composite
 def space_texts(draw):
     n = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # probabilities summing to 1; one bitstring may be bad or repeated
+        points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True))
+        bits = [f"{p:0{n}b}" for p in points]
+        at = draw(st.integers(0, len(bits) - 1))
+        bad = [bits[at] + "1", bits[at][1:], "2" + bits[at][1:], bits[0]]
+        bits[at] = draw(st.sampled_from([bits[at]] * 4 + bad))
+        gaps = st.sampled_from([" ", "\t", "  "])
+        lines = [f"{b}{draw(gaps)}{1 / len(bits)!r}" for b in bits]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+        return f"n={n}\n" + "\n".join(lines) + "\n"
     kinds = st.sampled_from(["good"] * 6 + ["blank", "bits", "prob", "tokens"])
     lines = [
         space_line(n, draw(kinds), draw(st.integers(0, (1 << n) - 1)), draw)
@@ -446,25 +457,36 @@ def grid_space_texts(draw):
 @given(grid_space_texts())
 def test_sample_space_grid_reader_matches_line_by_line_reference(case):
     text, sliced = case
-    with mock.patch.object(codes, "_read_block", wraps=codes._read_block) as token_reader:
+    with mock.patch.object(codes, "_read_tokens", wraps=codes._read_tokens) as token_reader:
         assert_reads_like_reference(text)
     assert token_reader.called is not sliced
 
 
 @pytest.mark.parametrize(
     "matrix",
-    [hamming_code(4), simplex_code(6), identity(1), BinaryMatrix((), 9)],
-    ids=["hamming15", "simplex63", "identity1", "point9"],
+    [
+        hamming_code(4),
+        simplex_code(6),
+        identity(1),
+        BinaryMatrix((), 9),
+        load_script().random_code_20(),
+    ],
+    ids=["hamming15", "simplex63", "identity1", "point9", "random20"],
 )
 def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     # every line to_text writes for a code has one width: the token reader,
-    # many times slower, must not run
+    # many times slower, must not run; nor may the line-by-line refusal pass
+    # on a good file, whose points are sorted once, by the constructor
     def refuse(*args, **kwargs):
-        raise AssertionError("the token reader ran on a file to_text wrote")
+        raise AssertionError("a reader ran that a file to_text wrote does not need")
 
-    monkeypatch.setattr(codes, "_read_block", refuse)
+    monkeypatch.setattr(codes, "_read_tokens", refuse)
+    monkeypatch.setattr(codes, "_refuse", refuse)
     space = parity_sampler_space(matrix)
-    parsed = SampleSpace.from_text(space.to_text())
+    text = space.to_text()
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        parsed = SampleSpace.from_text(text)
+    assert argsort.call_count == 1
     assert parsed.n == space.n
     np.testing.assert_array_equal(parsed.points, space.points)
     assert np.array_equal(
@@ -483,6 +505,26 @@ def test_sample_space_bad_probability_after_repeated_good_ones(block):
             SampleSpace.from_text(text)
     assert (str(err.value), err.value.line) == ("line 13: bad probability 'x'", 13)
     assert read_space_by_line(text) == ("bad probability 'x'", 13)
+
+
+@pytest.mark.parametrize("sep", [" ", "\t"], ids=["space", "tab"])
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ("0001", "expected a bitstring of length 3"),
+        ("01", "expected a bitstring of length 3"),
+        ("201", "expected a bitstring of length 3"),
+        ("100", "duplicate point 100"),
+    ],
+)
+def test_sample_space_refuses_a_bad_line_in_a_text_that_sums_to_1(sep, bits, message):
+    # the sum alone would let the text through: each fast read must refuse
+    # the line itself, or the constructor the repeated point
+    text = f"n=3\n100{sep}0.5\n{bits}{sep}0.5\n"
+    with pytest.raises(FormatError) as err:
+        SampleSpace.from_text(text)
+    assert (str(err.value), err.value.line) == (f"line 3: {message}", 3)
+    assert read_space_by_line(text) == (message, 3)
 
 
 @pytest.mark.parametrize(
@@ -526,6 +568,15 @@ def test_sample_space_load_renormalizes_within_tolerance():
     assert abs(space.probabilities.sum() - 1.0) <= 1e-12
 
 
+def test_sample_space_refusal_keeps_the_constructor_error_on_a_good_text(monkeypatch):
+    # no line of the text is bad and its sum is within FILE_TOTAL_MASS, so the
+    # line-by-line pass finds nothing and the constructor's error is raised
+    monkeypatch.setattr(codes, "TOTAL_MASS", -1.0)
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1 within -1\.0") as err:
+        SampleSpace.from_text("n=2\n00 0.5\n11 0.5\n")
+    assert not isinstance(err.value, FormatError)
+
+
 def test_binary_matrix_round_trip_and_errors():
     mat = simplex_code(3)
     assert mat.shape == (3, 7)
@@ -536,6 +587,27 @@ def test_binary_matrix_round_trip_and_errors():
     with pytest.raises(FormatError) as err:
         BinaryMatrix.from_text("2 3\n101\n10\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1 -3\n101\n", DimensionError, "code length must be in 1..63, got -3"),
+        ("1 0\n", DimensionError, "code length must be in 1..63, got 0"),
+        ("1 99\n" + "1" * 99 + "\n", DimensionError, "code length must be in 1..63, got 99"),
+        ("-1 3\n", FormatError, "line 1: expected a row count >= 0, got -1"),
+    ],
+    ids=["negative-cols", "zero-cols", "wide", "negative-rows"],
+)
+def test_binary_matrix_header_is_checked_before_any_row(monkeypatch, text, error, message):
+    # the constructor checks the width too, but only once every row is read
+    def refuse(self):
+        raise AssertionError("a matrix was built from a refused header")
+
+    monkeypatch.setattr(BinaryMatrix, "__post_init__", refuse)
+    with pytest.raises(error) as err:
+        BinaryMatrix.from_text(text)
+    assert str(err.value) == message
 
 
 def test_point_and_uniform_spaces():

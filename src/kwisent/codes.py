@@ -15,6 +15,7 @@ message and number of its first bad line.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -113,10 +114,6 @@ class BinaryMatrix:
                 raise ValueError(f"row {r:#x} has bits outside {self.cols} columns")
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.cols)
-
     def codewords(self) -> np.ndarray:
         """Every word of the row space once (2^rank words), in increasing order."""
         return _span(gf2_rref(self.rows, self.cols)[0])
@@ -134,11 +131,6 @@ class BinaryMatrix:
         """A basis of the dual code {x : row . x = 0 for every row}."""
         return BinaryMatrix(tuple(gf2_nullspace(self.rows, self.cols)), self.cols)
 
-    def to_text(self) -> str:
-        lines = [f"{len(self.rows)} {self.cols}"]
-        lines += [format(r, f"0{self.cols}b") for r in self.rows]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         lines = text.splitlines()
@@ -147,10 +139,9 @@ class BinaryMatrix:
         header = lines[0].split()
         if len(header) != 2:
             raise FormatError("expected header 'rows cols'", line=1)
-        try:
-            n_rows, cols = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError("expected integer 'rows cols' header", line=1) from None
+        if not all(re.fullmatch("-?[0-9]+", count) for count in header):  # int() takes 1_0 too
+            raise FormatError("expected integer 'rows cols' header", line=1)
+        n_rows, cols = map(int, header)
         if not 1 <= cols <= MAX_SPACE_DIMENSION:  # the constructor's check, before any row is read
             raise DimensionError(f"code length must be in 1..{MAX_SPACE_DIMENSION}, got {cols}")
         if n_rows < 0:
@@ -307,14 +298,11 @@ class SampleSpace:
 
 
 def _read_header(line: str) -> int:
-    """The dimension n of an 'n=<int>' header line."""
+    """The dimension n of an 'n=<int>' header line, in ASCII digits."""
     header = line.strip()
-    if not header.startswith("n="):
+    if not re.fullmatch("n=-?[0-9]+", header):  # int() takes 1_0 and non-ASCII digits too
         raise FormatError("expected header 'n=<int>'", line=1)
-    try:
-        n = int(header[2:])
-    except ValueError:
-        raise FormatError("expected header 'n=<int>'", line=1) from None
+    n = int(header[2:])
     if not 1 <= n <= MAX_SPACE_DIMENSION:
         raise DimensionError(
             f"sample space dimension must be 1..{MAX_SPACE_DIMENSION}, got {n}"
@@ -423,7 +411,11 @@ def _refuse(text: str) -> None:
 
 
 def _float_or_nan(text: str) -> float:
-    """float(text), or NaN (a bad probability) where float() refuses it."""
+    """float(text), or NaN (a bad probability) where float() refuses it or
+    text holds '_' or a character outside ASCII, which float() would read as
+    a digit-group separator or a non-ASCII digit."""
+    if "_" in text or not text.isascii():
+        return math.nan
     try:
         return float(text)
     except ValueError:

@@ -13,13 +13,13 @@ adjacency operator (sum over the n bit-flip neighbours) equals 2^n times
 convolution with the weight-one indicator.  That scale is pinned by a unit
 test; do not fold 2^n factors into the transforms.
 
-Every function reads its spectrum through its spectrum property, which wht
-returns: a Density transforms once and keeps it; a Radial function (a
-function of |x| alone, like the ball density and the weight-one kernel)
-sums its spectrum per level from exact Krawtchouk sums, with no butterfly,
-and keeps it; a convolution keeps the spectral product it was made from; and
-every other function transforms on each read.  A Radial function and a
-convolution build their dense values only when they are first read.
+A function is made from its values or from its spectrum (a convolution is
+made from the spectral product), and keeps both: whichever side it was not
+made from is built from the other by one butterfly on first read, and then
+kept.  wht returns the spectrum property.  A Radial function (a function of
+|x| alone, like the ball density and the weight-one kernel) builds both
+sides from its n + 1 levels instead, its spectrum from exact Krawtchouk
+sums, with no butterfly.
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -87,28 +87,40 @@ def _frozen_vector(raw, n: int) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True, eq=False)
 class CubeFunction:
-    """A real-valued function on {0,1}^n, stored densely by bitmask."""
+    """A real-valued function on {0,1}^n, indexed by bitmask: made from its
+    values here, or from its spectrum by _from_spectrum.  Whichever side is
+    missing is built from the other by one butterfly on first read, and
+    kept."""
 
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        check_dimension(self.n)
-        object.__setattr__(self, "values", _frozen_vector(self.values, self.n))
+    def __init__(self, n: int, values):
+        check_dimension(n)
+        self.n = n
+        self.values = _frozen_vector(values, n)
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
-    @property
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The inverse transform of the spectrum: the butterfly alone."""
+        return _frozen_vector(_Fresh(_fwht(self.spectrum.coeffs)), self.n)
+
+    @cached_property
     def spectrum(self) -> Spectrum:
         """The forward transform: the butterfly, then the 1/2^n factor once
-        at the end.  A plain CubeFunction computes it on every read."""
+        at the end."""
         a = _fwht(self.values)
         a /= self.size
         return Spectrum(self.n, _Fresh(a))
+
+
+def _from_spectrum(s: Spectrum) -> CubeFunction:
+    """The function whose spectrum is s; its values are built on first read."""
+    f = CubeFunction.__new__(CubeFunction)
+    f.n, f.spectrum = s.n, s
+    return f
 
 
 def _check_density(low: float, mean: float) -> None:
@@ -118,16 +130,12 @@ def _check_density(low: float, mean: float) -> None:
         raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class Density(CubeFunction):
     """Nonnegative cube function with mean 1 (2^n times a probability mass)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n: int, values):
+        super().__init__(n, values)
         _check_density(self.values.min(), float(self.values.mean()))
-
-    # the same transform, computed on first read and kept
-    spectrum = cached_property(CubeFunction.spectrum.fget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,11 +238,9 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 def wht(f: CubeFunction) -> Spectrum:
     """Forward transform: f's spectrum property.
 
-    A Density returns the spectrum it keeps, a Radial function its level
-    sums and a convolution its spectral product, so none of them runs a
-    butterfly here after the first read (a Radial function never does); any
-    other CubeFunction runs the butterfly on every call, so that its spectrum
-    is freed with the call's result.
+    Every function keeps its spectrum, so at most the first call runs a
+    butterfly: none for a convolution, which was made from its spectrum, or
+    for a Radial function, which sums its levels.
     """
     return f.spectrum
 
@@ -249,24 +255,6 @@ def _same_dimension(f: CubeFunction, g: CubeFunction) -> None:
         raise DimensionError(f"dimension mismatch: {f.n} vs {g.n}")
 
 
-class _Convolution(CubeFunction):
-    """f * g held as its spectral product, which it keeps as its spectrum;
-    its values, the inverse butterfly of that product, are built on first
-    read and then kept."""
-
-    def __init__(self, spectrum: Spectrum):
-        object.__setattr__(self, "n", spectrum.n)
-        object.__setattr__(self, "_product", spectrum)
-
-    @property
-    def spectrum(self) -> Spectrum:
-        return self._product
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return _frozen_vector(_Fresh(_fwht(self._product.coeffs)), self.n)
-
-
 def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """(f * g)(x) = 2^-n sum_y f(y) g(y ^ x), as the spectral product.
 
@@ -275,7 +263,7 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """
     _same_dimension(f, g)
     prod = wht(f).coeffs * wht(g).coeffs
-    return _Convolution(Spectrum(f.n, _Fresh(prod)))
+    return _from_spectrum(Spectrum(f.n, _Fresh(prod)))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -293,8 +281,7 @@ def inner_product(f: CubeFunction, g: CubeFunction) -> float:
 
 def spectral_inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """<f, g> by Plancherel, sum_S coeff_f(S) coeff_g(S): reads the two
-    spectra, which a Density, a Radial function and a convolution keep, and
-    no values."""
+    spectra, which every function keeps, and no values."""
     _same_dimension(f, g)
     return float(_dot(f.spectrum.coeffs, g.spectrum.coeffs))
 
@@ -421,8 +408,7 @@ class Radial(CubeFunction):
         if not np.all(np.isfinite(profile)):
             raise ValueError("values must be finite (no NaN or infinity)")
         profile.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "profile", profile)
+        self.n, self.profile = n, profile
 
     @cached_property
     def level_spectrum(self) -> np.ndarray:

@@ -67,14 +67,14 @@ def test_nullspace_is_orthogonal_complement():
 
 def test_hamming_m2_is_repetition_code():
     code = hamming_code(2)
-    assert code.shape == (1, 3)
+    assert (len(code.rows), code.cols) == (1, 3)
     assert span(code.rows) == {0b000, 0b111}
     assert code.min_distance() == 3
 
 
 def test_hamming_m3_parameters():
     code = hamming_code(3)
-    assert code.shape == (4, 7)
+    assert (len(code.rows), code.cols) == (4, 7)
     assert len(span(code.rows)) == 16
     assert code.min_distance() == 3
 
@@ -89,9 +89,9 @@ def test_hamming_m3_dual_is_constant_weight_four():
 
 def test_hamming_m4_and_simplex():
     code = hamming_code(4)
-    assert (code.shape, code.min_distance()) == ((11, 15), 3)
+    assert ((len(code.rows), code.cols), code.min_distance()) == ((11, 15), 3)
     simp = simplex_code(4)
-    assert simp.shape == (4, 15)
+    assert (len(simp.rows), simp.cols) == (4, 15)
     assert {w.bit_count() for w in span(simp.rows) if w} == {8}
 
 
@@ -108,7 +108,7 @@ def test_dual_is_involution():
 def test_dual_of_full_space_is_zero_code():
     full = identity(5)
     zero = full.dual()
-    assert zero.shape == (0, 5)
+    assert (len(zero.rows), zero.cols) == (0, 5)
     assert list(zero.codewords()) == [0]
     assert span(zero.dual().rows) == span(full.rows)
 
@@ -285,7 +285,7 @@ def read_space_by_line(text):
         if len(bits) != n or set(bits) - {"0", "1"}:
             return f"expected a bitstring of length {n}", lineno
         try:
-            prob = float(prob_text)
+            prob = float(prob_text) if prob_text.isascii() and "_" not in prob_text else math.nan
         except ValueError:
             return f"bad probability {prob_text!r}", lineno
         if prob < 0.0 or not math.isfinite(prob):
@@ -310,6 +310,8 @@ BAD_LINES = [
     ("001 inf", "bad probability 'inf'"),
     ("001 1e999", "bad probability '1e999'"),
     ("001 -0.25", "bad probability '-0.25'"),
+    ("001 0.2_5", "bad probability '0.2_5'"),  # float() reads it as 0.25
+    ("001 \u0660.\u0665", "bad probability '\u0660.\u0665'"),  # Arabic-Indic 0.5
     ("000 0.25", "duplicate point 000"),
     ("001 0.25 0.25", "expected '<bitstring> <probability>'"),
     ("001", "expected '<bitstring> <probability>'"),
@@ -323,6 +325,14 @@ def test_sample_space_parse_error_kinds_cite_their_line(line, message):
         SampleSpace.from_text(text)
     assert err.value.line == 5
     assert str(err.value) == f"line 5: {message}"
+
+
+@pytest.mark.parametrize("header, n", [("n=1_0", 10), ("n=\u0663", 3)], ids=["underscore", "non-ascii"])
+def test_sample_space_header_is_ascii_digits(header, n):
+    # int() reads a digit-group underscore and non-ASCII digits
+    with pytest.raises(FormatError) as err:
+        SampleSpace.from_text(f"{header}\n{'0' * n} 0.5\n{'1' * n} 0.5\n")
+    assert str(err.value) == "line 1: expected header 'n=<int>'"
 
 
 def test_sample_space_dimension_outside_range_is_refused():
@@ -392,7 +402,7 @@ def test_sample_space_reader_matches_line_by_line_reference(text, block):
         assert_reads_like_reference(text)
 
 
-BAD_TEXTS = ["x", "nan", "inf", "1e999", "-0.25", "-0"]
+BAD_TEXTS = ["x", "nan", "inf", "1e999", "-0.25", "-0", "0.2_5"]
 
 
 def widen(text, width):
@@ -579,8 +589,8 @@ def test_sample_space_refusal_keeps_the_constructor_error_on_a_good_text(monkeyp
 
 def test_binary_matrix_round_trip_and_errors():
     mat = simplex_code(3)
-    assert mat.shape == (3, 7)
-    parsed = BinaryMatrix.from_text(mat.to_text())
+    assert (len(mat.rows), mat.cols) == (3, 7)
+    parsed = BinaryMatrix.from_text("3 7\n1010101\n0110011\n0001111\n")
     assert parsed == mat
     with pytest.raises(FormatError):
         BinaryMatrix.from_text("2\n101\n")
@@ -596,8 +606,10 @@ def test_binary_matrix_round_trip_and_errors():
         ("1 0\n", DimensionError, "code length must be in 1..63, got 0"),
         ("1 99\n" + "1" * 99 + "\n", DimensionError, "code length must be in 1..63, got 99"),
         ("-1 3\n", FormatError, "line 1: expected a row count >= 0, got -1"),
+        ("1_0 3\n", FormatError, "line 1: expected integer 'rows cols' header"),
+        ("1 \u0663\n101\n", FormatError, "line 1: expected integer 'rows cols' header"),
     ],
-    ids=["negative-cols", "zero-cols", "wide", "negative-rows"],
+    ids=["negative-cols", "zero-cols", "wide", "negative-rows", "underscore", "non-ascii"],
 )
 def test_binary_matrix_header_is_checked_before_any_row(monkeypatch, text, error, message):
     # the constructor checks the width too, but only once every row is read

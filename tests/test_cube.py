@@ -504,6 +504,23 @@ def test_wht_transforms_a_density_once():
     assert wht(kernel) is wht(kernel) is kernel.spectrum
 
 
+def test_a_function_made_from_its_values_transforms_once(monkeypatch):
+    f = random_function(5, np.random.default_rng(12))
+    calls, fwht = [], kwisent.cube._fwht
+
+    def counted(v):
+        calls.append(v.size)
+        return fwht(v)
+
+    monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    assert "spectrum" not in vars(f)  # built on first read
+    assert wht(f) is wht(f) is f.spectrum
+    assert calls == [32]
+    # the inverse transform builds values alone: a round trip runs both butterflies
+    back = inverse_wht(wht(f))
+    assert calls == [32, 32] and "spectrum" not in vars(back)
+
+
 def test_convolution_builds_its_values_only_when_read(monkeypatch):
     # a Density keeps its spectrum, so once both are read the only butterfly
     # left in a convolution is the inverse that builds its values
@@ -525,6 +542,7 @@ def test_convolution_builds_its_values_only_when_read(monkeypatch):
     c = convolve(f, d)
     assert c.values is c.values  # built once, then kept
     assert calls == [64]
+    assert wht(c) is c.spectrum and calls == [64]  # reading the values kept the product
     assert not c.values.flags.writeable
     np.testing.assert_array_equal(c.values, inverse_wht(unread.spectrum).values)
 

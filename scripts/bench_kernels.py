@@ -32,7 +32,10 @@ The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
 on the Hamming code of length 15 and on a random n = 20 code with 2^16
-points (marginal order 5).  The ball density rows time
+points (marginal order 5): on a space that keeps its density and spectrum
+between calls, and (space=fresh) on one built inside the call from the
+space's points and probabilities, as each CLI chain op builds one, which
+runs the input's forward butterfly too.  The ball density rows time
 balls.BallSpectrum.density().spectrum for the radius of that chain at k = 3,
 at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick): the
 spectrum by level from exact Krawtchouk sums, then one gather into a dense
@@ -167,14 +170,22 @@ def random_code_20():
 
 
 def chain_kernels(quick: bool):
-    """(name, n, parameter, zero-argument call) rows for smoothing_chain."""
-    from kwisent.codes import hamming_code, parity_sampler_space
+    """(name, n, parameter, zero-argument call) rows for smoothing_chain: on
+    a space whose density and spectrum are kept from the warm-up call, and
+    (space=fresh) on a space built inside the call from the kept points and
+    probabilities, as each CLI chain op builds one from its file."""
+    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
     from kwisent.smoothing import smoothing_chain
 
     codes = [hamming_code(4)] if quick else [hamming_code(4), random_code_20()]
     for code in codes:
         space = parity_sampler_space(code)
         yield "smoothing_chain", code.cols, {"k": 3}, lambda space=space: smoothing_chain(space, 3)
+
+        def fresh_chain(space=space):
+            return smoothing_chain(SampleSpace(space.n, space.points, space.probabilities), 3)
+
+        yield "smoothing_chain", code.cols, {"k": 3, "space": "fresh"}, fresh_chain
 
 
 def ball_kernels(quick: bool):
@@ -298,7 +309,7 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
-        params = [f" {key}={row[key]}" for key in ("r", "k", "texts", "sep") if key in row]
+        params = [f" {key}={row[key]}" for key in ("r", "k", "texts", "sep", "space") if key in row]
         size = f"n={row['n']}" + "".join(params)
         vectors = ""
         if "peak_vectors" in row:

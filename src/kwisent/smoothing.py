@@ -15,8 +15,9 @@ Every inequality is evaluated numerically and reported line by line; a
 failing line is a report entry, never an exception.  The only exception
 raised is the independence precondition on the input itself.  The facts
 the smoothing step rests on (the order does not drop, the entropies are
-subadditive, the spectral convolution is the literal sum) are checked by
-routes the chain does not take: verify_smoothing in tests/oracles.py.
+subadditive, the spectral convolution is the literal sum, the spectrum g
+keeps is that of its values) are checked by routes the chain does not take:
+verify_smoothing in tests/oracles.py.
 
 For k > n/2 the coefficient n - 2k flips sign and the upper bound above is
 no longer valid, so those runs fall back to the half-independence chain:
@@ -47,6 +48,7 @@ from .cube import (
     CubeFunction,
     Density,
     Radial,
+    Spectrum,
     _Fresh,
     adjacency_apply,
     adjacency_level_multipliers,
@@ -183,14 +185,31 @@ def _eigen_margin(d: Radial, lam: float) -> float:
 
 
 def _smoothed_density(f: Density, d: CubeFunction) -> Density:
-    raw = convolve(f, d).values
-    if raw.min() < -CONVOLUTION_POINTWISE:
+    """g = f * d, its rounding noise below 0 clipped, divided by its mean.
+
+    When the clip changes nothing, g keeps the spectrum it was made from,
+    the convolution's product f̂ d̂ over the same mean, and reading it runs
+    no butterfly.  In exact arithmetic that is the spectrum of the float g.
+    In floats the two differ only by the rounding of the inverse butterfly
+    that made g's values and of the two divisions by the mean: in 2-norm at
+    most about (n + 2) u ||ĝ||_2, u = 2^-53, since the butterfly is 2^(n/2)
+    times an orthogonal map and each of its n stages rounds once.
+    verify_smoothing in tests/oracles.py checks it against the forward
+    butterfly.  A clipped g is made from its values, and its spectrum is one
+    butterfly on first read.
+    """
+    h = convolve(f, d)
+    low = h.values.min()
+    if low < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
-            f"convolution produced {raw.min()!r}; inputs are not valid densities"
+            f"convolution produced {low!r}; inputs are not valid densities"
         )
-    vals = np.maximum(raw, 0.0)
-    vals /= vals.mean()
-    return Density(f.n, _Fresh(vals))
+    vals = np.maximum(h.values, 0.0) if low < 0.0 else h.values
+    mean = vals.mean()
+    g = Density(f.n, _Fresh(vals / mean))
+    if low >= 0.0:
+        g.spectrum = Spectrum(f.n, _Fresh(h.spectrum.coeffs / mean))
+    return g
 
 
 def halfwise_chain(x: SampleSpace) -> ChainReport:
@@ -257,8 +276,9 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     lam = ball.lam
     # f keeps its spectrum (certify_order read it), d and the kernel are
     # radial, so their spectra are level sums with no butterfly, and a
-    # convolution keeps its spectral product: the chain runs 2 butterflies,
-    # g's values and g's spectrum (3 when f's spectrum is first read here).
+    # convolution keeps its spectral product, which g keeps too unless its
+    # clip fired: the chain runs 1 butterfly, g's values (2 when f's
+    # spectrum is first read here, 1 more when the clip fires).
     # The associativity line reads spectra alone.  The peak, 6 dense vectors
     # beyond f and its spectrum, is the outer product on either side of that
     # line: the spectra of d, g and the kernel, g, and the side's two

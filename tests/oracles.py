@@ -19,7 +19,7 @@ of the package by a different method:
   against the spectral independence order (kwise.independence_order);
 - renyi2_from_density: collision entropy through the density, against the
   space path (bounds.renyi2_entropy);
-- smooth and verify_smoothing: the three facts the smoothing chain rests on,
+- smooth and verify_smoothing: the four facts the smoothing chain rests on,
   each by a route the chain does not take;
 - space_text_by_line: a sample space file formatted one line at a time,
   against the byte grid of codes.SampleSpace.to_text.
@@ -40,9 +40,11 @@ from kwisent.cube import (
     CubeFunction,
     Density,
     Spectrum,
+    _fwht,
     _same_dimension,
     adjacency_apply,
     check_dimension,
+    level_max_abs,
     subset_sizes,
 )
 from kwisent.errors import DimensionError, ResourceLimitError
@@ -66,6 +68,11 @@ A stopping rule, not an error bound.  It is ten times stricter than
 tolerances.RAYLEIGH_STEP, so the oracle settles at least as far as the path
 it checks.
 """
+
+DIRECT_CONVOLUTION_WORK = 1 << 28
+"""Largest |supp f| * 2^n, the multiply-adds of convolve_direct, for which
+verify_smoothing runs it: about 0.3 s at the Hamming code of length 15
+(2^26); a 2^16-point input at n = 20 (2^36) would take minutes."""
 
 PRUNE_RELATIVE = 1e-12
 """Share of a density's maximum at or below which a value counts as zero
@@ -200,7 +207,7 @@ def smooth(x: SampleSpace, ball: BallSpectrum) -> SampleSpace:
 
 @dataclass(frozen=True)
 class SmoothingReport:
-    """Outcome of the three smoothing sanity checks; failures are entries."""
+    """Outcome of the four smoothing sanity checks; failures are entries."""
 
     n: int
     radius: int
@@ -209,19 +216,27 @@ class SmoothingReport:
     order_preserved: bool
     entropy_subadditive: bool
     convolution_matches: bool
+    spectrum_matches: bool
     shannon_x: float
     shannon_y: float
     shannon_z: float
-    max_convolution_error: float
+    max_convolution_error: float | None
     marginal_deviation: float | None
+    spectrum_error: float
+    butterfly_order: int
 
     @property
     def all_passed(self) -> bool:
-        return self.order_preserved and self.entropy_subadditive and self.convolution_matches
+        return (
+            self.order_preserved
+            and self.entropy_subadditive
+            and self.convolution_matches
+            and self.spectrum_matches
+        )
 
 
 def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
-    """Check the three facts the smoothing step relies on.
+    """Check the four facts the smoothing step relies on.
 
     (a) the independence order does not drop (coefficients multiply, so
     zeros stay zeros), confirmed by the marginal oracle on Z, within
@@ -229,10 +244,31 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
     support) fits kwise.MARGINAL_WORK_LIMIT;
     (b) H(X) + H(Y) >= H(Z) within ENTROPY_SLACK; (c) the spectral
     convolution agrees with the literal double sum pointwise, within
-    CONVOLUTION_POINTWISE.
+    CONVOLUTION_POINTWISE, when its work fits DIRECT_CONVOLUTION_WORK
+    (max_convolution_error is None when it does not);
+    (d) the spectrum the smoothed density g keeps agrees in 2-norm with
+    route, the forward butterfly of g's values over 2^n (the route the
+    chain no longer takes), within (2n + 3) u ||route||_2, u = 2^-53; and
+    the order that route reads (levels at most COEFF_ZERO) is at least X's.
+
+    The bound of (d), for a g that keeps the convolution's product P over
+    the mean m of its values: write H for the 2^n x 2^n sign matrix, so
+    H H = 2^n I and H / 2^(n/2) is orthogonal.  The butterfly runs n
+    stages, each 2^(1/2) times an orthogonal map, and rounds each sum once,
+    so it computes H v within ((1 + u)^n - 1) 2^(n/2) ||v||_2.  g's values
+    are fl(fl(H P) / m): H P / m, off by about n u 2^(n/2) ||P / m||_2 from
+    the butterfly and u ||g||_2 from the division.  H / 2^n shrinks 2-norms
+    by 2^(n/2), and ||g||_2 = 2^(n/2) ||P / m||_2 to first order
+    (Plancherel), so the exact spectrum of g is P / m within
+    (n + 1) u ||P / m||_2.  The kept fl(P / m) adds u ||P / m||_2 and the
+    butterfly of route n u ||P / m||_2: (2n + 2) u ||P / m||_2 in all, to
+    first order.  The extra u covers the O(n^2 u^2) terms and the gap
+    between ||route||_2 and ||P / m||_2 for n <= 26.  A g whose clip
+    changed a value keeps no product: its spectrum is route, bit for bit.
     """
-    z = smooth(x, ball)
     d = ball.density()
+    g = _smoothed_density(x.density, d)
+    z = from_density(g)
     order_before = kwise.independence_order(x)
     order_after = kwise.independence_order(z)
     order_ok = order_after >= order_before
@@ -243,8 +279,14 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
     h_x = shannon_entropy(x)
     h_y = shannon_from_density(d)
     h_z = shannon_from_density(z.density)
-    direct = convolve_direct(x.density, d)
-    err = float(np.max(np.abs(z.density.values - direct.values)))
+    err = None
+    if x.support_size << x.n <= DIRECT_CONVOLUTION_WORK:
+        direct = convolve_direct(x.density, d)
+        err = float(np.max(np.abs(z.density.values - direct.values)))
+    route = _fwht(g.values) / g.size
+    spectrum_err = float(np.linalg.norm(g.spectrum.coeffs - route))
+    spectrum_tol = (2 * x.n + 3) * (np.finfo(np.float64).eps / 2) * float(np.linalg.norm(route))
+    butterfly_order = kwise.order_from_levels(level_max_abs(Spectrum(x.n, route)))
     return SmoothingReport(
         n=x.n,
         radius=ball.r,
@@ -252,12 +294,15 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
         order_after=order_after,
         order_preserved=order_ok,
         entropy_subadditive=h_z <= h_x + h_y + ENTROPY_SLACK,
-        convolution_matches=err <= CONVOLUTION_POINTWISE,
+        convolution_matches=err is None or err <= CONVOLUTION_POINTWISE,
+        spectrum_matches=spectrum_err <= spectrum_tol and butterfly_order >= order_before,
         shannon_x=h_x,
         shannon_y=h_y,
         shannon_z=h_z,
         max_convolution_error=err,
         marginal_deviation=marginal_dev,
+        spectrum_error=spectrum_err,
+        butterfly_order=butterfly_order,
     )
 
 

@@ -1,7 +1,7 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, the convolve, chain and ball density rows count their
-butterflies, and the reader has a row on the random file and two on a code's
-one-text file, as written and with tab separators."""
+row is produced, the convolve, warm and fresh chain and ball density rows
+count their butterflies, and the reader has a row on the random file and two
+on a code's one-text file, as written and with tab separators."""
 
 from __future__ import annotations
 
@@ -28,8 +28,13 @@ def test_quick_rows_cover_every_kernel():
     assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
     convolve = [row["butterflies"] for row in rows if row["kernel"] == "convolve"]
     assert convolve == [3]  # two forward, and the inverse that builds the values
+    # g keeps its spectrum, so a warm chain runs g's values alone, and a
+    # fresh space adds its own spectrum
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
-    assert [(row["n"], row["k"], row["butterflies"]) for row in chain] == [(15, 3, 2)]
+    assert [(row["n"], row["k"], row.get("space"), row["butterflies"]) for row in chain] == [
+        (15, 3, None, 1),
+        (15, 3, "fresh", 2),
+    ]
     # the ball density's spectrum is a level sum, gathered into one dense table
     ball = [row for row in rows if row["kernel"] == "ball_density.spectrum"]
     assert [(row["n"], row["r"], row["butterflies"]) for row in ball] == [(16, 5, 0)]

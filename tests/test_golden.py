@@ -27,12 +27,38 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # three are not: the space is independent at order exactly 2.
 MATRIX6 = "3 6\n101010\n011001\n000111\n"
 
+# The generator of random_code_20() in scripts/bench_kernels.py: a random
+# [20, 16] code whose dual has distance 6, so its space is 2^16 points at
+# order 6, the size of the benchmark's dense chain.
+MATRIX20 = """16 20
+10110000000000000000
+00001000000000000000
+11000010000000000000
+00100101000000000000
+01100000100000000000
+11000100010000000000
+11100000001000000000
+01100000000100000000
+01100100000010000000
+10100000000001000000
+11100000000000100000
+10000100000000010000
+01100100000000001000
+01000100000000000100
+00100000000000000010
+11000000000000000001
+"""
+
+MATRICES = {"matrix6": MATRIX6, "matrix20": MATRIX20}
+
 SPACES = {
     "hamming7": "hamming --m 3",
     "hamming15": "hamming --m 4",
     "uniform8": "uniform --n 8",
     "space6": "from-matrix --matrix {matrix6}",
 }
+# chained only: analyze would run the marginal oracle on 2^16 points
+CHAINED = {**SPACES, "code20": "from-matrix --matrix {matrix20}"}
 
 CASES = {
     "construct-hamming": "construct hamming --m 3",
@@ -60,6 +86,8 @@ CASES = {
     "chain-space6-k3-csv": "chain {space6} --k 3 --format csv",
     "chain-space6-halfwise-text": "chain {space6} --halfwise",
     "chain-space6-k4-csv": "chain {space6} --k 4 --format csv",
+    "chain-code20-k3-text": "chain {code20} --k 3",
+    "chain-code20-k4-text": "chain {code20} --k 4",
     **{f"bound-n16-k4-{form}": f"bound --n 16 --k 4 --format {form}" for form in ("text", "csv", "json")},
     **{f"bound-n7-k4-{form}": f"bound --n 7 --k 4 --format {form}" for form in ("text", "csv", "json")},
     "bound-n3-k1-text": "bound --n 3 --k 1",
@@ -83,11 +111,14 @@ def without_solver_cells(text: str) -> str:
 
 
 def make_inputs(root: Path) -> dict[str, str]:
-    """Write the matrix and the four space files; returns placeholder -> path."""
-    matrix = root / "matrix6.txt"
-    matrix.write_text(MATRIX6)
-    paths = {"matrix6": str(matrix)}
-    for name, kind in SPACES.items():
+    """Write the two matrices and the five space files; returns placeholder
+    -> path."""
+    paths = {}
+    for name, text in MATRICES.items():
+        matrix = root / f"{name}.txt"
+        matrix.write_text(text)
+        paths[name] = str(matrix)
+    for name, kind in CHAINED.items():
         path = root / f"{name}.txt"
         args = ["construct", *(token.format(**paths) for token in kind.split()), "-o", str(path)]
         assert CliRunner().invoke(main, args).exit_code == 0

@@ -15,7 +15,7 @@ import oracles
 from conftest import point_space, random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound, shannon_from_density
-from kwisent.codes import hamming_code, parity_sampler_space
+from kwisent.codes import hamming_code, parity_sampler_space, simplex_code
 from kwisent.cube import convolve, inner_product, weight_one_indicator, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import independence_order
@@ -27,9 +27,10 @@ from kwisent.smoothing import (
     smoothing_chain,
 )
 from kwisent.table import render
-from kwisent.tolerances import ASSOCIATIVITY
+from kwisent.tolerances import ASSOCIATIVITY, CONVOLUTION_POINTWISE
 from oracles import dense_ball_density, dense_eigen_margin, from_density, smooth, verify_smoothing
 from test_balls import radial_vs_dense_tolerances
+from test_bench_kernels import load_script
 
 
 def direct_smoothed_probability(x, d, mask):
@@ -112,6 +113,24 @@ def test_verify_smoothing_runs_the_oracle_on_uniform8(uniform8):
     # acceptance criterion 5's uniform input: levels 1..8 cost 71,840 units
     for r in (1, 2, 3):
         assert verify_smoothing(uniform8, lambda_ball(8, r)).marginal_deviation == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("code", ["hamming15", "simplex15", "random20"])
+def test_verify_smoothing_kept_spectrum_matches_the_butterfly(code, k):
+    # the dense-chain codes' size; the simplex code's convolution dips below
+    # 0, so its g takes the clip path and its kept spectrum is the butterfly
+    matrix, order = {
+        "hamming15": (hamming_code(4), 7),
+        "simplex15": (simplex_code(4), 2),
+        "random20": (load_script().random_code_20(), 6),
+    }[code]
+    x = parity_sampler_space(matrix)
+    report = verify_smoothing(x, lambda_ball(x.n, min_radius(x.n, k)))
+    assert report.all_passed
+    assert report.butterfly_order >= report.order_before == order
+    assert (report.spectrum_error == 0.0) == (code == "simplex15")
+    assert (report.max_convolution_error is None) == (code == "random20")
 
 
 def test_verify_smoothing_point_mass_equality_case():
@@ -296,13 +315,8 @@ def test_chain_record_holds_every_csv_column_once(hamming7):
         assert render(report.as_dict(), "csv").splitlines()[0] == columns.replace(" ", ",")
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["kept", "fresh"])
-@pytest.mark.parametrize("k", [3, 4])
-def test_smoothing_chain_runs_two_butterflies(hamming15, monkeypatch, k, fresh):
-    # d and the kernel are radial, so their spectra are level sums, and a
-    # convolution keeps its spectral product: g's values and g's spectrum,
-    # after f's spectrum on a space whose spectrum was not read before
-    space = parity_sampler_space(hamming_code(4)) if fresh else hamming15
+def count_butterflies(monkeypatch) -> list[int]:
+    """The lengths of the vectors each later cube._fwht call transforms."""
     fwht, calls = kwisent.cube._fwht, []
 
     def counted(v):
@@ -310,8 +324,53 @@ def test_smoothing_chain_runs_two_butterflies(hamming15, monkeypatch, k, fresh):
         return fwht(v)
 
     monkeypatch.setattr(kwisent.cube, "_fwht", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["kept", "fresh"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, fresh):
+    # d and the kernel are radial, so their spectra are level sums, a
+    # convolution keeps its spectral product, and g, whose clip changes
+    # nothing here, keeps it over its mean: g's values alone, after f's
+    # spectrum on a space whose spectrum was not read before
+    space = parity_sampler_space(hamming_code(4)) if fresh else hamming15
+    calls = count_butterflies(monkeypatch)
     assert smoothing_chain(space, k).passed
-    assert calls == [1 << 15] * (3 if fresh else 2)
+    assert calls == [1 << 15] * (2 if fresh else 1)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_unclipped_smoothed_density_keeps_the_product_over_its_mean(hamming15, monkeypatch, k):
+    # the mean of the convolution's values is 1.0 at k = 3 and one ulp-sized
+    # step away from it at k = 4, so the division is seen to be the same one
+    f, d = hamming15.density, lambda_ball(15, min_radius(15, k)).density()
+    h = convolve(f, d)
+    raw, prod = h.values, h.spectrum.coeffs
+    assert raw.min() >= 0.0
+    mean = raw.mean()
+    assert (mean == 1.0) == (k == 3)
+    g = _smoothed_density(f, d)
+    calls = count_butterflies(monkeypatch)
+    assert np.array_equal(wht(g).coeffs, prod / mean)
+    assert np.array_equal(g.values, raw / mean)
+    assert calls == []
+
+
+@pytest.mark.parametrize("space", ["simplex15", "point10"])
+def test_clipped_smoothed_density_transforms_its_values(space, monkeypatch):
+    # the convolution leaves rounding noise below 0 outside the support of
+    # Z, which the clip zeroes; g is then made from its values alone
+    x = parity_sampler_space(simplex_code(4)) if space == "simplex15" else point_space(10)
+    f, d = x.density, lambda_ball(x.n, min_radius(x.n, 3)).density()
+    raw = convolve(f, d).values
+    assert -CONVOLUTION_POINTWISE <= raw.min() < 0.0
+    g = _smoothed_density(f, d)
+    assert g.values.min() == 0.0
+    calls = count_butterflies(monkeypatch)
+    coeffs = wht(g).coeffs
+    assert calls == [1 << x.n]
+    assert np.array_equal(coeffs, kwisent.cube._fwht(g.values) / (1 << x.n))
 
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):

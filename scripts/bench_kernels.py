@@ -36,10 +36,11 @@ points (marginal order 5): on a space that keeps its density and spectrum
 between calls, and (space=fresh) on one built inside the call from the
 space's points and probabilities, as each CLI chain op builds one, which
 runs the input's forward butterfly too.  The ball density rows time
-balls.BallSpectrum.density().spectrum for the radius of that chain at k = 3,
-at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick): the
-spectrum by level from exact Krawtchouk sums, then one gather into a dense
-2^n table, with no butterfly; at n = 26 that table is 512 MiB.  The radial
+balls.BallSpectrum.density().spectrum.coeffs for the radius of that chain at
+k = 3, at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick):
+the spectrum by level from exact Krawtchouk sums, then one gather into a
+dense 2^n table, with no butterfly; at n = 26 that table is 512 MiB.  The
+chain itself reads that spectrum by level and never gathers it.  The radial
 rows time balls.lambda_ball at (n, r) =
 (48, 24), (192, 40), (400, 200), the eigenvalue that bound and spectra
 print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
@@ -190,15 +191,16 @@ def chain_kernels(quick: bool):
 
 def ball_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for the spectrum of the
-    ball density that smoothing_chain(space, 3) reads; the eigenvalue and
-    the profile are computed once, outside the timed call."""
+    ball density that smoothing_chain(space, 3) reads, gathered into its
+    dense table; the eigenvalue and the profile are computed once, outside
+    the timed call."""
     from kwisent.balls import lambda_ball, min_radius
 
     for n in (16,) if quick else (20, 26):
         r = min_radius(n, 3)
         ball = lambda_ball(n, r)
         ball.radial_profile  # computed on first read, and kept
-        yield "ball_density.spectrum", n, {"r": r}, lambda ball=ball: ball.density().spectrum
+        yield "ball_density.spectrum", n, {"r": r}, lambda ball=ball: ball.density().spectrum.coeffs
 
 
 def radial_kernels(quick: bool):

@@ -16,10 +16,14 @@ test; do not fold 2^n factors into the transforms.
 A function is made from its values or from its spectrum (a convolution is
 made from the spectral product), and keeps both: whichever side it was not
 made from is built from the other by one butterfly on first read, and then
-kept.  wht returns the spectrum property.  A Radial function (a function of
-|x| alone, like the ball density and the weight-one kernel) builds both
-sides from its n + 1 levels instead, its spectrum from exact Krawtchouk
-sums, with no butterfly.
+kept.  wht returns the spectrum property.  A spectrum is made from its
+coefficients or from its n + 1 levels, when it depends on |S| alone; the
+full table of a spectrum by level is gathered only when its coeffs are
+read, and then kept.  A Radial function (a function of |x| alone, like the
+ball density and the weight-one kernel) has such a spectrum, from exact
+Krawtchouk sums, with no butterfly.  convolve multiplies two spectra by
+level level for level, and scales a full table by a spectrum by level row
+by row, so it gathers no 2^n table.
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -35,7 +39,6 @@ depends on the BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -74,14 +77,25 @@ def _frozen_vector(raw, n: int) -> np.ndarray:
     """A checked, read-only float64 vector.
 
     Anything a caller passes in is copied, so no array the caller holds, a
-    read-only one included, can change it later; a _Fresh vector is not.
+    read-only one included, can change it later, and each value is checked
+    finite.  A _Fresh vector is taken over as it is and checked by its sum,
+    which is NaN or infinite whenever some value is, with no 2^n temporary:
+    it would refuse finite values only if their sum passed 1.8e308, which no
+    density or spectrum comes near.
     """
-    vals = raw.vals if isinstance(raw, _Fresh) else np.array(raw, dtype=np.float64)
+    fresh = isinstance(raw, _Fresh)
+    vals = raw.vals if fresh else np.array(raw, dtype=np.float64)
     if vals.shape != (1 << n,):
         raise DimensionError(
             f"expected vector of length 2^{n} = {1 << n}, got shape {vals.shape}"
         )
-    if not np.all(np.isfinite(vals)):
+    if fresh:
+        # inf - inf and an overflowing sum are refusals, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(float(vals.sum()))
+    else:
+        finite = np.all(np.isfinite(vals))
+    if not finite:
         raise ValueError("values must be finite (no NaN or infinity)")
     vals.setflags(write=False)
     return vals
@@ -138,16 +152,32 @@ class Density(CubeFunction):
         _check_density(self.values.min(), float(self.values.mean()))
 
 
-@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The full table of Walsh-Hadamard coefficients, indexed by subset mask."""
+    """The Walsh-Hadamard coefficients, indexed by subset mask: made from the
+    full table here, or by _by_level from the n + 1 values of a spectrum
+    that depends on |S| alone (levels; None for a table), whose full table
+    is gathered on first read of coeffs, and kept."""
 
-    n: int
-    coeffs: np.ndarray
+    levels = None
 
-    def __post_init__(self):
-        check_dimension(self.n)
-        object.__setattr__(self, "coeffs", _frozen_vector(self.coeffs, self.n))
+    def __init__(self, n: int, coeffs):
+        check_dimension(n)
+        self.n = n
+        self.coeffs = _frozen_vector(coeffs, n)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        return _frozen_vector(_Fresh(self.levels[subset_sizes(self.n)]), self.n)
+
+
+def _by_level(n: int, levels: np.ndarray) -> Spectrum:
+    """The spectrum whose coefficient on every S is levels[|S|], taken over
+    read-only; the levels are checked finite, as every computed vector is,
+    in each 2^n table made from them: the gather, and a product by a table."""
+    levels.setflags(write=False)
+    s = Spectrum.__new__(Spectrum)
+    s.n, s.levels = n, levels
+    return s
 
 
 def _butterfly(src: np.ndarray, dst: np.ndarray, h: int) -> None:
@@ -260,9 +290,20 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
 
     The result keeps the product as its spectrum, so wht of it runs no
     butterfly; its values are built by one inverse butterfly when first read.
+    Two spectra by level multiply their n + 1 levels; one by level scales
+    the other's table by _level_scaled, with no 2^n gather.  Each product is
+    the same double either way.
     """
     _same_dimension(f, g)
-    prod = wht(f).coeffs * wht(g).coeffs
+    a, b = wht(f), wht(g)
+    if a.levels is not None and b.levels is not None:
+        return _from_spectrum(_by_level(f.n, a.levels * b.levels))
+    if a.levels is not None:
+        prod = _level_scaled(b.coeffs, a.levels)
+    elif b.levels is not None:
+        prod = _level_scaled(a.coeffs, b.levels)
+    else:
+        prod = a.coeffs * b.coeffs
     return _from_spectrum(Spectrum(f.n, _Fresh(prod)))
 
 
@@ -344,8 +385,26 @@ def _masks_by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, starts
 
 
-# log2 of the row length of level_max_abs: 2^12 values (32 KiB) per row
+# log2 of the row length of level_max_abs and _level_scaled: 2^12 values
+# (32 KiB) per row
 _LEVEL_ROW = 12
+
+
+def _level_scaled(coeffs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """coeffs[S] * levels[|S|] for every mask S, into a fresh array.
+
+    On the (2^high, 2^low) view, row r is multiplied by row p of the
+    (high + 1, 2^low) table levels[p + |c|], p the popcount of r: the same
+    products as against the gathered table, with no 2^n gather.
+    """
+    n = levels.size - 1
+    low = min(n, _LEVEL_ROW)
+    table = levels[np.add.outer(np.arange(n - low + 1), subset_sizes(low))]
+    out = np.empty_like(coeffs)
+    grid, flat = out.reshape(-1, 1 << low), coeffs.reshape(-1, 1 << low)
+    for r, p in enumerate(subset_sizes(n - low).tolist()):
+        np.multiply(flat[r], table[p], out=grid[r])
+    return out
 
 
 def level_max_abs(s: Spectrum) -> np.ndarray:
@@ -395,9 +454,10 @@ class Radial(CubeFunction):
     Its spectrum depends on the level alone, coeff(S) = sum_w profile[w]
     K_|S|(w) / 2^n.  Each profile value is an integer over a power of two, so
     over their largest denominator the level sum is one integer ratio, and
-    Python's integer division rounds it correctly.  The spectrum by level is
-    computed on first read; the dense spectrum and values are each built from
-    their n + 1 levels on first read, and kept.
+    Python's integer division rounds it correctly.  The spectrum is made
+    from those n + 1 levels on first read, and gathers its dense table only
+    when coeffs is read; the values are gathered from the profile on first
+    read.  Each is kept.
     """
 
     def __init__(self, n: int, profile):
@@ -424,7 +484,7 @@ class Radial(CubeFunction):
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        return Spectrum(self.n, _Fresh(self.level_spectrum[subset_sizes(self.n)]))
+        return _by_level(self.n, self.level_spectrum)
 
     @cached_property
     def values(self) -> np.ndarray:

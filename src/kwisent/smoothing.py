@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cube
 from .balls import lambda_ball, min_radius
 from .bounds import (
     binary_entropy,
@@ -50,6 +51,7 @@ from .cube import (
     Radial,
     Spectrum,
     _Fresh,
+    _from_spectrum,
     adjacency_apply,
     adjacency_level_multipliers,
     convolve,
@@ -197,18 +199,24 @@ def _smoothed_density(f: Density, d: CubeFunction) -> Density:
     verify_smoothing in tests/oracles.py checks it against the forward
     butterfly.  A clipped g is made from its values, and its spectrum is one
     butterfly on first read.
+    The inverse butterfly writes g's values into an array made here, and the
+    clip and the division act on it in place: the call holds the product,
+    that array and the product over the mean, and no convolution values.
     """
-    h = convolve(f, d)
-    low = h.values.min()
+    prod = convolve(f, d).spectrum.coeffs
+    vals = cube._fwht(prod)
+    low = vals.min()
     if low < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
             f"convolution produced {low!r}; inputs are not valid densities"
         )
-    vals = np.maximum(h.values, 0.0) if low < 0.0 else h.values
+    if low < 0.0:
+        np.maximum(vals, 0.0, out=vals)
     mean = vals.mean()
-    g = Density(f.n, _Fresh(vals / mean))
+    vals /= mean
+    g = Density(f.n, _Fresh(vals))
     if low >= 0.0:
-        g.spectrum = Spectrum(f.n, _Fresh(h.spectrum.coeffs / mean))
+        g.spectrum = Spectrum(f.n, _Fresh(prod / mean))
     return g
 
 
@@ -275,14 +283,17 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     ball = lambda_ball(n, r)
     lam = ball.lam
     # f keeps its spectrum (certify_order read it), d and the kernel are
-    # radial, so their spectra are level sums with no butterfly, and a
+    # radial, so their spectra stay n + 1 levels with no butterfly, and a
     # convolution keeps its spectral product, which g keeps too unless its
     # clip fired: the chain runs 1 butterfly, g's values (2 when f's
     # spectrum is first read here, 1 more when the clip fires).
-    # The associativity line reads spectra alone.  The peak, 6 dense vectors
-    # beyond f and its spectrum, is the outer product on either side of that
-    # line: the spectra of d, g and the kernel, g, and the side's two
-    # products.
+    # Everything that reads g's values runs before the associativity line,
+    # which reads spectra alone, so g's values are dropped before it.
+    # Products by a spectrum by level gather no 2^n table, and
+    # convolve(kernel, d) is n + 1 levels.  So the chain holds at most 3
+    # dense vectors beyond f and its spectrum: the product, g's values and ĝ
+    # while g is made; g's values, ĝ and Ag or the p log2 p terms of H(Z);
+    # ĝ and the left side's two products.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)
@@ -292,6 +303,8 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     lower = lam * second
     per_level_g = level_max_abs(wht(g))
     order_max = float(per_level_g[1:k].max()) if k >= 2 else 0.0
+    h_z = shannon_from_density(g)
+    g = _from_spectrum(g.spectrum)
 
     kernel = weight_one_indicator(n)
     assoc_left = spectral_inner_product(convolve(kernel, convolve(d, f)), g)
@@ -303,7 +316,6 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
 
     h_x = shannon_entropy(x)
     h_y = shannon_from_radial(d)
-    h_z = shannon_from_density(g)
     h2_z = n - math.log2(second)
     ball_cap = log2_ball_volume(n, r)
     applicable = 2 * r <= n

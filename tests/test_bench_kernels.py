@@ -35,10 +35,12 @@ def test_quick_rows_cover_every_kernel():
         (15, 3, None, 1),
         (15, 3, "fresh", 2),
     ]
-    # the ball density's spectrum is a level sum, gathered into one dense table
+    # the ball density's spectrum is a level sum, gathered into one dense
+    # table: 1 vector, and numpy's cast of the uint8 sizes to indices in
+    # buffers of np.getbufsize() = 8,192 values (0.125 vectors at n = 16)
     ball = [row for row in rows if row["kernel"] == "ball_density.spectrum"]
     assert [(row["n"], row["r"], row["butterflies"]) for row in ball] == [(16, 5, 0)]
-    assert 1.0 <= ball[0]["peak_vectors"] < 1.5
+    assert 1.0 <= ball[0]["peak_vectors"] < 1.15
     # the one-text file of a code's space, sliced as a byte grid, and its
     # tab-separated copy, split into tokens
     reader = [row for row in rows if row["kernel"] == "SampleSpace.from_text"]

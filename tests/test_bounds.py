@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sample_space, uniform_space
+from kwisent import bounds
 from kwisent.bounds import (
     asymptotic_entropy_leading_term,
     binary_entropy,
@@ -43,6 +44,31 @@ def test_shannon_from_density_drops_a_value_that_underflows():
     # 5e-324 / 4 rounds to 0.0, whose 0 * log2 0 term would be nan
     density = Density(2, np.array([4.0, 0.0, 0.0, 5e-324]))
     assert shannon_from_density(density) == 0.0
+
+
+@pytest.mark.parametrize("case", ["zeros", "underflow", "blocks"])
+def test_shannon_from_density_is_the_one_array_sum(case):
+    # the terms of the positive p, written block by block, and summed once:
+    # the same array and the same pairwise sum as the whole-vector route
+    # values over 40 binades; the seed of the blocks case is one on which a
+    # sum per block rounds differently (checked below)
+    rng = np.random.default_rng({"zeros": 1, "underflow": 2, "blocks": 0}[case])
+    n = 16 if case == "blocks" else 6  # 4 blocks of 2^14
+    values = rng.uniform(0.5, 1.0, 1 << n) * 2.0 ** rng.integers(-30, 10, 1 << n)
+    values[rng.random(1 << n) < 0.4] = 0.0
+    values /= values.mean()
+    if case == "underflow":
+        values[3] = 5e-324  # 5e-324 / 64 rounds to 0.0
+    density = Density(n, values)
+    p = density.values / density.size
+    assert (p == 0.0).any()
+    assert ((density.values > 0.0) & (p == 0.0)).any() == (case == "underflow")
+    expect = bounds._shannon(p)
+    assert shannon_from_density(density) == expect
+    assert math.copysign(1.0, shannon_from_density(density)) == math.copysign(1.0, expect)
+    if case == "blocks":
+        blocks = p.reshape(-1, bounds._BLOCK)
+        assert -sum(float((b[b > 0] * np.log2(b[b > 0])).sum()) for b in blocks) != expect
 
 
 def test_renyi2_entropy_examples():

@@ -599,6 +599,88 @@ def test_radial_function_matches_its_dense_lift(n, monkeypatch):
     np.testing.assert_allclose(f.spectrum.coeffs, wht(lifted).coeffs, rtol=0.0, atol=tol)
 
 
+@pytest.mark.parametrize("row", [None, 2], ids=["row-default", "row-2"])
+@pytest.mark.parametrize("n", range(1, 23))
+def test_level_scaled_product_is_the_gathered_product_bit_for_bit(n, row, monkeypatch):
+    if row is not None:
+        monkeypatch.setattr(kwisent.cube, "_LEVEL_ROW", row)
+    rng = np.random.default_rng(700 + n)
+    levels = random_profile(n, rng) * rng.choice([-1.0, 1.0], n + 1)
+    coeffs = rng.uniform(-1.0, 1.0, 1 << n) * 2.0 ** rng.integers(-40, 40, 1 << n)
+    assert_same_bits(kwisent.cube._level_scaled(coeffs, levels), coeffs * levels[subset_sizes(n)])
+
+
+@pytest.mark.parametrize("n", [1, 6, 13, 18])
+def test_convolve_by_a_level_spectrum_is_the_gathered_product(n):
+    rng = np.random.default_rng(800 + n)
+    f, d = random_function(n, rng), Radial(n, rng.uniform(0.0, 1.0, n + 1))
+    expect = wht(f).coeffs * d.level_spectrum[subset_sizes(n)]
+    for h in (convolve(f, d), convolve(d, f)):
+        assert h.spectrum.levels is None
+        assert_same_bits(h.spectrum.coeffs, expect)
+    assert "coeffs" not in vars(d.spectrum)  # neither product gathered d's table
+
+
+def test_convolve_of_two_radial_functions_is_its_level_product():
+    n = 20
+    rng = np.random.default_rng(20)
+    d, kernel = Radial(n, rng.uniform(0.0, 1.0, n + 1)), weight_one_indicator(n)
+    d.spectrum, kernel.spectrum  # the level sums, before tracing
+    tracemalloc.start()
+    try:
+        h = convolve(kernel, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 << n) // 64  # n + 1 levels, no 2^n vector
+    np.testing.assert_array_equal(h.spectrum.levels, kernel.level_spectrum * d.level_spectrum)
+    # the route through two gathered tables: the same product, the same butterfly
+    dense = [kwisent.cube._from_spectrum(Spectrum(n, r.spectrum.coeffs)) for r in (kernel, d)]
+    route = convolve(*dense)
+    assert_same_bits(h.spectrum.coeffs, route.spectrum.coeffs)
+    assert_same_bits(h.values, route.values)
+
+
+def test_wht_of_a_radial_function_gathers_no_table_until_coeffs_is_read():
+    n = 20
+    f = Radial(n, np.random.default_rng(21).uniform(-1.0, 1.0, n + 1))
+    f.level_spectrum  # the level sums, before tracing
+    tracemalloc.start()
+    try:
+        s = wht(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 << n) // 64 and "coeffs" not in vars(s)
+    assert s.levels is f.level_spectrum and not s.levels.flags.writeable
+    coeffs = s.coeffs
+    assert coeffs is s.coeffs and not coeffs.flags.writeable
+    np.testing.assert_array_equal(coeffs, f.level_spectrum[subset_sizes(n)])
+
+
+def test_computed_vectors_are_checked_finite_by_their_sum():
+    n = 20
+    vals = np.random.default_rng(22).uniform(-1.0, 1.0, 1 << n)
+    tracemalloc.start()
+    try:
+        kwisent.cube._frozen_vector(kwisent.cube._Fresh(vals), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << n) // 8  # no bool temporary of 2^n bytes
+    for bad in ([np.nan], [np.inf], [np.inf, -np.inf]):
+        raw = np.zeros(8)
+        raw[: len(bad)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kwisent.cube._frozen_vector(kwisent.cube._Fresh(raw), 3)
+        with pytest.raises(ValueError, match="finite"):
+            CubeFunction(3, raw)  # a caller's array is checked value by value
+    # the stated limit: finite values whose sum passes 1.8e308 are refused
+    with pytest.raises(ValueError, match="finite"):
+        kwisent.cube._frozen_vector(kwisent.cube._Fresh(np.full(4, 1e308)), 2)
+    assert CubeFunction(2, np.full(4, 1e308)).values[0] == 1e308
+
+
 def test_radial_density_is_checked_as_a_density():
     with pytest.raises(ValueError, match="mean must be 1"):
         radial_density(3, [1.0, 1.0, 1.0, 0.5])

@@ -397,12 +397,26 @@ def test_each_chain_scans_the_input_levels_once(hamming15, monkeypatch, k, scans
     assert calls == [15] * scans
 
 
-def test_smoothing_chain_peak_memory(hamming15):
-    smoothing_chain(hamming15, 3)  # warm-up: lazy imports and cached index tables
+def chain_peak(space, k):
+    """tracemalloc's peak over one smoothing_chain call, in dense vectors."""
     tracemalloc.start()
     try:
-        smoothing_chain(hamming15, 3)
+        smoothing_chain(space, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.25 * (8 << 15)  # 6.14 dense vectors of 2^15 floats
+    return peak / (8 << space.n)
+
+
+def test_smoothing_chain_peak_memory(hamming15):
+    smoothing_chain(hamming15, 3)  # warm-up: lazy imports and cached index tables
+    # 4.27: at n <= 16 the kernels' row buffers are 2^n values long, so
+    # they add whole vectors to the chain's 3
+    assert chain_peak(hamming15, 3) <= 4.3
+
+
+def test_warm_n20_smoothing_chain_holds_three_dense_vectors():
+    # 3.07: g's values, ĝ and Ag, with the adjacency's one 2^16-value row
+    x = parity_sampler_space(load_script().random_code_20())
+    smoothing_chain(x, 3)  # builds f and f̂, which the warm chain keeps
+    assert chain_peak(x, 3) <= 3.2

@@ -19,7 +19,7 @@ result's values, since a convolution is made from its spectral product and
 runs its inverse butterfly only when its values are first read.  The reader
 parses a random 2^16-point space
 file, the support of the n = 20 benchmark code, with a distinct probability
-text on each line, so its lines differ in width and are split into tokens;
+text on each line, so its lines differ in width and are read line by line;
 the writer writes a uniform space on the same points, with one distinct
 probability as in every space built from a code.  A further reader row
 (texts=1) parses the file every space built from a code writes, one
@@ -27,7 +27,7 @@ probability text on lines of one width, which the reader slices as a byte
 grid: the file of random_code_20(), the code of the n = 20 chain row below,
 like the files dense-chain reads (the Hamming code of length 15 with --quick).
 The last reader row (texts=1 sep=tab) parses a copy of that file with a tab
-for each space, which the reader splits into tokens.
+for each space, which the reader reads line by line.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3

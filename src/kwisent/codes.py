@@ -6,10 +6,9 @@ character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 
 A sample space file is written as one byte grid, a row per point.  A file
 in that layout, every line '<n bits> <probability text>' with one width, is
-read back by slicing the grid's columns; any other layout is split into
-tokens line by line, more slowly, to the same values.  Both reads only
-accept: a file either refuses is read once more, line by line, for the
-message and number of its first bad line.
+read back by slicing the grid's columns, which only accepts; any other
+file is read line by line, more slowly, to the same values, and so is a
+grid the values refuse, for the message and number of its first bad line.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from .errors import DimensionError, FormatError, ResourceLimitError
 from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
-# SampleSpace.from_text splits a file not in the layout to_text writes this
-# many lines at a time, so only one block's per-line token lists are alive at
-# once; a file in that layout is sliced whole (_read_grid)
-READ_BLOCK_LINES = 1024
 ENUMERATION_GUARD = 10**7
 
 
@@ -274,17 +269,15 @@ class SampleSpace:
 
         A text in the layout to_text writes (ASCII, '\\n' line ends, every
         line '<n bits> <text>' with one width) is sliced as a byte grid, a
-        row per line (_read_grid); any other text is split into tokens,
-        READ_BLOCK_LINES lines at a time (_read_tokens).  Where the values
-        read sum to 1 within FILE_TOTAL_MASS, in line order, they go to the
-        constructor, whose one sort also refuses a repeated point.  A text
-        that either read or the constructor refuses is read again line by
-        line (_refuse), which raises the FormatError of its first bad line,
-        with its number, else of no points or of the sum; a text it finds
+        row per line (_read_grid).  Where the values sliced sum to 1 within
+        FILE_TOTAL_MASS, in line order, they go to the constructor, whose one
+        sort also refuses a repeated point.  Any other text, and a grid that
+        the sum or the constructor refuses, is read line by line
+        (_read_lines), which raises the FormatError of its first bad line,
+        with its number, else of no points or of the sum; a grid it finds
         nothing wrong with keeps the constructor's own ValueError.
         """
-        read = _read_grid(text) or _read_tokens(text)
-        fault = None
+        read = _read_grid(text)
         if read is not None:
             n, points, probs = read
             total = sum(probs.tolist())  # left to right, as the points are listed
@@ -293,8 +286,9 @@ class SampleSpace:
                     return cls(n, points, probs / total)
                 except ValueError as err:  # a repeated point or a negative probability
                     fault = err
-        _refuse(text)
-        raise fault
+                _read_lines(text)  # the FormatError of the first bad line, if any
+                raise fault
+        return cls(*_read_lines(text))
 
 
 def _read_header(line: str) -> int:
@@ -346,31 +340,6 @@ def _read_grid(text: str):
     return n, _points(grid[:, :n]), probs[index]
 
 
-def _read_tokens(text: str):
-    """(n, points, probabilities) of a text split into tokens line by line,
-    READ_BLOCK_LINES lines at a time, else None: blank lines are skipped, and
-    every other line must be '<n chars of 0/1> <token>'.  A probability text
-    float() refuses reads as NaN."""
-    lines = text.splitlines()
-    n = _read_header(lines[0] if lines else "")
-    points, probs = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for start in range(1, len(lines), READ_BLOCK_LINES):
-        rows = list(filter(None, map(str.split, lines[start : start + READ_BLOCK_LINES])))
-        if set(map(len, rows)) - {2}:
-            return None
-        bits, texts = [row[0] for row in rows], [row[1] for row in rows]
-        if set(map(len, bits)) - {n}:
-            return None
-        digits = np.array(bits, dtype=f"<U{n}").view(np.uint32).reshape(-1, n)
-        if ((digits | 1) != ord("1")).any():  # code points, as in _read_grid
-            return None
-        points.append(_points(digits))
-        # each distinct text is parsed once: a space built from a code has one
-        table = {text: _float_or_nan(text) for text in set(texts)}
-        probs.append(np.fromiter(map(table.__getitem__, texts), np.float64, len(texts)))
-    return n, np.concatenate(points), np.concatenate(probs)
-
-
 def _points(digits: np.ndarray) -> np.ndarray:
     """The int64 points of a (points, n) array of '0' and '1' character codes,
     coordinate 1 first."""
@@ -379,35 +348,39 @@ def _points(digits: np.ndarray) -> np.ndarray:
     return np.packbits(bits).view(">u8").astype(np.int64)
 
 
-def _refuse(text: str) -> None:
-    """Read text line by line and raise the FormatError of its first bad
-    line, else of a text with no points or whose probabilities do not sum to
-    1 within FILE_TOTAL_MASS; return if it finds none."""
-    lines = text.splitlines()  # a fast read has read the header
-    n = _read_header(lines[0])
-    seen, probs = set(), []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+def _read_lines(text: str):
+    """(n, points, probabilities) of a text read line by line, in line order,
+    the probabilities divided by their sum; else the FormatError of its
+    first bad line, of a text with no points, or of one whose probabilities
+    do not sum to 1 within FILE_TOTAL_MASS.  Blank lines are skipped, and
+    every other line must be '<n chars of 0/1> <probability text>'."""
+    lines = iter(text.splitlines())  # dropped once the loop has read them
+    n = _read_header(next(lines, ""))
+    seen, probs, table = {}, [], {}  # seen: bits -> line; table: text -> value
+    for lineno, parts in enumerate(map(str.split, lines), start=2):
         if not parts:
             continue
         if len(parts) != 2:
             raise FormatError("expected '<bitstring> <probability>'", line=lineno)
         bits, prob_text = parts
-        if len(bits) != n or set(bits) - {"0", "1"}:
+        if len(bits) != n or bits.strip("01"):
             raise FormatError(f"expected a bitstring of length {n}", line=lineno)
-        prob = _float_or_nan(prob_text)
-        if not 0.0 <= prob < math.inf:
-            raise FormatError(f"bad probability {prob_text!r}", line=lineno)
-        if bits in seen:
+        prob = table.get(prob_text)
+        if prob is None:  # each distinct text is parsed, and checked, once
+            prob = table[prob_text] = _float_or_nan(prob_text)
+            if not 0.0 <= prob < math.inf:
+                raise FormatError(f"bad probability {prob_text!r}", line=lineno)
+        if seen.setdefault(bits, lineno) != lineno:
             raise FormatError(f"duplicate point {bits}", line=lineno)
-        seen.add(bits)
         probs.append(prob)
     if not probs:
         raise FormatError("sample space has no points")
-    total = sum(probs)  # as the fast reads sum
+    total = sum(probs)  # left to right, as the grid read sums
     if abs(total - 1.0) > FILE_TOTAL_MASS:
         # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
         raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
+    digits = np.frombuffer("".join(seen).encode("ascii"), dtype=np.uint8).reshape(-1, n)
+    return n, _points(digits), np.array(probs) / total
 
 
 def _float_or_nan(text: str) -> float:

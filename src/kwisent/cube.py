@@ -296,11 +296,11 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """
     _same_dimension(f, g)
     a, b = wht(f), wht(g)
-    if a.levels is not None and b.levels is not None:
-        return _from_spectrum(_by_level(f.n, a.levels * b.levels))
+    if a.levels is not None:  # IEEE products commute: a by level goes second
+        a, b = b, a
     if a.levels is not None:
-        prod = _level_scaled(b.coeffs, a.levels)
-    elif b.levels is not None:
+        return _from_spectrum(_by_level(f.n, a.levels * b.levels))
+    if b.levels is not None:
         prod = _level_scaled(a.coeffs, b.levels)
     else:
         prod = a.coeffs * b.coeffs
@@ -507,11 +507,6 @@ def weight_one_indicator(n: int) -> Radial:
     power of two, so bit for bit the butterfly's result.
     """
     return Radial(n, np.eye(n + 1)[1])
-
-
-def adjacency_level_multipliers(n: int) -> np.ndarray:
-    """Adjacency eigenvalue per level: n - 2j on coefficients with |S| = j."""
-    return n - 2.0 * np.arange(n + 1)
 
 
 def log2_ball_volume(n: int, r: int) -> float:

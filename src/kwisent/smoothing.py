@@ -53,7 +53,6 @@ from .cube import (
     _Fresh,
     _from_spectrum,
     adjacency_apply,
-    adjacency_level_multipliers,
     convolve,
     inner_product,
     level_max_abs,
@@ -221,16 +220,15 @@ def _smoothed_density(f: Density, d: CubeFunction) -> Density:
 
 
 def halfwise_chain(x: SampleSpace) -> ChainReport:
-    """Certify the no-smoothing chain for an order-floor(n/2) input; the same
-    report as smoothing_chain(x, floor(n/2) + 1).
+    """Certify the no-smoothing chain for an order-floor(n/2) input: the
+    chain smoothing_chain(x, floor(n/2) + 1) hands to _halfwise_body.
 
     The middle band of coefficients vanishes, every tail level carries an
     adjacency multiplier <= -1 (for even n the level n/2 sits in the middle
     band with multiplier exactly 0), and nonnegativity of <Af, f> squeezes
     E[f^2] <= n + 1.
     """
-    k = x.n // 2 + 1
-    return _halfwise_body(x, k, certify_order(x, k - 1))
+    return smoothing_chain(x, x.n // 2 + 1)
 
 
 def _halfwise_body(x: SampleSpace, k: int, per_level: np.ndarray) -> ChainReport:
@@ -240,7 +238,8 @@ def _halfwise_body(x: SampleSpace, k: int, per_level: np.ndarray) -> ChainReport
     profile = level_profile(f.spectrum)
     second = float(profile.sum())
     ray = inner_product(adjacency_apply(f), f)
-    ray_spectral = float((adjacency_level_multipliers(n) * profile).sum())
+    # A multiplies every coefficient at level j by n - 2j
+    ray_spectral = float(((n - 2.0 * np.arange(n + 1)) * profile).sum())
     mid = n // 2
     mid_max = float(per_level[1 : mid + 1].max()) if mid >= 1 else 0.0
     upper = n + 1.0 - second

@@ -89,11 +89,16 @@ prove, and |<Ag, g>| <= n E[g^2].  So each is off by at most about
 (2^n + n) u n(n + 1): 2e-9 at n = 16 and 1e-8 at n = 18.  Above that the
 worst case exceeds the slack, though such errors grow about as
 sqrt(2^n) u in practice (Higham, section 4.2): 6.4e-10 at n = 26, the
-dense cap.  The eigenvalue lam is a
-Rayleigh quotient and so does not exceed the top eigenvalue beyond
-rounding; a low lam only loosens rayleigh_lower_bound and
-combined_second_moment.  The lines are evaluated on the vectors the chain
-computed, which they certify as given.
+dense cap.  The eigenvalue lam is the lower end of
+the bracket balls.lambda_ball returns, within about 2 r u relative of the
+top eigenvalue, on either side (balls module docstring); over n = 1..40 it
+is one ulp above it in 50 of 747 cases.  A low lam only loosens
+rayleigh_lower_bound and combined_second_moment; a high one moves their
+left sides, lam E[g^2] and (lam - (n - 2k)) E[g^2], by at most
+2 r u lam E[g^2] <= 2 u n^2 (n + 1), since r <= n, lam <= n and
+E[g^2] <= n + 1: 7.5e-12 at n = 32, over a thousand times inside the slack.
+The lines are evaluated on the vectors the chain computed, which they
+certify as given.
 """
 
 CHAIN_ENTROPY_SLACK = 1e-8

@@ -377,7 +377,8 @@ def space_texts(draw):
 
 def assert_reads_like_reference(text):
     """from_text reads the points and probability bits read_space_by_line
-    reads, or refuses the text with its message and line."""
+    reads, or refuses the text with its message and line; returns whether
+    it read the text."""
     expected = read_space_by_line(text)
     try:
         space = SampleSpace.from_text(text)
@@ -387,19 +388,29 @@ def assert_reads_like_reference(text):
         else:
             message, line = expected
             assert (str(err), err.line) == (f"line {line}: {message}", line)
-        return
+        return False
     n, points, probs = expected
     order = np.argsort(points)
     assert space.n == n
     np.testing.assert_array_equal(space.points, points[order])
     assert np.array_equal(space.probabilities.view(np.uint64), probs[order].view(np.uint64))
+    return True
 
 
-@given(space_texts(), st.sampled_from([1, 2, 3, codes.READ_BLOCK_LINES]))
-def test_sample_space_reader_matches_line_by_line_reference(text, block):
-    # small blocks put blank, bad and repeated lines on both sides of a boundary
-    with mock.patch.object(codes, "READ_BLOCK_LINES", block):
-        assert_reads_like_reference(text)
+def reads_like_reference_counting_reads(text):
+    """assert_reads_like_reference(text), and the number of times from_text
+    ran _read_grid and _read_lines."""
+    with (
+        mock.patch.object(codes, "_read_grid", wraps=codes._read_grid) as grid_reader,
+        mock.patch.object(codes, "_read_lines", wraps=codes._read_lines) as line_reader,
+    ):
+        accepted = assert_reads_like_reference(text)
+    return accepted, grid_reader.call_count, line_reader.call_count
+
+
+@given(space_texts())
+def test_sample_space_reader_matches_line_by_line_reference(text):
+    assert_reads_like_reference(text)
 
 
 BAD_TEXTS = ["x", "nan", "inf", "1e999", "-0.25", "-0", "0.2_5"]
@@ -413,7 +424,7 @@ def widen(text, width):
 
 
 def near_miss(line, n, kind):
-    """A '<bits> <text>\\n' line that the token reader must read."""
+    """A '<bits> <text>\\n' line that only the line-by-line reader reads."""
     bits, text = line[:n], line[n + 1 : -1]
     if kind == "tab":
         return f"{bits}\t{text}\n"
@@ -466,10 +477,11 @@ def grid_space_texts(draw):
 
 @given(grid_space_texts())
 def test_sample_space_grid_reader_matches_line_by_line_reference(case):
+    # the grid is tried once; a near miss is read line by line once, and a
+    # sliced text the constructor accepts never is
     text, sliced = case
-    with mock.patch.object(codes, "_read_tokens", wraps=codes._read_tokens) as token_reader:
-        assert_reads_like_reference(text)
-    assert token_reader.called is not sliced
+    accepted, grid_reads, line_reads = reads_like_reference_counting_reads(text)
+    assert (grid_reads, line_reads) == (1, 0 if sliced and accepted else 1)
 
 
 @pytest.mark.parametrize(
@@ -484,14 +496,13 @@ def test_sample_space_grid_reader_matches_line_by_line_reference(case):
     ids=["hamming15", "simplex63", "identity1", "point9", "random20"],
 )
 def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
-    # every line to_text writes for a code has one width: the token reader,
-    # many times slower, must not run; nor may the line-by-line refusal pass
-    # on a good file, whose points are sorted once, by the constructor
+    # every line to_text writes for a code has one width: the line-by-line
+    # reader, many times slower, must not run on such a good file, whose
+    # points are sorted once, by the constructor
     def refuse(*args, **kwargs):
         raise AssertionError("a reader ran that a file to_text wrote does not need")
 
-    monkeypatch.setattr(codes, "_read_tokens", refuse)
-    monkeypatch.setattr(codes, "_refuse", refuse)
+    monkeypatch.setattr(codes, "_read_lines", refuse)
     space = parity_sampler_space(matrix)
     text = space.to_text()
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
@@ -504,15 +515,13 @@ def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     )
 
 
-@pytest.mark.parametrize("block", [2, 3, codes.READ_BLOCK_LINES])
-def test_sample_space_bad_probability_after_repeated_good_ones(block):
+def test_sample_space_bad_probability_after_repeated_good_ones():
     # each distinct probability text is parsed once: the repeated good text
     # and the repeated bad one still take the line of their first refusal
     lines = [f"{p:05b} 0.0625" for p in range(10)] + ["01010 -0", "01011 x", "01100 0.0625"]
     text = "n=5\n" + "\n".join(lines + ["01101 x"]) + "\n"
-    with mock.patch.object(codes, "READ_BLOCK_LINES", block):
-        with pytest.raises(FormatError) as err:
-            SampleSpace.from_text(text)
+    with pytest.raises(FormatError) as err:
+        SampleSpace.from_text(text)
     assert (str(err.value), err.value.line) == ("line 13: bad probability 'x'", 13)
     assert read_space_by_line(text) == ("bad probability 'x'", 13)
 
@@ -528,13 +537,22 @@ def test_sample_space_bad_probability_after_repeated_good_ones(block):
     ],
 )
 def test_sample_space_refuses_a_bad_line_in_a_text_that_sums_to_1(sep, bits, message):
-    # the sum alone would let the text through: each fast read must refuse
-    # the line itself, or the constructor the repeated point
+    # the sum alone would let the text through: the grid read must refuse
+    # the line itself, or the constructor the repeated point, and so must
+    # the line-by-line read
     text = f"n=3\n100{sep}0.5\n{bits}{sep}0.5\n"
     with pytest.raises(FormatError) as err:
         SampleSpace.from_text(text)
     assert (str(err.value), err.value.line) == (f"line 3: {message}", 3)
     assert read_space_by_line(text) == (message, 3)
+
+
+@pytest.mark.parametrize("last", ["111\t0.25", "111\tx"], ids=["good", "bad"])
+def test_a_tab_separated_file_is_read_line_by_line_once(last):
+    # the grid refuses the tabs, and the one line-by-line read both reads
+    # the values and names the bad line
+    text = "n=3\n000\t0.5\n011\t0.25\n" + last + "\n"
+    assert reads_like_reference_counting_reads(text) == (last == "111\t0.25", 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -515,15 +515,19 @@ def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     )
 
 
-def test_sample_space_bad_probability_after_repeated_good_ones():
+@pytest.mark.parametrize("good", [2, 3, 1024])
+def test_sample_space_bad_probability_after_repeated_good_ones(good):
     # each distinct probability text is parsed once: the repeated good text
-    # and the repeated bad one still take the line of their first refusal
-    lines = [f"{p:05b} 0.0625" for p in range(10)] + ["01010 -0", "01011 x", "01100 0.0625"]
-    text = "n=5\n" + "\n".join(lines + ["01101 x"]) + "\n"
+    # and the repeated bad one still take the line of their first refusal,
+    # however many good lines come before them
+    lines = [f"{p:011b} 0.0625" for p in range(good)]
+    lines += [f"{good:011b} -0", f"{good + 1:011b} x", f"{good + 2:011b} 0.0625"]
+    text = "n=11\n" + "\n".join(lines + [f"{good + 3:011b} x"]) + "\n"
+    line = good + 3
     with pytest.raises(FormatError) as err:
         SampleSpace.from_text(text)
-    assert (str(err.value), err.value.line) == ("line 13: bad probability 'x'", 13)
-    assert read_space_by_line(text) == ("bad probability 'x'", 13)
+    assert (str(err.value), err.value.line) == (f"line {line}: bad probability 'x'", line)
+    assert read_space_by_line(text) == ("bad probability 'x'", line)
 
 
 @pytest.mark.parametrize("sep", [" ", "\t"], ids=["space", "tab"])

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cube import Radial, radial_density
+from .cube import Radial
 from .tolerances import EIGEN_RESIDUAL, LOG_FLOOR, RAYLEIGH_STEP
 
 MAX_POWER_ITERATIONS = 10**6
@@ -68,7 +68,9 @@ class BallSpectrum:
     to maximum 1, computed on first read; density() scales it to a mean-1
     radial density supported on the ball (cube.Radial, only possible below
     the cube dimension cap), whose spectrum comes from exact Krawtchouk sums
-    and whose dense values are built only if read.
+    and whose dense values are built only if read.  Its profile is
+    nonnegative and its correctly rounded mean within 3 u of 1, by
+    construction, so neither is checked again (TOTAL_MASS).
     """
 
     n: int
@@ -85,7 +87,7 @@ class BallSpectrum:
         padded = np.zeros(self.n + 1)
         padded[: self.r + 1] = self.radial_profile
         padded /= Radial(self.n, padded).level_spectrum[0]  # the mean, correctly rounded
-        return radial_density(self.n, padded)
+        return Radial(self.n, padded)
 
     def as_dict(self) -> dict:
         """The spectra report row: the eigenvalue next to its leading term."""

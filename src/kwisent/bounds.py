@@ -21,7 +21,7 @@ import numpy as np
 
 from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
-from .cube import Density, Radial
+from .cube import CubeFunction, Radial
 from .kwise import independence_order
 
 
@@ -46,7 +46,7 @@ def renyi2_entropy(space: SampleSpace) -> float:
 _BLOCK = 1 << 14
 
 
-def shannon_from_density(density: Density) -> float:
+def shannon_from_density(density: CubeFunction) -> float:
     """Shannon entropy through the density path (p = values / 2^n).
 
     The positive entries are taken after the division, so a value that

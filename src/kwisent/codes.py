@@ -222,15 +222,18 @@ class SampleSpace:
         return int(self.points.size)
 
     @cached_property
-    def density(self) -> cube.Density:
+    def density(self) -> cube.CubeFunction:
         """The mean-1 density: 2^n times the probability on the support, 0
-        elsewhere.  A dense 2^n vector, so it is built on first read, after
-        cube.check_dimension, and kept."""
+        elsewhere, divided by its own mean.  A dense 2^n vector, so it is
+        built on first read, after cube.check_dimension, and kept.  The
+        constructor has refused negative probabilities, so the values are
+        nonnegative, and the division leaves their mean 1 up to rounding
+        (TOTAL_MASS); neither fact is checked again."""
         cube.check_dimension(self.n)
         vals = np.zeros(1 << self.n)
         vals[self.points] = self.probabilities * (1 << self.n)
         vals /= vals.mean()
-        return cube.Density(self.n, cube._Fresh(vals))
+        return cube.CubeFunction(self.n, cube._Fresh(vals))
 
     def to_text(self) -> str:
         """'n=<n>', then '<bitstring> <repr(probability)>' per point.
@@ -356,7 +359,7 @@ def _read_lines(text: str):
     every other line must be '<n chars of 0/1> <probability text>'."""
     lines = iter(text.splitlines())  # dropped once the loop has read them
     n = _read_header(next(lines, ""))
-    seen, probs, table = {}, [], {}  # seen: bits -> line; table: text -> value
+    seen, probs = {}, []  # seen: bits -> line
     for lineno, parts in enumerate(map(str.split, lines), start=2):
         if not parts:
             continue
@@ -365,11 +368,9 @@ def _read_lines(text: str):
         bits, prob_text = parts
         if len(bits) != n or bits.strip("01"):
             raise FormatError(f"expected a bitstring of length {n}", line=lineno)
-        prob = table.get(prob_text)
-        if prob is None:  # each distinct text is parsed, and checked, once
-            prob = table[prob_text] = _float_or_nan(prob_text)
-            if not 0.0 <= prob < math.inf:
-                raise FormatError(f"bad probability {prob_text!r}", line=lineno)
+        prob = _float_or_nan(prob_text)
+        if not 0.0 <= prob < math.inf:
+            raise FormatError(f"bad probability {prob_text!r}", line=lineno)
         if seen.setdefault(bits, lineno) != lineno:
             raise FormatError(f"duplicate point {bits}", line=lineno)
         probs.append(prob)

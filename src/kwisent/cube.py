@@ -44,7 +44,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .tolerances import TOTAL_MASS
 
 # Largest cube dimension for dense 2^n vectors: 512 MiB per float64 vector
 DIMENSION_CAP = 26
@@ -135,21 +134,6 @@ def _from_spectrum(s: Spectrum) -> CubeFunction:
     f = CubeFunction.__new__(CubeFunction)
     f.n, f.spectrum = s.n, s
     return f
-
-
-def _check_density(low: float, mean: float) -> None:
-    if low < 0.0:
-        raise ValueError("density values must be nonnegative")
-    if abs(mean - 1.0) > TOTAL_MASS:
-        raise ValueError(f"density mean must be 1 within {TOTAL_MASS!r}, got {mean!r}")
-
-
-class Density(CubeFunction):
-    """Nonnegative cube function with mean 1 (2^n times a probability mass)."""
-
-    def __init__(self, n: int, values):
-        super().__init__(n, values)
-        _check_density(self.values.min(), float(self.values.mean()))
 
 
 class Spectrum:
@@ -489,15 +473,6 @@ class Radial(CubeFunction):
     @cached_property
     def values(self) -> np.ndarray:
         return _frozen_vector(_Fresh(self.profile[subset_sizes(self.n)]), self.n)
-
-
-def radial_density(n: int, profile) -> Radial:
-    """A Radial function checked as a density: nonnegative, with mean
-    sum_w C(n, w) profile[w] / 2^n (its empty-set coefficient) 1 within
-    TOTAL_MASS."""
-    d = Radial(n, profile)
-    _check_density(d.profile.min(), float(d.level_spectrum[0]))
-    return d
 
 
 def weight_one_indicator(n: int) -> Radial:

@@ -47,7 +47,6 @@ from .bounds import (
 from .codes import SampleSpace
 from .cube import (
     CubeFunction,
-    Density,
     Radial,
     Spectrum,
     _Fresh,
@@ -185,8 +184,12 @@ def _eigen_margin(d: Radial, lam: float) -> float:
     return float(np.max(lam * p - (w * below + (n - w) * above)))
 
 
-def _smoothed_density(f: Density, d: CubeFunction) -> Density:
+def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
     """g = f * d, its rounding noise below 0 clipped, divided by its mean.
+
+    So g is nonnegative and of mean 1 within TOTAL_MASS by construction,
+    when f and d are, and is not checked again (tests/test_tolerances.py
+    holds it to both).
 
     When the clip changes nothing, g keeps the spectrum it was made from,
     the convolution's product f̂ d̂ over the same mean, and reading it runs
@@ -213,7 +216,7 @@ def _smoothed_density(f: Density, d: CubeFunction) -> Density:
         np.maximum(vals, 0.0, out=vals)
     mean = vals.mean()
     vals /= mean
-    g = Density(f.n, _Fresh(vals))
+    g = CubeFunction(f.n, _Fresh(vals))
     if low >= 0.0:
         g.spectrum = Spectrum(f.n, _Fresh(prod / mean))
     return g

@@ -234,19 +234,23 @@ below 0 is an underflow or a rounding; the floor keeps the logarithm finite
 """
 
 TOTAL_MASS = 1e-12
-"""Allowed |total mass - 1| of a distribution built inside the program: the
-sum of a sample space's probabilities (codes.SampleSpace) and a density's
-mean (cube.Density, among them SampleSpace.density, and cube.radial_density,
-the ball density).  The mean is also the density's empty-set coefficient, so
-no separate check reads that.
+"""Allowed |total mass - 1| of a sample space built inside the program: the
+sum of its probabilities, checked by codes.SampleSpace alone.
 
 Input validation.  Every builder normalizes with one division
 (probs / probs.sum(), vals / vals.mean(), or a radial profile divided by its
 correctly rounded mean), after which a pairwise sum of m terms is 1 within
 about gamma_(log2 m + 8), under 5e-15 for m <= 2^32, and a radial mean,
-correctly rounded, within 3 u.  The
-threshold passes these with a margin of 200 and refuses a vector that was
-not normalized.
+correctly rounded, within 3 u.  The threshold passes these with a margin of
+200 and refuses a vector that was not normalized.
+
+Outside values reach a density only through SampleSpace.  The densities the
+program builds (SampleSpace.density, smoothing._smoothed_density and
+balls.BallSpectrum.density) are nonnegative by construction (checked
+probabilities, a clip, a Perron profile) and of mean 1 within this value by
+their division, so nothing checks them again; tests/test_tolerances.py
+holds each to both facts.  The mean is also a density's empty-set
+coefficient.
 """
 
 FILE_TOTAL_MASS = 1e-9

@@ -38,7 +38,6 @@ from kwisent.bounds import shannon_entropy, shannon_from_density
 from kwisent.codes import SampleSpace
 from kwisent.cube import (
     CubeFunction,
-    Density,
     Spectrum,
     _fwht,
     _same_dimension,
@@ -119,7 +118,7 @@ def lambda_ball_dense_oracle(n: int, r: int) -> float:
     return lam
 
 
-def dense_ball_density(ball: BallSpectrum) -> Density:
+def dense_ball_density(ball: BallSpectrum) -> CubeFunction:
     """The ball's eigenfunction lifted to every mask by its weight
     (subset_sizes) and divided by its numpy mean; its spectrum is the
     butterfly's."""
@@ -128,7 +127,7 @@ def dense_ball_density(ball: BallSpectrum) -> Density:
     padded[: ball.r + 1] = ball.radial_profile
     vals = padded[subset_sizes(ball.n)]
     vals /= vals.mean()
-    return Density(ball.n, vals)
+    return CubeFunction(ball.n, vals)
 
 
 def dense_eigen_margin(ball: BallSpectrum, d: CubeFunction) -> float:
@@ -159,13 +158,13 @@ def level_max_abs_scatter(s: Spectrum) -> np.ndarray:
     return out
 
 
-def renyi2_from_density(density: Density) -> float:
+def renyi2_from_density(density: CubeFunction) -> float:
     """Collision entropy as n - log2 E[f^2]; must agree with the space path."""
     mean_sq = float((density.values**2).mean())
     return density.n - math.log2(mean_sq)
 
 
-def from_density(density: Density) -> SampleSpace:
+def from_density(density: CubeFunction) -> SampleSpace:
     """The distribution of a density, dropping the values at most
     PRUNE_RELATIVE of the largest."""
     vals = density.values

@@ -25,7 +25,7 @@ from kwisent.bounds import (
     shannon_from_density,
 )
 from kwisent.codes import SampleSpace
-from kwisent.cube import Density
+from kwisent.cube import CubeFunction
 from kwisent.table import render
 from oracles import renyi2_from_density
 
@@ -42,7 +42,7 @@ def test_shannon_entropy_examples(hamming7):
 
 def test_shannon_from_density_drops_a_value_that_underflows():
     # 5e-324 / 4 rounds to 0.0, whose 0 * log2 0 term would be nan
-    density = Density(2, np.array([4.0, 0.0, 0.0, 5e-324]))
+    density = CubeFunction(2, np.array([4.0, 0.0, 0.0, 5e-324]))
     assert shannon_from_density(density) == 0.0
 
 
@@ -59,7 +59,7 @@ def test_shannon_from_density_is_the_one_array_sum(case):
     values /= values.mean()
     if case == "underflow":
         values[3] = 5e-324  # 5e-324 / 64 rounds to 0.0
-    density = Density(n, values)
+    density = CubeFunction(n, values)
     p = density.values / density.size
     assert (p == 0.0).any()
     assert ((density.values > 0.0) & (p == 0.0)).any() == (case == "underflow")

@@ -18,7 +18,6 @@ from kwisent.codes import SampleSpace
 from kwisent.cube import (
     DIMENSION_CAP,
     CubeFunction,
-    Density,
     Radial,
     Spectrum,
     adjacency_apply,
@@ -28,7 +27,6 @@ from kwisent.cube import (
     krawtchouk,
     level_max_abs,
     level_profile,
-    radial_density,
     spectral_inner_product,
     subset_sizes,
     weight_one_indicator,
@@ -384,10 +382,6 @@ def test_validation_errors():
         CubeFunction(3, np.zeros(7))
     with pytest.raises(ValueError):
         CubeFunction(2, np.array([1.0, np.nan, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        Density(2, np.array([2.0, 2.0, -0.5, 0.5]))
-    with pytest.raises(ValueError):
-        Density(2, np.array([1.0, 1.0, 1.0, 1.5]))
     with pytest.raises(DimensionError):
         convolve(uniform_space(3).density, uniform_space(4).density)
 
@@ -458,10 +452,10 @@ def test_values_copy_a_read_only_view_of_a_writeable_base():
     base = np.ones(8)
     view = base[:]
     view.setflags(write=False)
-    f, d = CubeFunction(3, view), Density(3, view)
-    spectrum = wht(d)
+    f = CubeFunction(3, view)
+    spectrum = wht(f)
     base[0] = 9.0
-    assert f.values[0] == d.values[0] == 1.0
+    assert f.values[0] == 1.0
     np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_space(3).density).coeffs)
     # a read-only array the caller holds is copied as well
     coeffs = wht(f).coeffs
@@ -471,14 +465,13 @@ def test_values_copy_a_read_only_view_of_a_writeable_base():
 def test_values_copy_a_read_only_array_the_caller_owns():
     a = np.ones(8)
     a.setflags(write=False)
-    f, d, s = CubeFunction(3, a), Density(3, a), Spectrum(3, a)
-    spectrum = wht(d)
+    f, s = CubeFunction(3, a), Spectrum(3, a)
+    spectrum = wht(f)
     a.setflags(write=True)  # the owner may make it writeable again
     a[0] = 5.0
-    for vals in (f.values, d.values, s.coeffs):
+    for vals in (f.values, s.coeffs):
         np.testing.assert_array_equal(vals, np.ones(8))
-    assert d.values.mean() == 1.0
-    assert wht(d) is spectrum
+    assert wht(f) is spectrum
     np.testing.assert_array_equal(spectrum.coeffs, wht(uniform_space(3).density).coeffs)
 
 
@@ -522,7 +515,7 @@ def test_a_function_made_from_its_values_transforms_once(monkeypatch):
 
 
 def test_convolution_builds_its_values_only_when_read(monkeypatch):
-    # a Density keeps its spectrum, so once both are read the only butterfly
+    # a function keeps its spectrum, so once both are read the only butterfly
     # left in a convolution is the inverse that builds its values
     rng = np.random.default_rng(8)
     f = SampleSpace(6, np.arange(64), rng.dirichlet(np.ones(64))).density
@@ -681,14 +674,10 @@ def test_computed_vectors_are_checked_finite_by_their_sum():
     assert CubeFunction(2, np.full(4, 1e308)).values[0] == 1e308
 
 
-def test_radial_density_is_checked_as_a_density():
-    with pytest.raises(ValueError, match="mean must be 1"):
-        radial_density(3, [1.0, 1.0, 1.0, 0.5])
-    d = radial_density(3, [8.0, 0.0, 0.0, 0.0])
+def test_radial_checks_its_profile():
+    d = Radial(3, [8.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(d.spectrum.coeffs, np.ones(8))
     np.testing.assert_array_equal(d.values, point_space(3).density.values)
-    with pytest.raises(ValueError, match="nonnegative"):
-        radial_density(2, [2.0, 2.0, -2.0])
     with pytest.raises(DimensionError):
         Radial(3, [1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
@@ -700,6 +689,6 @@ def test_radial_density_is_checked_as_a_density():
 def test_spectral_inner_product_is_plancherel():
     rng = np.random.default_rng(9)
     f = SampleSpace(6, np.arange(64), rng.dirichlet(np.ones(64))).density
-    d = radial_density(6, np.full(7, 1.0))
+    d = Radial(6, np.full(7, 1.0))
     for g in (d, convolve(f, d), weight_one_indicator(6)):
         assert spectral_inner_product(f, g) == pytest.approx(inner_product(f, g), abs=1e-14)

@@ -28,6 +28,13 @@ grid: the file of random_code_20(), the code of the n = 20 chain row below,
 like the files dense-chain reads (the Hamming code of length 15 with --quick).
 The last reader row (texts=1 sep=tab) parses a copy of that file with a tab
 for each space, which the reader reads line by line.
+The level rows run at n = 8 and 12, the sizes of the small-corpus codes,
+and at n = 20: convolve (by=Radial) of a function that keeps its spectrum by
+a Radial function, whose spectrum is n + 1 levels, so the call scales the
+table row by row, as every chain's convolve(f, d) does, with no butterfly;
+and level_max_abs of that function's spectrum, the scan that
+independence_order and the chain run.  These calls take microseconds at
+n = 8 and 12, so every row's times are kept to 0.1 us.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
 marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
@@ -47,7 +54,7 @@ print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, one row of the rest, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, the level rows, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -77,6 +84,7 @@ import tracemalloc
 from pathlib import Path
 
 SIZES = (16, 20, 22)
+LEVEL_SIZES = (8, 12, 20)
 LARGE = 24
 SUPPORT = 1 << 16
 RUNS = 7
@@ -124,6 +132,23 @@ def large_kernels(quick: bool):
     f = CubeFunction(LARGE, np.random.default_rng(LARGE).uniform(-1.0, 1.0, size=1 << LARGE))
     yield "wht", LARGE, {}, lambda: wht(fresh(f))
     yield "adjacency_apply", LARGE, {}, lambda: adjacency_apply(f)
+
+
+def level_kernels():
+    """(name, n, parameter, zero-argument call) rows for a convolve by a
+    Radial function and for level_max_abs, at each n in LEVEL_SIZES."""
+    import numpy as np
+
+    from kwisent.cube import CubeFunction, Radial, convolve, level_max_abs
+
+    for n in LEVEL_SIZES:
+        rng = np.random.default_rng(n)
+        f = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
+        d = Radial(n, rng.uniform(0.0, 1.0, size=n + 1))
+        # the warm-up call builds both spectra, which are kept, so the timed
+        # calls run no butterfly
+        yield "convolve", n, {"by": "Radial"}, lambda f=f, d=d: convolve(f, d)
+        yield "level_max_abs", n, {}, lambda f=f: level_max_abs(f.spectrum)
 
 
 def oracle_kernels(quick: bool):
@@ -263,15 +288,15 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     )
     out = []
     for name, n, param, call in itertools.chain(
-        dense, large_kernels(quick), reader_kernels(quick), oracle_kernels(quick),
+        dense, large_kernels(quick), level_kernels(), reader_kernels(quick), oracle_kernels(quick),
         chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
     ):
         times, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
         row = {"label": label, "process": process, "kernel": name, "n": n, **param, "runs": runs}
-        row["median_ms"] = round(median * 1e3, 2)
-        row["q1_ms"] = round(q1 * 1e3, 2)
-        row["q3_ms"] = round(q3 * 1e3, 2)
+        row["median_ms"] = round(median * 1e3, 4)
+        row["q1_ms"] = round(q1 * 1e3, 4)
+        row["q3_ms"] = round(q3 * 1e3, 4)
         row["peak_mib"] = round(peak / 2**20, 2)
         if name not in RADIAL:
             row["peak_vectors"] = round(peak / (8 << n), 3)
@@ -294,7 +319,9 @@ def host() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--quick", action="store_true", help="n = 16 and one row of each other kernel, 3 runs"
+        "--quick",
+        action="store_true",
+        help="n = 16, the level rows and one row of each other kernel, 3 runs",
     )
     parser.add_argument("--label", default="checkout", help="row label")
     parser.add_argument("--process", type=int, default=1, help="index of this process for the label")
@@ -311,14 +338,15 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
-        params = [f" {key}={row[key]}" for key in ("r", "k", "texts", "sep", "space") if key in row]
+        keys = ("r", "k", "by", "texts", "sep", "space")
+        params = [f" {key}={row[key]}" for key in keys if key in row]
         size = f"n={row['n']}" + "".join(params)
         vectors = ""
         if "peak_vectors" in row:
             vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
         print(
-            f"{row['kernel']:<22} {size:<21} {row['median_ms']:>10.2f} ms"
-            f" [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
+            f"{row['kernel']:<22} {size:<21} {row['median_ms']:>10.4f} ms"
+            f" [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}]"
             f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )
     if args.output:

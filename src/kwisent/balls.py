@@ -169,9 +169,11 @@ def _perron_profile(n: int, r: int) -> np.ndarray:
     (weights alternate parity), so the spectrum is symmetric about zero and
     plain iteration would oscillate between the +/- extreme eigenvectors; a
     +n shift makes the dominant eigenvalue unique while keeping the same
-    eigenvector.  Stops when successive Rayleigh quotients differ by less
-    than RAYLEIGH_STEP and the eigen-residual is at most EIGEN_RESIDUAL, or
-    after MAX_POWER_ITERATIONS.
+    eigenvector.  The iterate starts positive and T + nI has no negative
+    entry, so no iterate has one either, in floating point too: the
+    eigenvector needs no sign fix.  Stops when successive Rayleigh quotients
+    differ by less than RAYLEIGH_STEP and the eigen-residual is at most
+    EIGEN_RESIDUAL, or after MAX_POWER_ITERATIONS.
     """
     w = np.arange(r, dtype=np.float64)
     off = np.sqrt((w + 1) * (n - w))  # exact integer products under the root
@@ -181,9 +183,8 @@ def _perron_profile(n: int, r: int) -> np.ndarray:
     prev = math.inf
     for _ in range(MAX_POWER_ITERATIONS):
         su = np.zeros(dim)
-        if r > 0:
-            su[:-1] += off * u[1:]
-            su[1:] += off * u[:-1]
+        su[:-1] += off * u[1:]
+        su[1:] += off * u[:-1]
         lam = float(u @ su)
         resid = float(np.linalg.norm(su - lam * u))
         if abs(lam - prev) < RAYLEIGH_STEP and resid <= EIGEN_RESIDUAL:
@@ -191,8 +192,6 @@ def _perron_profile(n: int, r: int) -> np.ndarray:
         prev = lam
         v = su + shift * u
         u = v / np.linalg.norm(v)
-    if u[int(np.argmax(np.abs(u)))] < 0:
-        u = -u
     log_profile = np.log(np.maximum(u, LOG_FLOOR)) - 0.5 * _log_binomials(n, r)
     return np.exp(log_profile - log_profile.max())
 

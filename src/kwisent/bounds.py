@@ -151,8 +151,6 @@ def _smoothing_terms(n: int, k: int) -> tuple[int | None, float | None, float | 
     binomial-sum entropy cap needs r* <= n/2); outside it, or when no
     radius <= n/2 qualifies, the bound does not apply.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     r = None if halfwise_applies(n, k) else min_radius(n, k)
     if r is None or 2 * r > n:
         return None, None, None

@@ -72,8 +72,9 @@ class _Fresh:
         self.vals = vals
 
 
-def _frozen_vector(raw, n: int) -> np.ndarray:
-    """A checked, read-only float64 vector.
+def _frozen_vector(raw, size: int) -> np.ndarray:
+    """A checked, read-only float64 vector of the given length: the values or
+    spectrum of a function on the cube, or a Radial profile by weight.
 
     Anything a caller passes in is copied, so no array the caller holds, a
     read-only one included, can change it later, and each value is checked
@@ -84,10 +85,8 @@ def _frozen_vector(raw, n: int) -> np.ndarray:
     """
     fresh = isinstance(raw, _Fresh)
     vals = raw.vals if fresh else np.array(raw, dtype=np.float64)
-    if vals.shape != (1 << n,):
-        raise DimensionError(
-            f"expected vector of length 2^{n} = {1 << n}, got shape {vals.shape}"
-        )
+    if vals.shape != (size,):
+        raise DimensionError(f"expected a vector of length {size}, got shape {vals.shape}")
     if fresh:
         # inf - inf and an overflowing sum are refusals, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -109,7 +108,7 @@ class CubeFunction:
     def __init__(self, n: int, values):
         check_dimension(n)
         self.n = n
-        self.values = _frozen_vector(values, n)
+        self.values = _frozen_vector(values, 1 << n)
 
     @property
     def size(self) -> int:
@@ -118,7 +117,7 @@ class CubeFunction:
     @cached_property
     def values(self) -> np.ndarray:
         """The inverse transform of the spectrum: the butterfly alone."""
-        return _frozen_vector(_Fresh(_fwht(self.spectrum.coeffs)), self.n)
+        return _frozen_vector(_Fresh(_fwht(self.spectrum.coeffs)), self.size)
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -147,11 +146,11 @@ class Spectrum:
     def __init__(self, n: int, coeffs):
         check_dimension(n)
         self.n = n
-        self.coeffs = _frozen_vector(coeffs, n)
+        self.coeffs = _frozen_vector(coeffs, 1 << n)
 
     @cached_property
     def coeffs(self) -> np.ndarray:
-        return _frozen_vector(_Fresh(self.levels[subset_sizes(self.n)]), self.n)
+        return _frozen_vector(_Fresh(self.levels[subset_sizes(self.n)]), 1 << self.n)
 
 
 def _by_level(n: int, levels: np.ndarray) -> Spectrum:
@@ -357,44 +356,54 @@ def level_profile(s: Spectrum) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=8)
-def _masks_by_level(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The masks < 2^n ordered by popcount, and where each level begins, as
-    read-only arrays."""
-    sizes = subset_sizes(n)
-    order = np.argsort(sizes, kind="stable")
-    starts = np.searchsorted(sizes[order], np.arange(n + 1))
-    for table in (order, starts):
-        table.setflags(write=False)
-    return order, starts
-
-
 # log2 of the row length of level_max_abs and _level_scaled: 2^12 values
 # (32 KiB) per row
 _LEVEL_ROW = 12
 
 
+@lru_cache(maxsize=DIMENSION_CAP)  # one layout per dimension, under 1 MiB each
+def _level_rows(n: int, low: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """A 2^n table seen as 2^high rows of 2^low values (high = n - low), by
+    popcount: mask S is row S >> low, column c = S & (2^low - 1), and |S| is
+    the popcount p of its row plus |c|.
+
+    Returns p for each row, as a tuple; the (high + 1, 2^low) table of the
+    levels p + |c|; and the low masks c ordered by popcount, with where each
+    popcount begins.  The arrays are read-only.  Each caller passes
+    low = min(n, _LEVEL_ROW), so the cache key holds the row length, and a
+    layout built for one row length is never read for another.
+    """
+    sizes = subset_sizes(low)
+    level_table = np.add.outer(np.arange(n - low + 1), sizes)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(low + 1))
+    for table in (level_table, order, starts):
+        table.setflags(write=False)
+    return tuple(subset_sizes(n - low).tolist()), level_table, order, starts
+
+
 def _level_scaled(coeffs: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """coeffs[S] * levels[|S|] for every mask S, into a fresh array.
 
-    On the (2^high, 2^low) view, row r is multiplied by row p of the
-    (high + 1, 2^low) table levels[p + |c|], p the popcount of r: the same
-    products as against the gathered table, with no 2^n gather.
+    On the rows of _level_rows, row r is multiplied by row p of
+    levels[p + |c|], p the popcount of r's high bits: the same products as
+    against the gathered table, with no 2^n gather.
     """
     n = levels.size - 1
     low = min(n, _LEVEL_ROW)
-    table = levels[np.add.outer(np.arange(n - low + 1), subset_sizes(low))]
+    pops, level_table, _, _ = _level_rows(n, low)
+    scale = levels[level_table]
     out = np.empty_like(coeffs)
     grid, flat = out.reshape(-1, 1 << low), coeffs.reshape(-1, 1 << low)
-    for r, p in enumerate(subset_sizes(n - low).tolist()):
-        np.multiply(flat[r], table[p], out=grid[r])
+    for r, p in enumerate(pops):
+        np.multiply(flat[r], scale[p], out=grid[r])
     return out
 
 
 def level_max_abs(s: Spectrum) -> np.ndarray:
     """Largest |coeff(S)| per level |S|; the independence-order scan input.
 
-    On the (2^high, 2^low) view, each row's |coeff| goes into the running
+    On the rows of _level_rows, each row's |coeff| goes into the running
     maximum of the rows whose high bits have its popcount p; then each of
     those high + 1 rows is split by the popcount q of the low bits, and its
     maxima go to level p + q.  A maximum does not round, so the order in
@@ -402,12 +411,11 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
     """
     n = s.n
     low = min(n, _LEVEL_ROW)
-    high = n - low
-    rows = np.zeros((high + 1, 1 << low))
+    pops, _, order, starts = _level_rows(n, low)
+    rows = np.zeros((n - low + 1, 1 << low))
     buf = np.empty(1 << low)
-    for row, p in zip(s.coeffs.reshape(-1, 1 << low), subset_sizes(high).tolist()):
+    for row, p in zip(s.coeffs.reshape(-1, 1 << low), pops):
         np.maximum(rows[p], np.abs(row, out=buf), out=rows[p])
-    order, starts = _masks_by_level(low)
     out = np.zeros(n + 1)
     for p, maxima in enumerate(np.maximum.reduceat(np.take(rows, order, axis=1), starts, axis=1)):
         np.maximum(out[p : p + low + 1], maxima, out=out[p : p + low + 1])
@@ -441,18 +449,14 @@ class Radial(CubeFunction):
     Python's integer division rounds it correctly.  The spectrum is made
     from those n + 1 levels on first read, and gathers its dense table only
     when coeffs is read; the values are gathered from the profile on first
-    read.  Each is kept.
+    read.  Each is kept.  The profile is checked as any vector a caller
+    passes in (_frozen_vector, with n + 1 values): copied, checked finite,
+    and kept read-only.
     """
 
     def __init__(self, n: int, profile):
         check_dimension(n)
-        profile = np.array(profile, dtype=np.float64)
-        if profile.shape != (n + 1,):
-            raise DimensionError(f"expected {n + 1} values by weight, got shape {profile.shape}")
-        if not np.all(np.isfinite(profile)):
-            raise ValueError("values must be finite (no NaN or infinity)")
-        profile.setflags(write=False)
-        self.n, self.profile = n, profile
+        self.n, self.profile = n, _frozen_vector(profile, n + 1)
 
     @cached_property
     def level_spectrum(self) -> np.ndarray:
@@ -472,7 +476,7 @@ class Radial(CubeFunction):
 
     @cached_property
     def values(self) -> np.ndarray:
-        return _frozen_vector(_Fresh(self.profile[subset_sizes(self.n)]), self.n)
+        return _frozen_vector(_Fresh(self.profile[subset_sizes(self.n)]), self.size)
 
 
 def weight_one_indicator(n: int) -> Radial:

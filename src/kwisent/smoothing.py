@@ -311,7 +311,6 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     kernel = weight_one_indicator(n)
     assoc_left = spectral_inner_product(convolve(kernel, convolve(d, f)), g)
     assoc_right = spectral_inner_product(convolve(convolve(kernel, d), f), g)
-    del kernel
 
     pointwise_margin = _eigen_margin(d, lam)
     pointwise_tol = EIGEN_DENSITY_RELATIVE * max(1.0, lam * float(d.profile.max()))

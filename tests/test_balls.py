@@ -99,7 +99,9 @@ def test_lam_is_the_lower_end_of_the_final_bracket():
 
 
 def test_radial_profile_positive_and_residual_small():
-    for n, r in ((9, 3), (14, 7), (24, 10)):
+    # every radius up to n = 16: the power iteration keeps the sign it starts with
+    cases = [(n, r) for n in range(1, 17) for r in range(n + 1)]
+    for n, r in cases + [(24, 10)]:
         spec = lambda_ball(n, r)
         h = spec.radial_profile
         assert np.all(h > 0)
@@ -112,7 +114,7 @@ def test_radial_profile_positive_and_residual_small():
         tu[:-1] += off * u[1:]
         tu[1:] += off * u[:-1]
         assert np.linalg.norm(tu - spec.lam * u) <= 1e-9
-        assert spec.iterations >= 1
+        assert (spec.iterations >= 1) == (r > 0)  # radius 0 needs no bisection
 
 
 def test_lifted_density_is_eigenfunction(hamming7):

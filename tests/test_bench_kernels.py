@@ -1,7 +1,7 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, the convolve, warm and fresh chain and ball density rows
-count their butterflies, and the reader has a row on the random file and two
-on a code's one-text file, as written and with tab separators."""
+row is produced, the convolve, warm and fresh chain, ball density and level
+rows count their butterflies, and the reader has a row on the random file and
+two on a code's one-text file, as written and with tab separators."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
     "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
+    "level_max_abs",
 }
 
 
@@ -26,8 +27,22 @@ def test_quick_rows_cover_every_kernel():
     rows = load_script().rows((10,), 2, "test", quick=True)
     assert {row["kernel"] for row in rows} == KERNELS
     assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
-    convolve = [row["butterflies"] for row in rows if row["kernel"] == "convolve"]
+    convolve = [
+        row["butterflies"] for row in rows if row["kernel"] == "convolve" and "by" not in row
+    ]
     assert convolve == [3]  # two forward, and the inverse that builds the values
+    # a function that keeps its spectrum, by a Radial one, and the level scan
+    # of that spectrum: the level kernels alone, with no butterfly
+    level = [
+        (row["kernel"], row["n"], row.get("by"), row["butterflies"])
+        for row in rows
+        if row["kernel"] == "level_max_abs" or "by" in row
+    ]
+    assert level == [
+        (kernel, n, by, 0)
+        for n in (8, 12, 20)
+        for kernel, by in (("convolve", "Radial"), ("level_max_abs", None))
+    ]
     # g keeps its spectrum, so a warm chain runs g's values alone, and a
     # fresh space adds its own spectrum
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]

@@ -377,6 +377,12 @@ def test_level_max_abs_bit_identical_to_the_scatter_maximum(n):
         assert_same_bits(level_max_abs(s), level_max_abs_scatter(s))
 
 
+@pytest.mark.parametrize("n", range(1, 23))
+def test_level_max_abs_on_rows_of_4_values_is_the_scatter_maximum(n, monkeypatch):
+    monkeypatch.setattr(kwisent.cube, "_LEVEL_ROW", 2)
+    test_level_max_abs_bit_identical_to_the_scatter_maximum(n)
+
+
 def test_validation_errors():
     with pytest.raises(DimensionError):
         CubeFunction(3, np.zeros(7))
@@ -601,6 +607,12 @@ def test_level_scaled_product_is_the_gathered_product_bit_for_bit(n, row, monkey
     levels = random_profile(n, rng) * rng.choice([-1.0, 1.0], n + 1)
     coeffs = rng.uniform(-1.0, 1.0, 1 << n) * 2.0 ** rng.integers(-40, 40, 1 << n)
     assert_same_bits(kwisent.cube._level_scaled(coeffs, levels), coeffs * levels[subset_sizes(n)])
+    # the layout is cached by (n, row length), and no caller can change it
+    low = min(n, kwisent.cube._LEVEL_ROW)
+    pops, level_table, order, starts = kwisent.cube._level_rows(n, low)
+    assert isinstance(pops, tuple) and len(pops) == 1 << (n - low)
+    assert level_table.shape == (n - low + 1, 1 << low)
+    assert not any(a.flags.writeable for a in (level_table, order, starts))
 
 
 @pytest.mark.parametrize("n", [1, 6, 13, 18])
@@ -656,7 +668,7 @@ def test_computed_vectors_are_checked_finite_by_their_sum():
     vals = np.random.default_rng(22).uniform(-1.0, 1.0, 1 << n)
     tracemalloc.start()
     try:
-        kwisent.cube._frozen_vector(kwisent.cube._Fresh(vals), n)
+        kwisent.cube._frozen_vector(kwisent.cube._Fresh(vals), 1 << n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -665,17 +677,20 @@ def test_computed_vectors_are_checked_finite_by_their_sum():
         raw = np.zeros(8)
         raw[: len(bad)] = bad
         with pytest.raises(ValueError, match="finite"):
-            kwisent.cube._frozen_vector(kwisent.cube._Fresh(raw), 3)
+            kwisent.cube._frozen_vector(kwisent.cube._Fresh(raw), 8)
         with pytest.raises(ValueError, match="finite"):
             CubeFunction(3, raw)  # a caller's array is checked value by value
     # the stated limit: finite values whose sum passes 1.8e308 are refused
     with pytest.raises(ValueError, match="finite"):
-        kwisent.cube._frozen_vector(kwisent.cube._Fresh(np.full(4, 1e308)), 2)
+        kwisent.cube._frozen_vector(kwisent.cube._Fresh(np.full(4, 1e308)), 4)
     assert CubeFunction(2, np.full(4, 1e308)).values[0] == 1e308
 
 
 def test_radial_checks_its_profile():
-    d = Radial(3, [8.0, 0.0, 0.0, 0.0])
+    profile = np.array([8.0, 0.0, 0.0, 0.0])
+    d = Radial(3, profile)
+    profile[0] = 1.0  # the caller's array was copied
+    assert d.profile[0] == 8.0 and not d.profile.flags.writeable
     np.testing.assert_array_equal(d.spectrum.coeffs, np.ones(8))
     np.testing.assert_array_equal(d.values, point_space(3).density.values)
     with pytest.raises(DimensionError):

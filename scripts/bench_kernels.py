@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Time the dense cube kernels, the sample-space reader and writer, the
 marginal oracle, the smoothing chain, the ball density's spectrum, the ball
-eigenvalue and the radius search, one call at a time.
+eigenvalue and the radius search.
 
 For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text,
 SampleSpace.to_text) and each n in 16, 20, 22, and for wht and
 adjacency_apply also at n = 24 (128 MiB per vector; not with --quick),
 where a transform outgrows the 2^16-value rows it runs through in cache, it
-reports the median and the
-quartiles of the wall times of repeated calls (time.perf_counter;
-statistics.quantiles) and the peak memory one call allocates beyond its
-inputs (tracemalloc), also in units of one dense 2^n float vector, and the
-butterflies (full-length fast transforms) one call runs.  A cube function
-keeps its spectrum once read, so the wht and convolve rows make their
-functions inside the timed call, on fixed arrays taken over without a copy
+reports the median and the quartiles of the wall time per call over
+repeated batches of calls (timeit; statistics.quantiles), and the calls per
+batch; the peak memory one call allocates beyond its inputs (tracemalloc),
+also in units of one dense 2^n float vector; and the butterflies
+(full-length fast transforms) one call runs.  timeit's autorange sets the
+calls per batch, the fewest of 1, 2, 5, 10, 20, 50, ... that take at least
+0.2 s, so a row of microseconds is timed over thousands of calls and a row
+slower than 0.2 s one call at a time; autorange's calls are the warm-up,
+and timeit turns the garbage collector off while it times.
+A cube function keeps its spectrum once read, so the wht and convolve rows
+make their functions inside the timed call, on fixed arrays taken over without a copy
 (fresh), and every call runs its butterflies; the convolve row reads the
 result's values, since a convolution is made from its spectral product and
 runs its inverse butterfly only when its values are first read.  The reader
@@ -26,8 +30,12 @@ probability as in every space built from a code.  A further reader row
 probability text on lines of one width, which the reader slices as a byte
 grid: the file of random_code_20(), the code of the n = 20 chain row below,
 like the files dense-chain reads (the Hamming code of length 15 with --quick).
-The last reader row (texts=1 sep=tab) parses a copy of that file with a tab
-for each space, which the reader reads line by line.
+The reader row texts=1 sep=tab parses a copy of that file with a tab for
+each space, which the reader reads line by line.  The texts=2 rows write
+and read the space of that code with probabilities alternating between two
+texts of one width (5 and 3 parts in 2^(k + 2), for 2^k points), which the
+writer writes and the reader reads line by line, since the byte grid takes
+one probability text only.
 The level rows run at n = 8 and 12, the sizes of the small-corpus codes,
 and at n = 20: convolve (by=Radial) of a function that keeps its spectrum by
 a Radial function, whose spectrum is n + 1 levels, so the call scales the
@@ -79,7 +87,7 @@ import os
 import platform
 import statistics
 import sys
-import time
+import timeit
 import tracemalloc
 from pathlib import Path
 
@@ -170,15 +178,24 @@ def oracle_kernels(quick: bool):
 def reader_kernels(quick: bool):
     """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text
     on the one-text file of a space built from a code, and on a copy of it
-    with a tab between the bits and the probability."""
+    with a tab between the bits and the probability; and for to_text and
+    from_text on that code's points with two alternating probability texts."""
+    import numpy as np
+
     from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
 
     code = hamming_code(4) if quick else random_code_20()
-    text = parity_sampler_space(code).to_text()
+    space = parity_sampler_space(code)
+    text = space.to_text()
     tabs = text.replace(" ", "\t")
+    unit = space.probabilities[0] / 4  # 5 + 3 units for each pair of points
+    two = SampleSpace(code.cols, space.points, np.resize([5 * unit, 3 * unit], space.points.size))
+    two_text = two.to_text()
     read = SampleSpace.from_text
     yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: read(text)
     yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, lambda: read(tabs)
+    yield "SampleSpace.to_text", code.cols, {"texts": 2}, two.to_text
+    yield "SampleSpace.from_text", code.cols, {"texts": 2}, lambda: read(two_text)
 
 
 def random_code_20():
@@ -243,21 +260,19 @@ def radial_kernels(quick: bool):
         yield "min_radius", n, {"k": k}, lambda n=n, k=k: min_radius(n, k)
 
 
-def measure(call, runs: int) -> tuple[list[float], int]:
-    """Seconds of each of runs calls, and the peak bytes of one traced call."""
-    call()  # warm-up: imports and numpy's first-use setup
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+def measure(call, runs: int) -> tuple[list[float], int, int]:
+    """Seconds per call in each of runs batches, the calls per batch, and the
+    peak bytes of one traced call."""
+    timer = timeit.Timer(call)
+    calls = timer.autorange()[0]  # also the warm-up: imports and numpy's first-use setup
+    times = [batch / calls for batch in timer.repeat(runs, calls)]
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return times, peak
+    return times, calls, peak
 
 
 def butterflies(call) -> int:
@@ -291,9 +306,10 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
         dense, large_kernels(quick), level_kernels(), reader_kernels(quick), oracle_kernels(quick),
         chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
     ):
-        times, peak = measure(call, runs)
+        times, calls, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
         row = {"label": label, "process": process, "kernel": name, "n": n, **param, "runs": runs}
+        row["calls"] = calls
         row["median_ms"] = round(median * 1e3, 4)
         row["q1_ms"] = round(q1 * 1e3, 4)
         row["q3_ms"] = round(q3 * 1e3, 4)
@@ -346,7 +362,7 @@ def main(argv=None) -> int:
             vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
         print(
             f"{row['kernel']:<22} {size:<21} {row['median_ms']:>10.4f} ms"
-            f" [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}]"
+            f" [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}] x{row['calls']:<6}"
             f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )
     if args.output:

@@ -25,10 +25,30 @@ from .cube import CubeFunction, Radial
 from .kwise import independence_order
 
 
-def _shannon(p: np.ndarray) -> float:
-    """-sum p log2 p over the positive entries of p; zeros drop out."""
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum()) + 0.0
+# Values per block of _shannon: 2^14 (128 KiB), which took as long as the
+# whole-vector route at n = 20 (2-vCPU x86)
+_BLOCK = 1 << 14
+
+
+def _shannon(values: np.ndarray, total: float = 1.0) -> float:
+    """-sum p log2 p over the positive p = values / total; zeros drop out.
+
+    The positive p are taken after the division, so a value that underflows
+    to zero drops out rather than giving 0 * log2 0.  Block by block, the
+    terms p log2 p are appended to one array, which is then summed once:
+    the array and the pairwise sum of the whole-vector route
+    -(p * log2 p).sum(), so the same bits, in one array where that route
+    makes three.  A sum per block would round differently.
+    """
+    terms = np.empty(values.size)
+    end = 0
+    for start in range(0, values.size, _BLOCK):
+        p = values[start : start + _BLOCK] / total
+        p = p[p > 0]
+        out = terms[end : end + p.size]
+        np.multiply(p, np.log2(p, out=out), out=out)
+        end += p.size
+    return float(-terms[:end].sum()) + 0.0
 
 
 def shannon_entropy(space: SampleSpace) -> float:
@@ -41,30 +61,9 @@ def renyi2_entropy(space: SampleSpace) -> float:
     return float(-math.log2(float((space.probabilities**2).sum())))
 
 
-# Values per block of shannon_from_density: 2^14 (128 KiB), which took as
-# long as the whole-vector route at n = 20 (2-vCPU x86)
-_BLOCK = 1 << 14
-
-
 def shannon_from_density(density: CubeFunction) -> float:
-    """Shannon entropy through the density path (p = values / 2^n).
-
-    The positive entries are taken after the division, so a value that
-    underflows to zero drops out rather than giving 0 * log2 0.  Block by
-    block, the terms p log2 p of the positive p are appended to one array,
-    which is then summed once: the array and the pairwise sum of
-    _shannon(values / 2^n), so the same bits, in one 2^n array where that
-    route makes three.  A sum per block would round differently.
-    """
-    terms = np.empty(density.size)
-    end = 0
-    for start in range(0, density.size, _BLOCK):
-        p = density.values[start : start + _BLOCK] / density.size
-        p = p[p > 0]
-        out = terms[end : end + p.size]
-        np.multiply(p, np.log2(p, out=out), out=out)
-        end += p.size
-    return float(-terms[:end].sum()) + 0.0
+    """Shannon entropy through the density path (p = values / 2^n)."""
+    return _shannon(density.values, density.size)
 
 
 def shannon_from_radial(d: Radial) -> float:

@@ -4,11 +4,12 @@ Matrices store one int bitmask per row.  Coordinate j (1-based, as written
 in the text formats) lives at bit position cols - j, so the leftmost
 character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 
-A sample space file is written as one byte grid, a row per point.  A file
-in that layout, every line '<n bits> <probability text>' with one width, is
-read back by slicing the grid's columns, which only accepts; any other
-file is read line by line, more slowly, to the same values, and so is a
-grid the values refuse, for the message and number of its first bad line.
+The sample space file of a code, every line '<n bits> <probability text>'
+with one width and one probability text, is written as one byte grid, a row
+per point, and read back by slicing the grid's columns, which only accepts.
+Any other space is written one line at a time, and any other file is read
+line by line, more slowly, to the same values, and so is a grid the values
+refuse, for the message and number of its first bad line.
 """
 
 from __future__ import annotations
@@ -238,47 +239,41 @@ class SampleSpace:
     def to_text(self) -> str:
         """'n=<n>', then '<bitstring> <repr(probability)>' per point.
 
-        The body is built as one byte grid, a row per point: the bits
-        unpacked from the point, a space, and the text of its probability.
-        Each distinct probability is formatted once, keyed by its bits, so
-        0.0 and -0.0 keep their own text; where the texts differ in length,
-        each row is cut after its own text.
+        Where every probability has the same bits, as in every space built
+        from a code, the body is built as one byte grid, a row per point:
+        the bits unpacked from the point, a space, and the one probability
+        text.  Any other space is written one line at a time, so 0.0 and
+        -0.0 keep their own text.
         """
         n, size = self.n, self.points.size
         keys = self.probabilities.view(np.uint64)
-        if (keys == keys[0]).all():  # a space built from a code has one value
-            keys, index = keys[:1], np.zeros(size, dtype=np.intp)
-        else:
-            keys, index = np.unique(keys, return_inverse=True)
-        texts = [f"{q!r}\n".encode() for q in keys.view(np.float64).tolist()]
-        widths = [len(text) for text in texts]
-        tails = np.array(texts).view(np.uint8).reshape(len(texts), -1)  # NUL-padded
-        grid = np.empty((size, n + 1 + tails.shape[1]), dtype=np.uint8)
+        if not (keys == keys[0]).all():
+            rows = zip(self.points.tolist(), self.probabilities.tolist())
+            return f"n={n}\n" + "".join(f"{p:0{n}b} {q!r}\n" for p, q in rows)
+        tail = f"{self.probabilities[0].item()!r}\n".encode()  # a Python float's repr
+        grid = np.empty((size, n + 1 + len(tail)), dtype=np.uint8)
         octets = self.points.astype("<u8", copy=False).view(np.uint8).reshape(size, 8)
         bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")  # coordinate n first
         np.add(bits[:, ::-1], ord("0"), out=grid[:, :n])
         grid[:, n] = ord(" ")
-        grid[:, n + 1 :] = tails[index]
-        if min(widths) < max(widths):  # keep each row up to its own newline
-            body = grid[np.arange(grid.shape[1]) <= n + np.array(widths)[index][:, None]]
-        else:
-            body = grid.ravel()
-        return f"n={n}\n" + str(memoryview(body), "ascii")
+        grid[:, n + 1 :] = np.frombuffer(tail, dtype=np.uint8)
+        return f"n={n}\n" + str(memoryview(grid.ravel()), "ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "SampleSpace":
         """Read the 'n=<n>' header, then one '<bitstring> <probability>' line
         per point.
 
-        A text in the layout to_text writes (ASCII, '\\n' line ends, every
-        line '<n bits> <text>' with one width) is sliced as a byte grid, a
-        row per line (_read_grid).  Where the values sliced sum to 1 within
-        FILE_TOTAL_MASS, in line order, they go to the constructor, whose one
-        sort also refuses a repeated point.  Any other text, and a grid that
-        the sum or the constructor refuses, is read line by line
-        (_read_lines), which raises the FormatError of its first bad line,
-        with its number, else of no points or of the sum; a grid it finds
-        nothing wrong with keeps the constructor's own ValueError.
+        A text in the layout to_text writes for a code (ASCII, '\\n' line
+        ends, every line '<n bits> <text>' with one width and one text) is
+        sliced as a byte grid, a row per line (_read_grid).  Where the values
+        sliced sum to 1 within FILE_TOTAL_MASS, in line order, they go to the
+        constructor, whose one sort also refuses a repeated point.  Any other
+        text, as one with many probability texts, and a grid that the sum or
+        the constructor refuses, is read line by line (_read_lines), which
+        raises the FormatError of its first bad line, with its number, else
+        of no points or of the sum; a grid it finds nothing wrong with keeps
+        the constructor's own ValueError.
         """
         read = _read_grid(text)
         if read is not None:
@@ -308,12 +303,12 @@ def _read_header(line: str) -> int:
 
 
 def _read_grid(text: str):
-    """(n, points, probabilities) of a text in the layout to_text writes, read
-    as a (lines, width) byte grid, else None: an ASCII text whose header is
-    one line ended by '\\n', and whose every later line is '<n bits of 0/1>
-    <nonblank token>' with one width.  Such lines hold no whitespace but the
-    one space, so they split into the same two tokens as str.split finds.  A
-    probability text float() refuses reads as NaN."""
+    """(n, points, probabilities) of a text in the layout to_text writes for a
+    code, read as a (lines, width) byte grid, else None: an ASCII text whose
+    header is one line ended by '\\n', and whose every later line is '<n bits
+    of 0/1> <nonblank token>' with one width and one token.  Such lines hold
+    no whitespace but the one space, so they split into the same two tokens
+    as str.split finds.  A probability text float() refuses reads as NaN."""
     end = text.find("\n")
     head = text[:end]
     if end <= 0 or not text.isascii() or head.splitlines() != [head]:
@@ -326,21 +321,16 @@ def _read_grid(text: str):
         return None
     data = text.encode("ascii")  # ASCII: one byte per character, at the same offsets
     grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(-1, width)
-    tails = grid[:, n + 1 : -1]
+    tail = grid[0, n + 1 : -1]
     if not (
         (grid[:, -1] == ord("\n")).all()
         and (grid[:, n] == ord(" ")).all()
-        and (tails > ord(" ")).all()  # ASCII whitespace is all <= ' '
+        and (grid[:, n + 1 : -1] == tail).all()  # the one probability text
+        and (tail > ord(" ")).all()  # ASCII whitespace is all <= ' '
         and ((grid[:, :n] | 1) == ord("1")).all()  # only '0' and '1' OR 1 to '1'
     ):
         return None
-    if (tails == tails[0]).all():  # a space built from a code has one text
-        keys, index = tails[:1], np.zeros(len(grid), dtype=np.intp)
-    else:
-        rows = np.ascontiguousarray(tails).view(f"S{tails.shape[1]}").ravel()
-        keys, index = np.unique(rows, return_inverse=True)
-    probs = np.array([_float_or_nan(key.tobytes().decode("ascii")) for key in keys])
-    return n, _points(grid[:, :n]), probs[index]
+    return n, _points(grid[:, :n]), np.full(len(grid), _float_or_nan(tail.tobytes().decode()))
 
 
 def _points(digits: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
 row is produced, the convolve, warm and fresh chain, ball density and level
-rows count their butterflies, and the reader has a row on the random file and
-two on a code's one-text file, as written and with tab separators."""
+rows count their butterflies, the reader has a row on the random file and
+two on a code's one-text file, as written and with tab separators, and the
+reader and the writer each have a row on that code's two-text file; and a
+row is timed in batches whose size timeit's autorange sets."""
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
+import timeit
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
@@ -23,10 +27,24 @@ def load_script():
     return module
 
 
-def test_quick_rows_cover_every_kernel():
+def test_rows_are_timed_in_batches_autorange_sets():
+    # a call of well under a microsecond runs thousands of times a batch:
+    # autorange's batches, then runs batches of that size, then one traced call
+    count = itertools.count()
+    times, calls, peak = load_script().measure(lambda: next(count), 3)
+    assert calls >= 1000 and len(times) == 3
+    assert next(count) > 4 * calls
+    assert all(0.0 < t < 1e-4 for t in times)  # seconds per call, not per batch
+
+
+def test_quick_rows_cover_every_kernel(monkeypatch):
+    # one call a batch, which the test above leaves to autorange: its batches
+    # take 0.2 s or more on each row
+    monkeypatch.setattr(timeit.Timer, "autorange", lambda self: (1, 0.0))
     rows = load_script().rows((10,), 2, "test", quick=True)
     assert {row["kernel"] for row in rows} == KERNELS
     assert all(row["label"] == "test" and row["runs"] == 2 for row in rows)
+    assert all(row["calls"] == 1 for row in rows)
     convolve = [
         row["butterflies"] for row in rows if row["kernel"] == "convolve" and "by" not in row
     ]
@@ -56,9 +74,15 @@ def test_quick_rows_cover_every_kernel():
     ball = [row for row in rows if row["kernel"] == "ball_density.spectrum"]
     assert [(row["n"], row["r"], row["butterflies"]) for row in ball] == [(16, 5, 0)]
     assert 1.0 <= ball[0]["peak_vectors"] < 1.15
-    # the one-text file of a code's space, sliced as a byte grid, and its
-    # tab-separated copy, split into tokens
+    # the one-text file of a code's space, sliced as a byte grid, its
+    # tab-separated copy, split into tokens, and the two-text file, written
+    # and read line by line
     reader = [row for row in rows if row["kernel"] == "SampleSpace.from_text"]
     assert [
         (row["n"], row.get("texts"), row.get("sep"), row["butterflies"]) for row in reader
-    ] == [(10, None, None, 0), (15, 1, None, 0), (15, 1, "tab", 0)]
+    ] == [(10, None, None, 0), (15, 1, None, 0), (15, 1, "tab", 0), (15, 2, None, 0)]
+    writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
+    assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
+        (10, None, 0),
+        (15, 2, 0),
+    ]

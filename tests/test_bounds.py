@@ -63,7 +63,8 @@ def test_shannon_from_density_is_the_one_array_sum(case):
     p = density.values / density.size
     assert (p == 0.0).any()
     assert ((density.values > 0.0) & (p == 0.0)).any() == (case == "underflow")
-    expect = bounds._shannon(p)
+    positive = p[p > 0]
+    expect = float(-(positive * np.log2(positive)).sum()) + 0.0  # the whole-vector route
     assert shannon_from_density(density) == expect
     assert math.copysign(1.0, shannon_from_density(density)) == math.copysign(1.0, expect)
     if case == "blocks":

@@ -443,7 +443,8 @@ def near_miss(line, n, kind):
 def grid_space_texts(draw):
     """(text, sliced): a file in to_text's layout, with one probability text
     or many, bad texts and repeated points at any line, and perhaps no final
-    newline; sliced is False where one line is a near miss of the layout."""
+    newline; sliced is False where one line is a near miss of the layout, or
+    where the lines hold more than one probability text."""
     n = draw(st.integers(1, 63))
     size = draw(st.integers(1, min(40, 1 << n)))
     points = draw(
@@ -462,7 +463,8 @@ def grid_space_texts(draw):
         at = draw(st.integers(1, size - 1))
         points[at] = points[draw(st.integers(0, at - 1))]
     width = max(map(len, texts))
-    lines = [f"{p:0{n}b} {widen(t, width)}\n" for p, t in zip(points, texts)]
+    tails = [widen(t, width) for t in texts]
+    lines = [f"{p:0{n}b} {t}\n" for p, t in zip(points, tails)]
     # a single line one character longer is still one width
     kinds = ["tab", "two spaces", "crlf", "digit 2", "blank"] + ["longer"] * (size > 1)
     kind = draw(st.sampled_from([None] * len(kinds) + kinds))
@@ -472,13 +474,14 @@ def grid_space_texts(draw):
     text = f"n={n}\n" + "".join(lines)
     if draw(st.booleans()):
         text = text[:-1]
-    return text, kind is None
+    return text, kind is None and len(set(tails)) == 1
 
 
 @given(grid_space_texts())
 def test_sample_space_grid_reader_matches_line_by_line_reference(case):
-    # the grid is tried once; a near miss is read line by line once, and a
-    # sliced text the constructor accepts never is
+    # the grid is tried once; a near miss or a file of many probability texts
+    # is read line by line once, and a sliced text the constructor accepts
+    # never is
     text, sliced = case
     accepted, grid_reads, line_reads = reads_like_reference_counting_reads(text)
     assert (grid_reads, line_reads) == (1, 0 if sliced and accepted else 1)
@@ -513,6 +516,21 @@ def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     assert np.array_equal(
         parsed.probabilities.view(np.uint64), space.probabilities.view(np.uint64)
     )
+
+
+def test_two_alternating_texts_of_one_width_are_read_line_by_line():
+    # the file the CI workflow's reader step builds: the Hamming code of
+    # length 15, with probabilities alternating between two texts of one
+    # width and summing to exactly 1; the grid takes one text only, so one
+    # line-by-line read gives the values of the tab-separated copy
+    points = parity_sampler_space(hamming_code(4)).points
+    text = SampleSpace(15, points, np.resize([1 / 4096, 3 / 4096], points.size)).to_text()
+    assert {len(line) for line in text.splitlines()[1:]} == {30}
+    assert codes._read_grid(text) is None
+    assert reads_like_reference_counting_reads(text) == (True, 1, 1)
+    space, tabs = SampleSpace.from_text(text), SampleSpace.from_text(text.replace(" ", "\t"))
+    np.testing.assert_array_equal(space.points, tabs.points)
+    assert np.array_equal(space.probabilities.view(np.uint64), tabs.probabilities.view(np.uint64))
 
 
 @pytest.mark.parametrize("good", [2, 3, 1024])

@@ -36,6 +36,12 @@ and read the space of that code with probabilities alternating between two
 texts of one width (5 and 3 parts in 2^(k + 2), for 2^k points), which the
 writer writes and the reader reads line by line, since the byte grid takes
 one probability text only.
+The spectrum rows time SampleSpace.density.spectrum on a space built inside
+the call from fixed points and probabilities, as each CLI op builds one from
+its file, at n = 12 and 20 (n = 12 with --quick): on the space of a code
+(texts=1), whose density takes its spectrum from the dual code with no
+butterfly, and on that code's points at the texts=2 probabilities, no
+code's space, whose spectrum is one butterfly.
 The level rows run at n = 8 and 12, the sizes of the small-corpus codes,
 and at n = 20: convolve (by=Radial) of a function that keeps its spectrum by
 a Radial function, whose spectrum is n + 1 levels, so the call scales the
@@ -49,8 +55,9 @@ marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
 on the Hamming code of length 15 and on a random n = 20 code with 2^16
 points (marginal order 5): on a space that keeps its density and spectrum
 between calls, and (space=fresh) on one built inside the call from the
-space's points and probabilities, as each CLI chain op builds one, which
-runs the input's forward butterfly too.  The ball density rows time
+space's points and probabilities, as each CLI chain op builds one, whose
+density takes its spectrum from the dual code, as the warm space's did.
+The ball density rows time
 balls.BallSpectrum.density().spectrum.coeffs for the radius of that chain at
 k = 3, at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick):
 the spectrum by level from exact Krawtchouk sums, then one gather into a
@@ -62,7 +69,7 @@ print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, the level rows, one row of the rest, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, the level rows, the n = 12 spectrum rows, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -180,22 +187,50 @@ def reader_kernels(quick: bool):
     on the one-text file of a space built from a code, and on a copy of it
     with a tab between the bits and the probability; and for to_text and
     from_text on that code's points with two alternating probability texts."""
-    import numpy as np
-
     from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
 
     code = hamming_code(4) if quick else random_code_20()
     space = parity_sampler_space(code)
     text = space.to_text()
     tabs = text.replace(" ", "\t")
-    unit = space.probabilities[0] / 4  # 5 + 3 units for each pair of points
-    two = SampleSpace(code.cols, space.points, np.resize([5 * unit, 3 * unit], space.points.size))
+    two = SampleSpace(code.cols, space.points, two_texts(space))
     two_text = two.to_text()
     read = SampleSpace.from_text
     yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: read(text)
     yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, lambda: read(tabs)
     yield "SampleSpace.to_text", code.cols, {"texts": 2}, two.to_text
     yield "SampleSpace.from_text", code.cols, {"texts": 2}, lambda: read(two_text)
+
+
+def two_texts(space):
+    """Probabilities for a code's points, 5 and 3 quarters of the code's one
+    probability by turns: a space on the code's points that is no code's."""
+    import numpy as np
+
+    unit = space.probabilities[0] / 4
+    return np.resize([5 * unit, 3 * unit], space.points.size)
+
+
+def spectrum_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for the density's
+    spectrum of a space built inside the call, as each CLI op builds one
+    from its file: on a code's space (texts=1), which takes it from the
+    dual code, and on that code's points at two_texts (texts=2), which runs
+    the butterfly."""
+    import numpy as np
+
+    from kwisent.codes import BinaryMatrix, SampleSpace, parity_sampler_space
+
+    rng = np.random.default_rng(12)
+    code_12 = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << 12, size=3)), 12).dual()
+    for code in [code_12] if quick else [code_12, random_code_20()]:
+        space = parity_sampler_space(code)
+        for texts, probs in ((1, space.probabilities), (2, two_texts(space))):
+
+            def spectrum(points=space.points, probs=probs, n=code.cols):
+                return SampleSpace(n, points, probs).density.spectrum.coeffs
+
+            yield "SampleSpace.density.spectrum", code.cols, {"texts": texts}, spectrum
 
 
 def random_code_20():
@@ -303,8 +338,8 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     )
     out = []
     for name, n, param, call in itertools.chain(
-        dense, large_kernels(quick), level_kernels(), reader_kernels(quick), oracle_kernels(quick),
-        chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
+        dense, large_kernels(quick), level_kernels(), reader_kernels(quick), spectrum_kernels(quick),
+        oracle_kernels(quick), chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
     ):
         times, calls, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
@@ -337,7 +372,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n = 16, the level rows and one row of each other kernel, 3 runs",
+        help="n = 16, the level rows, the n = 12 spectrum rows and one row of each other kernel, 3 runs",
     )
     parser.add_argument("--label", default="checkout", help="row label")
     parser.add_argument("--process", type=int, default=1, help="index of this process for the label")
@@ -361,7 +396,7 @@ def main(argv=None) -> int:
         if "peak_vectors" in row:
             vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
         print(
-            f"{row['kernel']:<22} {size:<21} {row['median_ms']:>10.4f} ms"
+            f"{row['kernel']:<28} {size:<21} {row['median_ms']:>10.4f} ms"
             f" [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}] x{row['calls']:<6}"
             f" {row['peak_mib']:>8.2f} MiB{vectors}"
         )

@@ -10,6 +10,12 @@ per point, and read back by slicing the grid's columns, which only accepts.
 Any other space is written one line at a time, and any other file is read
 line by line, more slowly, to the same values, and so is a grid the values
 refuse, for the message and number of its first bad line.
+
+A space uniform on a linear code, as every space built from a code is, takes
+its density's spectrum from the dual code: the 0/1 indicator of the dual
+words, which is exactly what the butterfly would compute (MacWilliams &
+Sloane, ch. 1), bit for bit, as SampleSpace.density argues.  Any other
+space's density runs the butterfly.
 """
 
 from __future__ import annotations
@@ -72,17 +78,31 @@ def gf2_nullspace(rows: Sequence[int], cols: int) -> list[int]:
 
 
 def _span(basis: list[int]) -> np.ndarray:
-    """Every word of the span of gf2_rref's reduced rows once, in increasing order."""
+    """Every word of the span of independent rows once; in increasing order
+    when the rows are gf2_rref's reduced rows."""
     if len(basis) > cube.DIMENSION_CAP:
         raise DimensionError(
             f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
         )
-    words = np.zeros(1, dtype=np.int64)
+    words = np.zeros(1 << len(basis), dtype=np.int64)
     # lowest pivot first: each new row's pivot is above every word so far
     # and reduced rows are zero at the other pivots, so the words stay sorted
-    for row in reversed(basis):
-        words = np.concatenate([words, words ^ np.int64(row)])
+    for i, row in enumerate(reversed(basis)):
+        np.bitwise_xor(words[: 1 << i], np.int64(row), out=words[1 << i : 2 << i])
     return words
+
+
+def _code_basis(points: np.ndarray, probabilities: np.ndarray) -> list[int] | None:
+    """The reduced rows, as gf2_rref orders them, of a support that is a
+    linear code of rank k with probability exactly 2^-k on every point;
+    else None.  The points are sorted, so a code's points at indices 2^i
+    are its reduced rows, lowest pivot first, and _span of them lists the
+    points in the same order."""
+    k = points.size.bit_length() - 1
+    if points.size != 1 << k or points[0] != 0 or not (probabilities == 2.0**-k).all():
+        return None
+    basis = points[1 << np.arange(k - 1, -1, -1)].tolist()
+    return basis if np.array_equal(_span(basis), points) else None
 
 
 @dataclass(frozen=True)
@@ -229,12 +249,29 @@ class SampleSpace:
         built on first read, after cube.check_dimension, and kept.  The
         constructor has refused negative probabilities, so the values are
         nonnegative, and the division leaves their mean 1 up to rounding
-        (TOTAL_MASS); neither fact is checked again."""
+        (TOTAL_MASS); neither fact is checked again.
+
+        Where the support is a linear code V of rank k with probability
+        exactly 2^-k on every point (_code_basis), as in every space built
+        from a code, the density keeps as its spectrum the 0/1 indicator of
+        the dual code V^⊥, with no butterfly.  That is the butterfly's
+        result bit for bit: the density is exactly 2^(n-k) on V and its mean
+        exactly 1; every partial sum of the butterfly is an integer multiple
+        of 2^(n-k) of size at most 2^n, so exact in float64 (n <= 26); no
+        -0.0 appears, as the inputs are +0 or above and x - x is +0; and the
+        division by 2^n is exact.  Any other density's spectrum is one
+        butterfly on first read."""
         cube.check_dimension(self.n)
         vals = np.zeros(1 << self.n)
         vals[self.points] = self.probabilities * (1 << self.n)
         vals /= vals.mean()
-        return cube.CubeFunction(self.n, cube._Fresh(vals))
+        f = cube.CubeFunction(self.n, cube._Fresh(vals))
+        basis = _code_basis(self.points, self.probabilities)
+        if basis is not None:
+            coeffs = np.zeros(1 << self.n)
+            coeffs[_span(gf2_nullspace(basis, self.n))] = 1.0
+            f.spectrum = cube.Spectrum(self.n, cube._Fresh(coeffs))
+        return f
 
     def to_text(self) -> str:
         """'n=<n>', then '<bitstring> <repr(probability)>' per point.

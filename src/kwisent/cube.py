@@ -16,8 +16,11 @@ test; do not fold 2^n factors into the transforms.
 A function is made from its values or from its spectrum (a convolution is
 made from the spectral product), and keeps both: whichever side it was not
 made from is built from the other by one butterfly on first read, and then
-kept.  wht returns the spectrum property.  A spectrum is made from its
-coefficients or from its n + 1 levels, when it depends on |S| alone; the
+kept, unless its maker sets that side too, as the density of a space uniform
+on a code is given the dual code's indicator, the butterfly's result bit for
+bit (codes.SampleSpace.density).  wht returns the spectrum property.  A
+spectrum is made from its coefficients or from its n + 1 levels, when it
+depends on |S| alone; the
 full table of a spectrum by level is gathered only when its coeffs are
 read, and then kept.  A Radial function (a function of |x| alone, like the
 ball density and the weight-one kernel) has such a spectrum, from exact
@@ -103,7 +106,7 @@ class CubeFunction:
     """A real-valued function on {0,1}^n, indexed by bitmask: made from its
     values here, or from its spectrum by _from_spectrum.  Whichever side is
     missing is built from the other by one butterfly on first read, and
-    kept."""
+    kept, unless its maker sets it."""
 
     def __init__(self, n: int, values):
         check_dimension(n)

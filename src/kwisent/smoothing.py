@@ -288,7 +288,9 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # radial, so their spectra stay n + 1 levels with no butterfly, and a
     # convolution keeps its spectral product, which g keeps too unless its
     # clip fired: the chain runs 1 butterfly, g's values (2 when f's
-    # spectrum is first read here, 1 more when the clip fires).
+    # spectrum is first read here and X is not uniform on a code, whose
+    # density takes it from the dual code; 1 more when the clip fires).
+    # The half-independence chain on a code runs none.
     # Everything that reads g's values runs before the associativity line,
     # which reads spectra alone, so g's values are dropped before it.
     # Products by a spectrum by level gather no 2^n table, and

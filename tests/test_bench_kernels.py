@@ -1,9 +1,11 @@
 """scripts/bench_kernels.py runs against the package as it is: every kernel
-row is produced, the convolve, warm and fresh chain, ball density and level
-rows count their butterflies, the reader has a row on the random file and
-two on a code's one-text file, as written and with tab separators, and the
-reader and the writer each have a row on that code's two-text file; and a
-row is timed in batches whose size timeit's autorange sets."""
+row is produced, the convolve, warm and fresh chain, ball density, level and
+density spectrum rows count their butterflies (none for a code's space, one
+for the same points at two probabilities), the reader has a row on the
+random file and two on a code's one-text file, as written and with tab
+separators, and the reader and the writer each have a row on that code's
+two-text file; and a row is timed in batches whose size timeit's autorange
+sets."""
 
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
     "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
-    "level_max_abs",
+    "level_max_abs", "SampleSpace.density.spectrum",
 }
 
 
@@ -62,11 +64,18 @@ def test_quick_rows_cover_every_kernel(monkeypatch):
         for kernel, by in (("convolve", "Radial"), ("level_max_abs", None))
     ]
     # g keeps its spectrum, so a warm chain runs g's values alone, and a
-    # fresh space adds its own spectrum
+    # fresh code space takes its own spectrum from the dual code
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
     assert [(row["n"], row["k"], row.get("space"), row["butterflies"]) for row in chain] == [
         (15, 3, None, 1),
-        (15, 3, "fresh", 2),
+        (15, 3, "fresh", 1),
+    ]
+    # a fresh code space's spectrum is the dual code's indicator, and the
+    # same points at two probabilities, no code's space, run the butterfly
+    spectrum = [row for row in rows if row["kernel"] == "SampleSpace.density.spectrum"]
+    assert [(row["n"], row["texts"], row["butterflies"]) for row in spectrum] == [
+        (12, 1, 0),
+        (12, 2, 1),
     ]
     # the ball density's spectrum is a level sum, gathered into one dense
     # table: 1 vector, and numpy's cast of the uint8 sizes to indices in

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import point_space, uniform_space
-from kwisent import codes
+from kwisent import codes, cube
 from kwisent.codes import (
     BinaryMatrix,
     SampleSpace,
@@ -244,6 +244,75 @@ def test_sample_space_density_divides_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * (8 << 16)
+
+
+def counted_spectrum(space: SampleSpace) -> tuple[np.ndarray, int]:
+    """The density's spectrum, and the butterflies that reading it ran."""
+    with mock.patch.object(cube, "_fwht", wraps=cube._fwht) as fwht:
+        coeffs = space.density.spectrum.coeffs
+    return coeffs, fwht.call_count
+
+
+def assert_butterfly_bits(space: SampleSpace, coeffs: np.ndarray) -> None:
+    """coeffs holds, byte for byte, the butterfly's spectrum of the density:
+    the independent route, which tells -0.0 from 0.0 too."""
+    route = cube._fwht(space.density.values) / (1 << space.n)
+    assert coeffs.tobytes() == route.tobytes()
+
+
+@st.composite
+def generator_matrices(draw):
+    """Generators of at most 16 columns; rows may be zero, repeated or sums
+    of other rows, so the rank is often below the row count."""
+    n = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0] ^ rows[-1])
+    return BinaryMatrix(tuple(rows), n)
+
+
+@given(generator_matrices())
+def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix):
+    # a code's space, as built and as read back from its file, takes its
+    # spectrum from the dual code with no butterfly, and the butterfly,
+    # run here on the density's values, gives the same bytes
+    built = parity_sampler_space(matrix)
+    for space in (built, SampleSpace.from_text(built.to_text())):
+        coeffs, butterflies = counted_spectrum(space)
+        assert butterflies == 0
+        assert_butterfly_bits(space, coeffs)
+        assert set(np.flatnonzero(coeffs).tolist()) == span(matrix.dual().rows)
+
+
+def hamming_space(probabilities, shift: int = 0) -> SampleSpace:
+    """The 2^11 points of the Hamming code of length 15, each XOR shift, at
+    the probabilities given, repeated in point order to fill them."""
+    points = parity_sampler_space(hamming_code(4)).points ^ shift
+    return SampleSpace(15, points, np.resize(probabilities, points.size))
+
+
+@pytest.mark.parametrize(
+    "make, butterflies",
+    [
+        (lambda: hamming_space(2.0**-11, shift=1), 1),
+        (lambda: SampleSpace(3, [0, 1, 2, 4], np.full(4, 0.25)), 1),
+        (lambda: hamming_space([5 * 2.0**-13, 3 * 2.0**-13]), 1),
+        (lambda: hamming_space(np.r_[np.nextafter(2.0**-11, 1.0), np.full(2047, 2.0**-11)]), 1),
+        (lambda: point_space(9), 0),
+        (lambda: uniform_space(9), 0),
+    ],
+    ids=["coset", "not-closed", "5:3", "one-ulp-off", "point", "uniform"],
+)
+def test_only_a_uniform_code_takes_the_dual_code_route(make, butterflies):
+    # a coset (0 outside the support), 2^k points that XOR leaves, and a
+    # code at unequal probabilities or with one point at 2^-k + one ulp,
+    # which the reader's division by the sum keeps, run the butterfly; the
+    # point mass (rank 0) and the whole cube (rank n) are codes
+    built = make()
+    for space in (built, SampleSpace.from_text(built.to_text())):
+        coeffs, count = counted_spectrum(space)
+        assert count == butterflies
+        assert_butterfly_bits(space, coeffs)
 
 
 def test_sample_space_round_trip():

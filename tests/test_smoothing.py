@@ -15,7 +15,7 @@ import oracles
 from conftest import point_space, random_halfwise_distribution
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound, shannon_from_density
-from kwisent.codes import hamming_code, parity_sampler_space, simplex_code
+from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space, simplex_code
 from kwisent.cube import convolve, inner_product, weight_one_indicator, wht
 from kwisent.errors import IndependenceError
 from kwisent.kwise import independence_order
@@ -327,17 +327,31 @@ def count_butterflies(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("fresh", [False, True], ids=["kept", "fresh"])
+@pytest.mark.parametrize("space", ["kept", "fresh", "coset"])
 @pytest.mark.parametrize("k", [3, 4])
-def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, fresh):
+def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, space):
     # d and the kernel are radial, so their spectra are level sums, a
     # convolution keeps its spectral product, and g, whose clip changes
-    # nothing here, keeps it over its mean: g's values alone, after f's
-    # spectrum on a space whose spectrum was not read before
-    space = parity_sampler_space(hamming_code(4)) if fresh else hamming15
+    # nothing here, keeps it over its mean: g's values alone.  A fresh code
+    # space takes its spectrum from the dual code, with no butterfly; a
+    # fresh coset of the code, which is no code, adds one for f's spectrum
+    x = {
+        "kept": lambda: hamming15,
+        "fresh": lambda: parity_sampler_space(hamming_code(4)),
+        "coset": lambda: SampleSpace(15, hamming15.points ^ 1, hamming15.probabilities),
+    }[space]()
     calls = count_butterflies(monkeypatch)
-    assert smoothing_chain(space, k).passed
-    assert calls == [1 << 15] * (2 if fresh else 1)
+    assert smoothing_chain(x, k).passed
+    assert calls == [1 << 15] * (2 if space == "coset" else 1)
+
+
+def test_halfwise_chain_on_a_fresh_code_runs_no_butterfly(monkeypatch):
+    # f's spectrum comes from the dual code, and the chain reads f's values
+    # and spectrum and the adjacency kernel's result alone
+    x = parity_sampler_space(hamming_code(3))  # order 3 = floor(7 / 2)
+    calls = count_butterflies(monkeypatch)
+    assert halfwise_chain(x).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -51,7 +51,10 @@ independence_order and the chain run.  These calls take microseconds at
 n = 8 and 12, so every row's times are kept to 0.1 us.
 The oracle rows time kwise.marginal_order on a random n = 14 code (2,048
 points, marginal order 5) and on the Hamming code of length 15 (2,048 points,
-marginal order 7).  The chain rows time smoothing.smoothing_chain at k = 3
+marginal order 7; not with --quick), each at stop = n and at the stop
+`analyze` runs it to, the spectral order + 1; and on the point mass at
+n = 20 at stop 1, `analyze`'s stop there, where a lattice that started
+from a 2^n vector would read 8 MiB for one point.  The chain rows time smoothing.smoothing_chain at k = 3
 on the Hamming code of length 15 and on a random n = 20 code with 2^16
 points (marginal order 5): on a space that keeps its density and spectrum
 between calls, and (space=fresh) on one built inside the call from the
@@ -171,7 +174,7 @@ def oracle_kernels(quick: bool):
     import numpy as np
 
     from kwisent.codes import BinaryMatrix, hamming_code, parity_sampler_space
-    from kwisent.kwise import marginal_order
+    from kwisent.kwise import independence_order, marginal_order
 
     rng = np.random.default_rng(15)
     dual_rows = tuple(int(r) for r in rng.integers(1, 1 << 14, size=3))
@@ -179,7 +182,12 @@ def oracle_kernels(quick: bool):
     codes = [random14] if quick else [random14, hamming_code(4)]
     for code in codes:
         space = parity_sampler_space(code)
-        yield "marginal_order", code.cols, {}, lambda space=space: marginal_order(space, space.n)
+        for stop in (space.n, min(independence_order(space) + 1, space.n)):
+            yield "marginal_order", code.cols, {"stop": stop}, (
+                lambda space=space, stop=stop: marginal_order(space, stop)
+            )
+    point = parity_sampler_space(BinaryMatrix((), 20))
+    yield "marginal_order", 20, {"stop": 1}, lambda: marginal_order(point, 1)
 
 
 def reader_kernels(quick: bool):
@@ -389,7 +397,7 @@ def main(argv=None) -> int:
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
     new = rows(sizes, runs, args.label, args.quick, args.process)
     for row in new:
-        keys = ("r", "k", "by", "texts", "sep", "space")
+        keys = ("r", "k", "by", "texts", "sep", "space", "stop")
         params = [f" {key}={row[key]}" for key in keys if key in row]
         size = f"n={row['n']}" + "".join(params)
         vectors = ""

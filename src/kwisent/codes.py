@@ -34,6 +34,9 @@ from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
 ENUMERATION_GUARD = 10**7
+# Dual rows whose span SampleSpace.density lists at once (512 KiB of int64);
+# the rest are offsets, one block each.
+DUAL_BLOCK_ROWS = 16
 
 
 def gf2_rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
@@ -259,7 +262,9 @@ class SampleSpace:
         exactly 1; every partial sum of the butterfly is an integer multiple
         of 2^(n-k) of size at most 2^n, so exact in float64 (n <= 26); no
         -0.0 appears, as the inputs are +0 or above and x - x is +0; and the
-        division by 2^n is exact.  Any other density's spectrum is one
+        division by 2^n is exact.  The dual words are written a block of
+        at most 2^DUAL_BLOCK_ROWS at a time, so a low-rank code holds no
+        list of its 2^(n-k) dual words.  Any other density's spectrum is one
         butterfly on first read."""
         cube.check_dimension(self.n)
         vals = np.zeros(1 << self.n)
@@ -269,7 +274,10 @@ class SampleSpace:
         basis = _code_basis(self.points, self.probabilities)
         if basis is not None:
             coeffs = np.zeros(1 << self.n)
-            coeffs[_span(gf2_nullspace(basis, self.n))] = 1.0
+            dual = gf2_nullspace(basis, self.n)
+            block = _span(dual[:DUAL_BLOCK_ROWS])
+            for offset in _span(dual[DUAL_BLOCK_ROWS:]).tolist():
+                coeffs[block ^ offset] = 1.0
             f.spectrum = cube.Spectrum(self.n, cube._Fresh(coeffs))
         return f
 

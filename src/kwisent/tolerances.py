@@ -42,14 +42,23 @@ Used by kwise.marginal_order (the `marginal_order` that `analyze` reports)
 and by verify_smoothing in tests/oracles.py, which reads a smoothed space's
 largest marginal deviation (marginal_check there) against it.
 
-Rounding: each P(X_T = a) is a bincount, a left-to-right sum over the m
-support points, so a uniform marginal is off by at most about
-gamma_m 2^-|T| <= m u / 2.  That is below 1e-9 for m up to 1.8e7 (about
-2^24) points; beyond that the worst case exceeds the threshold, though such
-errors grow about as sqrt(m) u in practice (Higham, section 4.2).  Reading
-a true deviation in (0, 1e-9] as zero is a modelling threshold, as for
-COEFF_ZERO.  Spaces of linear codes have dyadic probabilities, whose
-marginal sums are exact.
+Rounding: kwise.marginal_order reads each P(X_T = a) from a lattice of
+partial marginals.  For m support points, 2^r is the least power of two at
+or above 4m (2^n at most) and j0 = n - r.  Each partial sum starts as one
+bincount bin, a left-to-right sum over the support points that share its
+bits: at most m terms, and at most min(m, 2^j0) <= 2^((n-2)/2) where the
+bin holds the last r coordinates too, as it does unless T lies within the
+first j0.  Those r coordinates are then summed out, each by one add of two
+halves, or, for the last ones of a subset at the lattice's top level, by
+numpy's pairwise sum over at most 2^r values, whose tree is at most r + 18
+adds deep.  So a uniform marginal is off by at most about
+(m + 2r + 18) u 2^-|T|.  The runs `analyze` admits have m <= 2^n and
+n m <= kwise.MARGINAL_WORK_LIMIT (level 1's price), so m < 4.4e6 and the
+bound is below 2.5e-10 at every n.  marginal_check in tests/oracles.py sums
+each bin over all m points, off by at most about m u / 2 (below 1e-9 up to
+m = 1.8e7).  Reading a true deviation in (0, 1e-9] as zero is a modelling
+threshold, as for COEFF_ZERO.  Spaces of linear codes have dyadic
+probabilities, whose marginal sums are exact.
 """
 
 ENTROPY_SLACK = 1e-9

@@ -16,7 +16,9 @@ of the package by a different method:
 - level_max_abs_scatter: the largest |coeff(S)| per level by one scatter
   maximum, against the row and column grouping of cube.level_max_abs;
 - marginal_check: every marginal of every coordinate set up to a size,
-  against the spectral independence order (kwise.independence_order);
+  each subset reading every support point, against the spectral
+  independence order (kwise.independence_order) and the lattice of partial
+  marginals (kwise.marginal_order);
 - renyi2_from_density: collision entropy through the density, against the
   space path (bounds.renyi2_entropy);
 - smooth and verify_smoothing: the four facts the smoothing chain rests on,
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -67,6 +70,9 @@ A stopping rule, not an error bound.  It is ten times stricter than
 tolerances.RAYLEIGH_STEP, so the oracle settles at least as far as the path
 it checks.
 """
+
+MARGINAL_BLOCK_ELEMENTS = 1 << 14
+"""Most (subset, point) pairs one bincount of _level_deviations reads."""
 
 DIRECT_CONVOLUTION_WORK = 1 << 28
 """Largest |supp f| * 2^n, the multiply-adds of convolve_direct, for which
@@ -173,9 +179,52 @@ def from_density(density: CubeFunction) -> SampleSpace:
     return SampleSpace(density.n, points, probs / probs.sum())
 
 
+def _bit_columns(space: SampleSpace) -> np.ndarray:
+    """Float64 rows: row c holds coordinate c + 1 (bit n - 1 - c) of every
+    support point, and row n holds ones."""
+    columns = np.ones((space.n + 1, space.points.size))
+    for c, row in enumerate(columns[:-1]):  # no n x m integer temporary
+        np.bitwise_and(space.points >> (space.n - 1 - c), 1, out=row)
+    return columns
+
+
+def _level_deviations(space: SampleSpace, columns: np.ndarray, size: int):
+    """Yield the worst deviation of each subset of one size, a block at a time.
+
+    Subsets come in itertools.combinations order, in blocks of at most
+    MARGINAL_BLOCK_ELEMENTS (subset x point) pairs, and each block is one
+    bincount over (subset, pattern) bins, the first coordinate the pattern's
+    high bit.  A bin adds its weights in point order, as np.unique plus a
+    bincount of one subset's patterns does, so the deviations are the same
+    floats; an absent pattern sums to 0 and deviates by the full 2^-size.
+
+    The bin index is one float64 product place @ columns.  Row s of place
+    holds 2^(size-1-j) at the j-th coordinate of subset s, and s << size at
+    the ones row.  So each entry is a sum of distinct powers of two plus the
+    row offset: an integer below rows << size <= max(MARGINAL_BLOCK_ELEMENTS,
+    2^size).  marginal_check refuses a level whose C(n, size) 2^size bins
+    are more than kwise.MARGINAL_WORK_GUARD, so 2^size <= MARGINAL_WORK_GUARD,
+    and both constants are below 2^53.  Every partial sum is then an integer
+    that float64 holds exactly, in any summation order, and the cast to intp
+    is exact.
+    """
+    subsets = combinations(range(space.n), size)
+    rows = max(1, MARGINAL_BLOCK_ELEMENTS // max(space.points.size, 1 << size))
+    weights = np.tile(space.probabilities, rows)
+    powers = 2.0 ** np.arange(size - 1, -1, -1)
+    while (block := np.array(list(islice(subsets, rows)))).size:
+        place = np.zeros((len(block), space.n + 1))
+        place[np.arange(len(block))[:, None], block] = powers
+        place[:, -1] = np.arange(len(block)) << size  # the row, above the pattern
+        index = (place @ columns).astype(np.intp)
+        sums = np.bincount(index.ravel(), weights[: index.size], len(block) << size)
+        yield np.abs(sums.reshape(len(block), -1) - 2.0**-size).max(axis=1)
+
+
 def marginal_check(space: SampleSpace, k: int) -> float:
     """Brute-force oracle: the largest deviation from uniformity over every
-    coordinate set of size <= k (0.0 when k = 0).
+    coordinate set of size <= k (0.0 when k = 0), scanned level by level,
+    each subset reading every support point (_level_deviations).
 
     Refused when any level 1..k has more bins than kwise.MARGINAL_WORK_GUARD:
     the level bins peak near size 2n/3, not at k.
@@ -187,10 +236,10 @@ def marginal_check(space: SampleSpace, k: int) -> float:
         raise ResourceLimitError(
             f"marginal check at n={n}, k={k} exceeds the work guard"
         )
-    columns = kwise._bit_columns(space)
+    columns = _bit_columns(space)
     worst = 0.0
     for size in range(1, k + 1):
-        for devs in kwise._level_deviations(space, columns, size):
+        for devs in _level_deviations(space, columns, size):
             worst = max(worst, float(devs.max()))
     return worst
 

@@ -4,7 +4,8 @@ density spectrum rows count their butterflies (none for a code's space, one
 for the same points at two probabilities), the reader has a row on the
 random file and two on a code's one-text file, as written and with tab
 separators, and the reader and the writer each have a row on that code's
-two-text file; and a row is timed in batches whose size timeit's autorange
+two-text file; the oracle has rows at stop = n, at analyze's stop and on
+the point mass at n = 20; and a row is timed in batches whose size timeit's autorange
 sets."""
 
 from __future__ import annotations
@@ -90,6 +91,15 @@ def test_quick_rows_cover_every_kernel(monkeypatch):
     assert [
         (row["n"], row.get("texts"), row.get("sep"), row["butterflies"]) for row in reader
     ] == [(10, None, None, 0), (15, 1, None, 0), (15, 1, "tab", 0), (15, 2, None, 0)]
+    # the oracle at stop = n and at analyze's stop, the order + 1, and on
+    # the point mass at n = 20, which keeps no 2^20 vector
+    oracle = [row for row in rows if row["kernel"] == "marginal_order"]
+    assert [(row["n"], row["stop"], row["butterflies"]) for row in oracle] == [
+        (14, 14, 0),
+        (14, 6, 0),
+        (20, 1, 0),
+    ]
+    assert oracle[-1]["peak_vectors"] < 0.01
     writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
         (10, None, 0),

@@ -165,24 +165,25 @@ def test_analyze_scans_only_the_levels_it_priced(tmp_path, runner, monkeypatch):
     # coefficient 4e-9 at level 3 is above COEFF_ZERO, so the spectral order
     # is 2, but every marginal deviates by at most 4e-9 / 8, under
     # MARGINAL_ZERO, so the oracle passes every level.  analyze priced levels
-    # 1..3, so the oracle scans those, reads 3 and the run fails.
+    # 1..3, so the oracle's lattice builds those, reads 3 and the run fails.
     n = 10
     points = np.arange(1 << n)
     chi = 1.0 - 2.0 * (np.bitwise_count(points & 0b111) & 1)
     path = tmp_path / "tilted.txt"
     path.write_text(codes.SampleSpace(n, points, (1 + 4e-9 * chi) / (1 << n)).to_text())
-    deviations, sizes = kwise._level_deviations, []
+    lattice, levels = kwise._worst_by_level, []
 
-    def counted(space, columns, size):
-        sizes.append(size)
-        return deviations(space, columns, size)
+    def recorded(space, top):
+        worst = lattice(space, top)
+        levels.append(len(worst) - 1)
+        return worst
 
-    monkeypatch.setattr(kwise, "_level_deviations", counted)
+    monkeypatch.setattr(kwise, "_worst_by_level", recorded)
     result = invoke(runner, "analyze", str(path), "--format", "json")
     assert result.exit_code == 1, result.output
     record = json.loads(result.stdout)
     assert (record["order"], record["marginal_order"]) == (2, 3)
-    assert sizes == [1, 2, 3]
+    assert levels == [3]  # one lattice, whose deepest level is 3
 
 
 def test_analyze_rejects_bad_probability_sum(tmp_path, runner):

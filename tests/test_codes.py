@@ -271,14 +271,16 @@ def generator_matrices(draw):
     return BinaryMatrix(tuple(rows), n)
 
 
-@given(generator_matrices())
-def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix):
+@given(generator_matrices(), st.sampled_from([0, 1, 3, codes.DUAL_BLOCK_ROWS]))
+def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix, block):
     # a code's space, as built and as read back from its file, takes its
     # spectrum from the dual code with no butterfly, and the butterfly,
-    # run here on the density's values, gives the same bytes
+    # run here on the density's values, gives the same bytes; a block of
+    # 0, 1 or 3 dual rows writes the dual words in many blocks
     built = parity_sampler_space(matrix)
     for space in (built, SampleSpace.from_text(built.to_text())):
-        coeffs, butterflies = counted_spectrum(space)
+        with mock.patch.object(codes, "DUAL_BLOCK_ROWS", block):
+            coeffs, butterflies = counted_spectrum(space)
         assert butterflies == 0
         assert_butterfly_bits(space, coeffs)
         assert set(np.flatnonzero(coeffs).tolist()) == span(matrix.dual().rows)
@@ -313,6 +315,19 @@ def test_only_a_uniform_code_takes_the_dual_code_route(make, butterflies):
         coeffs, count = counted_spectrum(space)
         assert count == butterflies
         assert_butterfly_bits(space, coeffs)
+
+
+def test_low_rank_code_spectrum_lists_no_dual_words():
+    # the point mass at n = 20 has 2^20 dual words: as one int64 array they
+    # made the peak 3.0 vectors
+    space = point_space(20)
+    tracemalloc.start()
+    try:
+        space.density.spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.15 * (8 << 20)
 
 
 def test_sample_space_round_trip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import biased_product_space, point_space, uniform_space
 from kwisent import kwise
-from kwisent.codes import SampleSpace, hamming_code
+from kwisent.codes import BinaryMatrix, SampleSpace, hamming_code, parity_sampler_space
 from kwisent.cube import level_profile
 from kwisent.errors import ResourceLimitError
 from kwisent.tolerances import MARGINAL_ZERO
 from kwisent.kwise import independence_order, marginal_order
+import oracles
 from oracles import from_density, marginal_check
 
 
@@ -113,8 +115,6 @@ def test_code_independence_link(corpus):
 
 
 def test_code_independence_link_random_codes():
-    from kwisent.codes import BinaryMatrix, parity_sampler_space
-
     rng = np.random.default_rng(41)
     checked = 0
     for n in (6, 9, 12, 15):
@@ -181,10 +181,10 @@ def marginal_check_by_subset_reference(space, k):
     return worst
 
 
-def marginal_order_by_subset_reference(space, tol=MARGINAL_ZERO):
+def marginal_order_by_subset_reference(space, stop, tol=MARGINAL_ZERO):
     n = space.n
     order = 0
-    for size in range(1, n + 1):
+    for size in range(1, stop + 1):
         if math.comb(n, size) * (1 << size) > kwise.MARGINAL_WORK_GUARD:
             raise ResourceLimitError(
                 f"marginal order scan at n={n}, size={size} exceeds the work guard"
@@ -240,19 +240,25 @@ def _outcome(oracle, *args):
 @given(
     oracle_spaces(),
     st.integers(0, 12),
-    st.sampled_from([1, 3, kwise.MARGINAL_BLOCK_ELEMENTS]),
+    st.sampled_from([1, 3, oracles.MARGINAL_BLOCK_ELEMENTS]),
     st.sampled_from([kwise.MARGINAL_WORK_GUARD, 30, 300, 3000]),
+    st.sampled_from([1, 40, kwise.MARGINAL_STACK_ELEMENTS]),
 )
-def test_level_batched_oracle_matches_per_subset_reference(space, k, block, guard):
+def test_level_batched_oracle_matches_per_subset_reference(space, k, block, guard, budget):
+    # a lattice budget of 1 or 40 sums splits the stacks at nearly every
+    # step; stop = k below n checks the subsets of size k within the first
+    # coordinates, which the lattice reads straight from the support
     k = min(k, space.n)
-    with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block), mock.patch.object(
+    with mock.patch.object(oracles, "MARGINAL_BLOCK_ELEMENTS", block), mock.patch.object(
         kwise, "MARGINAL_WORK_GUARD", guard
-    ):
-        order = _outcome(marginal_order, space, space.n)
-        expected_order = _outcome(marginal_order_by_subset_reference, space)
+    ), mock.patch.object(kwise, "MARGINAL_STACK_ELEMENTS", budget):
+        orders = [_outcome(marginal_order, space, stop) for stop in (space.n, k)]
+        expected_orders = [
+            _outcome(marginal_order_by_subset_reference, space, stop) for stop in (space.n, k)
+        ]
         deviation = _outcome(marginal_check, space, k)
         expected = _outcome(marginal_check_by_subset_reference, space, k)
-    assert order == expected_order
+    assert orders == expected_orders
     if isinstance(expected, tuple):  # the same guard refused with the same message
         assert deviation == expected
         return
@@ -260,24 +266,79 @@ def test_level_batched_oracle_matches_per_subset_reference(space, k, block, guar
 
 
 def test_level_batched_oracle_on_hamming7_every_level(hamming7):
-    for block in (1, 3, kwise.MARGINAL_BLOCK_ELEMENTS):
-        with mock.patch.object(kwise, "MARGINAL_BLOCK_ELEMENTS", block):
+    for block in (1, 3, oracles.MARGINAL_BLOCK_ELEMENTS):
+        with mock.patch.object(oracles, "MARGINAL_BLOCK_ELEMENTS", block):
             for k in range(8):
                 deviation = marginal_check(hamming7, k)
                 assert deviation.hex() == marginal_check_by_subset_reference(hamming7, k).hex()
+    for budget in (1, 3, kwise.MARGINAL_STACK_ELEMENTS):
+        with mock.patch.object(kwise, "MARGINAL_STACK_ELEMENTS", budget):
             assert marginal_order(hamming7, 7) == 3
 
 
 def test_level_batched_oracle_one_subset_per_block():
     # 2^15 bins of the one subset at level 15 exceed the block, so rows = 1
     point = point_space(15)
-    assert 1 << 15 > kwise.MARGINAL_BLOCK_ELEMENTS
+    assert 1 << 15 > oracles.MARGINAL_BLOCK_ELEMENTS
     assert marginal_check(point, 15).hex() == marginal_check_by_subset_reference(point, 15).hex()
 
 
 def test_bin_index_is_exact_in_float64():
     # every product entry is an integer below this maximum (_level_deviations)
-    assert max(kwise.MARGINAL_BLOCK_ELEMENTS, kwise.MARGINAL_WORK_GUARD) < 2**53
+    assert max(oracles.MARGINAL_BLOCK_ELEMENTS, kwise.MARGINAL_WORK_GUARD) < 2**53
+
+
+def test_marginal_lattice_checks_top_subsets_within_the_support_prefix(hamming7):
+    # Hamming n=7 with its first coordinate doubled: 16 points at n = 8, so
+    # the lattice reads coordinates 0 and 1 from support bincounts, and the
+    # pair {0, 1}, the one pair that is not uniform, lies there
+    points = hamming7.points | (hamming7.points >> 6) << 7
+    space = SampleSpace(8, points, hamming7.probabilities)
+    for stop in (2, 8):
+        assert marginal_order(space, stop) == 1 == marginal_order_by_subset_reference(space, stop)
+
+
+def test_marginal_order_refuses_a_guarded_level_without_building_it(monkeypatch):
+    # at a guard of 10^5 bins, level 7 of n = 12 (101,376 bins) is refused
+    # once levels 1..6 pass, and the lattice is built to level 6 only
+    lattice, levels = kwise._worst_by_level, []
+
+    def recorded(space, top):
+        levels.append(top)
+        return lattice(space, top)
+
+    monkeypatch.setattr(kwise, "_worst_by_level", recorded)
+    monkeypatch.setattr(kwise, "MARGINAL_WORK_GUARD", 10**5)
+    with pytest.raises(ResourceLimitError, match=r"^marginal order scan at n=12, size=7 exceeds"):
+        marginal_order(uniform_space(12), 12)
+    assert levels == [6]
+    assert marginal_order(point_space(12), 12) == 0 and levels == [6, 6]
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_marginal_lattice_starts_from_the_support():
+    # one point at n = 24: a 2^24 start vector would be 128 MiB
+    assert traced_peak(lambda: marginal_order(point_space(24), 1)) < 1 << 20
+
+
+def test_marginal_lattice_stacks_stay_in_their_budget():
+    # a random [14, 12] code starts dense; its stacks to level 6, split at
+    # MARGINAL_STACK_ELEMENTS, peak at 1.5 MiB, and unsplit at 2.9 MiB
+    rng = np.random.default_rng(31)
+    dual = BinaryMatrix(tuple(int(row) for row in rng.integers(1, 1 << 14, size=2)), 14)
+    space = parity_sampler_space(dual.dual())
+    assert space.support_size == 1 << 12
+    assert traced_peak(lambda: marginal_order(space, 6)) <= 2 << 20
 
 
 def test_level_cost_is_the_guarded_work():

@@ -60,6 +60,13 @@ points (marginal order 5): on a space that keeps its density and spectrum
 between calls, and (space=fresh) on one built inside the call from the
 space's points and probabilities, as each CLI chain op builds one, whose
 density takes its spectrum from the dual code, as the warm space's did.
+The coset rows time g's values (_smoothed_density, which builds them) and
+adjacency_apply(g) with its values read, for the g of that chain at k = 3,
+on a code (space=code) at n = 20 (the chain's code) and n = 24 (a random
+[24, 19] code; the Hamming code of length 15 with --quick), where g is
+made on the code's 2^(n - rank) cosets and its values gathered from them,
+and on the same points XOR 1 (space=coset), no code's space, where g
+takes the dense route: 2^n-value butterfly and adjacency.
 The ball density rows time
 balls.BallSpectrum.density().spectrum.coeffs for the radius of that chain at
 k = 3, at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick):
@@ -72,7 +79,7 @@ print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
     python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file and chain, the level rows, the n = 12 spectrum rows, one row of the rest, 3 runs
+    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file, chain and coset rows, the level rows, the n = 12 spectrum rows, one row of the rest, 3 runs
     python scripts/bench_kernels.py --label change --output BENCH_kernels.json
     python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
 
@@ -241,18 +248,50 @@ def spectrum_kernels(quick: bool):
             yield "SampleSpace.density.spectrum", code.cols, {"texts": texts}, spectrum
 
 
-def random_code_20():
-    """A random length-20 code of dimension 16 whose dual has distance >= 6."""
+def random_code(n: int, dual_rank: int, distance: int):
+    """A random length-n code of dimension n - dual_rank whose dual has
+    distance >= distance, drawn from a generator seeded with n."""
     import numpy as np
 
     from kwisent.codes import BinaryMatrix
 
-    rng = np.random.default_rng(20)
+    rng = np.random.default_rng(n)
     while True:
-        dual = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << 20, size=4)), 20)
+        dual = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << n, size=dual_rank)), n)
         code = dual.dual()
-        if len(code.rows) == 16 and dual.min_distance() >= 6:
+        if len(code.rows) == n - dual_rank and dual.min_distance() >= distance:
             return code
+
+
+def random_code_20():
+    """A random length-20 code of dimension 16 whose dual has distance >= 6."""
+    return random_code(20, 4, 6)
+
+
+def coset_kernels(quick: bool):
+    """(name, n, parameter, zero-argument call) rows for g's values
+    (smoothing._smoothed_density, which builds them) and for
+    adjacency_apply(g) with its values read, g = f * d smoothed as
+    smoothing_chain(space, 3) smooths it: on the space of a code
+    (space=code), whose g lives on the code's cosets, and on that space
+    XOR 1 (space=coset), no code's space, which takes the dense route.
+    f keeps its spectrum, read outside the timed call."""
+    from kwisent.balls import lambda_ball, min_radius
+    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
+    from kwisent.cube import adjacency_apply
+    from kwisent.smoothing import _smoothed_density
+
+    codes = [hamming_code(4)] if quick else [random_code_20(), random_code(24, 5, 6)]
+    for code in codes:
+        space = parity_sampler_space(code)
+        d = lambda_ball(code.cols, min_radius(code.cols, 3)).density()
+        for label, points in (("code", space.points), ("coset", space.points ^ 1)):
+            f = SampleSpace(code.cols, points, space.probabilities).density
+            f.spectrum  # built on first read, and kept
+            yield "_smoothed_density", code.cols, {"space": label}, lambda f=f: _smoothed_density(f, d)
+            g = _smoothed_density(f, d)
+            yield "adjacency_apply", code.cols, {"space": label}, lambda g=g: adjacency_apply(g).values
+            del f, g  # each n = 24 vector is 128 MiB
 
 
 def chain_kernels(quick: bool):
@@ -347,7 +386,8 @@ def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[di
     out = []
     for name, n, param, call in itertools.chain(
         dense, large_kernels(quick), level_kernels(), reader_kernels(quick), spectrum_kernels(quick),
-        oracle_kernels(quick), chain_kernels(quick), ball_kernels(quick), radial_kernels(quick),
+        oracle_kernels(quick), chain_kernels(quick), coset_kernels(quick), ball_kernels(quick),
+        radial_kernels(quick),
     ):
         times, calls, peak = measure(call, runs)
         q1, median, q3 = statistics.quantiles(times, n=4)
@@ -380,7 +420,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n = 16, the level rows, the n = 12 spectrum rows and one row of each other kernel, 3 runs",
+        help="n = 16, the level rows, the n = 12 spectrum rows, the n = 15 chain and coset rows"
+        " and one row of each other kernel, 3 runs",
     )
     parser.add_argument("--label", default="checkout", help="row label")
     parser.add_argument("--process", type=int, default=1, help="index of this process for the label")

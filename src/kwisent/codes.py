@@ -15,7 +15,10 @@ A space uniform on a linear code, as every space built from a code is, takes
 its density's spectrum from the dual code: the 0/1 indicator of the dual
 words, which is exactly what the butterfly would compute (MacWilliams &
 Sloane, ch. 1), bit for bit, as SampleSpace.density argues.  Any other
-space's density runs the butterfly.
+space's density runs the butterfly.  Where the dual has at most
+DUAL_BLOCK_ROWS rows, the density is also made on the code's cosets
+(cube._Cosets), a table of one value per coset, so the smoothing chain
+builds g and applies the adjacency on such tables.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 MAX_SPACE_DIMENSION = 63
 ENUMERATION_GUARD = 10**7
 # Dual rows whose span SampleSpace.density lists at once (512 KiB of int64);
-# the rest are offsets, one block each.
+# the rest are offsets, one block each.  A code's density is made on its
+# cosets where its dual has no more rows than this, so every coset table and
+# list of dual words is at most one block.
 DUAL_BLOCK_ROWS = 16
 
 
@@ -87,12 +92,9 @@ def _span(basis: list[int]) -> np.ndarray:
         raise DimensionError(
             f"row space rank {len(basis)} exceeds the enumeration cap of {cube.DIMENSION_CAP}"
         )
-    words = np.zeros(1 << len(basis), dtype=np.int64)
     # lowest pivot first: each new row's pivot is above every word so far
     # and reduced rows are zero at the other pivots, so the words stay sorted
-    for i, row in enumerate(reversed(basis)):
-        np.bitwise_xor(words[: 1 << i], np.int64(row), out=words[1 << i : 2 << i])
-    return words
+    return cube._xor_span(np.array(basis[::-1], dtype=np.int64))
 
 
 def _code_basis(points: np.ndarray, probabilities: np.ndarray) -> list[int] | None:
@@ -265,20 +267,36 @@ class SampleSpace:
         division by 2^n is exact.  The dual words are written a block of
         at most 2^DUAL_BLOCK_ROWS at a time, so a low-rank code holds no
         list of its 2^(n-k) dual words.  Any other density's spectrum is one
-        butterfly on first read."""
-        cube.check_dimension(self.n)
-        vals = np.zeros(1 << self.n)
-        vals[self.points] = self.probabilities * (1 << self.n)
-        vals /= vals.mean()
-        f = cube.CubeFunction(self.n, cube._Fresh(vals))
+        butterfly on first read.
+
+        Where the dual also has rank m = n - k <= DUAL_BLOCK_ROWS, the
+        density is made on the cosets of V (cube._Cosets), from the dual's
+        reduced rows and a table of 2^m values: 2^(n-k) on V itself and 0
+        on every other coset.  Its values are gathered from that table on
+        first read, as no chain step on a code reads them but the
+        half-independence chain's adjacency; they are the values above bit
+        for bit, since the mean is exactly 1.  The smoothed density and the
+        adjacency of such a density act on 2^m values
+        (smoothing._smoothed_density, cube.adjacency_apply)."""
+        n = self.n
+        cube.check_dimension(n)
         basis = _code_basis(self.points, self.probabilities)
-        if basis is not None:
-            coeffs = np.zeros(1 << self.n)
-            dual = gf2_nullspace(basis, self.n)
+        dual = None if basis is None else gf2_rref(gf2_nullspace(basis, n), n)[0]
+        if dual is not None and len(dual) <= DUAL_BLOCK_ROWS:
+            table = np.zeros(1 << len(dual))
+            table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
+            f = cube._Cosets(n, dual[::-1], table)
+        else:
+            vals = np.zeros(1 << n)
+            vals[self.points] = self.probabilities * (1 << n)
+            vals /= vals.mean()
+            f = cube.CubeFunction(n, cube._Fresh(vals))
+        if dual is not None:
+            coeffs = np.zeros(1 << n)
             block = _span(dual[:DUAL_BLOCK_ROWS])
             for offset in _span(dual[DUAL_BLOCK_ROWS:]).tolist():
                 coeffs[block ^ offset] = 1.0
-            f.spectrum = cube.Spectrum(self.n, cube._Fresh(coeffs))
+            f.spectrum = cube.Spectrum(n, cube._Fresh(coeffs))
         return f
 
     def to_text(self) -> str:

@@ -27,6 +27,14 @@ ball density and the weight-one kernel) has such a spectrum, from exact
 Krawtchouk sums, with no butterfly.  convolve multiplies two spectra by
 level level for level, and scales a full table by a spectrum by level row
 by row, so it gathers no 2^n table.
+A third representation holds a function constant on each coset of a
+linear code C (_Cosets): a table of its 2^m values, one per coset,
+m = n - rank C.  Its values are gathered from that table by syndrome on
+first read; its spectrum is set by its maker or is the forward butterfly of
+those values; and adjacency_apply of it sums n shifted tables into another
+such function, with no 2^n pass.  The density of a space uniform on a code
+is one, and so is the smoothed density made from it
+(smoothing._smoothed_density), whose table is one butterfly of 2^m values.
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -106,7 +114,8 @@ class CubeFunction:
     """A real-valued function on {0,1}^n, indexed by bitmask: made from its
     values here, or from its spectrum by _from_spectrum.  Whichever side is
     missing is built from the other by one butterfly on first read, and
-    kept, unless its maker sets it."""
+    kept, unless its maker sets it.  _Cosets, made from a table on a code's
+    cosets, gathers its values instead."""
 
     def __init__(self, n: int, values):
         check_dimension(n)
@@ -129,6 +138,111 @@ class CubeFunction:
         a = _fwht(self.values)
         a /= self.size
         return Spectrum(self.n, _Fresh(a))
+
+
+def _xor_span(gens: np.ndarray) -> np.ndarray:
+    """Entry t is the XOR of gens[j] over the bits j of t: 2^len(gens)
+    entries of gens' dtype, by doubling."""
+    out = np.zeros(1 << gens.size, dtype=gens.dtype)
+    for i, gen in enumerate(gens):
+        np.bitwise_xor(out[: 1 << i], gen, out=out[1 << i : 2 << i])
+    return out
+
+
+# log2 of the syndromes one step of _Cosets.gather indexes: 2^14 of them,
+# which numpy casts to a 128 KiB index, instead of one 2^n index
+_GATHER_ROW = 14
+
+
+class _Cosets(CubeFunction):
+    """A function constant on each coset of a linear code C, made from a
+    table of its value on each coset.
+
+    C is given by its dual's reduced rows in ascending pivot order, rows[j]
+    of pivot p_j, p_0 < p_1 < ...; m = len(rows) = n - rank C.  Coordinate i
+    has the syndrome c_i, whose bit j is bit i of rows[j], and x has the
+    syndrome sigma(x), the XOR of c_i over the bits i of x; the cosets of C
+    are the sets of one syndrome, and the value at x is table[sigma(x)].
+    The dual word with pivot bits t, words[t] (_xor_span of the rows), is
+    then the t-th dual word in increasing order, and words[t] . x =
+    t . sigma(x).
+
+    So a function whose spectrum lies on the dual, as g = f * d of a code's
+    density f, has the values table[sigma] = sum_t coeff(words[t])
+    (-1)^(t . sigma): the butterfly of the 2^m coefficients at the dual
+    words, and that is the dense butterfly's result bit for bit.  The dense
+    butterfly's stage i pairs masks that differ in bit i, and a mask's bits
+    at and above i hold the S side.  The dual words that agree at and above
+    bit i are those of one choice of the rows of pivot >= i, since a row of
+    pivot p is zero above p and only it is nonzero at p; so a non-pivot
+    stage adds or subtracts, at each pair, one partial sum of dual words and
+    one of exact zeros (every coefficient off the dual is +0 or -0), and a
+    pivot stage p_j pairs the same two sums of dual words as stage j of the
+    2^m butterfly.  Adding an exact zero leaves a nonzero sum as it is, and
+    a negation is exact and passes through every rounding, so both trees
+    meet the same terms, with the same signs on the way to x, in the same
+    order: the values are equal bit for bit, up to the sign of a sum that is
+    exactly zero.
+
+    The values are gathered from the table on first read (gather), and
+    kept; the spectrum is the inherited forward butterfly unless its maker
+    sets it.  adjacency_apply of it sums the n tables table[sigma ^ c_i]
+    from zero, i = 0..n-1 in turn, the order in which the dense kernel adds
+    f(x ^ e_i), so its values are the dense result bit for bit.
+    """
+
+    def __init__(self, n: int, rows, table):
+        check_dimension(n)
+        self.n, self.rows = n, tuple(rows)
+        self.table = _frozen_vector(table, 1 << len(self.rows))
+
+    def with_table(self, table: np.ndarray) -> _Cosets:
+        """The function on the same cosets whose table is table, taken over."""
+        h = _Cosets.__new__(_Cosets)
+        h.n, h.rows, h.syndromes, h.halves = self.n, self.rows, self.syndromes, self.halves
+        h.table = _frozen_vector(_Fresh(table), self.table.size)
+        return h
+
+    @cached_property
+    def syndromes(self) -> np.ndarray:
+        """c_i for i = 0..n-1, in the narrowest unsigned dtype that holds 2^m."""
+        m = len(self.rows)
+        bits = (np.array(self.rows, dtype=np.int64)[:, None] >> np.arange(self.n)) & 1
+        return (bits << np.arange(m)[:, None]).sum(axis=0).astype(np.min_scalar_type((1 << m) - 1))
+
+    @cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The syndromes of x's low n // 2 bits and of its high bits, by value."""
+        half = self.n // 2
+        return _xor_span(self.syndromes[:half]), _xor_span(self.syndromes[half:])
+
+    @property
+    def dual_words(self) -> np.ndarray:
+        """The 2^m dual words, in increasing order: words[t] has pivot bits t."""
+        return _xor_span(np.array(self.rows, dtype=np.int64))
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """table[sigma(x)] for every mask x, into a fresh array.
+
+        sigma(x) is the XOR of the syndromes of x's low n // 2 bits and of
+        its high bits, read from the two half-width tables (halves) in the
+        syndromes' narrow dtype; a step gathers 2^_GATHER_ROW values, so no
+        index over all 2^n masks is made.  Every syndrome is below 2^m, so
+        mode="clip" changes no index; it lets take write into out with no
+        buffer.
+        """
+        low, high = self.halves
+        out = np.empty((high.size, low.size))
+        step = max(1, (1 << _GATHER_ROW) // low.size)
+        for r in range(0, high.size, step):
+            np.take(table, high[r : r + step, None] ^ low, out=out[r : r + step], mode="clip")
+        return out.reshape(-1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        vals = self.gather(self.table)
+        vals.setflags(write=False)  # finite, as the table is
+        return vals
 
 
 def _from_spectrum(s: Spectrum) -> CubeFunction:
@@ -331,8 +445,17 @@ def adjacency_apply(f: CubeFunction) -> CubeFunction:
     row's bits run on transposed copies, where they pair long contiguous
     runs instead of single values: the result row holds f's row transposed
     until the sums, made in one buffer, replace it.
+
+    A function on cosets (_Cosets) gives one on the same cosets, the sum of
+    its table shifted by each coordinate's syndrome in the same order.
     """
     n = f.n
+    if isinstance(f, _Cosets):
+        shift = np.arange(f.table.size, dtype=f.syndromes.dtype)
+        acc = np.zeros(f.table.size)
+        for row in f.table[f.syndromes[:, None] ^ shift]:  # row i: table[sigma ^ c_i]
+            acc += row
+        return f.with_table(acc)
     low = min(n, _BLOCK)
     half = low // 2
     rows, cols = 1 << (low - half), 1 << half

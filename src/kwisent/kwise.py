@@ -15,6 +15,7 @@ support point."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -75,85 +76,100 @@ def marginal_affordable(space: SampleSpace, k: int) -> bool:
     )
 
 
-def _step(stacks: list[np.ndarray], check) -> None:
-    """One lattice step, in place: the first coordinate of the rest leaves
+def _step(base: int, stacks: list[np.ndarray], top: int, check) -> None:
+    """One lattice step, in place, on stacks[i] of the subsets of size
+    base + i, none of them empty: the first coordinate of the rest leaves
     every stack, summed out of the rest (one add of its two halves) or moved
-    into the pattern as its low bit (a reshape).  The subsets it takes to
-    size len(stacks) are summed over the rest and checked, not kept.  Sizes
-    go from the top down, so each old stack is dropped once both of its
-    successors are built."""
-    top, rest = len(stacks), stacks[0].shape[2] // 2
-    check(top, stacks[-1].reshape(-1, 1 << (top - 1), 2, rest).sum(axis=3))
-    for size in reversed(range(top)):
-        pair = stacks[size].reshape(-1, 1 << size, 2, rest)
-        moved = stacks[size - 1].reshape(-1, 1 << size, rest) if size else pair[:0, :, 0]
-        out = np.empty((len(pair) + len(moved), 1 << size, rest))
+    into the pattern as its low bit (a reshape).  The largest subsets move
+    to a new stack, or, at size top, are summed over the rest and checked,
+    not kept.  Sizes go from the top down, so each old stack is dropped once
+    both of its successors are built."""
+    rest, count = stacks[0].shape[2] // 2, len(stacks)
+    last = base + count - 1
+    if last + 1 == top:
+        check(top, stacks[-1].reshape(-1, 2 << last, rest).sum(axis=2))
+    else:
+        stacks.append(stacks[-1].reshape(-1, 2 << last, rest))
+    for i in reversed(range(1, count)):
+        pair = stacks[i].reshape(-1, 1 << (base + i), 2, rest)
+        moved = stacks[i - 1].reshape(-1, 1 << (base + i), rest)
+        out = np.empty((len(pair) + len(moved), 1 << (base + i), rest))
         np.add(pair[:, :, 0], pair[:, :, 1], out=out[: len(pair)])
         out[len(pair) :] = moved
-        stacks[size] = out
+        stacks[i] = out
+    pair = stacks[0].reshape(-1, 1 << base, 2, rest)
+    stacks[0] = pair[:, :, 0] + pair[:, :, 1]  # nothing moves into the smallest
 
 
-def _halves(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _halves(base: int, stacks: list[np.ndarray]):
     """The stacked subsets cut into two halves of equal count (the second
-    one more when odd); the second is a copy, so no view of it keeps the
-    whole stacks alive while the first is finished."""
+    one more when odd), each a (base, stacks) pair with no empty stack; the
+    second is a copy, so no view of it keeps the whole stacks alive while
+    the first is finished."""
     cut = sum(map(len, stacks)) // 2
     first, second = [], []
     for stack in stacks:
         take = min(cut, len(stack))
         cut -= take
-        first.append(stack[:take])
-        second.append(stack[take:].copy())
-    return first, second
+        if take:
+            first.append(stack[:take])
+        if take < len(stack):
+            second.append(stack[take:].copy())
+    return (base, first), (base + len(stacks) - len(second), second)
 
 
-def _walk(stacks: list[np.ndarray], check) -> None:
-    """Step the stacks until no rest is left, then check every size below
-    len(stacks).  When one step would hold more than MARGINAL_STACK_ELEMENTS
-    sums, the subsets are split in two and one half is finished before the
-    other is started."""
-    todo = [stacks]
+def _walk(base: int, stacks: list[np.ndarray], top: int, check) -> None:
+    """Step the stacks of sizes base, base + 1, ... until no rest is left,
+    then check every size they reach below top.  When one step would hold
+    more than MARGINAL_STACK_ELEMENTS sums, the subsets are split in two and
+    one half is finished before the other is started.  The list passed in
+    is emptied, so the caller's reference keeps no split stack alive."""
+    todo = [(base, stacks.copy())]
+    stacks.clear()
     while todo:
-        stacks = todo.pop()
+        base, stacks = todo.pop()
         while stacks[0].shape[2] > 1:
-            # half of every stack stays summed out, and all but the last moves up
+            # half of every stack stays summed out, and every stack moves
+            # up but the one that reaches top
             held = sum(stack.size for stack in stacks)
-            after = held // 2 + held - stacks[-1].size
+            after = held // 2 + held - (stacks[-1].size if base + len(stacks) == top else 0)
             if after > MARGINAL_STACK_ELEMENTS and sum(map(len, stacks)) > 1:
-                stacks, second = _halves(stacks)
+                (base, stacks), second = _halves(base, stacks)
                 todo.append(second)
             else:
-                _step(stacks, check)
-        for size, stack in enumerate(stacks):
-            check(size, stack[:, :, 0])
+                _step(base, stacks, top, check)
+        for i, stack in enumerate(stacks):
+            check(base + i, stack[:, :, 0])
 
 
-def _prefixes(space: SampleSpace, start: int, top: int, check):
-    """Yield (|S|, pattern) for each subset S of the first `start`
-    coordinates with |S| < top, the pattern holding S's bits of every
-    support point, S's first coordinate the high bit.  A subset of size top
-    is checked at once from one bincount of its pattern."""
-    n, points = space.n, space.points
-    todo = [(0, 0, np.zeros_like(points))]
-    while todo:
-        j, size, pattern = todo.pop()
-        if j == start:
-            yield size, pattern
-            continue
-        todo.append((j + 1, size, pattern))
-        grown = 2 * pattern + ((points >> (n - 1 - j)) & 1)
-        if size + 1 < top:
-            todo.append((j + 1, size + 1, grown))
-        else:
-            check(top, np.bincount(grown, space.probabilities, 1 << top))
+def _prefix_chunks(start: int, r: int, top: int, support: int):
+    """Yield (size, subsets) for the subsets of the first `start`
+    coordinates of each size up to top, in increasing order of size, as
+    arrays of coordinate indices, a chunk of subsets at a time: each chunk's
+    bincount (_bins) has at most MARGINAL_STACK_ELEMENTS sums and support
+    entries, or one subset."""
+    for size in range(min(start, top) + 1):
+        tail = r if size < top else 0
+        subsets = np.array(list(itertools.combinations(range(start), size)), dtype=np.intp)
+        subsets = subsets.reshape(math.comb(start, size), size)
+        per = max(1, MARGINAL_STACK_ELEMENTS // max(support, 1 << (size + tail)))
+        for first in range(0, len(subsets), per):
+            yield size, subsets[first : first + per]
 
 
-def _stacked(pending: list[list[np.ndarray]], r: int) -> list[np.ndarray]:
-    """The bincounts of each size as one stack, emptying `pending`."""
-    stacks = [np.reshape(bins, (-1, 1 << size, 1 << r)) for size, bins in enumerate(pending)]
-    for bins in pending:
-        bins.clear()
-    return stacks
+def _bins(bits: np.ndarray, weights: np.ndarray, subsets: np.ndarray, low, r: int) -> np.ndarray:
+    """One bincount of the support points' weights by subset, by its
+    pattern (its first coordinate the high bit; bits holds the points' bits
+    at the leading coordinates, a column each) and by the points' last r
+    bits (low) below that: len(subsets) x 2^|S| x 2^r bins."""
+    index = np.arange(len(subsets))  # the subset, above its pattern
+    for column in subsets.T:
+        index = (index << 1) | bits[:, column]
+    if r:
+        index = (index << r) | low
+    return np.bincount(
+        index.ravel(), np.repeat(weights, len(subsets)), len(subsets) << (subsets.shape[1] + r)
+    )
 
 
 def _worst_by_level(space: SampleSpace, top: int) -> np.ndarray:
@@ -170,12 +186,15 @@ def _worst_by_level(space: SampleSpace, top: int) -> np.ndarray:
     checked when the rest is gone.
 
     The lattice starts from the support, not from a 2^n vector.  With 2^r
-    the least power of two at or above 4m for m points (2^n at most), each
-    subset S of the first j0 = n - r coordinates is one bincount of the
-    points over S's pattern and their last r coordinates, 2^|S| x 2^r bins
-    (_prefixes); from step j0 on the lattice is dense.  Stacks are walked
-    in groups of at most MARGINAL_STACK_ELEMENTS sums, and split further
-    when a step would pass that budget (_walk).
+    the least power of two at or above 4m for m points (2^n at most), the
+    subsets S of the first j0 = n - r coordinates are bincounts of the
+    points over S's pattern and their last r coordinates, 2^|S| x 2^r bins,
+    one bincount for a chunk of the subsets of one size (_prefix_chunks,
+    _bins), and those of size top are checked at once on their patterns;
+    from step j0 on the lattice is dense.  Stacks of consecutive sizes are
+    walked in groups of at most MARGINAL_STACK_ELEMENTS sums, each group
+    before the next chunk is counted, and split further when a step would
+    pass that budget (_walk).
     """
     n, points, weights = space.n, space.points, space.probabilities
     worst = np.zeros(top + 1)
@@ -187,15 +206,23 @@ def _worst_by_level(space: SampleSpace, top: int) -> np.ndarray:
     if top == 0:
         return worst
     r = min(n, (points.size - 1).bit_length() + 2)
-    low = points & ((1 << r) - 1)
-    pending, held = [[] for _ in range(top)], 0
-    for size, pattern in _prefixes(space, n - r, top, check):
-        if held and held + (1 << (size + r)) > MARGINAL_STACK_ELEMENTS:
-            _walk(_stacked(pending, r), check)
-            held = 0
-        pending[size].append(np.bincount((pattern << r) | low, weights, 1 << (size + r)))
-        held += 1 << (size + r)
-    _walk(_stacked(pending, r), check)
+    start = n - r
+    bits = (points[:, None] >> (n - 1 - np.arange(start))) & 1
+    low = points[:, None] & ((1 << r) - 1)
+    base, group = 0, []
+    for size, subsets in _prefix_chunks(start, r, top, points.size):
+        if size == top:
+            check(top, _bins(bits, weights, subsets, low, 0))
+            continue
+        held = sum(map(np.size, group)) + (len(subsets) << (size + r))
+        if group and (held > MARGINAL_STACK_ELEMENTS or size != base + len(group)):
+            _walk(base, group, top, check)
+        if not group:
+            base = size
+        stack = _bins(bits, weights, subsets, low, r)
+        group.append(stack.reshape(len(subsets), 1 << size, 1 << r))
+    del stack  # the group holds it, and the walk frees it once stepped
+    _walk(base, group, top, check)
     return worst
 
 

@@ -49,6 +49,7 @@ from .cube import (
     CubeFunction,
     Radial,
     Spectrum,
+    _Cosets,
     _Fresh,
     _from_spectrum,
     adjacency_apply,
@@ -204,9 +205,19 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
     The inverse butterfly writes g's values into an array made here, and the
     clip and the division act on it in place: the call holds the product,
     that array and the product over the mean, and no convolution values.
+
+    When f is a function on the cosets of a code C (cube._Cosets), as the
+    density of a space uniform on C with a dual of rank m <= DUAL_BLOCK_ROWS
+    is, f̂ lies on the dual code, so f̂ d̂ does too and g is constant on each
+    coset: g is made on the same cosets, its table one butterfly of the 2^m
+    products at the dual words, the dense butterfly's values bit for bit
+    (cube._Cosets argues it).  The clip acts on that table; the mean reads
+    the 2^n values gathered from it, the same values as the dense route's,
+    and the division acts on both, the gathered values becoming g's.
     """
     prod = convolve(f, d).spectrum.coeffs
-    vals = cube._fwht(prod)
+    on_cosets = isinstance(f, _Cosets)
+    vals = cube._fwht(prod[f.dual_words] if on_cosets else prod)
     low = vals.min()
     if low < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
@@ -214,9 +225,15 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
         )
     if low < 0.0:
         np.maximum(vals, 0.0, out=vals)
+    if on_cosets:
+        table, vals = vals, f.gather(vals)
     mean = vals.mean()
     vals /= mean
-    g = CubeFunction(f.n, _Fresh(vals))
+    if on_cosets:
+        g = f.with_table(table / mean)
+        g.values = cube._frozen_vector(_Fresh(vals), vals.size)
+    else:
+        g = CubeFunction(f.n, _Fresh(vals))
     if low >= 0.0:
         g.spectrum = Spectrum(f.n, _Fresh(prod / mean))
     return g
@@ -290,7 +307,10 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # clip fired: the chain runs 1 butterfly, g's values (2 when f's
     # spectrum is first read here and X is not uniform on a code, whose
     # density takes it from the dual code; 1 more when the clip fires).
-    # The half-independence chain on a code runs none.
+    # On a code whose dual has rank m <= DUAL_BLOCK_ROWS that butterfly is
+    # of 2^m values, g's table on the code's cosets, from which its values
+    # are gathered, and A g is n shifted tables (cube._Cosets); f's values
+    # are never built.  The half-independence chain on a code runs none.
     # Everything that reads g's values runs before the associativity line,
     # which reads spectra alone, so g's values are dropped before it.
     # Products by a spectrum by level gather no 2^n table, and

@@ -5,8 +5,9 @@ for the same points at two probabilities), the reader has a row on the
 random file and two on a code's one-text file, as written and with tab
 separators, and the reader and the writer each have a row on that code's
 two-text file; the oracle has rows at stop = n, at analyze's stop and on
-the point mass at n = 20; and a row is timed in batches whose size timeit's autorange
-sets."""
+the point mass at n = 20; g's values and its adjacency have rows on a
+code's cosets and on the dense route; and a row is timed in batches whose
+size timeit's autorange sets."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
     "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
-    "level_max_abs", "SampleSpace.density.spectrum",
+    "level_max_abs", "SampleSpace.density.spectrum", "_smoothed_density",
 }
 
 
@@ -100,6 +101,15 @@ def test_quick_rows_cover_every_kernel(monkeypatch):
         (20, 1, 0),
     ]
     assert oracle[-1]["peak_vectors"] < 0.01
+    # g's values and its adjacency on a code's cosets, from one butterfly
+    # of 2^(15 - 11) values and 15 shifted tables, and on the dense route
+    coset = [row for row in rows if row.get("space") in ("code", "coset")]
+    assert [(row["kernel"], row["n"], row["space"], row["butterflies"]) for row in coset] == [
+        ("_smoothed_density", 15, "code", 1),
+        ("adjacency_apply", 15, "code", 0),
+        ("_smoothed_density", 15, "coset", 1),
+        ("adjacency_apply", 15, "coset", 0),
+    ]
     writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
         (10, None, 0),

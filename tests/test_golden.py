@@ -57,8 +57,13 @@ SPACES = {
     "uniform8": "uniform --n 8",
     "space6": "from-matrix --matrix {matrix6}",
 }
-# chained only: analyze would run the marginal oracle on 2^16 points
-CHAINED = {**SPACES, "code20": "from-matrix --matrix {matrix20}"}
+# chained only: analyze would run the marginal oracle on 2^16 points; the
+# simplex code's chain is the one whose clip fires (noise below 0 in g)
+CHAINED = {
+    **SPACES,
+    "code20": "from-matrix --matrix {matrix20}",
+    "simplex15": "simplex --m 4",
+}
 
 CASES = {
     "construct-hamming": "construct hamming --m 3",
@@ -88,6 +93,7 @@ CASES = {
     "chain-space6-k4-csv": "chain {space6} --k 4 --format csv",
     "chain-code20-k3-text": "chain {code20} --k 3",
     "chain-code20-k4-text": "chain {code20} --k 4",
+    "chain-simplex15-k3-text": "chain {simplex15} --k 3",
     **{f"bound-n16-k4-{form}": f"bound --n 16 --k 4 --format {form}" for form in ("text", "csv", "json")},
     **{f"bound-n7-k4-{form}": f"bound --n 7 --k 4 --format {form}" for form in ("text", "csv", "json")},
     "bound-n3-k1-text": "bound --n 3 --k 1",

@@ -6,17 +6,29 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kwisent.cube
 import oracles
 from conftest import point_space, random_halfwise_distribution
+from kwisent import codes
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound, shannon_from_density
 from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space, simplex_code
-from kwisent.cube import convolve, inner_product, weight_one_indicator, wht
+from kwisent.cube import (
+    CubeFunction,
+    _Cosets,
+    adjacency_apply,
+    convolve,
+    inner_product,
+    weight_one_indicator,
+    wht,
+)
 from kwisent.errors import IndependenceError
 from kwisent.kwise import independence_order
 from kwisent.smoothing import (
@@ -31,6 +43,8 @@ from kwisent.tolerances import ASSOCIATIVITY, CONVOLUTION_POINTWISE
 from oracles import dense_ball_density, dense_eigen_margin, from_density, smooth, verify_smoothing
 from test_balls import radial_vs_dense_tolerances
 from test_bench_kernels import load_script
+from test_codes import generator_matrices
+from test_cube import assert_same_bits
 
 
 def direct_smoothed_probability(x, d, mask):
@@ -332,9 +346,11 @@ def count_butterflies(monkeypatch) -> list[int]:
 def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, space):
     # d and the kernel are radial, so their spectra are level sums, a
     # convolution keeps its spectral product, and g, whose clip changes
-    # nothing here, keeps it over its mean: g's values alone.  A fresh code
-    # space takes its spectrum from the dual code, with no butterfly; a
-    # fresh coset of the code, which is no code, adds one for f's spectrum
+    # nothing here, keeps it over its mean: g's values alone.  A code space
+    # takes its spectrum from the dual code, with no butterfly, and g's
+    # values are gathered from one butterfly of its 2^(n - rank) = 2^4
+    # coset values; a fresh coset of the code, which is no code, runs the
+    # dense butterfly for g's values and one more for f's spectrum
     x = {
         "kept": lambda: hamming15,
         "fresh": lambda: parity_sampler_space(hamming_code(4)),
@@ -342,7 +358,7 @@ def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, space):
     }[space]()
     calls = count_butterflies(monkeypatch)
     assert smoothing_chain(x, k).passed
-    assert calls == [1 << 15] * (2 if space == "coset" else 1)
+    assert calls == ([1 << 15] * 2 if space == "coset" else [1 << 4])
 
 
 def test_halfwise_chain_on_a_fresh_code_runs_no_butterfly(monkeypatch):
@@ -385,6 +401,88 @@ def test_clipped_smoothed_density_transforms_its_values(space, monkeypatch):
     coeffs = wht(g).coeffs
     assert calls == [1 << x.n]
     assert np.array_equal(coeffs, kwisent.cube._fwht(g.values) / (1 << x.n))
+
+
+def assert_same_bits_but_signs_of_zero(actual, expected):
+    """assert_same_bits where the values are not zero, and equal values
+    where they are.  The dense butterfly also adds the exact zeros of the
+    coefficients off the dual code, -0.0 where d̂'s level is negative, and
+    it negates partial sums at other stages than the 2^m butterfly does.
+    A negation passes through every rounding but that of a sum which is
+    exactly zero, +0.0 whichever term was negated, so a zero value is the
+    one whose sign the two routes may not share (none has differed in 2,000
+    random codes)."""
+    assert np.array_equal(actual, expected)
+    nonzero = expected != 0.0
+    assert_same_bits(actual[nonzero], expected[nonzero])
+
+
+def plain(f):
+    """f as a dense cube function: its values, and its kept spectrum."""
+    dense = CubeFunction(f.n, f.values)
+    dense.spectrum = f.spectrum
+    return dense
+
+
+@given(generator_matrices(), st.integers(0, 16))
+def test_code_route_matches_the_dense_route_bit_for_bit(matrix, r):
+    # every rank at n <= 16, rank n (m = 0) and rank 0 (m = n) included:
+    # g's values and kept spectrum from one butterfly of 2^m values, and
+    # the adjacency from n shifted tables, against the dense kernels
+    x = parity_sampler_space(matrix)
+    f = x.density
+    assert isinstance(f, _Cosets) and len(f.rows) == x.n - x.support_size.bit_length() + 1
+    d = lambda_ball(x.n, min(r, x.n)).density()
+    g, expected = _smoothed_density(f, d), _smoothed_density(plain(f), d)
+    assert isinstance(g, _Cosets) and not isinstance(expected, _Cosets)
+    assert_same_bits_but_signs_of_zero(g.values, expected.values)
+    assert_same_bits_but_signs_of_zero(g.spectrum.coeffs, expected.spectrum.coeffs)
+    ag = adjacency_apply(g)
+    assert isinstance(ag, _Cosets)
+    assert_same_bits(ag.values, adjacency_apply(CubeFunction(x.n, g.values)).values)
+    assert_same_bits_but_signs_of_zero(ag.values, adjacency_apply(expected).values)
+    assert_same_bits(adjacency_apply(f).values, adjacency_apply(plain(f)).values)
+
+
+@pytest.mark.parametrize("space", ["coset", "point17", "small-block"])
+def test_only_a_code_of_a_small_dual_takes_the_coset_route(hamming15, monkeypatch, space):
+    # a coset of the Hamming code is no code; the point mass at n = 17 is a
+    # code whose dual has rank 17 > DUAL_BLOCK_ROWS, as the Hamming code's
+    # (rank 4) is at a block of 3 rows: each runs the dense butterfly
+    block = 3 if space == "small-block" else codes.DUAL_BLOCK_ROWS
+    with mock.patch.object(codes, "DUAL_BLOCK_ROWS", block):
+        x = {
+            "coset": lambda: SampleSpace(15, hamming15.points ^ 1, hamming15.probabilities),
+            "point17": lambda: point_space(17),
+            "small-block": lambda: SampleSpace(15, hamming15.points, hamming15.probabilities),
+        }[space]()
+        f = x.density
+    f.spectrum  # built on first read where x is no code
+    d = lambda_ball(x.n, min_radius(x.n, 3)).density()
+    calls = count_butterflies(monkeypatch)
+    g = _smoothed_density(f, d)
+    assert calls == [1 << x.n]
+    assert not any(isinstance(h, _Cosets) for h in (f, g, adjacency_apply(g)))
+
+
+def test_fresh_n20_code_chain_peaks_below_the_dense_route():
+    # a CLI chain builds its space from the file: 4.16 vectors here, the
+    # largest while _smoothed_density holds f̂, the product, g's gathered
+    # values and ĝ; 5.20 on the dense route, which also held f's values.
+    # A 2^n syndrome index held through a gather would add 0.125 (uint8)
+    x = parity_sampler_space(load_script().random_code_20())
+
+    def fresh():
+        smoothing_chain(SampleSpace(x.n, x.points, x.probabilities), 3)
+
+    fresh()  # warm-up: lazy imports and cached index tables
+    tracemalloc.start()
+    try:
+        fresh()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 << x.n) <= 4.25
 
 
 def test_distribution_spectrum_is_the_density_transform(hamming15):

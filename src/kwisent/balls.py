@@ -186,8 +186,8 @@ def _perron_profile(n: int, r: int) -> np.ndarray:
         su[:-1] += off * u[1:]
         su[1:] += off * u[:-1]
         lam = float(u @ su)
-        resid = float(np.linalg.norm(su - lam * u))
-        if abs(lam - prev) < RAYLEIGH_STEP and resid <= EIGEN_RESIDUAL:
+        # the residual's norm only once the Rayleigh step has settled
+        if abs(lam - prev) < RAYLEIGH_STEP and np.linalg.norm(su - lam * u) <= EIGEN_RESIDUAL:
             break
         prev = lam
         v = su + shift * u

@@ -7,9 +7,9 @@ character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 The sample space file of a code, every line '<n bits> <probability text>'
 with one width and one probability text, is written as one byte grid, a row
 per point, and read back by slicing the grid's columns, which only accepts.
-Any other space is written one line at a time, and any other file is read
-line by line, more slowly, to the same values, and so is a grid the values
-refuse, for the message and number of its first bad line.
+Any other space is written one line at a time, and any other file, and a
+grid the constructor refuses, is read line by line, more slowly, to the
+same values or to the message and number of its first bad line.
 
 A space uniform on a linear code, as every space built from a code is, takes
 its density's spectrum from the dual code: the 0/1 indicator of the dual
@@ -17,8 +17,7 @@ words, which is exactly what the butterfly would compute (MacWilliams &
 Sloane, ch. 1), bit for bit, as SampleSpace.density argues.  Any other
 space's density runs the butterfly.  Where the dual has at most
 DUAL_BLOCK_ROWS rows, the density is also made on the code's cosets
-(cube._Cosets), a table of one value per coset, so the smoothing chain
-builds g and applies the adjacency on such tables.
+(cube._Cosets, which argues why that keeps every bit).
 """
 
 from __future__ import annotations
@@ -269,31 +268,28 @@ class SampleSpace:
         list of its 2^(n-k) dual words.  Any other density's spectrum is one
         butterfly on first read.
 
-        Where the dual also has rank m = n - k <= DUAL_BLOCK_ROWS, the
-        density is made on the cosets of V (cube._Cosets), from the dual's
-        reduced rows and a table of 2^m values: 2^(n-k) on V itself and 0
-        on every other coset.  Its values are gathered from that table on
-        first read, as no chain step on a code reads them but the
-        half-independence chain's adjacency; they are the values above bit
-        for bit, since the mean is exactly 1.  The smoothed density and the
-        adjacency of such a density act on 2^m values
-        (smoothing._smoothed_density, cube.adjacency_apply)."""
+        Where the dual also has rank m = n - k <= DUAL_BLOCK_ROWS, that
+        one block is every dual word, and the density is made on the cosets
+        of V (cube._Cosets) from that list and a table of 2^m values:
+        2^(n-k) on V itself and 0 on every other coset.  Its values are
+        gathered from that table on first read, as no chain step on a code
+        reads them but the half-independence chain's adjacency."""
         n = self.n
         cube.check_dimension(n)
         basis = _code_basis(self.points, self.probabilities)
         dual = None if basis is None else gf2_rref(gf2_nullspace(basis, n), n)[0]
-        if dual is not None and len(dual) <= DUAL_BLOCK_ROWS:
-            table = np.zeros(1 << len(dual))
-            table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
-            f = cube._Cosets(n, dual[::-1], table)
-        else:
+        if dual is None or len(dual) > DUAL_BLOCK_ROWS:
             vals = np.zeros(1 << n)
             vals[self.points] = self.probabilities * (1 << n)
             vals /= vals.mean()
             f = cube.CubeFunction(n, cube._Fresh(vals))
         if dual is not None:
-            coeffs = np.zeros(1 << n)
             block = _span(dual[:DUAL_BLOCK_ROWS])
+            if len(dual) <= DUAL_BLOCK_ROWS:
+                table = np.zeros(block.size)
+                table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
+                f = cube._Cosets(n, block, table)
+            coeffs = np.zeros(1 << n)
             for offset in _span(dual[DUAL_BLOCK_ROWS:]).tolist():
                 coeffs[block ^ offset] = 1.0
             f.spectrum = cube.Spectrum(n, cube._Fresh(coeffs))
@@ -328,27 +324,22 @@ class SampleSpace:
         per point.
 
         A text in the layout to_text writes for a code (ASCII, '\\n' line
-        ends, every line '<n bits> <text>' with one width and one text) is
-        sliced as a byte grid, a row per line (_read_grid).  Where the values
-        sliced sum to 1 within FILE_TOTAL_MASS, in line order, they go to the
-        constructor, whose one sort also refuses a repeated point.  Any other
-        text, as one with many probability texts, and a grid that the sum or
-        the constructor refuses, is read line by line (_read_lines), which
-        raises the FormatError of its first bad line, with its number, else
-        of no points or of the sum; a grid it finds nothing wrong with keeps
-        the constructor's own ValueError.
+        ends, every line '<n bits> <text>' with one width and one text,
+        whose values sum to 1 within FILE_TOTAL_MASS) is sliced as a byte
+        grid, a row per line (_read_grid), and goes to the constructor.  Any
+        other text, as one with many probability texts, is read line by line
+        (_read_lines), which raises the FormatError of its first bad line,
+        with its number, else of no points or of the sum; and so is a grid
+        the constructor refuses.  A grid's one text that sums to 1 is finite
+        and positive, so the one refusal it can meet is a repeated point,
+        which _read_lines names with its line.
         """
         read = _read_grid(text)
         if read is not None:
-            n, points, probs = read
-            total = sum(probs.tolist())  # left to right, as the points are listed
-            if abs(total - 1.0) <= FILE_TOTAL_MASS:
-                try:
-                    return cls(n, points, probs / total)
-                except ValueError as err:  # a repeated point or a negative probability
-                    fault = err
-                _read_lines(text)  # the FormatError of the first bad line, if any
-                raise fault
+            try:
+                return cls(*read)
+            except ValueError:  # a repeated point
+                pass
         return cls(*_read_lines(text))
 
 
@@ -367,11 +358,14 @@ def _read_header(line: str) -> int:
 
 def _read_grid(text: str):
     """(n, points, probabilities) of a text in the layout to_text writes for a
-    code, read as a (lines, width) byte grid, else None: an ASCII text whose
-    header is one line ended by '\\n', and whose every later line is '<n bits
-    of 0/1> <nonblank token>' with one width and one token.  Such lines hold
-    no whitespace but the one space, so they split into the same two tokens
-    as str.split finds.  A probability text float() refuses reads as NaN."""
+    code, read as a (lines, width) byte grid, the probabilities divided by
+    their sum; else None.  The layout is an ASCII text whose header is one
+    line ended by '\\n', and whose every later line is '<n bits of 0/1>
+    <nonblank token>' with one width and one token, and whose probabilities
+    sum to 1 within FILE_TOTAL_MASS, in line order.  Such lines hold no
+    whitespace but the one space, so they split into the same two tokens as
+    str.split finds.  A probability text float() refuses reads as NaN, whose
+    sum is off."""
     end = text.find("\n")
     head = text[:end]
     if end <= 0 or not text.isascii() or head.splitlines() != [head]:
@@ -393,7 +387,11 @@ def _read_grid(text: str):
         and ((grid[:, :n] | 1) == ord("1")).all()  # only '0' and '1' OR 1 to '1'
     ):
         return None
-    return n, _points(grid[:, :n]), np.full(len(grid), _float_or_nan(tail.tobytes().decode()))
+    probs = np.full(len(grid), _float_or_nan(tail.tobytes().decode()))
+    total = sum(probs.tolist())  # left to right, as _read_lines sums
+    if not abs(total - 1.0) <= FILE_TOTAL_MASS:
+        return None
+    return n, _points(grid[:, :n]), probs / total
 
 
 def _points(digits: np.ndarray) -> np.ndarray:

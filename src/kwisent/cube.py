@@ -28,13 +28,13 @@ Krawtchouk sums, with no butterfly.  convolve multiplies two spectra by
 level level for level, and scales a full table by a spectrum by level row
 by row, so it gathers no 2^n table.
 A third representation holds a function constant on each coset of a
-linear code C (_Cosets): a table of its 2^m values, one per coset,
-m = n - rank C.  Its values are gathered from that table by syndrome on
-first read; its spectrum is set by its maker or is the forward butterfly of
-those values; and adjacency_apply of it sums n shifted tables into another
-such function, with no 2^n pass.  The density of a space uniform on a code
-is one, and so is the smoothed density made from it
-(smoothing._smoothed_density), whose table is one butterfly of 2^m values.
+linear code C (_Cosets, which also argues why it keeps every bit): a table
+of its 2^m values, one per coset, m = n - rank C.  Its values are gathered
+from that table by syndrome on first read; its spectrum is set by its maker
+or is the forward butterfly of those values; and adjacency_apply of it sums
+n shifted tables into another such function, with no 2^n pass.  The
+density of a space uniform on a code is one, and so is the smoothed density
+made from it (smoothing._smoothed_density).
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -155,59 +155,67 @@ _GATHER_ROW = 14
 
 
 class _Cosets(CubeFunction):
-    """A function constant on each coset of a linear code C, made from a
-    table of its value on each coset.
+    """A function constant on each coset of a linear code C, made from the
+    list of C's dual words and a table of its value on each coset.
 
-    C is given by its dual's reduced rows in ascending pivot order, rows[j]
-    of pivot p_j, p_0 < p_1 < ...; m = len(rows) = n - rank C.  Coordinate i
+    The dual words come in increasing order, as codes._span lists them:
+    words[t] is the XOR of the dual's reduced rows rows[j] over the bits j
+    of t, rows in ascending pivot order (rows[j] = words[2^j], of pivot
+    p_j, p_0 < p_1 < ...); m = log2 len(words) = n - rank C.  Coordinate i
     has the syndrome c_i, whose bit j is bit i of rows[j], and x has the
     syndrome sigma(x), the XOR of c_i over the bits i of x; the cosets of C
-    are the sets of one syndrome, and the value at x is table[sigma(x)].
-    The dual word with pivot bits t, words[t] (_xor_span of the rows), is
-    then the t-th dual word in increasing order, and words[t] . x =
-    t . sigma(x).
+    are the sets of one syndrome, the value at x is table[sigma(x)], and
+    words[t] . x = t . sigma(x).
 
-    So a function whose spectrum lies on the dual, as g = f * d of a code's
-    density f, has the values table[sigma] = sum_t coeff(words[t])
-    (-1)^(t . sigma): the butterfly of the 2^m coefficients at the dual
-    words, and that is the dense butterfly's result bit for bit.  The dense
-    butterfly's stage i pairs masks that differ in bit i, and a mask's bits
-    at and above i hold the S side.  The dual words that agree at and above
-    bit i are those of one choice of the rows of pivot >= i, since a row of
-    pivot p is zero above p and only it is nonzero at p; so a non-pivot
-    stage adds or subtracts, at each pair, one partial sum of dual words and
-    one of exact zeros (every coefficient off the dual is +0 or -0), and a
-    pivot stage p_j pairs the same two sums of dual words as stage j of the
-    2^m butterfly.  Adding an exact zero leaves a nonzero sum as it is, and
-    a negation is exact and passes through every rounding, so both trees
-    meet the same terms, with the same signs on the way to x, in the same
-    order: the values are equal bit for bit, up to the sign of a sum that is
-    exactly zero.
+    Why the coset route keeps the dense route's bits.  A function whose
+    spectrum lies on the dual, as g = f * d of a code's density f,
+    has the values table[sigma] = sum_t coeff(words[t]) (-1)^(t . sigma):
+    the butterfly of the 2^m coefficients at the dual words, and that is the
+    dense butterfly's result bit for bit.  The dense butterfly's stage i
+    pairs masks that differ in bit i, and a mask's bits at and above i hold
+    the S side.  The dual words that agree at and above bit i are those of
+    one choice of the rows of pivot >= i, since a row of pivot p is zero
+    above p and only it is nonzero at p; so a non-pivot stage adds or
+    subtracts, at each pair, one partial sum of dual words and one of exact
+    zeros (every coefficient off the dual is +0 or -0), and a pivot stage
+    p_j pairs the same two sums of dual words as stage j of the 2^m
+    butterfly.  Adding an exact zero leaves a nonzero sum as it is, and a
+    negation is exact and passes through every rounding, so both trees meet
+    the same terms, with the same signs on the way to x, in the same order:
+    the values are equal bit for bit, up to the sign of a sum that is
+    exactly zero.  A code's density is its table gathered: 2^(n-k) on C,
+    0 elsewhere, the dense values exactly.  Every sum that prints (a mean,
+    an inner product, an entropy) reads the gathered 2^n values in the dense
+    order.  adjacency_apply of such a function sums the n tables
+    table[sigma ^ c_i] from zero, i = 0..n-1 in turn, the order in which the
+    dense kernel adds f(x ^ e_i), so its values are the dense result bit
+    for bit.
 
-    The values are gathered from the table on first read (gather), and
-    kept; the spectrum is the inherited forward butterfly unless its maker
-    sets it.  adjacency_apply of it sums the n tables table[sigma ^ c_i]
-    from zero, i = 0..n-1 in turn, the order in which the dense kernel adds
-    f(x ^ e_i), so its values are the dense result bit for bit.
+    The values are gathered from the table on first read (gather), or set
+    by with_table, and kept; the spectrum is the inherited forward
+    butterfly unless its maker sets it.
     """
 
-    def __init__(self, n: int, rows, table):
+    def __init__(self, n: int, dual_words: np.ndarray, table):
         check_dimension(n)
-        self.n, self.rows = n, tuple(rows)
-        self.table = _frozen_vector(table, 1 << len(self.rows))
+        self.n, self.dual_words = n, dual_words
+        self.table = _frozen_vector(table, dual_words.size)
 
-    def with_table(self, table: np.ndarray) -> _Cosets:
-        """The function on the same cosets whose table is table, taken over."""
-        h = _Cosets.__new__(_Cosets)
-        h.n, h.rows, h.syndromes, h.halves = self.n, self.rows, self.syndromes, self.halves
-        h.table = _frozen_vector(_Fresh(table), self.table.size)
+    def with_table(self, table: np.ndarray, values: np.ndarray | None = None) -> _Cosets:
+        """The function on the same cosets whose table is table and whose
+        values, where given, are values, each taken over."""
+        h = _Cosets(self.n, self.dual_words, _Fresh(table))
+        h.syndromes, h.halves = self.syndromes, self.halves
+        if values is not None:
+            h.values = _frozen_vector(_Fresh(values), self.size)
         return h
 
     @cached_property
     def syndromes(self) -> np.ndarray:
         """c_i for i = 0..n-1, in the narrowest unsigned dtype that holds 2^m."""
-        m = len(self.rows)
-        bits = (np.array(self.rows, dtype=np.int64)[:, None] >> np.arange(self.n)) & 1
+        m = self.dual_words.size.bit_length() - 1
+        rows = self.dual_words[1 << np.arange(m)]  # rows[j] = words[2^j]
+        bits = (rows[:, None] >> np.arange(self.n)) & 1
         return (bits << np.arange(m)[:, None]).sum(axis=0).astype(np.min_scalar_type((1 << m) - 1))
 
     @cached_property
@@ -215,11 +223,6 @@ class _Cosets(CubeFunction):
         """The syndromes of x's low n // 2 bits and of its high bits, by value."""
         half = self.n // 2
         return _xor_span(self.syndromes[:half]), _xor_span(self.syndromes[half:])
-
-    @property
-    def dual_words(self) -> np.ndarray:
-        """The 2^m dual words, in increasing order: words[t] has pivot bits t."""
-        return _xor_span(np.array(self.rows, dtype=np.int64))
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """table[sigma(x)] for every mask x, into a fresh array.
@@ -453,6 +456,9 @@ def adjacency_apply(f: CubeFunction) -> CubeFunction:
     if isinstance(f, _Cosets):
         shift = np.arange(f.table.size, dtype=f.syndromes.dtype)
         acc = np.zeros(f.table.size)
+        # not np.add.reduce(..., axis=0): on a one-entry table (m = 0, a
+        # full-rank code) numpy sums that length-n column pairwise, which
+        # rounds otherwise than this loop from n = 8 up
         for row in f.table[f.syndromes[:, None] ^ shift]:  # row i: table[sigma ^ c_i]
             acc += row
         return f.with_table(acc)

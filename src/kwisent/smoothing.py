@@ -202,38 +202,32 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
     verify_smoothing in tests/oracles.py checks it against the forward
     butterfly.  A clipped g is made from its values, and its spectrum is one
     butterfly on first read.
-    The inverse butterfly writes g's values into an array made here, and the
-    clip and the division act on it in place: the call holds the product,
-    that array and the product over the mean, and no convolution values.
 
-    When f is a function on the cosets of a code C (cube._Cosets), as the
-    density of a space uniform on C with a dual of rank m <= DUAL_BLOCK_ROWS
-    is, f̂ lies on the dual code, so f̂ d̂ does too and g is constant on each
-    coset: g is made on the same cosets, its table one butterfly of the 2^m
-    products at the dual words, the dense butterfly's values bit for bit
-    (cube._Cosets argues it).  The clip acts on that table; the mean reads
-    the 2^n values gathered from it, the same values as the dense route's,
-    and the division acts on both, the gathered values becoming g's.
+    One flow serves both of f's layouts.  The inverse butterfly runs on f's
+    coefficients in f's layout, into a table made here: all 2^n of them,
+    or, where f is on the cosets of a code (cube._Cosets), as the density
+    of a space uniform on a code with a small dual is, the 2^m at the dual
+    words, where f̂ d̂ lies, so that g is on the same cosets (cube._Cosets
+    argues why its values are the dense route's, bit for bit).  The clip
+    acts on that table; g's values are the table itself, or are gathered
+    from it; and the mean of those values divides them in place, and a
+    coset table into a copy.  The call holds the product, the table, g's
+    values and the product over the mean, and no convolution values.
     """
-    prod = convolve(f, d).spectrum.coeffs
     on_cosets = isinstance(f, _Cosets)
-    vals = cube._fwht(prod[f.dual_words] if on_cosets else prod)
-    low = vals.min()
+    prod = convolve(f, d).spectrum.coeffs
+    table = cube._fwht(prod[f.dual_words] if on_cosets else prod)
+    low = table.min()
     if low < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
             f"convolution produced {low!r}; inputs are not valid densities"
         )
     if low < 0.0:
-        np.maximum(vals, 0.0, out=vals)
-    if on_cosets:
-        table, vals = vals, f.gather(vals)
+        np.maximum(table, 0.0, out=table)
+    vals = f.gather(table) if on_cosets else table
     mean = vals.mean()
     vals /= mean
-    if on_cosets:
-        g = f.with_table(table / mean)
-        g.values = cube._frozen_vector(_Fresh(vals), vals.size)
-    else:
-        g = CubeFunction(f.n, _Fresh(vals))
+    g = f.with_table(table / mean, vals) if on_cosets else CubeFunction(f.n, _Fresh(vals))
     if low >= 0.0:
         g.spectrum = Spectrum(f.n, _Fresh(prod / mean))
     return g
@@ -308,9 +302,8 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # spectrum is first read here and X is not uniform on a code, whose
     # density takes it from the dual code; 1 more when the clip fires).
     # On a code whose dual has rank m <= DUAL_BLOCK_ROWS that butterfly is
-    # of 2^m values, g's table on the code's cosets, from which its values
-    # are gathered, and A g is n shifted tables (cube._Cosets); f's values
-    # are never built.  The half-independence chain on a code runs none.
+    # of 2^m values, g's table on the code's cosets (cube._Cosets); f's
+    # values are never built.  The half-independence chain on a code runs none.
     # Everything that reads g's values runs before the associativity line,
     # which reads spectra alone, so g's values are dropped before it.
     # Products by a spectrum by level gather no 2^n table, and

@@ -94,6 +94,10 @@ CASES = {
     "chain-code20-k3-text": "chain {code20} --k 3",
     "chain-code20-k4-text": "chain {code20} --k 4",
     "chain-simplex15-k3-text": "chain {simplex15} --k 3",
+    "analyze-coset15-text": "analyze {coset15}",
+    "chain-coset15-k3-text": "chain {coset15} --k 3",
+    "chain-coset15-halfwise-text": "chain {coset15} --halfwise",
+    "analyze-texts15-text": "analyze {texts15}",
     **{f"bound-n16-k4-{form}": f"bound --n 16 --k 4 --format {form}" for form in ("text", "csv", "json")},
     **{f"bound-n7-k4-{form}": f"bound --n 7 --k 4 --format {form}" for form in ("text", "csv", "json")},
     "bound-n3-k1-text": "bound --n 3 --k 1",
@@ -117,8 +121,8 @@ def without_solver_cells(text: str) -> str:
 
 
 def make_inputs(root: Path) -> dict[str, str]:
-    """Write the two matrices and the five space files; returns placeholder
-    -> path."""
+    """Write the two matrices and the space files; returns placeholder ->
+    path."""
     paths = {}
     for name, text in MATRICES.items():
         matrix = root / f"{name}.txt"
@@ -128,6 +132,20 @@ def make_inputs(root: Path) -> dict[str, str]:
         path = root / f"{name}.txt"
         args = ["construct", *(token.format(**paths) for token in kind.split()), "-o", str(path)]
         assert CliRunner().invoke(main, args).exit_code == 0
+        paths[name] = str(path)
+    # two spaces written from the Hamming n = 15 file that take no code's
+    # fast path: its points XOR 1, a coset of order 7 read as a byte grid,
+    # and its points with two alternating probability texts (the CI step's
+    # texts.txt, 1024 of each summing to exactly 1), read line by line
+    header, *rows = Path(paths["hamming15"]).read_text().splitlines()
+    texts = ("0.000244140625", "0.000732421875")
+    derived = {
+        "coset15": [f"{bits[:-1]}{'10'[int(bits[-1])]} {prob}" for bits, prob in map(str.split, rows)],
+        "texts15": [f"{row.split()[0]} {texts[i % 2]}" for i, row in enumerate(rows)],
+    }
+    for name, lines in derived.items():
+        path = root / f"{name}.txt"
+        path.write_text("\n".join([header, *lines]) + "\n")
         paths[name] = str(path)
     return paths
 

@@ -431,7 +431,8 @@ def test_code_route_matches_the_dense_route_bit_for_bit(matrix, r):
     # the adjacency from n shifted tables, against the dense kernels
     x = parity_sampler_space(matrix)
     f = x.density
-    assert isinstance(f, _Cosets) and len(f.rows) == x.n - x.support_size.bit_length() + 1
+    assert isinstance(f, _Cosets) and np.array_equal(f.dual_words, matrix.dual().codewords())
+    assert f.table.size == 1 << (x.n - x.support_size.bit_length() + 1)
     d = lambda_ball(x.n, min(r, x.n)).density()
     g, expected = _smoothed_density(f, d), _smoothed_density(plain(f), d)
     assert isinstance(g, _Cosets) and not isinstance(expected, _Cosets)
@@ -463,6 +464,31 @@ def test_only_a_code_of_a_small_dual_takes_the_coset_route(hamming15, monkeypatc
     g = _smoothed_density(f, d)
     assert calls == [1 << x.n]
     assert not any(isinstance(h, _Cosets) for h in (f, g, adjacency_apply(g)))
+
+
+def test_a_fresh_code_chain_lists_its_dual_words_once(hamming15, monkeypatch):
+    # the density lists the dual words for its spectrum and keeps that list
+    # for its cosets; every span of XORs is made by cube._xor_span
+    x = SampleSpace.from_text(hamming15.to_text())
+    words = hamming_code(4).dual().codewords()
+    xor_span, spans = kwisent.cube._xor_span, []
+
+    def recorded(gens):
+        spans.append(xor_span(gens))
+        return spans[-1]
+
+    monkeypatch.setattr(kwisent.cube, "_xor_span", recorded)
+    assert smoothing_chain(x, 3).passed
+    assert sum(np.array_equal(span, words) for span in spans) == 1
+    assert np.array_equal(x.density.dual_words, words)
+
+
+def test_with_table_takes_table_and_values_over(hamming15):
+    f = hamming15.density
+    table, vals = np.ones(f.table.size), np.ones(f.size)
+    g = f.with_table(table, vals)
+    assert np.shares_memory(g.table, table) and np.shares_memory(g.values, vals)
+    assert g.dual_words is f.dual_words and g.syndromes is f.syndromes
 
 
 def test_fresh_n20_code_chain_peaks_below_the_dense_route():

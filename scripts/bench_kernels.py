@@ -1,21 +1,37 @@
 #!/usr/bin/env python3
 """Time the dense cube kernels, the sample-space reader and writer, the
 marginal oracle, the smoothing chain, the ball density's spectrum, the ball
-eigenvalue and the radius search.
+eigenvalue and the radius search, in the working tree against HEAD.
 
-For each kernel (wht, adjacency_apply, convolve, SampleSpace.from_text,
-SampleSpace.to_text) and each n in 16, 20, 22, and for wht and
-adjacency_apply also at n = 24 (128 MiB per vector; not with --quick),
-where a transform outgrows the 2^16-value rows it runs through in cache, it
-reports the median and the quartiles of the wall time per call over
-repeated batches of calls (timeit; statistics.quantiles), and the calls per
-batch; the peak memory one call allocates beyond its inputs (tracemalloc),
-also in units of one dense 2^n float vector; and the butterflies
-(full-length fast transforms) one call runs.  timeit's autorange sets the
-calls per batch, the fewest of 1, 2, 5, 10, 20, 50, ... that take at least
-0.2 s, so a row of microseconds is timed over thousands of calls and a row
-slower than 0.2 s one call at a time; autorange's calls are the warm-up,
-and timeit turns the garbage collector off while it times.
+Each row runs two copies of one call in one process: the call built from
+the working tree's kwisent (src/kwisent), and the same call built from
+HEAD's, which `git archive HEAD src/kwisent` extracts into a temporary
+directory and which is imported as the package kwisent_head.  Every builder
+takes the package it builds from and binds every name its calls use when
+the row is built.  The two calls are timed in alternating batches of one
+size, odd pairs HEAD first, and each row gives the median and the quartiles
+of the ratio working tree / HEAD over the pairs (ratio, ratio_q1,
+ratio_q3).  A pair's two batches run seconds apart, so both see the same
+host speed, where fresh processes of one commit differ by 1.5x on rows of
+microseconds.  On a clean tree both copies are the same code: the ratios
+then show the noise.  A row HEAD cannot build or run (a kernel the working
+tree adds) has no ratio.  Rows are built, timed and dropped one pair at a
+time.
+
+The other fields are the working tree's.  For each kernel (wht,
+adjacency_apply, convolve, SampleSpace.from_text, SampleSpace.to_text) and
+each n in 16, 20, 22, and for wht and adjacency_apply also at n = 24 (128
+MiB per vector; not with --quick), where a transform outgrows the
+2^16-value rows it runs through in cache, a row reports the median and the
+quartiles of the wall time per call over the batches (timeit;
+statistics.quantiles), and the calls per batch; the peak memory one call
+allocates beyond its inputs (tracemalloc), also in units of one dense 2^n
+float vector; and the butterflies (full-length fast transforms) one call
+runs.  timeit's autorange sets the calls per batch, the fewest of 1, 2, 5,
+10, 20, 50, ... that take at least 0.2 s, so a row of microseconds is timed
+over thousands of calls and a row slower than 0.2 s one call at a time;
+autorange's calls, and one call of HEAD's, are the warm-up, and timeit
+turns the garbage collector off while it times.
 A cube function keeps its spectrum once read, so the wht and convolve rows
 make their functions inside the timed call, on fixed arrays taken over without a copy
 (fresh), and every call runs its butterflies; the convolve row reads the
@@ -56,10 +72,12 @@ marginal order 7; not with --quick), each at stop = n and at the stop
 n = 20 at stop 1, `analyze`'s stop there, where a lattice that started
 from a 2^n vector would read 8 MiB for one point.  The chain rows time smoothing.smoothing_chain at k = 3
 on the Hamming code of length 15 and on a random n = 20 code with 2^16
-points (marginal order 5): on a space that keeps its density and spectrum
-between calls, and (space=fresh) on one built inside the call from the
-space's points and probabilities, as each CLI chain op builds one, whose
-density takes its spectrum from the dual code, as the warm space's did.
+points (marginal order 5; not with --quick): on a space that keeps its
+density and spectrum between calls, and on one built inside the call from
+the space's points and probabilities, as each CLI chain op builds one: the
+code's own points (space=fresh), whose density takes its spectrum from the
+dual code, as the warm space's did, and the same points XOR 1
+(space=coset), no code's space, whose spectrum is one butterfly more.
 The coset rows time g's values (_smoothed_density, which builds them) and
 adjacency_apply(g) with its values read, for the g of that chain at k = 3,
 on a code (space=code) at n = 20 (the chain's code) and n = 24 (a random
@@ -78,51 +96,75 @@ rows time balls.lambda_ball at (n, r) =
 print, and balls.min_radius at (n, k) = (192, 24), (4096, 512); they carry
 r or k and no peak_vectors.
 
-    python scripts/bench_kernels.py                  # print the table
-    python scripts/bench_kernels.py --quick          # n = 16, the n = 15 file, chain and coset rows, the level rows, the n = 12 spectrum rows, one row of the rest, 3 runs
-    python scripts/bench_kernels.py --label change --output BENCH_kernels.json
-    python scripts/bench_kernels.py --src OTHER/src --label parent --output BENCH_kernels.json
+    python scripts/bench_kernels.py                              # print the table
+    python scripts/bench_kernels.py --output BENCH_kernels.json  # and write it
 
-    for i in 1 2 3; do                               # interleaved fresh processes
-      python scripts/bench_kernels.py --src OTHER/src --label parent --process $i --output BENCH_kernels.json
-      python scripts/bench_kernels.py --label change --process $i --output BENCH_kernels.json
-    done
-
---src imports kwisent from another checkout, to measure two versions with one
-script; --process tags the rows with the index of the process that measured
-them, since one process alone cannot tell a 2x change from noise;
---output merges the rows into a JSON file, replacing rows with the same label
-and process.
+--output writes the rows, HEAD's short sha and the host into the JSON file,
+one row a line, and keeps the file's history: one line per HEAD, holding
+each row's median ratio, where a run at the same HEAD replaces its line.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
+import importlib
+import importlib.util
+import io
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tarfile
+import tempfile
 import timeit
 import tracemalloc
+from functools import partial
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+import kwisent.cli  # noqa: E402  (and with it every module a row calls)
 
 SIZES = (16, 20, 22)
 LEVEL_SIZES = (8, 12, 20)
 LARGE = 24
 SUPPORT = 1 << 16
-RUNS = 7
+RUNS = 15
 RADIAL = ("lambda_ball", "min_radius")
+PARAMS = ("r", "k", "by", "texts", "sep", "space", "stop")
 
 
-def kernels(n: int, rng):
+def head(root: Path, directory: Path):
+    """The short sha of root's HEAD, and HEAD's src/kwisent extracted into
+    directory and imported, with every module its CLI imports, as the
+    package kwisent_head."""
+    run = partial(subprocess.run, cwd=root, check=True, capture_output=True)
+    sha = run(["git", "rev-parse", "--short", "HEAD"], text=True).stdout.strip()
+    with tarfile.open(fileobj=io.BytesIO(run(["git", "archive", "HEAD", "src/kwisent"]).stdout)) as archive:
+        archive.extractall(directory, filter="data")
+    for name in [name for name in sys.modules if name.split(".")[0] == "kwisent_head"]:
+        del sys.modules[name]  # an earlier HEAD's modules
+    source = directory / "src" / "kwisent"
+    spec = importlib.util.spec_from_file_location(
+        "kwisent_head", source / "__init__.py", submodule_search_locations=[str(source)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules["kwisent_head"] = package
+    spec.loader.exec_module(package)
+    importlib.import_module("kwisent_head.cli")
+    return sha, package
+
+
+def kernels(pkg, n: int):
     """(name, zero-argument call) pairs on random inputs of dimension n."""
-    import numpy as np
-
-    from kwisent.codes import SampleSpace
-    from kwisent.cube import CubeFunction, adjacency_apply, convolve, wht
-
+    CubeFunction, SampleSpace = pkg.cube.CubeFunction, pkg.codes.SampleSpace
+    wht, adjacency_apply, convolve = pkg.cube.wht, pkg.cube.adjacency_apply, pkg.cube.convolve
+    rng = np.random.default_rng(n)
     f = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
     g = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
     points = rng.choice(1 << n, size=min(SUPPORT, 1 << n), replace=False)
@@ -130,66 +172,55 @@ def kernels(n: int, rng):
     text = SampleSpace(n, points.astype(np.int64), weights / weights.sum()).to_text()
     uniform = SampleSpace(n, points.astype(np.int64), np.full(points.size, 1.0 / points.size))
     return [
-        ("wht", lambda: wht(fresh(f))),
+        ("wht", lambda: wht(fresh(pkg, f))),
         ("adjacency_apply", lambda: adjacency_apply(f)),
-        ("convolve", lambda: convolve(fresh(f), fresh(g)).values),  # values are built on first read
+        ("convolve", lambda: convolve(fresh(pkg, f), fresh(pkg, g)).values),  # values are built on first read
         ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
         ("SampleSpace.to_text", uniform.to_text),
     ]
 
 
-def fresh(f):
-    """A new cube function on f's values, which has not read its spectrum."""
-    from kwisent.cube import CubeFunction, _Fresh
-
-    return CubeFunction(f.n, _Fresh(f.values))
+def fresh(pkg, f):
+    """A new cube function of pkg on f's values, which has not read its spectrum."""
+    return pkg.cube.CubeFunction(f.n, pkg.cube._Fresh(f.values))
 
 
-def large_kernels(quick: bool):
+def large_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for wht and
     adjacency_apply at n = LARGE; none with quick."""
     if quick:
         return
-    import numpy as np
-
-    from kwisent.cube import CubeFunction, adjacency_apply, wht
-
-    f = CubeFunction(LARGE, np.random.default_rng(LARGE).uniform(-1.0, 1.0, size=1 << LARGE))
-    yield "wht", LARGE, {}, lambda: wht(fresh(f))
+    wht, adjacency_apply = pkg.cube.wht, pkg.cube.adjacency_apply
+    f = pkg.cube.CubeFunction(LARGE, np.random.default_rng(LARGE).uniform(-1.0, 1.0, size=1 << LARGE))
+    yield "wht", LARGE, {}, lambda: wht(fresh(pkg, f))
     yield "adjacency_apply", LARGE, {}, lambda: adjacency_apply(f)
 
 
-def level_kernels():
+def level_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for a convolve by a
     Radial function and for level_max_abs, at each n in LEVEL_SIZES."""
-    import numpy as np
-
-    from kwisent.cube import CubeFunction, Radial, convolve, level_max_abs
-
+    convolve, level_max_abs = pkg.cube.convolve, pkg.cube.level_max_abs
     for n in LEVEL_SIZES:
         rng = np.random.default_rng(n)
-        f = CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
-        d = Radial(n, rng.uniform(0.0, 1.0, size=n + 1))
+        f = pkg.cube.CubeFunction(n, rng.uniform(-1.0, 1.0, size=1 << n))
+        d = pkg.cube.Radial(n, rng.uniform(0.0, 1.0, size=n + 1))
         # the warm-up call builds both spectra, which are kept, so the timed
         # calls run no butterfly
         yield "convolve", n, {"by": "Radial"}, lambda f=f, d=d: convolve(f, d)
         yield "level_max_abs", n, {}, lambda f=f: level_max_abs(f.spectrum)
 
 
-def oracle_kernels(quick: bool):
+def oracle_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for kwise.marginal_order."""
-    import numpy as np
-
-    from kwisent.codes import BinaryMatrix, hamming_code, parity_sampler_space
-    from kwisent.kwise import independence_order, marginal_order
-
+    BinaryMatrix, parity_sampler_space = pkg.codes.BinaryMatrix, pkg.codes.parity_sampler_space
+    marginal_order = pkg.kwise.marginal_order
     rng = np.random.default_rng(15)
     dual_rows = tuple(int(r) for r in rng.integers(1, 1 << 14, size=3))
     random14 = BinaryMatrix(dual_rows, 14).dual()
-    codes = [random14] if quick else [random14, hamming_code(4)]
+    codes = [random14] if quick else [random14, pkg.codes.hamming_code(4)]
     for code in codes:
         space = parity_sampler_space(code)
-        for stop in (space.n, min(independence_order(space) + 1, space.n)):
+        for stop in (space.n, min(pkg.kwise.independence_order(space) + 1, space.n)):
             yield "marginal_order", code.cols, {"stop": stop}, (
                 lambda space=space, stop=stop: marginal_order(space, stop)
             )
@@ -197,20 +228,18 @@ def oracle_kernels(quick: bool):
     yield "marginal_order", 20, {"stop": 1}, lambda: marginal_order(point, 1)
 
 
-def reader_kernels(quick: bool):
+def reader_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text
     on the one-text file of a space built from a code, and on a copy of it
     with a tab between the bits and the probability; and for to_text and
     from_text on that code's points with two alternating probability texts."""
-    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
-
-    code = hamming_code(4) if quick else random_code_20()
-    space = parity_sampler_space(code)
+    code = pkg.codes.hamming_code(4) if quick else random_code_20(pkg)
+    space = pkg.codes.parity_sampler_space(code)
     text = space.to_text()
     tabs = text.replace(" ", "\t")
-    two = SampleSpace(code.cols, space.points, two_texts(space))
+    two = pkg.codes.SampleSpace(code.cols, space.points, two_texts(space))
     two_text = two.to_text()
-    read = SampleSpace.from_text
+    read = pkg.codes.SampleSpace.from_text
     yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: read(text)
     yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, lambda: read(tabs)
     yield "SampleSpace.to_text", code.cols, {"texts": 2}, two.to_text
@@ -220,26 +249,21 @@ def reader_kernels(quick: bool):
 def two_texts(space):
     """Probabilities for a code's points, 5 and 3 quarters of the code's one
     probability by turns: a space on the code's points that is no code's."""
-    import numpy as np
-
     unit = space.probabilities[0] / 4
     return np.resize([5 * unit, 3 * unit], space.points.size)
 
 
-def spectrum_kernels(quick: bool):
+def spectrum_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for the density's
     spectrum of a space built inside the call, as each CLI op builds one
     from its file: on a code's space (texts=1), which takes it from the
     dual code, and on that code's points at two_texts (texts=2), which runs
     the butterfly."""
-    import numpy as np
-
-    from kwisent.codes import BinaryMatrix, SampleSpace, parity_sampler_space
-
+    SampleSpace = pkg.codes.SampleSpace
     rng = np.random.default_rng(12)
-    code_12 = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << 12, size=3)), 12).dual()
-    for code in [code_12] if quick else [code_12, random_code_20()]:
-        space = parity_sampler_space(code)
+    code_12 = pkg.codes.BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << 12, size=3)), 12).dual()
+    for code in [code_12] if quick else [code_12, random_code_20(pkg)]:
+        space = pkg.codes.parity_sampler_space(code)
         for texts, probs in ((1, space.probabilities), (2, two_texts(space))):
 
             def spectrum(points=space.points, probs=probs, n=code.cols):
@@ -248,27 +272,23 @@ def spectrum_kernels(quick: bool):
             yield "SampleSpace.density.spectrum", code.cols, {"texts": texts}, spectrum
 
 
-def random_code(n: int, dual_rank: int, distance: int):
+def random_code(n: int, dual_rank: int, distance: int, pkg=kwisent):
     """A random length-n code of dimension n - dual_rank whose dual has
     distance >= distance, drawn from a generator seeded with n."""
-    import numpy as np
-
-    from kwisent.codes import BinaryMatrix
-
     rng = np.random.default_rng(n)
     while True:
-        dual = BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << n, size=dual_rank)), n)
+        dual = pkg.codes.BinaryMatrix(tuple(int(r) for r in rng.integers(1, 1 << n, size=dual_rank)), n)
         code = dual.dual()
         if len(code.rows) == n - dual_rank and dual.min_distance() >= distance:
             return code
 
 
-def random_code_20():
+def random_code_20(pkg=kwisent):
     """A random length-20 code of dimension 16 whose dual has distance >= 6."""
-    return random_code(20, 4, 6)
+    return random_code(20, 4, 6, pkg)
 
 
-def coset_kernels(quick: bool):
+def coset_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for g's values
     (smoothing._smoothed_density, which builds them) and for
     adjacency_apply(g) with its values read, g = f * d smoothed as
@@ -276,62 +296,56 @@ def coset_kernels(quick: bool):
     (space=code), whose g lives on the code's cosets, and on that space
     XOR 1 (space=coset), no code's space, which takes the dense route.
     f keeps its spectrum, read outside the timed call."""
-    from kwisent.balls import lambda_ball, min_radius
-    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
-    from kwisent.cube import adjacency_apply
-    from kwisent.smoothing import _smoothed_density
-
-    codes = [hamming_code(4)] if quick else [random_code_20(), random_code(24, 5, 6)]
+    smoothed, adjacency_apply = pkg.smoothing._smoothed_density, pkg.cube.adjacency_apply
+    codes = [pkg.codes.hamming_code(4)] if quick else [random_code_20(pkg), random_code(24, 5, 6, pkg)]
     for code in codes:
-        space = parity_sampler_space(code)
-        d = lambda_ball(code.cols, min_radius(code.cols, 3)).density()
+        space = pkg.codes.parity_sampler_space(code)
+        d = pkg.balls.lambda_ball(code.cols, pkg.balls.min_radius(code.cols, 3)).density()
         for label, points in (("code", space.points), ("coset", space.points ^ 1)):
-            f = SampleSpace(code.cols, points, space.probabilities).density
+            f = pkg.codes.SampleSpace(code.cols, points, space.probabilities).density
             f.spectrum  # built on first read, and kept
-            yield "_smoothed_density", code.cols, {"space": label}, lambda f=f: _smoothed_density(f, d)
-            g = _smoothed_density(f, d)
+            yield "_smoothed_density", code.cols, {"space": label}, lambda f=f: smoothed(f, d)
+            g = smoothed(f, d)
+            del f  # each n = 24 vector is 128 MiB; the caller has dropped the row above
             yield "adjacency_apply", code.cols, {"space": label}, lambda g=g: adjacency_apply(g).values
-            del f, g  # each n = 24 vector is 128 MiB
+            del g
 
 
-def chain_kernels(quick: bool):
+def chain_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for smoothing_chain: on
-    a space whose density and spectrum are kept from the warm-up call, and
-    (space=fresh) on a space built inside the call from the kept points and
-    probabilities, as each CLI chain op builds one from its file."""
-    from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space
-    from kwisent.smoothing import smoothing_chain
-
-    codes = [hamming_code(4)] if quick else [hamming_code(4), random_code_20()]
+    a space whose density and spectrum are kept from the warm-up call, and on
+    a space built inside the call from kept points and probabilities, as
+    each CLI chain op builds one from its file: the code's points
+    (space=fresh), and those points XOR 1 (space=coset), no code's space."""
+    SampleSpace, smoothing_chain = pkg.codes.SampleSpace, pkg.smoothing.smoothing_chain
+    codes = [pkg.codes.hamming_code(4)] if quick else [pkg.codes.hamming_code(4), random_code_20(pkg)]
     for code in codes:
-        space = parity_sampler_space(code)
+        space = pkg.codes.parity_sampler_space(code)
         yield "smoothing_chain", code.cols, {"k": 3}, lambda space=space: smoothing_chain(space, 3)
+        for label, points in (("fresh", space.points), ("coset", space.points ^ 1)):
 
-        def fresh_chain(space=space):
-            return smoothing_chain(SampleSpace(space.n, space.points, space.probabilities), 3)
+            def chain(n=code.cols, points=points, probs=space.probabilities):
+                return smoothing_chain(SampleSpace(n, points, probs), 3)
 
-        yield "smoothing_chain", code.cols, {"k": 3, "space": "fresh"}, fresh_chain
+            yield "smoothing_chain", code.cols, {"k": 3, "space": label}, chain
 
 
-def ball_kernels(quick: bool):
+def ball_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for the spectrum of the
     ball density that smoothing_chain(space, 3) reads, gathered into its
     dense table; the eigenvalue and the profile are computed once, outside
     the timed call."""
-    from kwisent.balls import lambda_ball, min_radius
-
     for n in (16,) if quick else (20, 26):
-        r = min_radius(n, 3)
-        ball = lambda_ball(n, r)
+        r = pkg.balls.min_radius(n, 3)
+        ball = pkg.balls.lambda_ball(n, r)
         ball.radial_profile  # computed on first read, and kept
         yield "ball_density.spectrum", n, {"r": r}, lambda ball=ball: ball.density().spectrum.coeffs
 
 
-def radial_kernels(quick: bool):
+def radial_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for the ball eigenvalue
     and the radius search."""
-    from kwisent.balls import lambda_ball, min_radius
-
+    lambda_ball, min_radius = pkg.balls.lambda_ball, pkg.balls.min_radius
     solves = [(48, 24), (192, 40), (400, 200)]
     searches = [(192, 24), (4096, 512)]
     if quick:
@@ -342,121 +356,111 @@ def radial_kernels(quick: bool):
         yield "min_radius", n, {"k": k}, lambda n=n, k=k: min_radius(n, k)
 
 
-def measure(call, runs: int) -> tuple[list[float], int, int]:
-    """Seconds per call in each of runs batches, the calls per batch, and the
-    peak bytes of one traced call."""
-    timer = timeit.Timer(call)
-    calls = timer.autorange()[0]  # also the warm-up: imports and numpy's first-use setup
-    times = [batch / calls for batch in timer.repeat(runs, calls)]
+def measure(call, reference, runs: int) -> tuple[list[float], list[float], int, int]:
+    """Seconds per call in each of runs batches; the ratio of each batch to
+    a batch of reference's calls timed next to it, odd pairs reference
+    first (none when reference is None); the calls per batch; and the peak
+    bytes of one traced call."""
+    timers = [timeit.Timer(call)] + ([timeit.Timer(reference)] if reference else [])
+    calls = timers[0].autorange()[0]  # also the warm-up: imports and numpy's first-use setup
+    seconds = [[], []]
+    for pair in range(runs):
+        for side in (1, 0) if pair % 2 == 0 else (0, 1):
+            if side < len(timers):
+                seconds[side].append(timers[side].timeit(calls) / calls)
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return times, calls, peak
+    return seconds[0], [a / b for a, b in zip(*seconds)], calls, peak
 
 
-def butterflies(call) -> int:
-    """Full-length butterflies (cube._fwht calls) that one call runs."""
-    from kwisent import cube
-
-    fwht, count = cube._fwht, []
-
-    def counted(v):
-        count.append(v.size)
-        return fwht(v)
-
-    cube._fwht = counted
-    try:
+def butterflies(pkg, call) -> int:
+    """Full-length butterflies (pkg.cube._fwht calls) that one call runs; the
+    count keeps no reference to the vectors."""
+    fwht, count = pkg.cube._fwht, []
+    with mock.patch.object(pkg.cube, "_fwht", lambda v: count.append(v.size) or fwht(v)):
         call()
-    finally:
-        cube._fwht = fwht
     return len(count)
 
 
-def rows(sizes, runs: int, label: str, quick: bool, process: int = 1) -> list[dict]:
-    import numpy as np
+def rows(sizes, runs: int, quick: bool, work, reference) -> list[dict]:
+    """The rows of the package work, each timed against the same call built
+    from the package reference."""
 
-    dense = (
-        (name, n, {}, call)
-        for n in sizes
-        for name, call in kernels(n, np.random.default_rng(n))
-    )
+    def dense(pkg, quick):
+        return ((name, n, {}, call) for n in sizes for name, call in kernels(pkg, n))
+
     out = []
-    for name, n, param, call in itertools.chain(
-        dense, large_kernels(quick), level_kernels(), reader_kernels(quick), spectrum_kernels(quick),
-        oracle_kernels(quick), chain_kernels(quick), coset_kernels(quick), ball_kernels(quick),
-        radial_kernels(quick),
+    for build in (
+        dense, large_kernels, level_kernels, reader_kernels, spectrum_kernels, oracle_kernels,
+        chain_kernels, coset_kernels, ball_kernels, radial_kernels,
     ):
-        times, calls, peak = measure(call, runs)
-        q1, median, q3 = statistics.quantiles(times, n=4)
-        row = {"label": label, "process": process, "kernel": name, "n": n, **param, "runs": runs}
-        row["calls"] = calls
-        row["median_ms"] = round(median * 1e3, 4)
-        row["q1_ms"] = round(q1 * 1e3, 4)
-        row["q3_ms"] = round(q3 * 1e3, 4)
-        row["peak_mib"] = round(peak / 2**20, 2)
-        if name not in RADIAL:
-            row["peak_vectors"] = round(peak / (8 << n), 3)
-            row["butterflies"] = butterflies(call)
-        out.append(row)
+        others = build(reference, quick)
+        for name, n, param, call in build(work, quick):
+            row = {"kernel": name, "n": n, **param, "runs": runs}
+            try:
+                other = next(others)[3]
+                other()  # HEAD builds and runs the row; also its warm-up
+            except Exception as error:  # a row HEAD cannot build or run: no ratio
+                print(f"{key(row)}: no ratio; HEAD raised {error!r} here or before", file=sys.stderr)
+                other, others = None, iter(())
+            times, ratios, calls, peak = measure(call, other, runs)
+            q1, median, q3 = statistics.quantiles(times, n=4)
+            row.update(calls=calls, median_ms=round(median * 1e3, 4), q1_ms=round(q1 * 1e3, 4))
+            row.update(q3_ms=round(q3 * 1e3, 4), peak_mib=round(peak / 2**20, 2))
+            if name not in RADIAL:
+                row["peak_vectors"] = round(peak / (8 << n), 3)
+                row["butterflies"] = butterflies(work, call)
+            if ratios:
+                q1, median, q3 = statistics.quantiles(ratios, n=4)
+                row.update(ratio=round(median, 4), ratio_q1=round(q1, 4), ratio_q3=round(q3, 4))
+            out.append(row)
+            del call, other  # the pair's inputs go before the next pair is built
     return out
 
 
-def host() -> dict:
-    import numpy as np
+def key(row: dict) -> str:
+    """The kernel, n and parameters of a row: one name per row."""
+    return f"{row['kernel']} n={row['n']}" + "".join(f" {p}={row[p]}" for p in PARAMS if p in row)
 
-    return {
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
+
+def lines(items) -> str:
+    """A JSON list with one item a line."""
+    return "[\n" + ",\n".join(f"  {json.dumps(item)}" for item in items) + "\n ]"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="n = 16, the level rows, the n = 12 spectrum rows, the n = 15 chain and coset rows"
-        " and one row of each other kernel, 3 runs",
-    )
-    parser.add_argument("--label", default="checkout", help="row label")
-    parser.add_argument("--process", type=int, default=1, help="index of this process for the label")
-    parser.add_argument(
-        "--src",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "src",
-        help="directory that holds the kwisent package",
-    )
-    parser.add_argument("--output", type=Path, help="JSON file to merge the rows into")
+    parser.add_argument("--quick", action="store_true", help="fewer and smaller rows, 3 pairs")
+    parser.add_argument("--output", type=Path, help="JSON file to write the rows into, keeping its history")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
 
     sizes, runs = ((16,), 3) if args.quick else (SIZES, RUNS)
-    new = rows(sizes, runs, args.label, args.quick, args.process)
+    with tempfile.TemporaryDirectory() as directory:
+        sha, reference = head(ROOT, Path(directory))
+        new = rows(sizes, runs, args.quick, kwisent, reference)
     for row in new:
-        keys = ("r", "k", "by", "texts", "sep", "space", "stop")
-        params = [f" {key}={row[key]}" for key in keys if key in row]
-        size = f"n={row['n']}" + "".join(params)
         vectors = ""
-        if "peak_vectors" in row:
-            vectors = f" ({row['peak_vectors']} vectors, {row['butterflies']} butterflies)"
+        if "butterflies" in row:
+            vectors = " ({peak_vectors} vectors, {butterflies} butterflies)".format(**row)
+        ratio = "{ratio:.3f} [{ratio_q1:.3f}, {ratio_q3:.3f}]".format(**row) if "ratio" in row else "-"
         print(
-            f"{row['kernel']:<28} {size:<21} {row['median_ms']:>10.4f} ms"
-            f" [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}] x{row['calls']:<6}"
-            f" {row['peak_mib']:>8.2f} MiB{vectors}"
+            f"{key(row):<50} {row['median_ms']:>10.4f} ms [{row['q1_ms']:.4f}, {row['q3_ms']:.4f}]"
+            f" x{row['calls']:<6} {row['peak_mib']:>8.2f} MiB{vectors} vs {sha}: {ratio}"
         )
     if args.output:
-        record = {"rows": []}
-        if args.output.exists():
-            record = json.loads(args.output.read_text())
-        record.setdefault("hosts", {})[args.label] = host()
-        same = (args.label, args.process)
-        record["rows"] = [r for r in record["rows"] if (r["label"], r.get("process", 1)) != same] + new
-        args.output.write_text(json.dumps(record, indent=1) + "\n")
+        history = json.loads(args.output.read_text())["history"] if args.output.exists() else []
+        entry = {"reference": sha, "ratios": {key(row): row["ratio"] for row in new if "ratio" in row}}
+        history = [old for old in history if old["reference"] != sha] + [entry]
+        host = {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()}
+        host["numpy"] = np.__version__
+        args.output.write_text(
+            f'{{"reference": "{sha}", "host": {json.dumps(host)},\n'
+            f' "rows": {lines(new)},\n "history": {lines(history)}}}\n'
+        )
     return 0
 
 

@@ -8,10 +8,10 @@ the working tree's kwisent (src/kwisent), and the same call built from
 HEAD's, which `git archive HEAD src/kwisent` extracts into a temporary
 directory and which is imported as the package kwisent_head.  Every builder
 takes the package it builds from and binds every name its calls use when
-the row is built.  The two calls are timed in alternating batches of one
-size, odd pairs HEAD first, and each row gives the median and the quartiles
-of the ratio working tree / HEAD over the pairs (ratio, ratio_q1,
-ratio_q3).  A pair's two batches run seconds apart, so both see the same
+the row is built.  The two calls are timed in alternating batches, each
+the size that side's own autorange sets, odd pairs HEAD first, and each row
+gives the median and the quartiles of the ratio of the time per call,
+working tree / HEAD, over the pairs (ratio, ratio_q1, ratio_q3).  A pair's two batches run seconds apart, so both see the same
 host speed, where fresh processes of one commit differ by 1.5x on rows of
 microseconds.  On a clean tree both copies are the same code: the ratios
 then show the noise.  A row HEAD cannot build or run (a kernel the working
@@ -30,8 +30,8 @@ float vector; and the butterflies (full-length fast transforms) one call
 runs.  timeit's autorange sets the calls per batch, the fewest of 1, 2, 5,
 10, 20, 50, ... that take at least 0.2 s, so a row of microseconds is timed
 over thousands of calls and a row slower than 0.2 s one call at a time;
-autorange's calls, and one call of HEAD's, are the warm-up, and timeit
-turns the garbage collector off while it times.
+each side's autorange calls, and one call of HEAD's before them, are the
+warm-up, and timeit turns the garbage collector off while it times.
 A cube function keeps its spectrum once read, so the wht and convolve rows
 make their functions inside the timed call, on fixed arrays taken over without a copy
 (fresh), and every call runs its butterflies; the convolve row reads the
@@ -78,13 +78,16 @@ the space's points and probabilities, as each CLI chain op builds one: the
 code's own points (space=fresh), whose density takes its spectrum from the
 dual code, as the warm space's did, and the same points XOR 1
 (space=coset), no code's space, whose spectrum is one butterfly more.
-The coset rows time g's values (_smoothed_density, which builds them) and
-adjacency_apply(g) with its values read, for the g of that chain at k = 3,
-on a code (space=code) at n = 20 (the chain's code) and n = 24 (a random
-[24, 19] code; the Hamming code of length 15 with --quick), where g is
-made on the code's 2^(n - rank) cosets and its values gathered from them,
-and on the same points XOR 1 (space=coset), no code's space, where g
-takes the dense route: 2^n-value butterfly and adjacency.
+The coset rows time g (_smoothed_density), adjacency_apply(g) with its
+values read, and three of the sums the chain prints from g (inner_product
+and spectral_inner_product of g with itself, and level_max_abs of its
+spectrum), for the g of that chain at k = 3, on a code (space=code) at
+n = 20 (the chain's code) and n = 24 (a random [24, 19] code; the Hamming
+code of length 15 with --quick), where g is made on the code's
+2^(n - rank) cosets, its spectrum lies on the dual words and the sums read
+2^(n - rank) values, and on the same points XOR 1 (space=coset), no code's
+space, where g takes the dense route: 2^n-value butterfly, adjacency and
+sums.
 The ball density rows time
 balls.BallSpectrum.density().spectrum.coeffs for the radius of that chain at
 k = 3, at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick):
@@ -289,14 +292,17 @@ def random_code_20(pkg=kwisent):
 
 
 def coset_kernels(pkg, quick: bool):
-    """(name, n, parameter, zero-argument call) rows for g's values
-    (smoothing._smoothed_density, which builds them) and for
-    adjacency_apply(g) with its values read, g = f * d smoothed as
-    smoothing_chain(space, 3) smooths it: on the space of a code
-    (space=code), whose g lives on the code's cosets, and on that space
-    XOR 1 (space=coset), no code's space, which takes the dense route.
-    f keeps its spectrum, read outside the timed call."""
+    """(name, n, parameter, zero-argument call) rows for g
+    (smoothing._smoothed_density), for adjacency_apply(g) with its values
+    read, and for the sums the chain prints from g: inner_product(g, g),
+    spectral_inner_product(g, g) and level_max_abs of g's spectrum; g = f * d
+    smoothed as smoothing_chain(space, 3) smooths it: on the space of a
+    code (space=code), whose g lives on the code's cosets, and on that
+    space XOR 1 (space=coset), no code's space, which takes the dense
+    route.  f keeps its spectrum, read outside the timed call."""
     smoothed, adjacency_apply = pkg.smoothing._smoothed_density, pkg.cube.adjacency_apply
+    inner_product, spectral_inner_product = pkg.cube.inner_product, pkg.cube.spectral_inner_product
+    level_max_abs = pkg.cube.level_max_abs
     codes = [pkg.codes.hamming_code(4)] if quick else [random_code_20(pkg), random_code(24, 5, 6, pkg)]
     for code in codes:
         space = pkg.codes.parity_sampler_space(code)
@@ -308,6 +314,11 @@ def coset_kernels(pkg, quick: bool):
             g = smoothed(f, d)
             del f  # each n = 24 vector is 128 MiB; the caller has dropped the row above
             yield "adjacency_apply", code.cols, {"space": label}, lambda g=g: adjacency_apply(g).values
+            yield "inner_product", code.cols, {"space": label}, lambda g=g: inner_product(g, g)
+            yield "spectral_inner_product", code.cols, {"space": label}, (
+                lambda g=g: spectral_inner_product(g, g)
+            )
+            yield "level_max_abs", code.cols, {"space": label}, lambda g=g: level_max_abs(g.spectrum)
             del g
 
 
@@ -357,24 +368,29 @@ def radial_kernels(pkg, quick: bool):
 
 
 def measure(call, reference, runs: int) -> tuple[list[float], list[float], int, int]:
-    """Seconds per call in each of runs batches; the ratio of each batch to
-    a batch of reference's calls timed next to it, odd pairs reference
-    first (none when reference is None); the calls per batch; and the peak
-    bytes of one traced call."""
+    """Seconds per call in each of runs batches; the ratio of each batch's
+    time per call to that of a batch of reference's calls timed next to it,
+    odd pairs reference first (none when reference is None); the calls per
+    batch; and the peak bytes of one traced call.
+
+    Each side's batch is the size its own autorange sets, so a side many
+    times slower than the other does not run batches that many times longer.
+    """
     timers = [timeit.Timer(call)] + ([timeit.Timer(reference)] if reference else [])
-    calls = timers[0].autorange()[0]  # also the warm-up: imports and numpy's first-use setup
+    # also each side's warm-up: imports and numpy's first-use setup
+    sizes = [timer.autorange()[0] for timer in timers]
     seconds = [[], []]
     for pair in range(runs):
         for side in (1, 0) if pair % 2 == 0 else (0, 1):
             if side < len(timers):
-                seconds[side].append(timers[side].timeit(calls) / calls)
+                seconds[side].append(timers[side].timeit(sizes[side]) / sizes[side])
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return seconds[0], [a / b for a, b in zip(*seconds)], calls, peak
+    return seconds[0], [a / b for a, b in zip(*seconds)], sizes[0], peak
 
 
 def butterflies(pkg, call) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .balls import lambda_ball, min_radius, predicted_radius
 from .codes import SampleSpace
-from .cube import CubeFunction, Radial
+from .cube import CubeFunction, Radial, _Cosets
 from .kwise import independence_order
 
 
@@ -62,7 +62,11 @@ def renyi2_entropy(space: SampleSpace) -> float:
 
 
 def shannon_from_density(density: CubeFunction) -> float:
-    """Shannon entropy through the density path (p = values / 2^n)."""
+    """Shannon entropy through the density path (p = values / 2^n); of a
+    density on a code's cosets, from its table, each term counted once per
+    mask of its coset (2^n / 2^m, an exact power of two)."""
+    if isinstance(density, _Cosets):
+        return _shannon(density.table, density.size) * (density.size // density.table.size)
     return _shannon(density.values, density.size)
 
 

@@ -16,8 +16,9 @@ its density's spectrum from the dual code: the 0/1 indicator of the dual
 words, which is exactly what the butterfly would compute (MacWilliams &
 Sloane, ch. 1), bit for bit, as SampleSpace.density argues.  Any other
 space's density runs the butterfly.  Where the dual has at most
-DUAL_BLOCK_ROWS rows, the density is also made on the code's cosets
-(cube._Cosets, which argues why that keeps every bit).
+DUAL_BLOCK_ROWS rows, the density is made on the code's cosets instead, a
+table of 2^(n - rank) values with its spectrum on the dual words
+(cube._Cosets, which argues which bits that keeps).
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ class SampleSpace:
     @cached_property
     def density(self) -> cube.CubeFunction:
         """The mean-1 density: 2^n times the probability on the support, 0
-        elsewhere, divided by its own mean.  A dense 2^n vector, so it is
-        built on first read, after cube.check_dimension, and kept.  The
+        elsewhere, divided by its own mean.  Built on first read, after
+        cube.check_dimension, and kept.  The
         constructor has refused negative probabilities, so the values are
         nonnegative, and the division leaves their mean 1 up to rounding
         (TOTAL_MASS); neither fact is checked again.
@@ -268,27 +269,31 @@ class SampleSpace:
         list of its 2^(n-k) dual words.  Any other density's spectrum is one
         butterfly on first read.
 
-        Where the dual also has rank m = n - k <= DUAL_BLOCK_ROWS, that
-        one block is every dual word, and the density is made on the cosets
-        of V (cube._Cosets) from that list and a table of 2^m values:
-        2^(n-k) on V itself and 0 on every other coset.  Its values are
-        gathered from that table on first read, as no chain step on a code
-        reads them but the half-independence chain's adjacency."""
+        Where the dual has rank m = n - k <= DUAL_BLOCK_ROWS, the density
+        is made on the cosets of V (cube._Cosets) instead, from the list of
+        every dual word and a table of 2^m values:
+        2^(n-k) on V itself and 0 on every other coset.  Its spectrum is
+        then held on the dual words (cube._OnWords), 2^m ones, so no 2^n
+        vector is built: its values are gathered, and its spectrum's full
+        table scattered, only when read, which no chain step on a code
+        does."""
         n = self.n
         cube.check_dimension(n)
         basis = _code_basis(self.points, self.probabilities)
         dual = None if basis is None else gf2_rref(gf2_nullspace(basis, n), n)[0]
-        if dual is None or len(dual) > DUAL_BLOCK_ROWS:
-            vals = np.zeros(1 << n)
-            vals[self.points] = self.probabilities * (1 << n)
-            vals /= vals.mean()
-            f = cube.CubeFunction(n, cube._Fresh(vals))
+        if dual is not None and len(dual) <= DUAL_BLOCK_ROWS:
+            words = _span(dual)
+            table = np.zeros(words.size)
+            table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
+            f = cube._Cosets(n, words, table)
+            f.spectrum = cube._OnWords(n, words, np.ones(words.size))
+            return f
+        vals = np.zeros(1 << n)
+        vals[self.points] = self.probabilities * (1 << n)
+        vals /= vals.mean()
+        f = cube.CubeFunction(n, cube._Fresh(vals))
         if dual is not None:
             block = _span(dual[:DUAL_BLOCK_ROWS])
-            if len(dual) <= DUAL_BLOCK_ROWS:
-                table = np.zeros(block.size)
-                table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
-                f = cube._Cosets(n, block, table)
             coeffs = np.zeros(1 << n)
             for offset in _span(dual[DUAL_BLOCK_ROWS:]).tolist():
                 coeffs[block ^ offset] = 1.0

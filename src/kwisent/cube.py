@@ -28,13 +28,17 @@ Krawtchouk sums, with no butterfly.  convolve multiplies two spectra by
 level level for level, and scales a full table by a spectrum by level row
 by row, so it gathers no 2^n table.
 A third representation holds a function constant on each coset of a
-linear code C (_Cosets, which also argues why it keeps every bit): a table
-of its 2^m values, one per coset, m = n - rank C.  Its values are gathered
-from that table by syndrome on first read; its spectrum is set by its maker
-or is the forward butterfly of those values; and adjacency_apply of it sums
-n shifted tables into another such function, with no 2^n pass.  The
-density of a space uniform on a code is one, and so is the smoothed density
-made from it (smoothing._smoothed_density).
+linear code C (_Cosets, which also argues which bits it keeps): a table
+of its 2^m values, one per coset, m = n - rank C.  Its spectrum is zero off
+the 2^m words of the dual code C^⊥ (_OnWords): set by its maker, or the
+2^m butterfly of the table over 2^m.  Its values are gathered from the
+table by syndrome only when read.  Every kernel keeps such a function or
+spectrum on its 2^m values: adjacency_apply sums n shifted tables, convolve
+multiplies the values at the words, inner_product reads the two tables, and
+spectral_inner_product, level_profile and level_max_abs read the values at
+the words.  The density of a space uniform on a code is one, and so is the
+smoothed density made from it (smoothing._smoothed_density), so a chain on
+such a code builds no 2^n vector.
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -184,16 +188,25 @@ class _Cosets(CubeFunction):
     the same terms, with the same signs on the way to x, in the same order:
     the values are equal bit for bit, up to the sign of a sum that is
     exactly zero.  A code's density is its table gathered: 2^(n-k) on C,
-    0 elsewhere, the dense values exactly.  Every sum that prints (a mean,
-    an inner product, an entropy) reads the gathered 2^n values in the dense
-    order.  adjacency_apply of such a function sums the n tables
-    table[sigma ^ c_i] from zero, i = 0..n-1 in turn, the order in which the
-    dense kernel adds f(x ^ e_i), so its values are the dense result bit
-    for bit.
+    0 elsewhere, the dense values exactly.  adjacency_apply of such a
+    function sums the n tables table[sigma ^ c_i] from zero, i = 0..n-1 in
+    turn, the order in which the dense kernel adds f(x ^ e_i), so its values
+    are the dense result bit for bit.
 
-    The values are gathered from the table on first read (gather), or set
-    by with_table, and kept; the spectrum is the inherited forward
-    butterfly unless its maker sets it.
+    Where the bits part.  Each coset holds 2^(n-m) masks, so a sum over the
+    cube is 2^(n-m) times a sum over the table: a mean, an inner product
+    and an entropy read the 2^m values, and the spectrum, unless its maker
+    sets it, is the 2^m butterfly of the table over 2^m (coeff(words[t]) =
+    2^-m sum_s table[s] (-1)^(t . s)), held on the words (_OnWords).  A sum
+    of 2^m terms rounds otherwise than the dense route's sum of 2^n, so
+    these agree with the dense route within the two sums' rounding, not bit
+    for bit; tests/test_smoothing.py holds every printed number to that
+    bound.  A level profile adds the same squares in the same index order
+    as the dense bincount, and a level maximum does not round, so given the
+    same coefficients both keep the bits.
+
+    The values are gathered from the table only when read (gather), and
+    kept; no step of a chain reads them.
     """
 
     def __init__(self, n: int, dual_words: np.ndarray, table):
@@ -201,13 +214,10 @@ class _Cosets(CubeFunction):
         self.n, self.dual_words = n, dual_words
         self.table = _frozen_vector(table, dual_words.size)
 
-    def with_table(self, table: np.ndarray, values: np.ndarray | None = None) -> _Cosets:
-        """The function on the same cosets whose table is table and whose
-        values, where given, are values, each taken over."""
+    def with_table(self, table: np.ndarray) -> _Cosets:
+        """The function on the same cosets whose table is table, taken over."""
         h = _Cosets(self.n, self.dual_words, _Fresh(table))
         h.syndromes, h.halves = self.syndromes, self.halves
-        if values is not None:
-            h.values = _frozen_vector(_Fresh(values), self.size)
         return h
 
     @cached_property
@@ -247,6 +257,12 @@ class _Cosets(CubeFunction):
         vals.setflags(write=False)  # finite, as the table is
         return vals
 
+    @cached_property
+    def spectrum(self) -> _OnWords:
+        a = _fwht(self.table)
+        a /= self.table.size
+        return _OnWords(self.n, self.dual_words, _Fresh(a))
+
 
 def _from_spectrum(s: Spectrum) -> CubeFunction:
     """The function whose spectrum is s; its values are built on first read."""
@@ -259,7 +275,8 @@ class Spectrum:
     """The Walsh-Hadamard coefficients, indexed by subset mask: made from the
     full table here, or by _by_level from the n + 1 values of a spectrum
     that depends on |S| alone (levels; None for a table), whose full table
-    is gathered on first read of coeffs, and kept."""
+    is gathered on first read of coeffs, and kept; _OnWords holds one that
+    is zero off a list of words by its values there."""
 
     levels = None
 
@@ -271,6 +288,38 @@ class Spectrum:
     @cached_property
     def coeffs(self) -> np.ndarray:
         return _frozen_vector(_Fresh(self.levels[subset_sizes(self.n)]), 1 << self.n)
+
+
+class _OnWords(Spectrum):
+    """A spectrum that is zero off a sorted list of words, the dual words of
+    a function on cosets (_Cosets): on_words[t] is the coefficient at
+    words[t].  Its full table is scattered, +0.0 off the words, on first
+    read of coeffs, and kept; the kernels read the 2^m values instead."""
+
+    def __init__(self, n: int, words: np.ndarray, on_words):
+        check_dimension(n)
+        self.n, self.words = n, words
+        self.on_words = _frozen_vector(on_words, words.size)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        table = np.zeros(1 << self.n)
+        table[self.words] = self.on_words
+        return _frozen_vector(_Fresh(table), 1 << self.n)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """|S| for each word S."""
+        return np.bitwise_count(self.words)
+
+    def at(self, s: Spectrum) -> np.ndarray:
+        """s's coefficients at the words: read from its levels, from its
+        values on the same words, or from its full table."""
+        if s.levels is not None:
+            return s.levels[self.sizes]
+        if isinstance(s, _OnWords) and s.words is self.words:
+            return s.on_words
+        return s.coeffs[self.words]
 
 
 def _by_level(n: int, levels: np.ndarray) -> Spectrum:
@@ -393,16 +442,22 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
 
     The result keeps the product as its spectrum, so wht of it runs no
     butterfly; its values are built by one inverse butterfly when first read.
-    Two spectra by level multiply their n + 1 levels; one by level scales
-    the other's table by _level_scaled, with no 2^n gather.  Each product is
-    the same double either way.
+    Two spectra by level multiply their n + 1 levels; a spectrum on words
+    (_OnWords) multiplies its values by the other's coefficients at its
+    words, and the product stays on them; one by level scales the other's
+    table by _level_scaled, with no 2^n gather.  Each product is the same
+    double either way.
     """
     _same_dimension(f, g)
     a, b = wht(f), wht(g)
-    if a.levels is not None:  # IEEE products commute: a by level goes second
+    # IEEE products commute: one on words goes first (f's, if both are),
+    # and one by level second
+    if not isinstance(a, _OnWords) and (a.levels is not None or isinstance(b, _OnWords)):
         a, b = b, a
     if a.levels is not None:
         return _from_spectrum(_by_level(f.n, a.levels * b.levels))
+    if isinstance(a, _OnWords):
+        return _from_spectrum(_OnWords(f.n, a.words, _Fresh(a.on_words * a.at(b))))
     if b.levels is not None:
         prod = _level_scaled(a.coeffs, b.levels)
     else:
@@ -418,16 +473,25 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def inner_product(f: CubeFunction, g: CubeFunction) -> float:
-    """<f, g> = 2^-n sum_x f(x) g(x)."""
+    """<f, g> = 2^-n sum_x f(x) g(x); of two functions on the same cosets,
+    2^-m sum_s table_f(s) table_g(s), as each coset holds 2^(n-m) masks."""
     _same_dimension(f, g)
+    if isinstance(f, _Cosets) and isinstance(g, _Cosets) and f.dual_words is g.dual_words:
+        return float(_dot(f.table, g.table) / f.table.size)
     return float(_dot(f.values, g.values) / f.size)
 
 
 def spectral_inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """<f, g> by Plancherel, sum_S coeff_f(S) coeff_g(S): reads the two
-    spectra, which every function keeps, and no values."""
+    spectra, which every function keeps, and no values; a spectrum on words
+    (_OnWords) is read at its words alone."""
     _same_dimension(f, g)
-    return float(_dot(f.spectrum.coeffs, g.spectrum.coeffs))
+    a, b = f.spectrum, g.spectrum
+    if isinstance(b, _OnWords):
+        a, b = b, a
+    if isinstance(a, _OnWords):
+        return float(_dot(a.on_words, a.at(b)))
+    return float(_dot(a.coeffs, b.coeffs))
 
 
 def _add_flips(acc: np.ndarray, vals: np.ndarray, h: int) -> None:
@@ -482,10 +546,15 @@ def adjacency_apply(f: CubeFunction) -> CubeFunction:
 
 
 def level_profile(s: Spectrum) -> np.ndarray:
-    """Squared coefficient mass per level: entry j = sum_{|S|=j} coeff(S)^2."""
-    return np.bincount(
-        subset_sizes(s.n), weights=s.coeffs * s.coeffs, minlength=s.n + 1
-    )
+    """Squared coefficient mass per level: entry j = sum_{|S|=j} coeff(S)^2.
+
+    A spectrum on words is read at its words: bincount adds in index order,
+    and the words ascend, so that adds the nonzero squares of the full
+    table in its order, and the +0.0 squares off the words change no sum.
+    """
+    on_words = isinstance(s, _OnWords)
+    sizes, coeffs = (s.sizes, s.on_words) if on_words else (subset_sizes(s.n), s.coeffs)
+    return np.bincount(sizes, weights=coeffs * coeffs, minlength=s.n + 1)
 
 
 # log2 of the row length of level_max_abs and _level_scaled: 2^12 values
@@ -539,9 +608,15 @@ def level_max_abs(s: Spectrum) -> np.ndarray:
     maximum of the rows whose high bits have its popcount p; then each of
     those high + 1 rows is split by the popcount q of the low bits, and its
     maxima go to level p + q.  A maximum does not round, so the order in
-    which the values meet does not matter.
+    which the values meet does not matter.  A spectrum on words takes the
+    maxima of its values by their words' levels; the coefficients off the
+    words are zeros, which no maximum of absolute values passes.
     """
     n = s.n
+    if isinstance(s, _OnWords):
+        out = np.zeros(n + 1)
+        np.maximum.at(out, s.sizes, np.abs(s.on_words))
+        return out
     low = min(n, _LEVEL_ROW)
     pops, _, order, starts = _level_rows(n, low)
     rows = np.zeros((n - low + 1, 1 << low))

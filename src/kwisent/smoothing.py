@@ -51,6 +51,7 @@ from .cube import (
     Spectrum,
     _Cosets,
     _Fresh,
+    _OnWords,
     _from_spectrum,
     adjacency_apply,
     convolve,
@@ -203,20 +204,23 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
     butterfly.  A clipped g is made from its values, and its spectrum is one
     butterfly on first read.
 
-    One flow serves both of f's layouts.  The inverse butterfly runs on f's
-    coefficients in f's layout, into a table made here: all 2^n of them,
+    One flow serves both of f's layouts.  The inverse butterfly runs on the
+    product in f's layout, into a table made here: all 2^n coefficients,
     or, where f is on the cosets of a code (cube._Cosets), as the density
-    of a space uniform on a code with a small dual is, the 2^m at the dual
-    words, where f̂ d̂ lies, so that g is on the same cosets (cube._Cosets
-    argues why its values are the dense route's, bit for bit).  The clip
-    acts on that table; g's values are the table itself, or are gathered
-    from it; and the mean of those values divides them in place, and a
-    coset table into a copy.  The call holds the product, the table, g's
-    values and the product over the mean, and no convolution values.
+    of a space uniform on a code with a small dual is, the product's 2^m
+    values at the dual words, where f̂ d̂ lies, so that g is on the same
+    cosets (cube._Cosets argues why that table is the dense route's values,
+    bit for bit).  The clip acts on that table, and the table's mean
+    divides it in place: on cosets that is the mean of g's values, each
+    coset holding as many masks, and no value is gathered.  The product
+    over the mean stays in the product's layout, so an unclipped g on
+    cosets keeps a spectrum on the dual words (cube._OnWords), and a
+    clipped one transforms its 2^m values.
     """
     on_cosets = isinstance(f, _Cosets)
-    prod = convolve(f, d).spectrum.coeffs
-    table = cube._fwht(prod[f.dual_words] if on_cosets else prod)
+    prod = convolve(f, d).spectrum
+    coeffs = prod.on_words if on_cosets else prod.coeffs
+    table = cube._fwht(coeffs)
     low = table.min()
     if low < -CONVOLUTION_POINTWISE:
         raise FloatingPointError(
@@ -224,12 +228,12 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
         )
     if low < 0.0:
         np.maximum(table, 0.0, out=table)
-    vals = f.gather(table) if on_cosets else table
-    mean = vals.mean()
-    vals /= mean
-    g = f.with_table(table / mean, vals) if on_cosets else CubeFunction(f.n, _Fresh(vals))
+    mean = table.mean()
+    table /= mean
+    g = f.with_table(table) if on_cosets else CubeFunction(f.n, _Fresh(table))
     if low >= 0.0:
-        g.spectrum = Spectrum(f.n, _Fresh(prod / mean))
+        scaled = _Fresh(coeffs / mean)
+        g.spectrum = _OnWords(f.n, prod.words, scaled) if on_cosets else Spectrum(f.n, scaled)
     return g
 
 
@@ -301,16 +305,18 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # clip fired: the chain runs 1 butterfly, g's values (2 when f's
     # spectrum is first read here and X is not uniform on a code, whose
     # density takes it from the dual code; 1 more when the clip fires).
-    # On a code whose dual has rank m <= DUAL_BLOCK_ROWS that butterfly is
-    # of 2^m values, g's table on the code's cosets (cube._Cosets); f's
-    # values are never built.  The half-independence chain on a code runs none.
     # Everything that reads g's values runs before the associativity line,
     # which reads spectra alone, so g's values are dropped before it.
     # Products by a spectrum by level gather no 2^n table, and
-    # convolve(kernel, d) is n + 1 levels.  So the chain holds at most 3
-    # dense vectors beyond f and its spectrum: the product, g's values and ĝ
-    # while g is made; g's values, ĝ and Ag or the p log2 p terms of H(Z);
-    # ĝ and the left side's two products.
+    # convolve(kernel, d) is n + 1 levels.  So the dense route holds at
+    # most 3 dense vectors beyond f and its spectrum: the product, g's
+    # values and ĝ while g is made; g's values, ĝ and Ag or the p log2 p
+    # terms of H(Z); ĝ and the left side's two products.
+    # On a code whose dual has rank m <= DUAL_BLOCK_ROWS, f, g and Ag are
+    # tables on the code's 2^m cosets (cube._Cosets) and every spectrum is
+    # 2^m values on the dual words, so that butterfly is of 2^m values,
+    # every printed sum reads 2^m values, and no 2^n vector is built.  The
+    # half-independence chain on a code runs no butterfly.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)

@@ -312,7 +312,10 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
     butterfly of route n u ||P / m||_2: (2n + 2) u ||P / m||_2 in all, to
     first order.  The extra u covers the O(n^2 u^2) terms and the gap
     between ||route||_2 and ||P / m||_2 for n <= 26.  A g whose clip
-    changed a value keeps no product: its spectrum is route, bit for bit.
+    changed a value keeps no product: its spectrum is route, bit for bit,
+    on the dense route; on a code's 2^m cosets it is the butterfly of g's
+    table over 2^m, whose m stages and route's n each round once, so it is
+    within (n + m) u ||route||_2 of route, inside the same bound.
     """
     d = ball.density()
     g = _smoothed_density(x.density, d)

@@ -8,8 +8,8 @@ for the same points at two probabilities), the reader has a row on the
 random file and two on a code's one-text file, as written and with tab
 separators, and the reader and the writer each have a row on that code's
 two-text file; the oracle has rows at stop = n, at analyze's stop and on
-the point mass at n = 20; g's values and its adjacency have rows on a
-code's cosets and on the dense route; a fresh chain has rows on a code's
+the point mass at n = 20; g, its adjacency and the sums the chain prints
+from it have rows on a code's cosets and on the dense route; a fresh chain has rows on a code's
 space and on a coset of it; and a row is timed in batches whose size
 timeit's autorange sets, next to batches of HEAD's call of that size."""
 
@@ -19,6 +19,7 @@ import importlib.util
 import itertools
 import shutil
 import subprocess
+import time
 import timeit
 from pathlib import Path
 
@@ -29,8 +30,15 @@ SCRIPT = ROOT / "scripts" / "bench_kernels.py"
 KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
     "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
-    "level_max_abs", "SampleSpace.density.spectrum", "_smoothed_density",
+    "level_max_abs", "SampleSpace.density.spectrum", "_smoothed_density", "inner_product",
+    "spectral_inner_product",
 }
+
+
+COSET_KERNELS = (
+    "_smoothed_density", "adjacency_apply", "inner_product", "spectral_inner_product",
+    "level_max_abs",
+)
 
 
 def load_script():
@@ -61,13 +69,25 @@ def one_call_batches(monkeypatch):
 
 def test_rows_are_timed_in_batches_autorange_sets():
     # a call of well under a microsecond runs thousands of times a batch:
-    # autorange's batches, then runs batches of that size, then one traced call
+    # autorange's batches, then runs batches of that size, then one traced
+    # call; HEAD's call, here 2 ms, gets batches of its own autorange's size,
+    # so its batches take about as long as the working tree's, not 1,000
+    # times longer
     count, head = itertools.count(), itertools.count()
-    times, ratios, calls, peak = load_script().measure(lambda: next(count), lambda: next(head), 3)
+
+    def slow():
+        time.sleep(0.002)
+        return next(head)
+
+    started = time.perf_counter()
+    times, ratios, calls, peak = load_script().measure(lambda: next(count), slow, 3)
+    assert time.perf_counter() - started < 5.0
     assert calls >= 1000 and len(times) == len(ratios) == 3
     assert next(count) > 4 * calls
-    assert next(head) == 3 * calls  # HEAD's warm-up is the caller's
+    # autorange's 1 + 2 + 5 + ... + 100 calls, then 3 batches of its size
+    assert next(head) <= 188 + 3 * 100
     assert all(0.0 < t < 1e-4 for t in times)  # seconds per call, not per batch
+    assert all(ratio < 0.1 for ratio in ratios)  # of the time per call
     assert load_script().measure(lambda: next(count), None, 3)[1] == []
 
 
@@ -89,7 +109,7 @@ def test_quick_rows_cover_every_kernel(tmp_path, one_call_batches):
     level = [
         (row["kernel"], row["n"], row.get("by"), row["butterflies"])
         for row in rows
-        if row["kernel"] == "level_max_abs" or "by" in row
+        if (row["kernel"] == "level_max_abs" and "space" not in row) or "by" in row
     ]
     assert level == [
         (kernel, n, by, 0)
@@ -134,15 +154,16 @@ def test_quick_rows_cover_every_kernel(tmp_path, one_call_batches):
         (20, 1, 0),
     ]
     assert oracle[-1]["peak_vectors"] < 0.01
-    # g's values and its adjacency on a code's cosets, from one butterfly
-    # of 2^(15 - 11) values and 15 shifted tables, and on the dense route
+    # g on a code's cosets, from one butterfly of 2^(15 - 11) values, its
+    # adjacency from 15 shifted tables, and the sums of g that the chain
+    # prints, which read no 2^15 vector; and all of them on the dense route
     coset = [row for row in rows if row.get("space") in ("code", "coset") and "k" not in row]
     assert [(row["kernel"], row["n"], row["space"], row["butterflies"]) for row in coset] == [
-        ("_smoothed_density", 15, "code", 1),
-        ("adjacency_apply", 15, "code", 0),
-        ("_smoothed_density", 15, "coset", 1),
-        ("adjacency_apply", 15, "coset", 0),
+        (kernel, 15, space, int(kernel == "_smoothed_density"))
+        for space in ("code", "coset")
+        for kernel in COSET_KERNELS
     ]
+    assert all(row["peak_vectors"] < 0.1 for row in coset[2:5])
     writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
         (10, None, 0),
@@ -161,9 +182,7 @@ def test_rows_head_cannot_build_have_no_ratio_and_the_run_goes_on(tmp_path, one_
     rows = script.rows((10,), 2, True, script.kwisent, head)
     without = [script.key(row) for row in rows if "ratio" not in row]
     assert without == [
-        f"{kernel} n=15 space={space}"
-        for space in ("code", "coset")
-        for kernel in ("_smoothed_density", "adjacency_apply")
+        f"{kernel} n=15 space={space}" for space in ("code", "coset") for kernel in COSET_KERNELS
     ]
     # the rows after them are timed against HEAD again
     assert [row["kernel"] for row in rows[-3:]] == ["ball_density.spectrum", "lambda_ball", "min_radius"]

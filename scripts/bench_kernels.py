@@ -76,18 +76,22 @@ points (marginal order 5; not with --quick): on a space that keeps its
 density and spectrum between calls, and on one built inside the call from
 the space's points and probabilities, as each CLI chain op builds one: the
 code's own points (space=fresh), whose density takes its spectrum from the
-dual code, as the warm space's did, and the same points XOR 1
-(space=coset), no code's space, whose spectrum is one butterfly more.
-The coset rows time g (_smoothed_density), adjacency_apply(g) with its
-values read, and three of the sums the chain prints from g (inner_product
-and spectral_inner_product of g with itself, and level_max_abs of its
-spectrum), for the g of that chain at k = 3, on a code (space=code) at
-n = 20 (the chain's code) and n = 24 (a random [24, 19] code; the Hamming
-code of length 15 with --quick), where g is made on the code's
-2^(n - rank) cosets, its spectrum lies on the dual words and the sums read
-2^(n - rank) values, and on the same points XOR 1 (space=coset), no code's
+dual code, as the warm space's did; the same points XOR 1 (space=coset), a
+translate of the code, which takes the same route with the dual code's
+signs; and, at k = 1, as its order is 0, the code's points at the texts=2
+probabilities (texts=2), no code's space, the dense route, whose spectrum
+is one butterfly more, and whose g is a butterfly of 2^n values.
+The coset rows time g (_smoothed_density), adjacency_apply(g), and three of
+the sums the chain prints from g (inner_product and spectral_inner_product
+of g with itself, and level_max_abs of its spectrum), for the g of that
+chain at k = 3, on a code (space=code) at n = 20 (the chain's code) and
+n = 24 (a random [24, 19] code; the Hamming code of length 15 with
+--quick), and on the same points XOR 1 (space=coset), where g is made on
+the code's 2^(n - rank) cosets, its adjacency is n shifted tables, its
+spectrum lies on the dual words and the sums read 2^(n - rank) values; and
+on the code's points at the texts=2 probabilities (texts=2), no code's
 space, where g takes the dense route: 2^n-value butterfly, adjacency and
-sums.
+sums.  No row reads the values of a g on cosets, which no chain step reads.
 The ball density rows time
 balls.BallSpectrum.density().spectrum.coeffs for the radius of that chain at
 k = 3, at n = 20 (r = 6) and n = 26 (r = 9; n = 16, r = 5, with --quick):
@@ -293,13 +297,14 @@ def random_code_20(pkg=kwisent):
 
 def coset_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for g
-    (smoothing._smoothed_density), for adjacency_apply(g) with its values
-    read, and for the sums the chain prints from g: inner_product(g, g),
-    spectral_inner_product(g, g) and level_max_abs of g's spectrum; g = f * d
+    (smoothing._smoothed_density), for adjacency_apply(g), and for the sums
+    the chain prints from g: inner_product(g, g), spectral_inner_product(g,
+    g) and level_max_abs of g's spectrum; g = f * d
     smoothed as smoothing_chain(space, 3) smooths it: on the space of a
-    code (space=code), whose g lives on the code's cosets, and on that
-    space XOR 1 (space=coset), no code's space, which takes the dense
-    route.  f keeps its spectrum, read outside the timed call."""
+    code (space=code) and on that space XOR 1 (space=coset), whose g lives
+    on the code's cosets, and on the code's points at two_texts (texts=2),
+    no code's space, which takes the dense route.  f keeps its spectrum,
+    read outside the timed call."""
     smoothed, adjacency_apply = pkg.smoothing._smoothed_density, pkg.cube.adjacency_apply
     inner_product, spectral_inner_product = pkg.cube.inner_product, pkg.cube.spectral_inner_product
     level_max_abs = pkg.cube.level_max_abs
@@ -307,19 +312,26 @@ def coset_kernels(pkg, quick: bool):
     for code in codes:
         space = pkg.codes.parity_sampler_space(code)
         d = pkg.balls.lambda_ball(code.cols, pkg.balls.min_radius(code.cols, 3)).density()
-        for label, points in (("code", space.points), ("coset", space.points ^ 1)):
-            f = pkg.codes.SampleSpace(code.cols, points, space.probabilities).density
+        for param, points, probs in spaces(space):
+            f = pkg.codes.SampleSpace(code.cols, points, probs).density
             f.spectrum  # built on first read, and kept
-            yield "_smoothed_density", code.cols, {"space": label}, lambda f=f: smoothed(f, d)
+            yield "_smoothed_density", code.cols, param, lambda f=f: smoothed(f, d)
             g = smoothed(f, d)
             del f  # each n = 24 vector is 128 MiB; the caller has dropped the row above
-            yield "adjacency_apply", code.cols, {"space": label}, lambda g=g: adjacency_apply(g).values
-            yield "inner_product", code.cols, {"space": label}, lambda g=g: inner_product(g, g)
-            yield "spectral_inner_product", code.cols, {"space": label}, (
-                lambda g=g: spectral_inner_product(g, g)
-            )
-            yield "level_max_abs", code.cols, {"space": label}, lambda g=g: level_max_abs(g.spectrum)
+            yield "adjacency_apply", code.cols, param, lambda g=g: adjacency_apply(g)
+            yield "inner_product", code.cols, param, lambda g=g: inner_product(g, g)
+            yield "spectral_inner_product", code.cols, param, lambda g=g: spectral_inner_product(g, g)
+            yield "level_max_abs", code.cols, param, lambda g=g: level_max_abs(g.spectrum)
             del g
+
+
+def spaces(space, own: str = "code"):
+    """(parameter, points, probabilities) of a code's space (space=own), of
+    its translate by 1 (space=coset), and of its points at two_texts
+    (texts=2), no code's space."""
+    yield {"space": own}, space.points, space.probabilities
+    yield {"space": "coset"}, space.points ^ 1, space.probabilities
+    yield {"texts": 2}, space.points, two_texts(space)
 
 
 def chain_kernels(pkg, quick: bool):
@@ -327,18 +339,20 @@ def chain_kernels(pkg, quick: bool):
     a space whose density and spectrum are kept from the warm-up call, and on
     a space built inside the call from kept points and probabilities, as
     each CLI chain op builds one from its file: the code's points
-    (space=fresh), and those points XOR 1 (space=coset), no code's space."""
+    (space=fresh) and those points XOR 1 (space=coset) at k = 3, and the
+    code's points at two_texts (texts=2), no code's space, at k = 1."""
     SampleSpace, smoothing_chain = pkg.codes.SampleSpace, pkg.smoothing.smoothing_chain
     codes = [pkg.codes.hamming_code(4)] if quick else [pkg.codes.hamming_code(4), random_code_20(pkg)]
     for code in codes:
         space = pkg.codes.parity_sampler_space(code)
         yield "smoothing_chain", code.cols, {"k": 3}, lambda space=space: smoothing_chain(space, 3)
-        for label, points in (("fresh", space.points), ("coset", space.points ^ 1)):
+        for param, points, probs in spaces(space, "fresh"):
+            k = 1 if "texts" in param else 3  # two_texts is of order 0
 
-            def chain(n=code.cols, points=points, probs=space.probabilities):
-                return smoothing_chain(SampleSpace(n, points, probs), 3)
+            def chain(n=code.cols, points=points, probs=probs, k=k):
+                return smoothing_chain(SampleSpace(n, points, probs), k)
 
-            yield "smoothing_chain", code.cols, {"k": 3, "space": label}, chain
+            yield "smoothing_chain", code.cols, {"k": k, **param}, chain
 
 
 def ball_kernels(pkg, quick: bool):

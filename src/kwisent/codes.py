@@ -11,14 +11,15 @@ Any other space is written one line at a time, and any other file, and a
 grid the constructor refuses, is read line by line, more slowly, to the
 same values or to the message and number of its first bad line.
 
-A space uniform on a linear code, as every space built from a code is, takes
-its density's spectrum from the dual code: the 0/1 indicator of the dual
-words, which is exactly what the butterfly would compute (MacWilliams &
-Sloane, ch. 1), bit for bit, as SampleSpace.density argues.  Any other
-space's density runs the butterfly.  Where the dual has at most
-DUAL_BLOCK_ROWS rows, the density is made on the code's cosets instead, a
+A space uniform on a translate C + a of a linear code C, as every space
+built from a code is, takes its density's spectrum from the dual code:
+(-1)^(u . a) on each dual word u and 0 elsewhere, which is exactly what the
+butterfly would compute (MacWilliams & Sloane, ch. 1 and 5), bit for bit, as
+SampleSpace.density argues.  Its density is made on the code's cosets, a
 table of 2^(n - rank) values with its spectrum on the dual words
-(cube._Cosets, which argues which bits that keeps).
+(cube._Cosets, which argues which bits that keeps); a one-point space is the
+dense vector with that spectrum.  Any other space's density runs the
+butterfly.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
 ENUMERATION_GUARD = 10**7
-# Dual rows whose span SampleSpace.density lists at once (512 KiB of int64);
-# the rest are offsets, one block each.  A code's density is made on its
-# cosets where its dual has no more rows than this, so every coset table and
-# list of dual words is at most one block.
-DUAL_BLOCK_ROWS = 16
 
 
 def gf2_rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
@@ -100,11 +96,12 @@ def _span(basis: list[int]) -> np.ndarray:
 def _code_basis(points: np.ndarray, probabilities: np.ndarray) -> list[int] | None:
     """The reduced rows, as gf2_rref orders them, of a support that is a
     linear code of rank k with probability exactly 2^-k on every point;
-    else None.  The points are sorted, so a code's points at indices 2^i
-    are its reduced rows, lowest pivot first, and _span of them lists the
-    points in the same order."""
+    else None.  The points are sorted, from 0 (SampleSpace.density passes
+    them XOR the least point, so that a translate of a code is the code), so
+    a code's points at indices 2^i are its reduced rows, lowest pivot
+    first, and _span of them lists the points in the same order."""
     k = points.size.bit_length() - 1
-    if points.size != 1 << k or points[0] != 0 or not (probabilities == 2.0**-k).all():
+    if points.size != 1 << k or not (probabilities == 2.0**-k).all():
         return None
     basis = points[1 << np.arange(k - 1, -1, -1)].tolist()
     return basis if np.array_equal(_span(basis), points) else None
@@ -254,50 +251,56 @@ class SampleSpace:
         cube.check_dimension, and kept.  The
         constructor has refused negative probabilities, so the values are
         nonnegative, and the division leaves their mean 1 up to rounding
-        (TOTAL_MASS); neither fact is checked again.
-
-        Where the support is a linear code V of rank k with probability
-        exactly 2^-k on every point (_code_basis), as in every space built
-        from a code, the density keeps as its spectrum the 0/1 indicator of
-        the dual code V^⊥, with no butterfly.  That is the butterfly's
-        result bit for bit: the density is exactly 2^(n-k) on V and its mean
-        exactly 1; every partial sum of the butterfly is an integer multiple
-        of 2^(n-k) of size at most 2^n, so exact in float64 (n <= 26); no
-        -0.0 appears, as the inputs are +0 or above and x - x is +0; and the
-        division by 2^n is exact.  The dual words are written a block of
-        at most 2^DUAL_BLOCK_ROWS at a time, so a low-rank code holds no
-        list of its 2^(n-k) dual words.  Any other density's spectrum is one
+        (TOTAL_MASS); neither fact is checked again.  Its spectrum is one
         butterfly on first read.
 
-        Where the dual has rank m = n - k <= DUAL_BLOCK_ROWS, the density
-        is made on the cosets of V (cube._Cosets) instead, from the list of
-        every dual word and a table of 2^m values:
-        2^(n-k) on V itself and 0 on every other coset.  Its spectrum is
-        then held on the dual words (cube._OnWords), 2^m ones, so no 2^n
-        vector is built: its values are gathered, and its spectrum's full
-        table scattered, only when read, which no chain step on a code
-        does."""
+        Where the support is a translate V + a of a linear code V of rank
+        k with probability exactly 2^-k on every point (_code_basis of the
+        points XOR a, a = the least point), as in every space built from a
+        code, the density is 2^(n-k) on V + a, and its spectrum is
+        (-1)^(u . a) on the dual words u of V^⊥ and 0 elsewhere, with no
+        butterfly.  That is the butterfly's result bit for bit: the density
+        is exactly 2^(n-k) on V + a and its mean exactly 1; every partial
+        sum of the butterfly is an integer multiple of 2^(n-k) of size at
+        most 2^n, so exact in float64 (n <= 26); no -0.0 appears, as the
+        inputs are +0 or above and x - x is +0; and the division by 2^n is
+        exact.
+
+        For k >= 1 the density is made on the cosets of V (cube._Cosets),
+        from the list of every dual word, ascending (_span), and a table of
+        2^m values, m = n - k: 2^m at the syndrome sigma(a) of V + a, whose
+        bit j is rows[j] . a for the dual's reduced rows rows[j] = words[2^j],
+        and 0 on every other coset.  Its spectrum is held on the dual words
+        (cube._OnWords), words[t] . a = t . sigma(a), so no 2^n vector is
+        built.  The one point a (k = 0) is the dense vector, with its 2^n
+        signs as its spectrum: on cosets every table and spectrum would be
+        2^n values, and its kernels slower than the dense ones.
+        """
         n = self.n
         cube.check_dimension(n)
-        basis = _code_basis(self.points, self.probabilities)
-        dual = None if basis is None else gf2_rref(gf2_nullspace(basis, n), n)[0]
-        if dual is not None and len(dual) <= DUAL_BLOCK_ROWS:
-            words = _span(dual)
-            table = np.zeros(words.size)
-            table[0] = self.probabilities[0] * (1 << n)  # 2^(n-k); the mean is exactly 1
-            f = cube._Cosets(n, words, table)
-            f.spectrum = cube._OnWords(n, words, np.ones(words.size))
+        a = int(self.points[0])
+        # a space through 0 skips the sort: 0.36 ms of a 10 ms chain on 2^16 points
+        points = self.points if a == 0 else np.sort(self.points ^ a)
+        basis = _code_basis(points, self.probabilities)
+        if basis is not None:
+            dual = gf2_rref(gf2_nullspace(basis, n), n)[0]
+            # bit j of sigma(a) is rows[j] . a, the rows lowest pivot first, and
+            # signs[t] = (-1)^(words[t] . a) = (-1)^(t . sigma(a))
+            bits = [(row & a).bit_count() & 1 for row in reversed(dual)]
+            signs = cube._xor_span(np.array(bits, dtype=np.uint8)) * -2.0
+            signs += 1.0
+        if basis:
+            table = np.zeros(signs.size)
+            table[sum(bit << j for j, bit in enumerate(bits))] = float(signs.size)
+            f = cube._Cosets(n, _span(dual), cube._Fresh(table))
+            f.spectrum = cube._OnWords(n, f.dual_words, cube._Fresh(signs))
             return f
         vals = np.zeros(1 << n)
         vals[self.points] = self.probabilities * (1 << n)
         vals /= vals.mean()
         f = cube.CubeFunction(n, cube._Fresh(vals))
-        if dual is not None:
-            block = _span(dual[:DUAL_BLOCK_ROWS])
-            coeffs = np.zeros(1 << n)
-            for offset in _span(dual[DUAL_BLOCK_ROWS:]).tolist():
-                coeffs[block ^ offset] = 1.0
-            f.spectrum = cube.Spectrum(n, cube._Fresh(coeffs))
+        if basis is not None:  # the one point a: every mask is a dual word
+            f.spectrum = cube.Spectrum(n, cube._Fresh(signs))
         return f
 
     def to_text(self) -> str:

@@ -17,12 +17,11 @@ A function is made from its values or from its spectrum (a convolution is
 made from the spectral product), and keeps both: whichever side it was not
 made from is built from the other by one butterfly on first read, and then
 kept, unless its maker sets that side too, as the density of a space uniform
-on a code is given the dual code's indicator, the butterfly's result bit for
-bit (codes.SampleSpace.density).  wht returns the spectrum property.  A
-spectrum is made from its coefficients or from its n + 1 levels, when it
-depends on |S| alone; the
-full table of a spectrum by level is gathered only when its coeffs are
-read, and then kept.  A Radial function (a function of |x| alone, like the
+on a translate of a code is given the dual code's signs, the butterfly's
+result bit for bit (codes.SampleSpace.density).  wht returns the spectrum
+property.  A spectrum is made from its coefficients or from its n + 1
+levels, when it depends on |S| alone; the full table of a spectrum by level
+is gathered only when its coeffs are read, and then kept.  A Radial function (a function of |x| alone, like the
 ball density and the weight-one kernel) has such a spectrum, from exact
 Krawtchouk sums, with no butterfly.  convolve multiplies two spectra by
 level level for level, and scales a full table by a spectrum by level row
@@ -31,14 +30,14 @@ A third representation holds a function constant on each coset of a
 linear code C (_Cosets, which also argues which bits it keeps): a table
 of its 2^m values, one per coset, m = n - rank C.  Its spectrum is zero off
 the 2^m words of the dual code C^⊥ (_OnWords): set by its maker, or the
-2^m butterfly of the table over 2^m.  Its values are gathered from the
-table by syndrome only when read.  Every kernel keeps such a function or
+2^m butterfly of the table over 2^m.  Every kernel keeps such a function or
 spectrum on its 2^m values: adjacency_apply sums n shifted tables, convolve
 multiplies the values at the words, inner_product reads the two tables, and
 spectral_inner_product, level_profile and level_max_abs read the values at
-the words.  The density of a space uniform on a code is one, and so is the
-smoothed density made from it (smoothing._smoothed_density), so a chain on
-such a code builds no 2^n vector.
+the words.  The density of a space uniform on a translate of a code of
+rank >= 1 is one, and so is the smoothed density made from it
+(smoothing._smoothed_density), so a chain on such a space builds no 2^n
+vector.
 
 The two dense kernels work on a vector of more than 2^_BLOCK values row by
 row, each row of 2^_BLOCK values in cache, instead of sweeping all of it
@@ -118,8 +117,7 @@ class CubeFunction:
     """A real-valued function on {0,1}^n, indexed by bitmask: made from its
     values here, or from its spectrum by _from_spectrum.  Whichever side is
     missing is built from the other by one butterfly on first read, and
-    kept, unless its maker sets it.  _Cosets, made from a table on a code's
-    cosets, gathers its values instead."""
+    kept, unless its maker sets it."""
 
     def __init__(self, n: int, values):
         check_dimension(n)
@@ -153,11 +151,6 @@ def _xor_span(gens: np.ndarray) -> np.ndarray:
     return out
 
 
-# log2 of the syndromes one step of _Cosets.gather indexes: 2^14 of them,
-# which numpy casts to a 128 KiB index, instead of one 2^n index
-_GATHER_ROW = 14
-
-
 class _Cosets(CubeFunction):
     """A function constant on each coset of a linear code C, made from the
     list of C's dual words and a table of its value on each coset.
@@ -187,11 +180,12 @@ class _Cosets(CubeFunction):
     negation is exact and passes through every rounding, so both trees meet
     the same terms, with the same signs on the way to x, in the same order:
     the values are equal bit for bit, up to the sign of a sum that is
-    exactly zero.  A code's density is its table gathered: 2^(n-k) on C,
-    0 elsewhere, the dense values exactly.  adjacency_apply of such a
-    function sums the n tables table[sigma ^ c_i] from zero, i = 0..n-1 in
-    turn, the order in which the dense kernel adds f(x ^ e_i), so its values
-    are the dense result bit for bit.
+    exactly zero.  The density of a translate C + a is its table at each
+    mask: 2^(n-k) on C + a, the coset of syndrome sigma(a), and 0
+    elsewhere, the dense values exactly.  adjacency_apply of such a function
+    sums the n tables table[sigma ^ c_i] from zero, i = 0..n-1 in turn, the
+    order in which the dense kernel adds f(x ^ e_i), so its values are the
+    dense result bit for bit.
 
     Where the bits part.  Each coset holds 2^(n-m) masks, so a sum over the
     cube is 2^(n-m) times a sum over the table: a mean, an inner product
@@ -205,8 +199,8 @@ class _Cosets(CubeFunction):
     as the dense bincount, and a level maximum does not round, so given the
     same coefficients both keep the bits.
 
-    The values are gathered from the table only when read (gather), and
-    kept; no step of a chain reads them.
+    No step of a chain reads the values, which are CubeFunction's: the
+    inverse butterfly of the spectrum's full table.
     """
 
     def __init__(self, n: int, dual_words: np.ndarray, table):
@@ -217,7 +211,7 @@ class _Cosets(CubeFunction):
     def with_table(self, table: np.ndarray) -> _Cosets:
         """The function on the same cosets whose table is table, taken over."""
         h = _Cosets(self.n, self.dual_words, _Fresh(table))
-        h.syndromes, h.halves = self.syndromes, self.halves
+        h.syndromes = self.syndromes
         return h
 
     @cached_property
@@ -227,35 +221,6 @@ class _Cosets(CubeFunction):
         rows = self.dual_words[1 << np.arange(m)]  # rows[j] = words[2^j]
         bits = (rows[:, None] >> np.arange(self.n)) & 1
         return (bits << np.arange(m)[:, None]).sum(axis=0).astype(np.min_scalar_type((1 << m) - 1))
-
-    @cached_property
-    def halves(self) -> tuple[np.ndarray, np.ndarray]:
-        """The syndromes of x's low n // 2 bits and of its high bits, by value."""
-        half = self.n // 2
-        return _xor_span(self.syndromes[:half]), _xor_span(self.syndromes[half:])
-
-    def gather(self, table: np.ndarray) -> np.ndarray:
-        """table[sigma(x)] for every mask x, into a fresh array.
-
-        sigma(x) is the XOR of the syndromes of x's low n // 2 bits and of
-        its high bits, read from the two half-width tables (halves) in the
-        syndromes' narrow dtype; a step gathers 2^_GATHER_ROW values, so no
-        index over all 2^n masks is made.  Every syndrome is below 2^m, so
-        mode="clip" changes no index; it lets take write into out with no
-        buffer.
-        """
-        low, high = self.halves
-        out = np.empty((high.size, low.size))
-        step = max(1, (1 << _GATHER_ROW) // low.size)
-        for r in range(0, high.size, step):
-            np.take(table, high[r : r + step, None] ^ low, out=out[r : r + step], mode="clip")
-        return out.reshape(-1)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        vals = self.gather(self.table)
-        vals.setflags(write=False)  # finite, as the table is
-        return vals
 
     @cached_property
     def spectrum(self) -> _OnWords:
@@ -514,17 +479,19 @@ def adjacency_apply(f: CubeFunction) -> CubeFunction:
     until the sums, made in one buffer, replace it.
 
     A function on cosets (_Cosets) gives one on the same cosets, the sum of
-    its table shifted by each coordinate's syndrome in the same order.
+    its table shifted by each coordinate's syndrome c_i in the same order:
+    by the flips of bit j where c_i = 2^j, as at a pivot coordinate, and by
+    one gather of 2^m values otherwise.
     """
     n = f.n
     if isinstance(f, _Cosets):
         shift = np.arange(f.table.size, dtype=f.syndromes.dtype)
         acc = np.zeros(f.table.size)
-        # not np.add.reduce(..., axis=0): on a one-entry table (m = 0, a
-        # full-rank code) numpy sums that length-n column pairwise, which
-        # rounds otherwise than this loop from n = 8 up
-        for row in f.table[f.syndromes[:, None] ^ shift]:  # row i: table[sigma ^ c_i]
-            acc += row
+        for c in f.syndromes.tolist():  # acc[sigma] += table[sigma ^ c_i], i = 0..n-1
+            if c and not c & (c - 1):  # c_i = 2^j: the flips of bit j
+                _add_flips(acc, f.table, c)
+            else:
+                acc += f.table[shift ^ c]
         return f.with_table(acc)
     low = min(n, _BLOCK)
     half = low // 2

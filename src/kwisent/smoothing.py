@@ -207,10 +207,10 @@ def _smoothed_density(f: CubeFunction, d: CubeFunction) -> CubeFunction:
     One flow serves both of f's layouts.  The inverse butterfly runs on the
     product in f's layout, into a table made here: all 2^n coefficients,
     or, where f is on the cosets of a code (cube._Cosets), as the density
-    of a space uniform on a code with a small dual is, the product's 2^m
-    values at the dual words, where f̂ d̂ lies, so that g is on the same
-    cosets (cube._Cosets argues why that table is the dense route's values,
-    bit for bit).  The clip acts on that table, and the table's mean
+    of a space uniform on a translate of a code of rank >= 1 is, the
+    product's 2^m values at the dual words, where f̂ d̂ lies, so that g is on
+    the same cosets (cube._Cosets argues why that table is the dense
+    route's values, bit for bit).  The clip acts on that table, and the table's mean
     divides it in place: on cosets that is the mean of g's values, each
     coset holding as many masks, and no value is gathered.  The product
     over the mean stays in the product's layout, so an unclipped g on
@@ -303,8 +303,9 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # radial, so their spectra stay n + 1 levels with no butterfly, and a
     # convolution keeps its spectral product, which g keeps too unless its
     # clip fired: the chain runs 1 butterfly, g's values (2 when f's
-    # spectrum is first read here and X is not uniform on a code, whose
-    # density takes it from the dual code; 1 more when the clip fires).
+    # spectrum is first read here and X is not uniform on a translate of a
+    # code, whose density takes it from the dual code; 1 more when the clip
+    # fires).
     # Everything that reads g's values runs before the associativity line,
     # which reads spectra alone, so g's values are dropped before it.
     # Products by a spectrum by level gather no 2^n table, and
@@ -312,11 +313,12 @@ def smoothing_chain(x: SampleSpace, k: int) -> ChainReport:
     # most 3 dense vectors beyond f and its spectrum: the product, g's
     # values and ĝ while g is made; g's values, ĝ and Ag or the p log2 p
     # terms of H(Z); ĝ and the left side's two products.
-    # On a code whose dual has rank m <= DUAL_BLOCK_ROWS, f, g and Ag are
-    # tables on the code's 2^m cosets (cube._Cosets) and every spectrum is
-    # 2^m values on the dual words, so that butterfly is of 2^m values,
-    # every printed sum reads 2^m values, and no 2^n vector is built.  The
-    # half-independence chain on a code runs no butterfly.
+    # Where X is uniform on a translate of a code of rank >= 1, f, g and Ag
+    # are tables on the code's 2^m cosets (cube._Cosets), m = n - rank, and
+    # every spectrum is 2^m values on the dual words, so that butterfly is
+    # of 2^m values, every printed sum reads 2^m values, and no 2^n vector
+    # is built.  The half-independence chain on such a space runs no
+    # butterfly.
     d = ball.density()
     f = x.density
     g = _smoothed_density(f, d)

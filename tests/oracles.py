@@ -24,7 +24,12 @@ of the package by a different method:
 - smooth and verify_smoothing: the four facts the smoothing chain rests on,
   each by a route the chain does not take;
 - space_text_by_line: a sample space file formatted one line at a time,
-  against the byte grid of codes.SampleSpace.to_text.
+  against the byte grid of codes.SampleSpace.to_text;
+- density_from_points, coset_gather and values_of: a space's density as
+  2^n values written at its points, and a table on a code's cosets gathered
+  to the cube by syndrome, against the density on the code's cosets
+  (cube._Cosets), whose own values are the inverse butterfly of its
+  spectrum.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from kwisent.bounds import shannon_entropy, shannon_from_density
 from kwisent.codes import SampleSpace
 from kwisent.cube import (
     CubeFunction,
+    _Cosets,
+    _xor_span,
     Spectrum,
     _fwht,
     _same_dimension,
@@ -166,14 +173,14 @@ def level_max_abs_scatter(s: Spectrum) -> np.ndarray:
 
 def renyi2_from_density(density: CubeFunction) -> float:
     """Collision entropy as n - log2 E[f^2]; must agree with the space path."""
-    mean_sq = float((density.values**2).mean())
+    mean_sq = float((values_of(density) ** 2).mean())
     return density.n - math.log2(mean_sq)
 
 
 def from_density(density: CubeFunction) -> SampleSpace:
     """The distribution of a density, dropping the values at most
     PRUNE_RELATIVE of the largest."""
-    vals = density.values
+    vals = values_of(density)
     points = np.flatnonzero(vals > PRUNE_RELATIVE * vals.max())
     probs = vals[points]
     return SampleSpace(density.n, points, probs / probs.sum())
@@ -334,7 +341,7 @@ def verify_smoothing(x: SampleSpace, ball: BallSpectrum) -> SmoothingReport:
     if x.support_size << x.n <= DIRECT_CONVOLUTION_WORK:
         direct = convolve_direct(x.density, d)
         err = float(np.max(np.abs(z.density.values - direct.values)))
-    route = _fwht(g.values) / g.size
+    route = _fwht(values_of(g)) / g.size
     spectrum_err = float(np.linalg.norm(g.spectrum.coeffs - route))
     spectrum_tol = (2 * x.n + 3) * (np.finfo(np.float64).eps / 2) * float(np.linalg.norm(route))
     butterfly_order = kwise.order_from_levels(level_max_abs(Spectrum(x.n, route)))
@@ -361,3 +368,22 @@ def space_text_by_line(space: SampleSpace) -> str:
     """'n=<n>', then one f-string '<bitstring> <repr(probability)>' per point."""
     rows = zip(space.points.tolist(), space.probabilities.tolist())
     return f"n={space.n}\n" + "".join(f"{p:0{space.n}b} {q!r}\n" for p, q in rows)
+
+
+def density_from_points(space: SampleSpace) -> CubeFunction:
+    """space's density as 2^n values: 2^n times the probability at each
+    point, over the mean, with no spectrum kept."""
+    vals = np.zeros(1 << space.n)
+    vals[space.points] = space.probabilities * (1 << space.n)
+    return CubeFunction(space.n, vals / vals.mean())
+
+
+def coset_gather(f: _Cosets, table: np.ndarray) -> np.ndarray:
+    """table[sigma(x)] for every mask x: a table on f's cosets at each mask,
+    sigma(x) the XOR of the syndromes c_i over the bits i of x."""
+    return table[_xor_span(f.syndromes)]
+
+
+def values_of(f: CubeFunction) -> np.ndarray:
+    """f's values: on a code's cosets, its table gathered to the cube."""
+    return coset_gather(f, f.table) if isinstance(f, _Cosets) else f.values

@@ -9,8 +9,9 @@ random file and two on a code's one-text file, as written and with tab
 separators, and the reader and the writer each have a row on that code's
 two-text file; the oracle has rows at stop = n, at analyze's stop and on
 the point mass at n = 20; g, its adjacency and the sums the chain prints
-from it have rows on a code's cosets and on the dense route; a fresh chain has rows on a code's
-space and on a coset of it; and a row is timed in batches whose size
+from it have rows on the cosets of a code and of its translate, and on the
+dense route; a fresh chain has rows on a code's space, on its translate and
+on its points at two probabilities; and a row is timed in batches whose size
 timeit's autorange sets, next to batches of HEAD's call of that size."""
 
 from __future__ import annotations
@@ -109,21 +110,26 @@ def test_quick_rows_cover_every_kernel(tmp_path, one_call_batches):
     level = [
         (row["kernel"], row["n"], row.get("by"), row["butterflies"])
         for row in rows
-        if (row["kernel"] == "level_max_abs" and "space" not in row) or "by" in row
+        if (row["kernel"] == "level_max_abs" and {"space", "texts"}.isdisjoint(row))
+        or "by" in row
     ]
     assert level == [
         (kernel, n, by, 0)
         for n in (8, 12, 20)
         for kernel, by in (("convolve", "Radial"), ("level_max_abs", None))
     ]
-    # g keeps its spectrum, so a warm chain runs g's values alone, and a
-    # fresh code space takes its own spectrum from the dual code; a fresh
-    # coset of the code, no code's space, runs the butterfly on f too
+    # g keeps its spectrum, so a warm chain runs g's values alone, of 2^4
+    # coset values, and a fresh code space or its translate takes its own
+    # spectrum from the dual code; the code's points at two probabilities,
+    # no code's space, run the 2^15 butterfly on f too
     chain = [row for row in rows if row["kernel"] == "smoothing_chain"]
-    assert [(row["n"], row["k"], row.get("space"), row["butterflies"]) for row in chain] == [
-        (15, 3, None, 1),
-        (15, 3, "fresh", 1),
-        (15, 3, "coset", 2),
+    assert [
+        (row["n"], row["k"], row.get("space"), row.get("texts"), row["butterflies"]) for row in chain
+    ] == [
+        (15, 3, None, None, 1),
+        (15, 3, "fresh", None, 1),
+        (15, 3, "coset", None, 1),
+        (15, 1, None, 2, 2),
     ]
     # a fresh code space's spectrum is the dual code's indicator, and the
     # same points at two probabilities, no code's space, run the butterfly
@@ -154,16 +160,19 @@ def test_quick_rows_cover_every_kernel(tmp_path, one_call_batches):
         (20, 1, 0),
     ]
     assert oracle[-1]["peak_vectors"] < 0.01
-    # g on a code's cosets, from one butterfly of 2^(15 - 11) values, its
-    # adjacency from 15 shifted tables, and the sums of g that the chain
-    # prints, which read no 2^15 vector; and all of them on the dense route
-    coset = [row for row in rows if row.get("space") in ("code", "coset") and "k" not in row]
-    assert [(row["kernel"], row["n"], row["space"], row["butterflies"]) for row in coset] == [
-        (kernel, 15, space, int(kernel == "_smoothed_density"))
-        for space in ("code", "coset")
+    # g on the cosets of a code and of its translate, from one butterfly of
+    # 2^(15 - 11) values, its adjacency from 15 shifted tables, and the sums
+    # of g that the chain prints, which read no 2^15 vector; and all of them
+    # on the dense route
+    coset = [row for row in rows if row["kernel"] in COSET_KERNELS and {"space", "texts"} & set(row)]
+    assert [
+        (row["kernel"], row["n"], row.get("space"), row.get("texts"), row["butterflies"]) for row in coset
+    ] == [
+        (kernel, 15, space, texts, int(kernel == "_smoothed_density"))
+        for space, texts in (("code", None), ("coset", None), (None, 2))
         for kernel in COSET_KERNELS
     ]
-    assert all(row["peak_vectors"] < 0.1 for row in coset[2:5])
+    assert all(row["peak_vectors"] < 0.1 for row in coset[:10])
     writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
         (10, None, 0),
@@ -182,7 +191,7 @@ def test_rows_head_cannot_build_have_no_ratio_and_the_run_goes_on(tmp_path, one_
     rows = script.rows((10,), 2, True, script.kwisent, head)
     without = [script.key(row) for row in rows if "ratio" not in row]
     assert without == [
-        f"{kernel} n=15 space={space}" for space in ("code", "coset") for kernel in COSET_KERNELS
+        f"{kernel} n=15 {param}" for param in ("space=code", "space=coset", "texts=2") for kernel in COSET_KERNELS
     ]
     # the rows after them are timed against HEAD again
     assert [row["kernel"] for row in rows[-3:]] == ["ball_density.spectrum", "lambda_ball", "min_radius"]

@@ -23,7 +23,7 @@ from kwisent.codes import (
     simplex_code,
 )
 from kwisent.errors import DimensionError, FormatError, ResourceLimitError
-from oracles import space_text_by_line
+from oracles import density_from_points, space_text_by_line
 from test_bench_kernels import load_script
 
 
@@ -254,9 +254,10 @@ def counted_spectrum(space: SampleSpace) -> tuple[np.ndarray, int]:
 
 
 def assert_butterfly_bits(space: SampleSpace, coeffs: np.ndarray) -> None:
-    """coeffs holds, byte for byte, the butterfly's spectrum of the density:
-    the independent route, which tells -0.0 from 0.0 too."""
-    route = cube._fwht(space.density.values) / (1 << space.n)
+    """coeffs holds, byte for byte, the butterfly's spectrum of the density
+    written at the points: the independent route, which tells -0.0 from 0.0
+    too."""
+    route = cube._fwht(density_from_points(space).values) / (1 << space.n)
     assert coeffs.tobytes() == route.tobytes()
 
 
@@ -271,19 +272,23 @@ def generator_matrices(draw):
     return BinaryMatrix(tuple(rows), n)
 
 
-@given(generator_matrices(), st.sampled_from([0, 1, 3, codes.DUAL_BLOCK_ROWS]))
-def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix, block):
-    # a code's space, as built and as read back from its file, takes its
-    # spectrum from the dual code with no butterfly, and the butterfly,
-    # run here on the density's values, gives the same bytes; a block of
-    # 0, 1 or 3 dual rows writes the dual words in many blocks
-    built = parity_sampler_space(matrix)
+@given(generator_matrices(), st.integers(0, (1 << 16) - 1))
+def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix, shift):
+    # a space uniform on a code or on a translate of it, as built and as
+    # read back from its file, takes its spectrum from the dual code with no
+    # butterfly, (-1)^(u . a) on each dual word u, and the butterfly, run
+    # here on the density written at the points, gives the same bytes
+    code = parity_sampler_space(matrix)
+    a = shift & ((1 << matrix.cols) - 1)
+    built = SampleSpace(code.n, code.points ^ a, code.probabilities)
     for space in (built, SampleSpace.from_text(built.to_text())):
-        with mock.patch.object(codes, "DUAL_BLOCK_ROWS", block):
-            coeffs, butterflies = counted_spectrum(space)
+        coeffs, butterflies = counted_spectrum(space)
         assert butterflies == 0
         assert_butterfly_bits(space, coeffs)
-        assert set(np.flatnonzero(coeffs).tolist()) == span(matrix.dual().rows)
+        words = np.flatnonzero(coeffs)
+        assert set(words.tolist()) == span(matrix.dual().rows)
+        parity = np.bitwise_count(words & a) & 1
+        assert np.array_equal(coeffs[words], 1.0 - 2.0 * parity)
 
 
 def hamming_space(probabilities, shift: int = 0) -> SampleSpace:
@@ -296,7 +301,7 @@ def hamming_space(probabilities, shift: int = 0) -> SampleSpace:
 @pytest.mark.parametrize(
     "make, butterflies",
     [
-        (lambda: hamming_space(2.0**-11, shift=1), 1),
+        (lambda: hamming_space(2.0**-11, shift=1), 0),
         (lambda: SampleSpace(3, [0, 1, 2, 4], np.full(4, 0.25)), 1),
         (lambda: hamming_space([5 * 2.0**-13, 3 * 2.0**-13]), 1),
         (lambda: hamming_space(np.r_[np.nextafter(2.0**-11, 1.0), np.full(2047, 2.0**-11)]), 1),
@@ -306,10 +311,10 @@ def hamming_space(probabilities, shift: int = 0) -> SampleSpace:
     ids=["coset", "not-closed", "5:3", "one-ulp-off", "point", "uniform"],
 )
 def test_only_a_uniform_code_takes_the_dual_code_route(make, butterflies):
-    # a coset (0 outside the support), 2^k points that XOR leaves, and a
-    # code at unequal probabilities or with one point at 2^-k + one ulp,
-    # which the reader's division by the sum keeps, run the butterfly; the
-    # point mass (rank 0) and the whole cube (rank n) are codes
+    # 2^k points that XOR leaves, and a code at unequal probabilities or
+    # with one point at 2^-k + one ulp, which the reader's division by the
+    # sum keeps, run the butterfly; a translate of a code, the point mass
+    # (rank 0) and the whole cube (rank n) are affine codes
     built = make()
     for space in (built, SampleSpace.from_text(built.to_text())):
         coeffs, count = counted_spectrum(space)

@@ -49,7 +49,11 @@ MATRIX20 = """16 20
 11000000000000000001
 """
 
-MATRICES = {"matrix6": MATRIX6, "matrix20": MATRIX20}
+# The [18, 1] repetition code {0, 1^18}: its dual, the even-weight words,
+# has 17 rows.
+MATRIX18 = "1 18\n" + "1" * 18 + "\n"
+
+MATRICES = {"matrix6": MATRIX6, "matrix20": MATRIX20, "matrix18": MATRIX18}
 
 SPACES = {
     "hamming7": "hamming --m 3",
@@ -63,6 +67,7 @@ CHAINED = {
     **SPACES,
     "code20": "from-matrix --matrix {matrix20}",
     "simplex15": "simplex --m 4",
+    "rep18": "from-matrix --matrix {matrix18}",
 }
 
 CASES = {
@@ -98,6 +103,9 @@ CASES = {
     "chain-coset15-k3-text": "chain {coset15} --k 3",
     "chain-coset15-halfwise-text": "chain {coset15} --halfwise",
     "analyze-texts15-text": "analyze {texts15}",
+    "analyze-rep18-text": "analyze {rep18}",
+    "chain-rep18-k2-text": "chain {rep18} --k 2",
+    "chain-bias18-k1-text": "chain {bias18} --k 1",
     **{f"bound-n16-k4-{form}": f"bound --n 16 --k 4 --format {form}" for form in ("text", "csv", "json")},
     **{f"bound-n7-k4-{form}": f"bound --n 7 --k 4 --format {form}" for form in ("text", "csv", "json")},
     "bound-n3-k1-text": "bound --n 3 --k 1",
@@ -133,19 +141,22 @@ def make_inputs(root: Path) -> dict[str, str]:
         args = ["construct", *(token.format(**paths) for token in kind.split()), "-o", str(path)]
         assert CliRunner().invoke(main, args).exit_code == 0
         paths[name] = str(path)
-    # two spaces written from the Hamming n = 15 file that take no code's
-    # fast path: its points XOR 1, a coset of order 7 read as a byte grid,
-    # and its points with two alternating probability texts (the CI step's
-    # texts.txt, 1024 of each summing to exactly 1), read line by line
+    # three spaces written from the code files that are no code: the
+    # Hamming n = 15 code's points XOR 1, a coset of order 7 read as a byte
+    # grid; its points with two alternating probability texts (the CI
+    # step's texts.txt, 1024 of each summing to exactly 1), read line by
+    # line; and the two points of the repetition code at 0.75 and 0.25, of
+    # order 0, whose chain is the dense route at n = 18 > 16
     header, *rows = Path(paths["hamming15"]).read_text().splitlines()
     texts = ("0.000244140625", "0.000732421875")
     derived = {
-        "coset15": [f"{bits[:-1]}{'10'[int(bits[-1])]} {prob}" for bits, prob in map(str.split, rows)],
-        "texts15": [f"{row.split()[0]} {texts[i % 2]}" for i, row in enumerate(rows)],
+        "coset15": (header, [f"{bits[:-1]}{'10'[int(bits[-1])]} {prob}" for bits, prob in map(str.split, rows)]),
+        "texts15": (header, [f"{row.split()[0]} {texts[i % 2]}" for i, row in enumerate(rows)]),
+        "bias18": ("n=18", ["0" * 18 + " 0.75", "1" * 18 + " 0.25"]),
     }
-    for name, lines in derived.items():
+    for name, (head, lines) in derived.items():
         path = root / f"{name}.txt"
-        path.write_text("\n".join([header, *lines]) + "\n")
+        path.write_text("\n".join([head, *lines]) + "\n")
         paths[name] = str(path)
     return paths
 

@@ -6,7 +6,6 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +15,15 @@ from hypothesis import strategies as st
 import kwisent.cube
 import oracles
 from conftest import point_space, random_halfwise_distribution
-from kwisent import codes
 from kwisent.balls import lambda_ball, min_radius
 from kwisent.bounds import halfwise_entropy_bound, shannon_from_density
-from kwisent.codes import SampleSpace, hamming_code, parity_sampler_space, simplex_code
+from kwisent.codes import (
+    BinaryMatrix,
+    SampleSpace,
+    hamming_code,
+    parity_sampler_space,
+    simplex_code,
+)
 from kwisent.cube import (
     CubeFunction,
     _Cosets,
@@ -43,7 +47,16 @@ from kwisent.smoothing import (
 )
 from kwisent.table import render
 from kwisent.tolerances import ASSOCIATIVITY, CONVOLUTION_POINTWISE
-from oracles import dense_ball_density, dense_eigen_margin, from_density, smooth, verify_smoothing
+from oracles import (
+    coset_gather,
+    dense_ball_density,
+    dense_eigen_margin,
+    density_from_points,
+    from_density,
+    smooth,
+    values_of,
+    verify_smoothing,
+)
 from test_balls import radial_vs_dense_tolerances
 from test_bench_kernels import load_script
 from test_codes import generator_matrices
@@ -154,7 +167,7 @@ def test_verify_smoothing_kept_spectrum_matches_the_butterfly(code, k):
     if code == "simplex15":
         g = _smoothed_density(x.density, ball.density())
         m = g.table.size.bit_length() - 1
-        route = kwisent.cube._fwht(g.values) / g.size
+        route = kwisent.cube._fwht(values_of(g)) / g.size
         assert report.spectrum_error <= (x.n + m) * 2.0**-53 * np.linalg.norm(route)
     assert (report.max_convolution_error is None) == (code == "random20")
 
@@ -360,9 +373,8 @@ def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, space):
     # convolution keeps its spectral product, and g, whose clip changes
     # nothing here, keeps it over its mean: g's values alone.  A code space
     # takes its spectrum from the dual code, with no butterfly, and g's
-    # values are gathered from one butterfly of its 2^(n - rank) = 2^4
-    # coset values; a fresh coset of the code, which is no code, runs the
-    # dense butterfly for g's values and one more for f's spectrum
+    # values are one butterfly of its 2^(n - rank) = 2^4 coset values; so
+    # does a translate of the code, whose spectrum is the dual code's signs
     x = {
         "kept": lambda: hamming15,
         "fresh": lambda: parity_sampler_space(hamming_code(4)),
@@ -370,7 +382,7 @@ def test_smoothing_chain_runs_one_butterfly(hamming15, monkeypatch, k, space):
     }[space]()
     calls = count_butterflies(monkeypatch)
     assert smoothing_chain(x, k).passed
-    assert calls == ([1 << 15] * 2 if space == "coset" else [1 << 4])
+    assert calls == [1 << 4]
 
 
 def test_halfwise_chain_on_a_fresh_code_runs_no_butterfly(monkeypatch):
@@ -393,34 +405,37 @@ def test_unclipped_smoothed_density_keeps_the_product_over_its_mean(request, mon
     h = convolve(f, d)
     raw, prod = h.values, h.spectrum.on_words
     table = kwisent.cube._fwht(prod)
-    assert raw.min() >= 0.0 and np.array_equal(f.gather(table), raw)
+    assert raw.min() >= 0.0 and np.array_equal(coset_gather(f, table), raw)
     mean = table.mean()
     assert (mean == 1.0) == (space == "hamming15")
     g = _smoothed_density(f, d)
     calls = count_butterflies(monkeypatch)
     assert wht(g).words is f.dual_words and np.array_equal(wht(g).on_words, prod / mean)
     assert np.array_equal(g.table, table / mean)
-    assert np.array_equal(g.values, raw / mean)
+    assert np.array_equal(coset_gather(g, g.table), raw / mean)
     assert calls == []
 
 
 @pytest.mark.parametrize("space", ["simplex15", "point10"])
 def test_clipped_smoothed_density_transforms_its_values(space, monkeypatch):
     # the convolution leaves rounding noise below 0 outside the support of
-    # Z, which the clip zeroes; g is then made from its values alone, on
-    # the code's cosets: 2^11 of them for the simplex code, 2^10 for the
-    # point mass (rank 0, so a coset is a mask)
+    # Z, which the clip zeroes; g is then made from its values alone: on
+    # the simplex code's 2^11 cosets, and as the 2^10 values of the point
+    # mass, which is the dense vector
     x = parity_sampler_space(simplex_code(4)) if space == "simplex15" else point_space(10)
     f, d = x.density, lambda_ball(x.n, min_radius(x.n, 3)).density()
     raw = convolve(f, d).values
     assert -CONVOLUTION_POINTWISE <= raw.min() < 0.0
     g = _smoothed_density(f, d)
-    assert g.table.min() == 0.0
-    m = {"simplex15": 11, "point10": 10}[space]
+    on_cosets = space == "simplex15"
+    assert isinstance(g, _Cosets) == on_cosets
+    values = g.table if on_cosets else g.values
+    assert values.min() == 0.0 and values.size == {"simplex15": 1 << 11, "point10": 1 << 10}[space]
     calls = count_butterflies(monkeypatch)
     spectrum = wht(g)
-    assert calls == [1 << m]
-    assert np.array_equal(spectrum.on_words, kwisent.cube._fwht(g.table) / (1 << m))
+    assert calls == [values.size]
+    coeffs = spectrum.on_words if on_cosets else spectrum.coeffs
+    assert np.array_equal(coeffs, kwisent.cube._fwht(values) / values.size)
 
 
 def assert_same_bits_but_signs_of_zero(actual, expected):
@@ -439,7 +454,7 @@ def assert_same_bits_but_signs_of_zero(actual, expected):
 
 def plain(f):
     """f as a dense cube function: its values, and its kept spectrum."""
-    dense = CubeFunction(f.n, f.values)
+    dense = CubeFunction(f.n, values_of(f))
     dense.spectrum = f.spectrum
     return dense
 
@@ -456,34 +471,41 @@ def butterfly_results(monkeypatch) -> list[np.ndarray]:
     return results
 
 
-@given(generator_matrices(), st.integers(0, 16))
-def test_code_route_matches_the_dense_route_bit_for_bit(matrix, r):
-    # every rank at n <= 16, rank n (m = 0) and rank 0 (m = n) included:
+@given(generator_matrices(), st.integers(0, (1 << 16) - 1), st.integers(0, 16))
+def test_code_route_matches_the_dense_route_bit_for_bit(matrix, shift, r):
+    # every rank at n <= 16, rank n (m = 0) included, and every translate:
     # the butterfly's table of 2^m values, before the clip and the mean,
     # and the adjacency from n shifted tables, against the dense kernels.
     # The mean is then taken over 2^m values, not 2^n, so g and its
-    # spectrum are the table and the product over that mean
-    x = parity_sampler_space(matrix)
+    # spectrum are the table and the product over that mean.  Rank 0, one
+    # point, is the dense vector with the dual code's signs as its spectrum
+    code = parity_sampler_space(matrix)
+    x = SampleSpace(code.n, code.points ^ (shift & ((1 << code.n) - 1)), code.probabilities)
     f = x.density
+    d = lambda_ball(x.n, min(r, x.n)).density()
+    if x.support_size == 1:
+        assert not isinstance(f, _Cosets) and "spectrum" in vars(f)
+        assert_same_bits(f.values, density_from_points(x).values)
+        assert_same_bits(_smoothed_density(f, d).values, _smoothed_density(plain(f), d).values)
+        return
     assert isinstance(f, _Cosets) and np.array_equal(f.dual_words, matrix.dual().codewords())
     assert f.table.size == 1 << (x.n - x.support_size.bit_length() + 1)
-    d = lambda_ball(x.n, min(r, x.n)).density()
+    assert np.array_equal(coset_gather(f, f.table), density_from_points(x).values)
     with pytest.MonkeyPatch.context() as patch:
         tables = butterfly_results(patch)
         g, expected = _smoothed_density(f, d), _smoothed_density(plain(f), d)
     assert [t.size for t in tables] == [f.table.size, 1 << x.n]
-    assert_same_bits_but_signs_of_zero(f.gather(tables[0]), tables[1])
+    assert_same_bits_but_signs_of_zero(coset_gather(f, tables[0]), tables[1])
     assert isinstance(g, _Cosets) and not isinstance(expected, _Cosets)
     clipped = np.maximum(tables[0], 0.0)
     assert np.array_equal(g.table, clipped / clipped.mean())
-    assert np.array_equal(g.values, f.gather(g.table))
     if "spectrum" in vars(expected):  # kept by the unclipped g
         prod = convolve(f, d).spectrum
         assert np.array_equal(g.spectrum.on_words, prod.on_words / clipped.mean())
     ag = adjacency_apply(g)
     assert isinstance(ag, _Cosets)
-    assert_same_bits(ag.values, adjacency_apply(CubeFunction(x.n, g.values)).values)
-    assert_same_bits(adjacency_apply(f).values, adjacency_apply(plain(f)).values)
+    assert_same_bits(values_of(ag), adjacency_apply(CubeFunction(x.n, values_of(g))).values)
+    assert_same_bits(values_of(adjacency_apply(f)), adjacency_apply(plain(f)).values)
 
 
 def test_spectra_on_words_match_the_dense_spectra(hamming15):
@@ -522,7 +544,7 @@ def printed_sums(f, d):
     sides = (convolve(kernel, convolve(d, f)), convolve(convolve(kernel, d), f))
     second, ray = inner_product(g, g), inner_product(adjacency_apply(g), g)
     h_z = shannon_from_density(g)
-    ghat, mean = g.spectrum.coeffs, float(g.values.mean())
+    ghat, mean = g.spectrum.coeffs, float(values_of(g).mean())
     maxima, profile = level_max_abs(g.spectrum), level_profile(g.spectrum)
     sizes = kwisent.cube.subset_sizes(f.n)
     out = {
@@ -544,16 +566,23 @@ def forced_dense(x):
     """x's space with its density as plain 2^n values, which the chain reads
     by the dense route, its spectrum by the butterfly."""
     dense = SampleSpace(x.n, x.points, x.probabilities)
-    dense.__dict__["density"] = CubeFunction(x.n, x.density.values)
+    dense.__dict__["density"] = density_from_points(x)
     return dense
 
 
+def translate(x, a):
+    """x's points XOR a, at the same probabilities."""
+    return SampleSpace(x.n, x.points ^ a, x.probabilities)
+
+
 CODES = {
-    "hamming7": lambda: hamming_code(3),
-    "hamming15": lambda: hamming_code(4),
-    "simplex15": lambda: simplex_code(4),
-    "random20": lambda: load_script().random_code_20(),
-    "random22": lambda: load_script().random_code(22, 5, 6),
+    "hamming7": lambda: parity_sampler_space(hamming_code(3)),
+    "hamming15": lambda: parity_sampler_space(hamming_code(4)),
+    "coset15": lambda: translate(parity_sampler_space(hamming_code(4)), 1),
+    "simplex15": lambda: parity_sampler_space(simplex_code(4)),
+    "rep18": lambda: parity_sampler_space(BinaryMatrix(((1 << 18) - 1,), 18)),
+    "random20": lambda: parity_sampler_space(load_script().random_code_20()),
+    "random22": lambda: parity_sampler_space(load_script().random_code(22, 5, 6)),
 }
 
 
@@ -573,7 +602,7 @@ def test_code_route_sums_match_the_dense_route_within_their_rounding(code, k):
     # 4 (gamma_2^n + gamma_2^m) times the sum of the absolute terms.
     # The largest gap here is 0.043 (gamma_2^n + gamma_2^m) times its sum:
     # <Ag, g> on the Hamming code of length 7 at k = 3
-    x = parity_sampler_space(CODES[code]())
+    x = CODES[code]()
     f = x.density
     d = lambda_ball(x.n, min_radius(x.n, k)).density()
     m = f.table.size.bit_length() - 1
@@ -594,7 +623,7 @@ def test_code_chain_matches_the_dense_chain_within_its_rounding(space):
         "hamming7-k3": ("hamming7", 3),
         "random20-k3": ("random20", 3),
     }[space]
-    x = parity_sampler_space(CODES[code]())
+    x = CODES[code]()
     m = x.density.table.size.bit_length() - 1
     bound = 4 * (gamma(1 << x.n) + gamma(1 << m))
     report, dense = smoothing_chain(x, k), smoothing_chain(forced_dense(x), k)
@@ -605,25 +634,25 @@ def test_code_chain_matches_the_dense_chain_within_its_rounding(space):
     assert report.halfwise_mode == (k == 8)
 
 
-@pytest.mark.parametrize("space", ["coset", "point17", "small-block"])
-def test_only_a_code_of_a_small_dual_takes_the_coset_route(hamming15, monkeypatch, space):
-    # a coset of the Hamming code is no code; the point mass at n = 17 is a
-    # code whose dual has rank 17 > DUAL_BLOCK_ROWS, as the Hamming code's
-    # (rank 4) is at a block of 3 rows: each runs the dense butterfly
-    block = 3 if space == "small-block" else codes.DUAL_BLOCK_ROWS
-    with mock.patch.object(codes, "DUAL_BLOCK_ROWS", block):
-        x = {
-            "coset": lambda: SampleSpace(15, hamming15.points ^ 1, hamming15.probabilities),
-            "point17": lambda: point_space(17),
-            "small-block": lambda: SampleSpace(15, hamming15.points, hamming15.probabilities),
-        }[space]()
-        f = x.density
+@pytest.mark.parametrize("space", ["coset", "rep18", "5:3"])
+def test_every_affine_code_takes_the_coset_route(hamming15, monkeypatch, space):
+    # a translate of the Hamming code, and the repetition code of length 18,
+    # whose dual has rank 17, are made on their 2^m cosets and run one
+    # butterfly of 2^m values; the Hamming code's points at 5:3
+    # probabilities are no code, and run the dense butterfly
+    x = {
+        "coset": lambda: translate(hamming15, 1),
+        "rep18": CODES["rep18"],
+        "5:3": lambda: SampleSpace(15, hamming15.points, np.resize([5.0, 3.0], 2048) / 8192),
+    }[space]()
+    f = x.density
     f.spectrum  # built on first read where x is no code
-    d = lambda_ball(x.n, min_radius(x.n, 3)).density()
+    d = lambda_ball(x.n, min_radius(x.n, 3 if x.n == 15 else 2)).density()
     calls = count_butterflies(monkeypatch)
     g = _smoothed_density(f, d)
-    assert calls == [1 << x.n]
-    assert not any(isinstance(h, _Cosets) for h in (f, g, adjacency_apply(g)))
+    on_cosets = space != "5:3"
+    assert calls == [f.table.size if on_cosets else 1 << x.n]
+    assert all(isinstance(h, _Cosets) == on_cosets for h in (f, g, adjacency_apply(g)))
 
 
 def test_a_fresh_code_chain_lists_its_dual_words_once(hamming15, monkeypatch):

@@ -36,8 +36,11 @@ A cube function keeps its spectrum once read, so the wht and convolve rows
 make their functions inside the timed call, on fixed arrays taken over without a copy
 (fresh), and every call runs its butterflies; the convolve row reads the
 result's values, since a convolution is made from its spectral product and
-runs its inverse butterfly only when its values are first read.  The reader
-parses a random 2^16-point space
+runs its inverse butterfly only when its values are first read.  Every
+SampleSpace.from_text row times cli._load_space on a temporary file, as
+every command reads a space file: open, read and from_text, which both
+sides run alike, whether their from_text takes the file's text or its
+bytes.  The reader parses a random 2^16-point space
 file, the support of the n = 20 benchmark code, with a distinct probability
 text on each line, so its lines differ in width and are read line by line;
 the writer writes a uniform space on the same points, with one distinct
@@ -182,9 +185,18 @@ def kernels(pkg, n: int):
         ("wht", lambda: wht(fresh(pkg, f))),
         ("adjacency_apply", lambda: adjacency_apply(f)),
         ("convolve", lambda: convolve(fresh(pkg, f), fresh(pkg, g)).values),  # values are built on first read
-        ("SampleSpace.from_text", lambda: SampleSpace.from_text(text)),
+        ("SampleSpace.from_text", load(pkg, text)),
         ("SampleSpace.to_text", uniform.to_text),
     ]
+
+
+def load(pkg, text: str):
+    """A zero-argument call of pkg's cli._load_space on a temporary file
+    holding text; the file is deleted once the call is dropped."""
+    handle = tempfile.NamedTemporaryFile(suffix=".txt")
+    handle.write(text.encode())
+    handle.flush()
+    return lambda: pkg.cli._load_space(handle.name)
 
 
 def fresh(pkg, f):
@@ -236,21 +248,19 @@ def oracle_kernels(pkg, quick: bool):
 
 
 def reader_kernels(pkg, quick: bool):
-    """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text
-    on the one-text file of a space built from a code, and on a copy of it
-    with a tab between the bits and the probability; and for to_text and
-    from_text on that code's points with two alternating probability texts."""
+    """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text,
+    through cli._load_space on a file, on the one-text file of a space built
+    from a code, and on a copy of it with a tab between the bits and the
+    probability; and for to_text, and from_text so, on that code's points
+    with two alternating probability texts."""
     code = pkg.codes.hamming_code(4) if quick else random_code_20(pkg)
     space = pkg.codes.parity_sampler_space(code)
     text = space.to_text()
-    tabs = text.replace(" ", "\t")
     two = pkg.codes.SampleSpace(code.cols, space.points, two_texts(space))
-    two_text = two.to_text()
-    read = pkg.codes.SampleSpace.from_text
-    yield "SampleSpace.from_text", code.cols, {"texts": 1}, lambda: read(text)
-    yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, lambda: read(tabs)
+    yield "SampleSpace.from_text", code.cols, {"texts": 1}, load(pkg, text)
+    yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, load(pkg, text.replace(" ", "\t"))
     yield "SampleSpace.to_text", code.cols, {"texts": 2}, two.to_text
-    yield "SampleSpace.from_text", code.cols, {"texts": 2}, lambda: read(two_text)
+    yield "SampleSpace.from_text", code.cols, {"texts": 2}, load(pkg, two.to_text())
 
 
 def two_texts(space):

@@ -62,10 +62,11 @@ def _emit(text: str, output: str) -> None:
 
 
 def _load_space(path: str) -> SampleSpace:
-    """The space a file holds; refused at load above the dense cube cap,
-    since every command that reads a file builds its density."""
+    """The space a file holds, read from its bytes (SampleSpace.from_text);
+    refused at load above the dense cube cap, since every command that reads
+    a file builds its density."""
     try:
-        with open(path) as handle:
+        with open(path, "rb") as handle:
             space = SampleSpace.from_text(handle.read())
         check_dimension(space.n)
         return space

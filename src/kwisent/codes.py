@@ -6,10 +6,12 @@ character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 
 The sample space file of a code, every line '<n bits> <probability text>'
 with one width and one probability text, is written as one byte grid, a row
-per point, and read back by slicing the grid's columns, which only accepts.
-Any other space is written one line at a time, and any other file, and a
-grid the constructor refuses, is read line by line, more slowly, to the
-same values or to the message and number of its first bad line.
+per point, and read back from the file's bytes, viewed as that grid with no
+decode and no copy and checked a block of rows at a time, which only
+accepts.  Any other space is written one line at a time, and any other
+file, and a grid the constructor refuses, is decoded as strict UTF-8 and
+read line by line, more slowly, to the same values or to the message of
+its first bad byte, or the message and number of its first bad line.
 
 A space uniform on a translate C + a of a linear code C, as every space
 built from a code is, takes its density's spectrum from the dual code:
@@ -65,16 +67,19 @@ def gf2_rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
     return out, pivots
 
 
-def gf2_nullspace(rows: Sequence[int], cols: int) -> list[int]:
-    """Basis of {x : row . x = 0 mod 2 for every row}, as bitmasks."""
-    reduced, pivots = gf2_rref(rows, cols)
+def gf2_nullspace(rows: Sequence[int], cols: int, pivots: list[int] | None = None) -> list[int]:
+    """Basis of {x : row . x = 0 mod 2 for every row}, as bitmasks.  Given
+    pivots, the rows are taken as gf2_rref's reduced rows with those pivots,
+    and not reduced again."""
+    if pivots is None:
+        rows, pivots = gf2_rref(rows, cols)
     pivot_set = set(pivots)
     basis = []
     for bit in range(cols - 1, -1, -1):
         if bit in pivot_set:
             continue
         vec = 1 << bit
-        for row, p in zip(reduced, pivots):
+        for row, p in zip(rows, pivots):
             if (row >> bit) & 1:
                 vec |= 1 << p
         basis.append(vec)
@@ -283,7 +288,8 @@ class SampleSpace:
         points = self.points if a == 0 else np.sort(self.points ^ a)
         basis = _code_basis(points, self.probabilities)
         if basis is not None:
-            dual = gf2_rref(gf2_nullspace(basis, n), n)[0]
+            # the basis is reduced already: only its nullspace is reduced here
+            dual = gf2_rref(gf2_nullspace(basis, n, [row.bit_length() - 1 for row in basis]), n)[0]
             # bit j of sigma(a) is rows[j] . a, the rows lowest pivot first, and
             # signs[t] = (-1)^(words[t] . a) = (-1)^(t . sigma(a))
             bits = [(row & a).bit_count() & 1 for row in reversed(dual)]
@@ -327,28 +333,31 @@ class SampleSpace:
         return f"n={n}\n" + str(memoryview(grid.ravel()), "ascii")
 
     @classmethod
-    def from_text(cls, text: str) -> "SampleSpace":
+    def from_text(cls, data: bytes | str) -> "SampleSpace":
         """Read the 'n=<n>' header, then one '<bitstring> <probability>' line
-        per point.
+        per point, from a file's bytes (a str is encoded to UTF-8 first).
 
-        A text in the layout to_text writes for a code (ASCII, '\\n' line
+        A file in the layout to_text writes for a code (ASCII, '\\n' line
         ends, every line '<n bits> <text>' with one width and one text,
-        whose values sum to 1 within FILE_TOTAL_MASS) is sliced as a byte
-        grid, a row per line (_read_grid), and goes to the constructor.  Any
-        other text, as one with many probability texts, is read line by line
-        (_read_lines), which raises the FormatError of its first bad line,
-        with its number, else of no points or of the sum; and so is a grid
-        the constructor refuses.  A grid's one text that sums to 1 is finite
-        and positive, so the one refusal it can meet is a repeated point,
-        which _read_lines names with its line.
+        whose values sum to 1 within FILE_TOTAL_MASS) is read as a byte grid
+        over the bytes themselves, a row per line (_read_grid), and goes to
+        the constructor.  Any other file, as one with many probability texts
+        or '\\r\\n' line ends, is decoded as strict UTF-8, which raises the
+        UnicodeDecodeError (a ValueError) of its first bad byte, and read line
+        by line (_read_lines), which raises the FormatError of its first bad
+        line, with its number, else of no points or of the sum; and so is a
+        grid the constructor refuses.  A grid's one text that sums to 1 is
+        finite and positive, so the one refusal it can meet is a repeated
+        point, which _read_lines names with its line.
         """
-        read = _read_grid(text)
+        data = data.encode() if isinstance(data, str) else data
+        read = _read_grid(data)
         if read is not None:
             try:
                 return cls(*read)
             except ValueError:  # a repeated point
                 pass
-        return cls(*_read_lines(text))
+        return cls(*_read_lines(data.decode()))
 
 
 def _read_header(line: str) -> int:
@@ -364,42 +373,51 @@ def _read_header(line: str) -> int:
     return n
 
 
-def _read_grid(text: str):
-    """(n, points, probabilities) of a text in the layout to_text writes for a
-    code, read as a (lines, width) byte grid, the probabilities divided by
-    their sum; else None.  The layout is an ASCII text whose header is one
-    line ended by '\\n', and whose every later line is '<n bits of 0/1>
-    <nonblank token>' with one width and one token, and whose probabilities
-    sum to 1 within FILE_TOTAL_MASS, in line order.  Such lines hold no
-    whitespace but the one space, so they split into the same two tokens as
-    str.split finds.  A probability text float() refuses reads as NaN, whose
-    sum is off."""
-    end = text.find("\n")
-    head = text[:end]
-    if end <= 0 or not text.isascii() or head.splitlines() != [head]:
+def _read_grid(data: bytes):
+    """(n, points, probabilities) of a file in the layout to_text writes for a
+    code, read from its bytes as a (lines, width) grid with no copy, the
+    probabilities divided by their sum; else None, and never an error, so
+    that a file that is not UTF-8 is named by its decode first.  The layout
+    is an ASCII file whose header is 'n=<n>\\n' as to_text writes it (no
+    blank, sign or leading zero), and whose every later line is '<n bits of
+    0/1> <nonblank token>' with one width and one token, the last '\\n'
+    perhaps missing, and whose probabilities sum to 1 within
+    FILE_TOTAL_MASS, in line order.  Such lines hold no whitespace but the
+    one space, so they split into the same two tokens as str.split finds.  A
+    probability text float() refuses reads as NaN, whose sum is off.
+
+    A grid row is a line with the '\\n' before it, so the last row ends where
+    the last line's text does.  Each row OR'd with 1 on the n digit columns
+    ('0' and '1' are the two bytes that OR 1 to '1') must equal the first row
+    with '1' there; that template is checked once for its space and for a
+    text of ASCII with no blank, so the whole grid is ASCII.  The rows are
+    checked and their points read in one pass, a block of 2^14 rows at a
+    time, so no temporary is as large as the file."""
+    end = data.find(b"\n")
+    # the header as to_text writes it; _read_lines reads any other, or names it
+    head = re.fullmatch(rb"n=([1-9][0-9]*)\n", data[: end + 1])
+    if head is None or (n := int(head[1])) > MAX_SPACE_DIMENSION:
         return None
-    n = _read_header(head)
-    if not text.endswith("\n"):
-        text += "\n"
-    width = text.find("\n", end + 1) - end
-    if width < n + 3 or (len(text) - end - 1) % width:
+    stop = data.find(b"\n", end + 1)
+    width = (stop if stop > 0 else len(data)) - end
+    if width < n + 3 or (len(data) - end) % width > data.endswith(b"\n"):
         return None
-    data = text.encode("ascii")  # ASCII: one byte per character, at the same offsets
-    grid = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(-1, width)
-    tail = grid[0, n + 1 : -1]
-    if not (
-        (grid[:, -1] == ord("\n")).all()
-        and (grid[:, n] == ord(" ")).all()
-        and (grid[:, n + 1 : -1] == tail).all()  # the one probability text
-        and (tail > ord(" ")).all()  # ASCII whitespace is all <= ' '
-        and ((grid[:, :n] | 1) == ord("1")).all()  # only '0' and '1' OR 1 to '1'
-    ):
+    grid = np.frombuffer(data, np.uint8, (len(data) - end) // width * width, end).reshape(-1, width)
+    mask = np.array([0] + [1] * n + [0] * (width - n - 1), dtype=np.uint8)  # the digits
+    template = np.where(mask, ord("1"), grid[0])
+    tail = template[n + 2 :]
+    if template[n + 1] != ord(" ") or not ((tail > ord(" ")) & (tail < 0x80)).all():
         return None
-    probs = np.full(len(grid), _float_or_nan(tail.tobytes().decode()))
-    total = sum(probs.tolist())  # left to right, as _read_lines sums
+    prob = _float_or_nan(tail.tobytes().decode())
+    total = np.add.accumulate(np.full(len(grid), prob))[-1]  # left to right, as _read_lines sums
     if not abs(total - 1.0) <= FILE_TOTAL_MASS:
         return None
-    return n, _points(grid[:, :n]), probs / total
+    blocks = [grid[start : start + (1 << 14)] for start in range(0, len(grid), 1 << 14)]
+    # one pass: each block is checked, then its points read while it is in cache
+    points = [_points(block[:, 1 : n + 1]) for block in blocks if ((block | mask) == template).all()]
+    if len(points) < len(blocks):  # a block out of the layout
+        return None
+    return n, np.concatenate(points), np.full(len(grid), prob / total)
 
 
 def _points(digits: np.ndarray) -> np.ndarray:
@@ -435,12 +453,15 @@ def _read_lines(text: str):
         probs.append(prob)
     if not probs:
         raise FormatError("sample space has no points")
-    total = sum(probs)  # left to right, as the grid read sums
+    probs = np.array(probs)
+    # left to right, as sum() adds on Python 3.10 and 3.11 and the grid read
+    # sums, on every Python; + 0.0 as sum() starts from 0: -0 lines sum to 0.0
+    total = np.add.accumulate(probs)[-1].item() + 0.0
     if abs(total - 1.0) > FILE_TOTAL_MASS:
         # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
         raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     digits = np.frombuffer("".join(seen).encode("ascii"), dtype=np.uint8).reshape(-1, n)
-    return n, _points(digits), np.array(probs) / total
+    return n, _points(digits), probs / total
 
 
 def _float_or_nan(text: str) -> float:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from kwisent import balls, codes, kwise
+from kwisent import balls, cli, codes, kwise
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
+from test_codes import counted_reads
 from test_golden import CASES, GOLDEN, make_inputs
 
 
@@ -478,6 +479,38 @@ def test_a_space_above_the_dense_cap_is_refused_at_load(tmp_path, capsys, args):
     status, err = run_exit(capsys, command, str(path), *args)
     assert status == 2
     assert err.endswith(f"\nError: {path}: dimension 27 outside supported range 1..26\n")
+
+
+@pytest.mark.parametrize(
+    "data, at", [(b"n=3\n000 0.5\n111 0.5\xff\n", 19), (b"n=x\n\xff", 4)], ids=["line", "bad-header"]
+)
+def test_a_space_file_that_is_not_utf8_is_refused_in_every_locale(tmp_path, capsys, data, at):
+    # a file the grid declines is decoded as strict UTF-8, not in the
+    # locale's encoding, before any line is read: its first bad byte is
+    # named, with exit 2 and no traceback
+    path = tmp_path / "space.txt"
+    path.write_bytes(data)
+    status, err = run_exit(capsys, "analyze", str(path))
+    assert status == 2 and "Traceback" not in err
+    message = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    assert err.endswith(f"\nError: {path}: {message}\n")
+
+
+def test_a_crlf_space_file_is_read_line_by_line_to_the_same_values(tmp_path):
+    # a file is read as bytes, with no newline translation, and the grid
+    # takes '\n' line ends only: a '\r\n' copy of a code's file is tried as a
+    # grid once and read line by line once, to the points and the
+    # probability bits of the '\n' file
+    text = codes.parity_sampler_space(codes.hamming_code(4)).to_text()
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    with counted_reads() as (grid_reader, line_reader):
+        space = cli._load_space(str(crlf))
+    assert (grid_reader.call_count, line_reader.call_count) == (1, 1)
+    expected = cli._load_space(str(lf))
+    np.testing.assert_array_equal(space.points, expected.points)
+    assert space.probabilities.tobytes() == expected.probabilities.tobytes()
 
 
 @pytest.mark.parametrize("row", ["1" * 64, "0" + "1" * 63], ids=["all-ones", "top-bit-clear"])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import operator
 import tracemalloc
 from unittest import mock
 
@@ -60,6 +63,8 @@ def test_nullspace_is_orthogonal_complement():
         rows = [int(rng.integers(0, 1 << cols)) for _ in range(int(rng.integers(1, 6)))]
         basis = gf2_nullspace(rows, cols)
         assert rank(basis, cols) == len(basis) == cols - rank(rows, cols)
+        reduced, pivots = gf2_rref(rows, cols)
+        assert gf2_nullspace(reduced, cols, pivots) == basis  # reduced rows are not reduced again
         for v in basis:
             for r in rows:
                 assert (r & v).bit_count() % 2 == 0
@@ -172,6 +177,20 @@ def test_min_distance_reduces_the_rows_once(monkeypatch):
     monkeypatch.setattr(codes, "gf2_rref", counted)
     assert code.min_distance() == 3
     assert calls == [7]
+
+
+def test_code_space_density_reduces_only_the_dual(monkeypatch):
+    # the code's basis from its points is reduced already: the density
+    # reduces the dual's rows and not the basis again
+    space, reduce, calls = parity_sampler_space(hamming_code(4)), codes.gf2_rref, []
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return reduce(rows, cols)
+
+    monkeypatch.setattr(codes, "gf2_rref", counted)
+    space.density
+    assert calls == [4]
 
 
 def test_min_distance_guard():
@@ -287,6 +306,10 @@ def test_code_space_spectrum_is_the_dual_code_with_the_butterfly_bits(matrix, sh
         assert_butterfly_bits(space, coeffs)
         words = np.flatnonzero(coeffs)
         assert set(words.tolist()) == span(matrix.dual().rows)
+        basis = gf2_rref(matrix.rows, matrix.cols)[0]
+        if basis:  # the dual's reduced rows, as reducing the nullspace of the reduced basis gives
+            dual = gf2_rref(gf2_nullspace(basis, matrix.cols), matrix.cols)[0]
+            assert np.array_equal(space.density.dual_words, codes._span(dual))
         parity = np.bitwise_count(words & a) & 1
         assert np.array_equal(coeffs[words], 1.0 - 2.0 * parity)
 
@@ -384,7 +407,7 @@ def read_space_by_line(text):
         seen.add(int(bits, 2))
         points.append(int(bits, 2))
         probs.append(prob)
-    total = sum(probs)
+    total = functools.reduce(operator.add, probs, 0.0)  # left to right on every Python
     if not points or abs(total - 1.0) > 1e-9:
         return None
     return n, np.asarray(points), np.asarray(probs) / total
@@ -486,13 +509,20 @@ def assert_reads_like_reference(text):
     return True
 
 
-def reads_like_reference_counting_reads(text):
-    """assert_reads_like_reference(text), and the number of times from_text
-    ran _read_grid and _read_lines."""
+@contextlib.contextmanager
+def counted_reads():
+    """_read_grid and _read_lines, wrapped to count their calls."""
     with (
         mock.patch.object(codes, "_read_grid", wraps=codes._read_grid) as grid_reader,
         mock.patch.object(codes, "_read_lines", wraps=codes._read_lines) as line_reader,
     ):
+        yield grid_reader, line_reader
+
+
+def reads_like_reference_counting_reads(text):
+    """assert_reads_like_reference(text), and the number of times from_text
+    ran _read_grid and _read_lines."""
+    with counted_reads() as (grid_reader, line_reader):
         accepted = assert_reads_like_reference(text)
     return accepted, grid_reader.call_count, line_reader.call_count
 
@@ -615,11 +645,46 @@ def test_two_alternating_texts_of_one_width_are_read_line_by_line():
     points = parity_sampler_space(hamming_code(4)).points
     text = SampleSpace(15, points, np.resize([1 / 4096, 3 / 4096], points.size)).to_text()
     assert {len(line) for line in text.splitlines()[1:]} == {30}
-    assert codes._read_grid(text) is None
+    assert codes._read_grid(text.encode()) is None
     assert reads_like_reference_counting_reads(text) == (True, 1, 1)
     space, tabs = SampleSpace.from_text(text), SampleSpace.from_text(text.replace(" ", "\t"))
     np.testing.assert_array_equal(space.points, tabs.points)
     assert np.array_equal(space.probabilities.view(np.uint64), tabs.probabilities.view(np.uint64))
+
+
+def test_reader_peaks_near_the_file_size():
+    # the grid is read over the file's bytes, with no decode and no copy, a
+    # block of rows at a time: beyond the bytes, the points, probabilities
+    # and the constructor's sort take about 1.05 file sizes on the n = 20
+    # code's file; a decoded copy of the text alone would take 1.0 more
+    data = parity_sampler_space(load_script().random_code_20()).to_text().encode()
+    tracemalloc.start()
+    try:
+        SampleSpace.from_text(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(data)
+
+
+@pytest.mark.parametrize("sep, reads", [(" ", (1, 0)), ("\t", (1, 1))], ids=["grid", "tab"])
+def test_ten_tenths_are_summed_left_to_right_on_every_python(sep, reads):
+    # sum() of floats is compensated since Python 3.12, where ten 0.1 sum to
+    # 1.0 (0.9999999999999999 on 3.10 and 3.11): both readers add in line
+    # order, so every Python reads the probability bits 3.10 and 3.11 read
+    text = "n=4\n" + "".join(f"{i:04b}{sep}0.1\n" for i in range(10))
+    with counted_reads() as (grid_reader, line_reader):
+        space = SampleSpace.from_text(text)
+    assert (grid_reader.call_count, line_reader.call_count) == reads
+    total = functools.reduce(operator.add, [0.1] * 10)
+    assert space.probabilities.tobytes() == np.full(10, 0.1 / total).tobytes()
+
+
+def test_lines_of_minus_zero_sum_to_zero():
+    # the sum starts from 0.0, as sum() does: -0 lines alone do not sum to -0.0
+    with pytest.raises(FormatError) as err:
+        SampleSpace.from_text("n=1\n0 -0\n1 -0\n")
+    assert str(err.value) == "probabilities sum to 0.0, not 1 within 1e-9"
 
 
 @pytest.mark.parametrize("good", [2, 3, 1024])

@@ -39,8 +39,8 @@ result's values, since a convolution is made from its spectral product and
 runs its inverse butterfly only when its values are first read.  Every
 SampleSpace.from_text row times cli._load_space on a temporary file, as
 every command reads a space file: open, read and from_text, which both
-sides run alike, whether their from_text takes the file's text or its
-bytes.  The reader parses a random 2^16-point space
+sides run alike, whether their from_text takes the file's bytes or the
+open file.  The reader parses a random 2^16-point space
 file, the support of the n = 20 benchmark code, with a distinct probability
 text on each line, so its lines differ in width and are read line by line;
 the writer writes a uniform space on the same points, with one distinct
@@ -50,7 +50,11 @@ probability text on lines of one width, which the reader slices as a byte
 grid: the file of random_code_20(), the code of the n = 20 chain row below,
 like the files dense-chain reads (the Hamming code of length 15 with --quick).
 The reader row texts=1 sep=tab parses a copy of that file with a tab for
-each space, which the reader reads line by line.  The texts=2 rows write
+each space, which the reader reads line by line.  The construct row runs
+construct from-matrix -o FILE on that code through click's test runner, as
+perfbench runs it: the matrix read, the space built, and its file written,
+which HEAD may write whole and the working tree a block of rows at a time;
+its peak is what the command allocates.  The texts=2 rows write
 and read the space of that code with probabilities alternating between two
 texts of one width (5 and 3 parts in 2^(k + 2), for 2^k points), which the
 writer writes and the reader reads line by line, since the byte grid takes
@@ -123,6 +127,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -130,11 +135,13 @@ import tarfile
 import tempfile
 import timeit
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from click.testing import CliRunner
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -199,6 +206,24 @@ def load(pkg, text: str):
     return lambda: pkg.cli._load_space(handle.name)
 
 
+def construct(pkg, code):
+    """A zero-argument call of pkg's construct from-matrix -o FILE on code,
+    through click's test runner as perfbench runs it; the files are deleted
+    once the call is dropped."""
+    directory = Path(tempfile.mkdtemp())
+    matrix = directory / "matrix.txt"
+    matrix.write_text(f"{len(code.rows)} {code.cols}\n" + "".join(f"{r:0{code.cols}b}\n" for r in code.rows))
+    args, runner = ["construct", "from-matrix", "--matrix", str(matrix), "-o", str(directory / "space.txt")], CliRunner()
+
+    def call():
+        result = runner.invoke(pkg.cli.main, args)
+        assert result.exit_code == 0, result.output
+        return result
+
+    weakref.finalize(call, shutil.rmtree, directory)
+    return call
+
+
 def fresh(pkg, f):
     """A new cube function of pkg on f's values, which has not read its spectrum."""
     return pkg.cube.CubeFunction(f.n, pkg.cube._Fresh(f.values))
@@ -251,13 +276,15 @@ def reader_kernels(pkg, quick: bool):
     """(name, n, parameter, zero-argument call) rows for SampleSpace.from_text,
     through cli._load_space on a file, on the one-text file of a space built
     from a code, and on a copy of it with a tab between the bits and the
-    probability; and for to_text, and from_text so, on that code's points
-    with two alternating probability texts."""
+    probability; for construct from-matrix -o FILE on that code; and for
+    to_text, and from_text so, on that code's points with two alternating
+    probability texts."""
     code = pkg.codes.hamming_code(4) if quick else random_code_20(pkg)
     space = pkg.codes.parity_sampler_space(code)
     text = space.to_text()
     two = pkg.codes.SampleSpace(code.cols, space.points, two_texts(space))
     yield "SampleSpace.from_text", code.cols, {"texts": 1}, load(pkg, text)
+    yield "construct", code.cols, {"texts": 1}, construct(pkg, code)
     yield "SampleSpace.from_text", code.cols, {"texts": 1, "sep": "tab"}, load(pkg, text.replace(" ", "\t"))
     yield "SampleSpace.to_text", code.cols, {"texts": 2}, two.to_text
     yield "SampleSpace.from_text", code.cols, {"texts": 2}, load(pkg, two.to_text())

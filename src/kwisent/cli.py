@@ -16,6 +16,7 @@ kwisent.tolerances, with the error argument that makes it safe.
 from __future__ import annotations
 
 import sys
+from typing import BinaryIO, Callable
 
 import click
 
@@ -48,13 +49,16 @@ def _parse_range(text: str, what: str) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(text: str, output: str) -> None:
+def _emit(text: str | Callable[[BinaryIO], object], output: str) -> None:
+    """Write text to output ('-' for stdout) as bytes; a callable text is
+    handed the binary file, stdout's or output's, and writes to it itself."""
+    write = text if callable(text) else lambda handle: handle.write(text.encode())
     if output == "-":
-        click.echo(text, nl=False)
+        write(click.get_binary_stream("stdout"))  # sys.stdout flushes it at exit
     else:
         try:
-            with open(output, "w") as handle:
-                handle.write(text)
+            with open(output, "wb") as handle:
+                write(handle)
         except OSError as exc:
             raise click.BadParameter(
                 f"cannot write {output}: {exc.strerror}", param_hint="'--output'"
@@ -62,12 +66,12 @@ def _emit(text: str, output: str) -> None:
 
 
 def _load_space(path: str) -> SampleSpace:
-    """The space a file holds, read from its bytes (SampleSpace.from_text);
-    refused at load above the dense cube cap, since every command that reads
-    a file builds its density."""
+    """The space a file holds, read from the open binary file a block of rows
+    at a time (SampleSpace.from_text); refused at load above the dense cube
+    cap, since every command that reads a file builds its density."""
     try:
         with open(path, "rb") as handle:
-            space = SampleSpace.from_text(handle.read())
+            space = SampleSpace.from_text(handle)
         check_dimension(space.n)
         return space
     except ValueError as exc:  # FormatError and DimensionError included
@@ -117,7 +121,7 @@ def construct(kind, m, n, matrix_path, output):
         space = parity_sampler_space(matrix)
     except ValueError as exc:  # FormatError and DimensionError included
         raise click.UsageError(str(exc))
-    _emit(space.to_text(), output)
+    _emit(space.to_text, output)  # a block of rows at a time
     dimension = space.support_size.bit_length() - 1  # the support is 2^rank points
     summary = f"n={space.n} support={space.support_size} dimension={dimension}"
     click.echo(summary, err=(output == "-"))

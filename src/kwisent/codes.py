@@ -5,11 +5,12 @@ in the text formats) lives at bit position cols - j, so the leftmost
 character of a bitstring is coordinate 1 and ``int(line, 2)`` parses a row.
 
 The sample space file of a code, every line '<n bits> <probability text>'
-with one width and one probability text, is written as one byte grid, a row
-per point, and read back from the file's bytes, viewed as that grid with no
-decode and no copy and checked a block of rows at a time, which only
-accepts.  Any other space is written one line at a time, and any other
-file, and a grid the constructor refuses, is decoded as strict UTF-8 and
+with one width and one probability text, is a byte grid, a row per point.
+It is written and read back a block of GRID_BLOCK_ROWS rows at a time,
+through buffers made once per call, so nothing the size of the file is
+held; the reader checks each block in one comparison, and only accepts.
+Any other space is written one line at a time, and any other file, and a
+grid the constructor refuses, is read whole, decoded as strict UTF-8 and
 read line by line, more slowly, to the same values or to the message of
 its first bad byte, or the message and number of its first bad line.
 
@@ -26,11 +27,12 @@ butterfly.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .tolerances import FILE_TOTAL_MASS, TOTAL_MASS
 
 MAX_SPACE_DIMENSION = 63
 ENUMERATION_GUARD = 10**7
+GRID_BLOCK_ROWS = 1 << 12  # rows a space file is read and written by
 
 
 def gf2_rref(rows: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
@@ -211,7 +214,10 @@ class SampleSpace:
     """A finite distribution on {0,1}^n: distinct points with probabilities.
 
     The one input of every check in the package; its density (and so the
-    density's spectrum) is built only when a check reads it.
+    density's spectrum) is built only when a check reads it.  The points
+    are kept sorted: points given in strictly increasing order, as a code's
+    are, are not sorted again, and int64 points and float64 probabilities
+    given so are held with no copy and made read-only.
     """
 
     n: int
@@ -229,10 +235,11 @@ class SampleSpace:
             raise ValueError("points and probabilities must be equal-length 1-d arrays")
         if pts.min() < 0 or int(pts.max()) >= (1 << self.n):
             raise ValueError(f"points must be bitmasks below 2^{self.n}")
-        order = np.argsort(pts, kind="stable")
-        pts, probs = pts[order], probs[order]
-        if np.any(pts[1:] == pts[:-1]):
-            raise ValueError("points must be distinct")
+        if not (pts[1:] > pts[:-1]).all():  # a code's points come in order: no sort
+            order = np.argsort(pts, kind="stable")
+            pts, probs = pts[order], probs[order]
+            if np.any(pts[1:] == pts[:-1]):
+                raise ValueError("points must be distinct")
         if not np.isfinite(probs).all():
             raise ValueError("probabilities must be finite (no NaN or infinity)")
         if probs.min() < 0.0:
@@ -309,55 +316,68 @@ class SampleSpace:
             f.spectrum = cube.Spectrum(n, cube._Fresh(signs))
         return f
 
-    def to_text(self) -> str:
-        """'n=<n>', then '<bitstring> <repr(probability)>' per point.
+    def to_text(self, out: BinaryIO | None = None) -> str | None:
+        """'n=<n>', then '<bitstring> <repr(probability)>' per point: written
+        to out, a binary file, as ASCII bytes, or else returned as a str.
 
         Where every probability has the same bits, as in every space built
-        from a code, the body is built as one byte grid, a row per point:
-        the bits unpacked from the point, a space, and the one probability
-        text.  Any other space is written one line at a time, so 0.0 and
-        -0.0 keep their own text.
+        from a code, the body is written a block of GRID_BLOCK_ROWS points at
+        a time through one byte grid, a row per point: the bits unpacked from
+        the point, a space, and the one probability text.  Any other space is
+        written one line at a time, so 0.0 and -0.0 keep their own text.
         """
+        if out is None:
+            out = io.BytesIO()
+            self.to_text(out)
+            return out.getvalue().decode()
         n, size = self.n, self.points.size
+        out.write(f"n={n}\n".encode())
         keys = self.probabilities.view(np.uint64)
         if not (keys == keys[0]).all():
             rows = zip(self.points.tolist(), self.probabilities.tolist())
-            return f"n={n}\n" + "".join(f"{p:0{n}b} {q!r}\n" for p, q in rows)
+            out.write("".join(f"{p:0{n}b} {q!r}\n" for p, q in rows).encode())
+            return None
         tail = f"{self.probabilities[0].item()!r}\n".encode()  # a Python float's repr
-        grid = np.empty((size, n + 1 + len(tail)), dtype=np.uint8)
-        octets = self.points.astype("<u8", copy=False).view(np.uint8).reshape(size, 8)
-        bits = np.unpackbits(octets, axis=1, count=n, bitorder="little")  # coordinate n first
-        np.add(bits[:, ::-1], ord("0"), out=grid[:, :n])
-        grid[:, n] = ord(" ")
-        grid[:, n + 1 :] = np.frombuffer(tail, dtype=np.uint8)
-        return f"n={n}\n" + str(memoryview(grid.ravel()), "ascii")
+        grid = np.empty((min(size, GRID_BLOCK_ROWS), n + 1 + len(tail)), dtype=np.uint8)
+        grid[:, n:] = np.frombuffer(b" " + tail, dtype=np.uint8)
+        octets = self.points.astype("<i8", copy=False).view(np.uint8).reshape(size, 8)
+        for start in range(0, size, len(grid)):
+            block = octets[start : start + len(grid)]
+            bits = np.unpackbits(block, axis=1, count=n, bitorder="little")  # coordinate n first
+            np.add(bits[:, ::-1], ord("0"), out=grid[: len(block), :n])
+            out.write(grid[: len(block)])
 
     @classmethod
-    def from_text(cls, data: bytes | str) -> "SampleSpace":
+    def from_text(cls, data: bytes | str | BinaryIO) -> "SampleSpace":
         """Read the 'n=<n>' header, then one '<bitstring> <probability>' line
-        per point, from a file's bytes (a str is encoded to UTF-8 first).
+        per point, from a binary file open at its start, or from a file's
+        bytes or a str (encoded to UTF-8), read as a file.
 
         A file in the layout to_text writes for a code (ASCII, '\\n' line
         ends, every line '<n bits> <text>' with one width and one text,
-        whose values sum to 1 within FILE_TOTAL_MASS) is read as a byte grid
-        over the bytes themselves, a row per line (_read_grid), and goes to
-        the constructor.  Any other file, as one with many probability texts
-        or '\\r\\n' line ends, is decoded as strict UTF-8, which raises the
+        whose values sum to 1 within FILE_TOTAL_MASS) is read a block of rows
+        at a time as a byte grid (_read_grid), and goes to the constructor.
+        Any other file, as one with many probability texts or '\\r\\n' line
+        ends, is read whole, decoded as strict UTF-8, which raises the
         UnicodeDecodeError (a ValueError) of its first bad byte, and read line
         by line (_read_lines), which raises the FormatError of its first bad
         line, with its number, else of no points or of the sum; and so is a
-        grid the constructor refuses.  A grid's one text that sums to 1 is
-        finite and positive, so the one refusal it can meet is a repeated
-        point, which _read_lines names with its line.
+        grid the constructor refuses.  A file that cannot seek, as a pipe, is
+        read whole first.  A grid's one text that sums to 1 is finite and
+        positive, so the one refusal it can meet is a repeated point, which
+        _read_lines names with its line.
         """
         data = data.encode() if isinstance(data, str) else data
+        if isinstance(data, bytes) or not data.seekable():  # a pipe cannot seek: read it whole
+            data = io.BytesIO(data if isinstance(data, bytes) else data.read())
         read = _read_grid(data)
         if read is not None:
             try:
                 return cls(*read)
             except ValueError:  # a repeated point
                 pass
-        return cls(*_read_lines(data.decode()))
+        data.seek(0)
+        return cls(*_read_lines(data.read().decode()))
 
 
 def _read_header(line: str) -> int:
@@ -373,59 +393,76 @@ def _read_header(line: str) -> int:
     return n
 
 
-def _read_grid(data: bytes):
+def _read_grid(handle: BinaryIO):
     """(n, points, probabilities) of a file in the layout to_text writes for a
-    code, read from its bytes as a (lines, width) grid with no copy, the
-    probabilities divided by their sum; else None, and never an error, so
-    that a file that is not UTF-8 is named by its decode first.  The layout
-    is an ASCII file whose header is 'n=<n>\\n' as to_text writes it (no
-    blank, sign or leading zero), and whose every later line is '<n bits of
-    0/1> <nonblank token>' with one width and one token, the last '\\n'
-    perhaps missing, and whose probabilities sum to 1 within
+    code, read from a seekable binary file open at its start, a block of
+    rows at a time, the probabilities divided by their sum; else None, and
+    never an error, so that a file that is not UTF-8 is named by its decode
+    first.  The layout is an ASCII file whose header is 'n=<n>\\n' as
+    to_text writes it (no blank, sign or leading zero), and whose every later
+    line is '<n bits of 0/1> <nonblank token>' with one width and one token,
+    the last '\\n' perhaps missing, and whose probabilities sum to 1 within
     FILE_TOTAL_MASS, in line order.  Such lines hold no whitespace but the
     one space, so they split into the same two tokens as str.split finds.  A
     probability text float() refuses reads as NaN, whose sum is off.
 
-    A grid row is a line with the '\\n' before it, so the last row ends where
-    the last line's text does.  Each row OR'd with 1 on the n digit columns
-    ('0' and '1' are the two bytes that OR 1 to '1') must equal the first row
-    with '1' there; that template is checked once for its space and for a
-    text of ASCII with no blank, so the whole grid is ASCII.  The rows are
-    checked and their points read in one pass, a block of 2^14 rows at a
-    time, so no temporary is as large as the file."""
-    end = data.find(b"\n")
+    A grid row is a line with its '\\n'; the width and the template come
+    from the first line, and the row count from the file's size.  Each row
+    OR'd with 1 on the n digit columns ('0' and '1' are the two bytes that
+    OR 1 to '1') must equal the first row with '1' there; that template is
+    checked once for its space and for a text of ASCII with no blank, so the
+    whole grid is ASCII.  GRID_BLOCK_ROWS rows at a time are read into one
+    buffer, their points read into the points array, and then checked, so
+    nothing but the points and the probabilities grows with the file; a
+    file that ends short of its size is declined."""
+    head = re.fullmatch(rb"n=([1-9][0-9]*)\n", handle.readline())
     # the header as to_text writes it; _read_lines reads any other, or names it
-    head = re.fullmatch(rb"n=([1-9][0-9]*)\n", data[: end + 1])
     if head is None or (n := int(head[1])) > MAX_SPACE_DIMENSION:
         return None
-    stop = data.find(b"\n", end + 1)
-    width = (stop if stop > 0 else len(data)) - end
-    if width < n + 3 or (len(data) - end) % width > data.endswith(b"\n"):
+    start = handle.tell()
+    first = handle.readline()
+    width = len(first) + (not first.endswith(b"\n"))  # a last line may lack its '\n'
+    size = handle.seek(0, io.SEEK_END) - start
+    count = -(-size // width)
+    if width < n + 3 or count * width - size > 1:
         return None
-    grid = np.frombuffer(data, np.uint8, (len(data) - end) // width * width, end).reshape(-1, width)
-    mask = np.array([0] + [1] * n + [0] * (width - n - 1), dtype=np.uint8)  # the digits
-    template = np.where(mask, ord("1"), grid[0])
-    tail = template[n + 2 :]
-    if template[n + 1] != ord(" ") or not ((tail > ord(" ")) & (tail < 0x80)).all():
+    template = np.frombuffer(b"1" * n + first[n:].ljust(width - n, b"\n"), dtype=np.uint8)
+    tail = template[n + 1 : -1]
+    if template[n] != ord(" ") or not ((tail > ord(" ")) & (tail < 0x80)).all():
         return None
     prob = _float_or_nan(tail.tobytes().decode())
-    total = np.add.accumulate(np.full(len(grid), prob))[-1]  # left to right, as _read_lines sums
+    rows = min(count, GRID_BLOCK_ROWS)
+    terms, sums, total = np.full(rows, prob), np.empty(rows), 0.0
+    for at in range(0, count, rows):
+        terms[0] = total + prob  # left to right across blocks, as _read_lines sums
+        total = np.add.accumulate(terms[: count - at], out=sums[: count - at])[-1]
     if not abs(total - 1.0) <= FILE_TOTAL_MASS:
         return None
-    blocks = [grid[start : start + (1 << 14)] for start in range(0, len(grid), 1 << 14)]
-    # one pass: each block is checked, then its points read while it is in cache
-    points = [_points(block[:, 1 : n + 1]) for block in blocks if ((block | mask) == template).all()]
-    if len(points) < len(blocks):  # a block out of the layout
-        return None
-    return n, np.concatenate(points), np.full(len(grid), prob / total)
+    handle.seek(start)
+    block, bits = np.empty((rows, width), dtype=np.uint8), np.zeros((rows, 64), dtype=np.uint8)
+    points = np.empty(count, dtype=np.int64)
+    for at in range(0, count, rows):
+        grid = block[: count - at]
+        flat = grid.reshape(-1)
+        want = min(flat.size, size - at * width)
+        if handle.readinto(flat[:want]) != want:  # a short read
+            return None
+        flat[want:] = ord("\n")  # the last line's, where the file ends without it
+        points[at : at + len(grid)] = _points(grid[:, :n], bits[: len(grid)])
+        np.bitwise_or(grid[:, :n], 1, out=grid[:, :n])  # '0' and '1' OR 1 to '1'
+        np.bitwise_xor(grid, template, out=grid)
+        if grid.any():  # a row out of the layout
+            return None
+    return n, points, np.full(count, prob / total)
 
 
-def _points(digits: np.ndarray) -> np.ndarray:
-    """The int64 points of a (points, n) array of '0' and '1' character codes,
-    coordinate 1 first."""
-    bits = np.zeros((len(digits), 64), dtype=np.uint8)  # coordinate 1 at bit 64 - n
+def _points(digits: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The big-endian uint64 points of a (points, n) array of '0' and '1'
+    character codes, coordinate 1 first, filled through bits, a (points,
+    64) uint8 table that is zero outside its last n columns: coordinate 1
+    lands at bit 64 - n."""
     np.bitwise_and(digits, 1, out=bits[:, 64 - digits.shape[1] :])
-    return np.packbits(bits).view(">u8").astype(np.int64)
+    return np.packbits(bits).view(">u8")
 
 
 def _read_lines(text: str):
@@ -461,7 +498,7 @@ def _read_lines(text: str):
         # quoted by hand: repr and :g both print FILE_TOTAL_MASS as 1e-09
         raise FormatError(f"probabilities sum to {total!r}, not 1 within 1e-9")
     digits = np.frombuffer("".join(seen).encode("ascii"), dtype=np.uint8).reshape(-1, n)
-    return n, _points(digits), probs / total
+    return n, _points(digits, np.zeros((len(digits), 64), dtype=np.uint8)), probs / total
 
 
 def _float_or_nan(text: str) -> float:

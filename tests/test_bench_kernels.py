@@ -32,7 +32,7 @@ KERNELS = {
     "wht", "adjacency_apply", "convolve", "SampleSpace.from_text", "SampleSpace.to_text",
     "marginal_order", "smoothing_chain", "ball_density.spectrum", "lambda_ball", "min_radius",
     "level_max_abs", "SampleSpace.density.spectrum", "_smoothed_density", "inner_product",
-    "spectral_inner_product",
+    "spectral_inner_product", "construct",
 }
 
 
@@ -173,6 +173,9 @@ def test_quick_rows_cover_every_kernel(tmp_path, one_call_batches):
         for kernel in COSET_KERNELS
     ]
     assert all(row["peak_vectors"] < 0.1 for row in coset[:10])
+    # construct -o FILE on the code whose file the reader rows read
+    construct = [row for row in rows if row["kernel"] == "construct"]
+    assert [(row["n"], row["texts"], row["butterflies"]) for row in construct] == [(15, 1, 0)]
     writer = [row for row in rows if row["kernel"] == "SampleSpace.to_text"]
     assert [(row["n"], row.get("texts"), row["butterflies"]) for row in writer] == [
         (10, None, 0),

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from kwisent import balls, cli, codes, kwise
 from kwisent.cli import main, run
 from kwisent.errors import ResourceLimitError
+from test_bench_kernels import load_script
 from test_codes import counted_reads
 from test_golden import CASES, GOLDEN, make_inputs
 
@@ -539,3 +540,32 @@ def test_construct_uniform_refuses_above_the_cube_cap_before_allocating(capsys, 
     status, err = run_exit(capsys, "construct", "uniform", "--n", str(10**12))
     assert status == 2
     assert err.endswith("\nError: code length must be in 1..63, got 1000000000000\n")
+
+
+def traced_peak(call):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_code_file_is_read_and_written_a_block_at_a_time(tmp_path, capsys):
+    # on random_code_20()'s 2.4 MiB file (2^16 points), _load_space and
+    # construct -o hold the points and the probabilities, 16 bytes a point,
+    # and a few blocks of GRID_BLOCK_ROWS rows (the bits table, 64 bytes a
+    # row, is the largest): far below the file, which a reader or writer
+    # that held it whole would exceed on its own
+    code = load_script().random_code_20()
+    matrix, path = tmp_path / "matrix.txt", tmp_path / "space.txt"
+    matrix.write_text(f"{len(code.rows)} {code.cols}\n" + "".join(f"{r:020b}\n" for r in code.rows))
+    construct = ["construct", "from-matrix", "--matrix", str(matrix), "-o", str(path)]
+    assert run_exit(capsys, *construct)[0] == 0  # and the first call's one-time costs
+    bound = 16 * (1 << 16) + 4 * 64 * codes.GRID_BLOCK_ROWS
+    for call in (lambda: run_exit(capsys, *construct), lambda: cli._load_space(str(path))):
+        call()
+        peak = traced_peak(call)
+        assert peak <= bound and peak <= 0.75 * path.stat().st_size
+    assert path.read_bytes() == codes.parity_sampler_space(code).to_text().encode()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import math
 import operator
 import tracemalloc
@@ -620,7 +621,7 @@ def test_sample_space_grid_reader_matches_line_by_line_reference(case):
 def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     # every line to_text writes for a code has one width: the line-by-line
     # reader, many times slower, must not run on such a good file, whose
-    # points are sorted once, by the constructor
+    # points come in increasing order, so the constructor sorts nothing
     def refuse(*args, **kwargs):
         raise AssertionError("a reader ran that a file to_text wrote does not need")
 
@@ -629,7 +630,7 @@ def test_code_space_files_are_sliced_not_split(monkeypatch, matrix):
     text = space.to_text()
     with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
         parsed = SampleSpace.from_text(text)
-    assert argsort.call_count == 1
+    assert argsort.call_count == 0
     assert parsed.n == space.n
     np.testing.assert_array_equal(parsed.points, space.points)
     assert np.array_equal(
@@ -645,7 +646,7 @@ def test_two_alternating_texts_of_one_width_are_read_line_by_line():
     points = parity_sampler_space(hamming_code(4)).points
     text = SampleSpace(15, points, np.resize([1 / 4096, 3 / 4096], points.size)).to_text()
     assert {len(line) for line in text.splitlines()[1:]} == {30}
-    assert codes._read_grid(text.encode()) is None
+    assert codes._read_grid(io.BytesIO(text.encode())) is None
     assert reads_like_reference_counting_reads(text) == (True, 1, 1)
     space, tabs = SampleSpace.from_text(text), SampleSpace.from_text(text.replace(" ", "\t"))
     np.testing.assert_array_equal(space.points, tabs.points)
@@ -678,6 +679,111 @@ def test_ten_tenths_are_summed_left_to_right_on_every_python(sep, reads):
     assert (grid_reader.call_count, line_reader.call_count) == reads
     total = functools.reduce(operator.add, [0.1] * 10)
     assert space.probabilities.tobytes() == np.full(10, 0.1 / total).tobytes()
+
+
+def test_ten_tenths_are_summed_left_to_right_through_three_row_blocks(monkeypatch):
+    # the grid sums a block at a time, each block's first term carrying the
+    # total so far: 3 + 3 + 3 + 1 rows give the bits of one left-to-right sum
+    monkeypatch.setattr(codes, "GRID_BLOCK_ROWS", 3)
+    text = "n=4\n" + "".join(f"{i:04b} 0.1\n" for i in range(10))
+    with counted_reads() as (grid_reader, line_reader):
+        space = SampleSpace.from_text(text)
+    assert (grid_reader.call_count, line_reader.call_count) == (1, 0)
+    total = functools.reduce(operator.add, [0.1] * 10)
+    assert space.probabilities.tobytes() == np.full(10, 0.1 / total).tobytes()
+
+
+def grid_file(count, end="\n"):
+    """to_text's file of a uniform space on count scattered points of
+    {0,1}^5, its lines in decreasing order, ending in end; and its lines."""
+    points = (np.arange(count, dtype=np.int64) * 11) % 32
+    lines = SampleSpace(5, points, np.full(count, 1.0 / count)).to_text().splitlines()
+    lines = lines[:1] + lines[:0:-1]
+    return "\n".join(lines) + end, lines
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+@pytest.mark.parametrize("count", [2, 3, 6, 7], ids=["below", "equal", "multiple", "ragged"])
+def test_grid_blocks_of_three_rows_read_like_the_reference(monkeypatch, count, end):
+    # fewer rows than a block, one block, two whole blocks, and a short
+    # last block, with and without the last line's '\n': one grid read
+    monkeypatch.setattr(codes, "GRID_BLOCK_ROWS", 3)
+    text, _ = grid_file(count, end)
+    assert reads_like_reference_counting_reads(text) == (True, 1, 0)
+
+
+def edit_row(lines, row, kind):
+    """lines with row's bits or probability text changed, keeping its width."""
+    bits, prob = lines[row].split(" ")
+    if kind == "digit":
+        bits = "2" + bits[1:]
+    elif kind == "repeat":
+        bits = lines[1].split(" ")[0]
+    else:  # a second probability text: another float, as wide
+        prob = prob[:-1] + str((int(prob[-1]) + 1) % 10)
+    return lines[:row] + [f"{bits} {prob}"] + lines[row + 1 :]
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no-newline"])
+@pytest.mark.parametrize("row", [4, 8], ids=["block-2-first", "last"])
+@pytest.mark.parametrize("kind", ["digit", "repeat", "text"])
+def test_a_bad_row_at_a_block_edge_reads_like_the_reference(monkeypatch, kind, row, end):
+    # a bad digit, a repeated point or a second probability text in the first
+    # row of block 2 or in the last row of 7 (lines 5 and 8): the grid
+    # declines, or the constructor refuses the repeat, and the line-by-line
+    # read gives the reference's space, or its message and line
+    monkeypatch.setattr(codes, "GRID_BLOCK_ROWS", 3)
+    _, lines = grid_file(7)
+    text = "\n".join(edit_row(lines, row - 1, kind)) + end
+    assert reads_like_reference_counting_reads(text) == (kind == "text", 1, 1)
+
+
+class Pipe(io.BytesIO):
+    """A binary file that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+
+class Shrinking(io.BytesIO):
+    """A binary file that loses its last byte once its size is taken."""
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        at = super().seek(offset, whence)
+        if whence == io.SEEK_END:
+            self.truncate(at - 1)
+        return at
+
+
+@pytest.mark.parametrize("kind", [Pipe, Shrinking])
+def test_a_pipe_and_a_short_read_are_read_whole_to_the_same_space(monkeypatch, kind):
+    # a pipe is read whole before the grid reads it; a grid read whose last
+    # block comes up short of the size it took is declined, and the file is
+    # read whole, line by line: here its last '\n' is gone, which changes
+    # no value
+    monkeypatch.setattr(codes, "GRID_BLOCK_ROWS", 3)
+    text = parity_sampler_space(hamming_code(4)).to_text()
+    with counted_reads() as (grid_reader, line_reader):
+        space = SampleSpace.from_text(kind(text.encode()))
+    assert (grid_reader.call_count, line_reader.call_count) == (1, int(kind is Shrinking))
+    expected = SampleSpace.from_text(text)
+    np.testing.assert_array_equal(space.points, expected.points)
+    assert space.probabilities.tobytes() == expected.probabilities.tobytes()
+
+
+def test_points_out_of_order_are_sorted_once_and_a_repeat_is_refused():
+    # points in increasing order are taken as they are (the pin above); any
+    # others are sorted by one argsort, and a repeated point is refused
+    # whether or not it comes in order
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        space = SampleSpace(3, np.array([5, 1, 7, 2]), probs)
+    assert argsort.call_count == 1
+    assert space.points.tolist() == [1, 2, 5, 7]
+    assert space.probabilities.tolist() == [0.2, 0.4, 0.1, 0.3]
+    for points in ([5, 1, 5, 2], [1, 2, 2, 5]):
+        with pytest.raises(ValueError, match="points must be distinct"):
+            SampleSpace(3, np.array(points), probs)
 
 
 def test_lines_of_minus_zero_sum_to_zero():
